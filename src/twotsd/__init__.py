@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .matching import MatchConfig, MatchVerdict, Stage, StageResult, evaluate_chain, match_candidates
+from .matching import MatchConfig, MatchVerdict, Stage, StageResult, evaluate_chain
 from .memory import HistoryQuery, HistoryStore, MemoryModule, ResourceStore, SemanticsTree
 from .semantics import (
     DeterministicEngine,
@@ -114,7 +114,6 @@ __all__ = [
     "detect_trend",
     "evaluate_chain",
     "extract_semantics",
-    "match_candidates",
     "run_scenario",
     "__version__",
 ]

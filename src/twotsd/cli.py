@@ -323,13 +323,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         teacher, host=args.host, port=args.port, clock=lambda: int(time.time() * 1000)
     )
     host, port = server.address
-    print(f"listening on {host}:{port}")
     try:
+        print(f"listening on {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
+        # No shutdown(): it only stops a serve_forever running in another
+        # thread, and it waits forever when one never started here.
         server.server_close()
     return 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .domain import ResourceProfile, Task, TimestampMs
 from .errors import ValidationError
@@ -139,17 +138,6 @@ def evaluate_chain(
         StageResult(Stage.DEADLINE, in_time, carry, f"elapsed {carry:.3f}s vs deadline {task.deadline_s:.0f}s")
     )
     return MatchVerdict(profile.device, task.task_id, tuple(stages), in_time)
-
-
-def match_candidates(
-    task: Task,
-    profiles: Sequence[ResourceProfile],
-    now: TimestampMs,
-    cfg: MatchConfig | None = None,
-) -> list[MatchVerdict]:
-    """Evaluate every candidate independently; one verdict per profile, same order."""
-    cfg = cfg or MatchConfig()
-    return [evaluate_chain(task, p, now, cfg) for p in profiles]
 
 
 def missing_profile_verdict(device: str, task_id: str) -> MatchVerdict:

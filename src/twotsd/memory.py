@@ -8,21 +8,22 @@ Three components back the server-side agent:
   (collaborator, task_type) secondary index; the "relational database" of the
   design, realized as the query contract rather than a SQL engine.
 * :class:`SemanticsTree` -- the 4-level tree root -> task type -> device ->
-  semantics leaf, one leaf per (task type, device).
+  semantics leaf, one leaf per (task type, device), stored as a keyed map.
 
-Stores are safe for concurrent readers with serialized writers; all mutation
-paths hold a per-store lock. :class:`MemoryModule` bundles the three and
+Every store serializes its mutations under a per-store lock; history
+queries and tree reads hold the same lock, so they never see a half-done
+write or prune. :class:`MemoryModule` bundles the three and
 snapshots them to a single versioned JSON file (``load(save(state)) == state``).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from . import codec
 from .domain import (
@@ -81,20 +82,6 @@ class ResourceStore:
     def get(self, device: DeviceId) -> ResourceProfile | None:
         return self._profiles.get(device)
 
-    def get_many(
-        self, devices: Sequence[DeviceId]
-    ) -> tuple[list[ResourceProfile], list[DeviceId]]:
-        """Profiles for every known device in input order, plus the unknown ones."""
-        found: list[ResourceProfile] = []
-        missing: list[DeviceId] = []
-        for d in devices:
-            profile = self._profiles.get(d)
-            if profile is None:
-                missing.append(d)
-            else:
-                found.append(profile)
-        return found, missing
-
     def devices(self) -> list[DeviceId]:
         return sorted(self._profiles)
 
@@ -121,9 +108,11 @@ class HistoryStore:
     """Append-only record log, indexed by (collaborator, task_type).
 
     Record ids are dense integers assigned on append; explicit ids may be
-    supplied (e.g. for idempotent replays) and must be unique. Query results
-    are ascending by (timestamp, id). Records are immutable; the only removal
-    path is explicit retention pruning.
+    supplied (e.g. for idempotent replays) and must be unique. Each
+    per-pair id list is kept ascending by (timestamp, id) as records arrive,
+    so a query is a slice or two bisects and its results come out in that
+    order. Records are immutable; the only removal path is explicit retention
+    pruning.
     """
 
     def __init__(self):
@@ -140,18 +129,29 @@ class HistoryStore:
                 raise DuplicateRecordError(f"record id {record_id} already stored")
             self._next_id = max(self._next_id, record_id + 1)
             self._records[record_id] = record
-            self._by_key.setdefault((record.collaborator, record.task_type), []).append(record_id)
+            ids = self._by_key.setdefault((record.collaborator, record.task_type), [])
+            if not ids or self._order(ids[-1]) < (record.at, record_id):
+                ids.append(record_id)
+            else:
+                bisect.insort(ids, record_id, key=self._order)
             return record_id
 
+    def _order(self, record_id: int) -> tuple[TimestampMs, int]:
+        return self._records[record_id].at, record_id
+
+    def _at(self, record_id: int) -> TimestampMs:
+        return self._records[record_id].at
+
     def query(self, q: HistoryQuery) -> list[PerformanceRecord]:
-        ids = self._by_key.get((q.collaborator, q.task_type), [])
-        matched = sorted(ids, key=lambda i: (self._records[i].at, i))
-        if q.interval is not None:
-            lo, hi = q.interval
-            matched = [i for i in matched if lo <= self._records[i].at <= hi]
-        else:
-            matched = matched[-q.last_k :] if q.last_k else matched
-        return [self._records[i] for i in matched]
+        with self._lock:
+            ids = self._by_key.get((q.collaborator, q.task_type), [])
+            if q.interval is not None:
+                lo, hi = q.interval
+                start = bisect.bisect_left(ids, lo, key=self._at)
+                ids = ids[start : bisect.bisect_right(ids, hi, key=self._at)]
+            else:
+                ids = ids[-q.last_k :]
+            return [self._records[i] for i in ids]
 
     def count_for(self, collaborator: DeviceId, task_type: TaskType) -> int:
         return len(self._by_key.get((collaborator, task_type), []))
@@ -162,11 +162,14 @@ class HistoryStore:
     def prune_older_than(self, cutoff: TimestampMs) -> int:
         """Retention: drop records with at < cutoff. Returns how many went."""
         with self._lock:
-            doomed = [i for i, r in self._records.items() if r.at < cutoff]
-            for i in doomed:
-                r = self._records.pop(i)
-                self._by_key[(r.collaborator, r.task_type)].remove(i)
-            return len(doomed)
+            dropped = 0
+            for ids in self._by_key.values():
+                cut = bisect.bisect_left(ids, cutoff, key=self._at)
+                for i in ids[:cut]:
+                    del self._records[i]
+                del ids[:cut]
+                dropped += cut
+            return dropped
 
     def __len__(self) -> int:
         return len(self._records)
@@ -186,155 +189,84 @@ class HistoryStore:
         return store
 
 
-class NodeKind(Enum):
-    ROOT = "root"
-    TASK_TYPE = "task_type"
-    DEVICE = "device"
-    SEMANTICS = "semantics"
-
-
-@dataclass
-class TreeNode:
-    """One tree node: <self, parent, children> plus its kind-specific payload.
-
-    ``key`` is the task-type name or device id (None for root and semantics
-    leaves); ``payload`` is set on semantics leaves only.
-    """
-
-    node_id: int
-    kind: NodeKind
-    key: str | None
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    payload: TrustSemantics | None = None
-
-
 class SemanticsTree:
-    """Tree-structured trust-semantics store.
+    """Tree-structured trust-semantics store: root -> task type -> device -> leaf.
 
-    Depths are fixed: root=0, task type=1, device=2, semantics leaf=3. Each
-    task type appears once under the root, each device once under a task type,
-    and each device node holds at most one semantics leaf (updates replace the
-    leaf payload in place). Node ids are dense creation-order integers;
-    children stay sorted by key for deterministic traversal.
+    Only the leaves are stored, one per (task type, device), keyed in a dict
+    whose insertion order is the order in which each pair first appeared;
+    updates replace the leaf in place. A sorted device list per task type
+    gives ordered retrieval. The 4-level node view of snapshot version 1
+    (depths root=0, task type=1, device=2, leaf=3; dense creation-order node
+    ids; children sorted by key) is derived from that order in :meth:`to_dict`.
     """
-
-    ROOT_ID = 0
 
     def __init__(self):
-        self._nodes: dict[int, TreeNode] = {
-            self.ROOT_ID: TreeNode(self.ROOT_ID, NodeKind.ROOT, None, None)
-        }
-        self._next_id = 1
+        self._leaves: dict[tuple[TaskType, DeviceId], TrustSemantics] = {}
+        self._devices: dict[TaskType, list[DeviceId]] = {}
         self._lock = threading.Lock()
-
-    def node(self, node_id: int) -> TreeNode:
-        return self._nodes[node_id]
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def _child_by_key(self, parent: TreeNode, key: str) -> TreeNode | None:
-        for cid in parent.children:
-            child = self._nodes[cid]
-            if child.key == key:
-                return child
-        return None
-
-    def _insert_child(self, parent: TreeNode, kind: NodeKind, key: str | None) -> TreeNode:
-        node = TreeNode(self._next_id, kind, key, parent.node_id)
-        self._nodes[self._next_id] = node
-        self._next_id += 1
-        parent.children.append(node.node_id)
-        parent.children.sort(key=lambda cid: self._nodes[cid].key or "")
-        return node
 
     def upsert(self, ts: TrustSemantics) -> None:
         """Insert or update the semantics leaf for (ts.task_type, ts.device)."""
         with self._lock:
-            root = self._nodes[self.ROOT_ID]
-            tt_node = self._child_by_key(root, ts.task_type)
-            if tt_node is None:
-                tt_node = self._insert_child(root, NodeKind.TASK_TYPE, ts.task_type)
-            dev_node = self._child_by_key(tt_node, ts.device)
-            if dev_node is None:
-                dev_node = self._insert_child(tt_node, NodeKind.DEVICE, ts.device)
-            if dev_node.children:
-                leaf = self._nodes[dev_node.children[0]]
-            else:
-                leaf = self._insert_child(dev_node, NodeKind.SEMANTICS, None)
-            leaf.payload = ts
+            key = (ts.task_type, ts.device)
+            if key not in self._leaves:
+                bisect.insort(self._devices.setdefault(ts.task_type, []), ts.device)
+            self._leaves[key] = ts
 
     def get_by_task_type(self, task_type: TaskType) -> list[TrustSemantics]:
-        """All semantics under one task-type node, ordered by device id."""
-        root = self._nodes[self.ROOT_ID]
-        tt_node = self._child_by_key(root, task_type)
-        if tt_node is None:
-            return []
-        out: list[TrustSemantics] = []
-        for dev_id in tt_node.children:  # children already sorted by device id
-            dev_node = self._nodes[dev_id]
-            if dev_node.children:
-                leaf = self._nodes[dev_node.children[0]]
-                if leaf.payload is not None:
-                    out.append(leaf.payload)
-        return out
+        """All semantics under one task type, ordered by device id."""
+        with self._lock:
+            return [self._leaves[(task_type, d)] for d in self._devices.get(task_type, ())]
 
     def task_types(self) -> list[TaskType]:
-        root = self._nodes[self.ROOT_ID]
-        return [self._nodes[cid].key or "" for cid in root.children]
+        with self._lock:
+            return sorted(self._devices)
 
     def devices_for(self, task_type: TaskType) -> list[DeviceId]:
-        root = self._nodes[self.ROOT_ID]
-        tt_node = self._child_by_key(root, task_type)
-        if tt_node is None:
-            return []
-        return [self._nodes[cid].key or "" for cid in tt_node.children]
+        with self._lock:
+            return list(self._devices.get(task_type, ()))
 
     def leaf_count(self) -> int:
-        return sum(1 for n in self._nodes.values() if n.kind is NodeKind.SEMANTICS)
+        return len(self._leaves)
 
-    def depth_of(self, node_id: int) -> int:
-        depth = 0
-        node = self._nodes[node_id]
-        while node.parent is not None:
-            node = self._nodes[node.parent]
-            depth += 1
-        return depth
-
-    def all_nodes(self) -> list[TreeNode]:
-        return [self._nodes[i] for i in sorted(self._nodes)]
+    def node_count(self) -> int:
+        """Root, one node per task type, and a device node plus a leaf per pair."""
+        return 1 + len(self._devices) + 2 * len(self._leaves)
 
     def to_dict(self) -> dict[str, Any]:
-        nodes = []
-        for node in self.all_nodes():
+        """The v1 node list, replayed from the leaves in creation order."""
+        with self._lock:
+            leaves = list(self._leaves.items())
+        nodes: list[dict[str, Any]] = []
+        children: list[dict[str, int]] = []  # per node: child key -> child id
+
+        def add(kind: str, key: str | None, parent: int | None, payload: Any = None) -> int:
+            node_id = len(nodes)
             nodes.append(
-                {
-                    "id": node.node_id,
-                    "kind": node.kind.value,
-                    "key": node.key,
-                    "parent": node.parent,
-                    "children": list(node.children),
-                    "payload": codec.semantics_to_dict(node.payload) if node.payload else None,
-                }
+                {"id": node_id, "kind": kind, "key": key, "parent": parent, "payload": payload}
             )
-        return {"next_node_id": self._next_id, "nodes": nodes}
+            children.append({})
+            if parent is not None:
+                children[parent][key or ""] = node_id
+            return node_id
+
+        add("root", None, None)
+        type_ids: dict[TaskType, int] = {}
+        for (task_type, device), ts in leaves:
+            if task_type not in type_ids:
+                type_ids[task_type] = add("task_type", task_type, 0)
+            device_id = add("device", device, type_ids[task_type])
+            add("semantics", None, device_id, codec.semantics_to_dict(ts))
+        for node, kids in zip(nodes, children):
+            node["children"] = [kids[k] for k in sorted(kids)]
+        return {"next_node_id": len(nodes), "nodes": nodes}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SemanticsTree":
         tree = cls()
-        tree._nodes = {}
-        for item in doc["nodes"]:
-            node = TreeNode(
-                node_id=item["id"],
-                kind=NodeKind(item["kind"]),
-                key=item["key"],
-                parent=item["parent"],
-                children=list(item["children"]),
-                payload=codec.semantics_from_dict(item["payload"]) if item["payload"] else None,
-            )
-            tree._nodes[node.node_id] = node
-        tree._next_id = doc["next_node_id"]
+        for item in sorted(doc["nodes"], key=lambda n: n["id"]):
+            if item["kind"] == "semantics" and item["payload"]:
+                tree.upsert(codec.semantics_from_dict(item["payload"]))
         return tree
 
 

@@ -174,9 +174,7 @@ def encode(msg: Message) -> bytes:
         "sent_at": msg.sent_at,
         "payload": _payload_to_dict(msg.kind, msg.payload),
     }
-    body = bytes([PROTOCOL_VERSION]) + json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
+    body = bytes([PROTOCOL_VERSION]) + codec.canonical_json_bytes(doc)
     return _LEN.pack(len(body)) + body
 
 

@@ -70,13 +70,9 @@ class TeacherConfig:
     """Orchestration knobs.
 
     ``history_window_k``: how many newest records feed each extraction.
-    ``extract_on_ingest``: extract on every ingested record (the default,
-    prompt mode); off, ingestion only marks the pair dirty and
-    ``rebuild_dirty`` does the extraction in batch.
     """
 
     history_window_k: int = 20
-    extract_on_ingest: bool = True
 
     def __post_init__(self):
         if self.history_window_k < 1:
@@ -97,7 +93,6 @@ class TeacherAgent:
         self.engine = engine or DeterministicEngine()
         self.match_cfg = match_cfg or MatchConfig()
         self.cfg = cfg or TeacherConfig()
-        self._dirty: set[tuple[DeviceId, str]] = set()
         self._extraction_locks: dict[tuple[DeviceId, str], threading.Lock] = {}
         self._locks_guard = threading.Lock()
 
@@ -114,37 +109,19 @@ class TeacherAgent:
 
     def handle_performance_record(
         self, record: PerformanceRecord, record_id: int | None = None
-    ) -> TrustSemantics | None:
-        """Ingest a collaboration outcome and refresh the collaborator's semantics.
-
-        Returns the refreshed TrustSemantics, or None when extraction is
-        debounced (extract_on_ingest off).
-        """
+    ) -> TrustSemantics:
+        """Ingest a collaboration outcome; return the collaborator's refreshed semantics."""
         self.memory.history.append(record, record_id=record_id)
-        key = (record.collaborator, record.task_type)
-        if not self.cfg.extract_on_ingest:
-            self._dirty.add(key)
-            return None
-        return self._extract_and_store(key)
-
-    def _extract_and_store(self, key: tuple[DeviceId, str]) -> TrustSemantics:
+        device, task_type = record.collaborator, record.task_type
         # Per-(device, task type) serialization so concurrent ingests for the
         # same pair cannot interleave query and upsert (lost updates).
-        with self._lock_for(key):
-            device, task_type = key
+        with self._lock_for((device, task_type)):
             window = self.memory.history.query(
                 HistoryQuery(device, task_type, last_k=self.cfg.history_window_k)
             )
             semantics = self.engine.extract(device, task_type, window)
             self.memory.semantics.upsert(semantics)
             return semantics
-
-    def rebuild_dirty(self) -> int:
-        """Debounced mode: extract semantics for every pair touched since last rebuild."""
-        pending, self._dirty = self._dirty, set()
-        for key in sorted(pending):
-            self._extract_and_store(key)
-        return len(pending)
 
     def handle_task_request(self, task: Task, now: TimestampMs) -> CandidateBundle:
         """Assemble the candidate bundle for a task request.

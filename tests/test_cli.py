@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import twotsd
 from twotsd.cli import apply_override, load_scenario, main, parse_int_list, to_jsonable
 from twotsd.domain import Trend
 from twotsd.errors import ConfigError
@@ -162,3 +170,34 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
 def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
     assert main(["inspect", "--snapshot", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint():
+    """Without -u the listening line still arrives, and SIGINT exits 0 quietly."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(twotsd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twotsd.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        line = b""
+        while not line.endswith(b"\n") and time.monotonic() < deadline:
+            ready, _, _ = select.select([proc.stdout], [], [], 0.1)
+            if ready:
+                chunk = os.read(proc.stdout.fileno(), 256)
+                if not chunk:
+                    break
+                line += chunk
+        assert line.startswith(b"listening on "), line
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0
+    assert b"Traceback" not in stderr, stderr.decode(errors="replace")

@@ -15,7 +15,6 @@ from twotsd.matching import (
     MatchConfig,
     Stage,
     evaluate_chain,
-    match_candidates,
     missing_profile_verdict,
     transfer_time_s,
     compute_time_s,
@@ -89,13 +88,6 @@ def test_missing_profile_is_a_freshness_failure():
     verdict = missing_profile_verdict("a_z", "c2")
     assert not verdict.matched
     assert verdict.failed_stage() is Stage.FRESHNESS
-
-
-def test_match_candidates_preserves_order():
-    task = make_task()
-    profiles = [make_profile(device=d) for d in ("a_m", "a_k", "a_z")]
-    verdicts = match_candidates(task, profiles, now=1_000, cfg=CFG)
-    assert [v.device for v in verdicts] == ["a_m", "a_k", "a_z"]
 
 
 def test_thousand_case_formula_oracle():

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from twotsd import codec
 from twotsd.domain import Trend, TrustSemantics, TrustState
 from twotsd.errors import DuplicateRecordError, StaleUpdateError, ValidationError
 from twotsd.memory import (
     HistoryQuery,
     HistoryStore,
     MemoryModule,
-    NodeKind,
     ResourceStore,
     SemanticsTree,
 )
@@ -30,14 +36,6 @@ def test_resource_store_keeps_newest_and_rejects_stale():
     # same-timestamp replay is accepted (idempotent re-report)
     store.upsert(make_profile(device="a_k", updated_at=9_000, storage_mb=60.0))
     assert store.get("a_k").storage_mb == 60.0
-
-
-def test_resource_store_get_many_partitions():
-    store = ResourceStore()
-    store.upsert(make_profile(device="a_k"))
-    found, missing = store.get_many(["a_k", "a_z"])
-    assert [p.device for p in found] == ["a_k"]
-    assert missing == ["a_z"]
 
 
 def test_history_query_validates_exactly_one_selector():
@@ -119,6 +117,79 @@ def test_query_equals_brute_force_on_random_logs():
         assert store.query(q) == brute_force_query(mirror, q)
 
 
+def test_out_of_order_ids_and_prune_equal_brute_force():
+    """Explicit ids in shuffled order, timestamp ties, then pruning."""
+    rng = random.Random(2_509)
+    records = _random_records(rng, 300)
+    ids = rng.sample(range(1, 10_000), len(records))
+    store = HistoryStore()
+    for rid, rec in zip(ids, records):
+        store.append(rec, record_id=rid)
+    assert store.prune_older_than(1_500) == sum(1 for r in records if r.at < 1_500)
+    mirror = [(rid, r) for rid, r in zip(ids, records) if r.at >= 1_500]
+    for collaborator in ["a_j", "a_k", "a_l"]:
+        for task_type in ["face_recognition", "video_transcoding"]:
+            for q in (
+                HistoryQuery(collaborator, task_type, last_k=1_000),
+                HistoryQuery(collaborator, task_type, last_k=7),
+                HistoryQuery(collaborator, task_type, interval=(2_000, 3_000)),
+            ):
+                assert store.query(q) == brute_force_query(mirror, q)
+
+
+def test_concurrent_append_query_prune_stress():
+    """Eight threads for about a second: nothing raises, results stay ordered."""
+    store = HistoryStore()
+    ids = itertools.count(1)
+    errors: list[BaseException] = []
+    deadline = time.monotonic() + 1.0
+
+    def run(fn):
+        def loop():
+            rng = random.Random(threading.get_ident())
+            try:
+                while time.monotonic() < deadline:
+                    fn(rng)
+            except Exception as exc:
+                errors.append(exc)
+        return loop
+
+    def append(rng):
+        rid = next(ids)
+        at = rid // 8 + rng.randrange(0, 50)  # drifting clock with some lateness
+        store.append(make_record(at=at, extra={"rid": rid}), record_id=rid)
+
+    def query(rng):
+        if rng.random() < 0.5:
+            q = HistoryQuery("a_j", "video_transcoding", last_k=rng.randrange(1, 40))
+        else:
+            lo = rng.randrange(0, 5_000)
+            q = HistoryQuery("a_j", "video_transcoding", interval=(lo, lo + 500))
+        keys = [(r.at, r.extra["rid"]) for r in store.query(q)]
+        assert keys == sorted(keys)
+
+    def prune(rng):
+        store.prune_older_than(max(0, next(ids) // 8 - 200))
+        time.sleep(0.001)
+
+    threads = [threading.Thread(target=run(fn)) for fn in [append] * 3 + [query] * 3 + [prune] * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    remaining = store.query(HistoryQuery("a_j", "video_transcoding", last_k=len(store) + 1))
+    assert len(remaining) == len(store)
+    keys = [(r.at, r.extra["rid"]) for r in remaining]
+    assert keys == sorted(keys)
+
+
 def _semantics(device: str, task_type: str, n: int = 7) -> TrustSemantics:
     return TrustSemantics(
         device=device,
@@ -143,11 +214,19 @@ def test_tree_shape_after_upserts():
     assert tree.leaf_count() == 3
     assert tree.task_types() == ["face_recognition", "video_transcoding"]
     assert tree.devices_for("video_transcoding") == ["a_j", "a_k"]
-    for node in tree.all_nodes():
-        expected_depth = {
-            NodeKind.ROOT: 0, NodeKind.TASK_TYPE: 1, NodeKind.DEVICE: 2, NodeKind.SEMANTICS: 3,
-        }[node.kind]
-        assert tree.depth_of(node.node_id) == expected_depth
+
+    doc = tree.to_dict()
+    nodes = {n["id"]: n for n in doc["nodes"]}
+    assert sorted(nodes) == list(range(9)) and doc["next_node_id"] == 9
+    expected_depth = {"root": 0, "task_type": 1, "device": 2, "semantics": 3}
+    for node in nodes.values():
+        if node["parent"] is not None:
+            assert node["id"] in nodes[node["parent"]]["children"]
+        depth, parent = 0, node["parent"]
+        while parent is not None:
+            depth, parent = depth + 1, nodes[parent]["parent"]
+        assert depth == expected_depth[node["kind"]]
+        assert (node["payload"] is not None) == (node["kind"] == "semantics")
 
 
 def test_tree_upsert_replaces_leaf_in_place():
@@ -178,6 +257,45 @@ def test_tree_round_trip_preserves_ids_and_payloads():
     again = SemanticsTree.from_dict(tree.to_dict())
     assert again.to_dict() == tree.to_dict()
     assert again.node_count() == tree.node_count()
+
+
+# The upserts tests/fixtures/tree_v1.json was written from by the node-graph
+# tree: three task types and eight devices whose first appearances interleave
+# out of key order (so node ids interleave across task types), plus in-place
+# updates of existing leaves.
+_FIXTURE_UPSERTS = [
+    ("d5", "tt_b", 7), ("d2", "tt_c", 5), ("d7", "tt_b", 9), ("d0", "tt_a", 6),
+    ("d5", "tt_c", 8), ("d3", "tt_a", 5), ("d5", "tt_b", 12), ("d6", "tt_c", 6),
+    ("d1", "tt_b", 11), ("d4", "tt_a", 7), ("d2", "tt_a", 9), ("d7", "tt_c", 5),
+    ("d0", "tt_b", 8), ("d3", "tt_c", 10), ("d6", "tt_a", 6), ("d2", "tt_c", 14),
+    ("d4", "tt_b", 5), ("d1", "tt_a", 13), ("d0", "tt_a", 15), ("d7", "tt_a", 6),
+]
+FIXTURE = Path(__file__).parent / "fixtures" / "tree_v1.json"
+
+
+def _fixture_semantics(device: str, task_type: str, n: int) -> TrustSemantics:
+    return TrustSemantics(
+        device=device,
+        task_type=task_type,
+        state=TrustState.TRUSTED if n % 3 else TrustState.UNTRUSTED,
+        comm_trends={"throughput": Trend.NORMAL,
+                     "loss_rate": Trend.INCREASING if n % 2 else Trend.NORMAL},
+        comp_trends={"accuracy": Trend.NORMAL, "proc_speed": Trend.DECREASING},
+        window=(1_000, 1_000 * n),
+        extracted_at=1_000 * n + 1,
+        record_count=n,
+    )
+
+
+def test_tree_v1_fixture_loads_and_replays_identically():
+    doc = json.loads(FIXTURE.read_text())
+    loaded = SemanticsTree.from_dict(doc).to_dict()
+    assert loaded == doc
+    assert codec.canonical_json_bytes(loaded) == codec.canonical_json_bytes(doc)
+    replayed = SemanticsTree()
+    for args in _FIXTURE_UPSERTS:
+        replayed.upsert(_fixture_semantics(*args))
+    assert codec.canonical_json_bytes(replayed.to_dict()) == codec.canonical_json_bytes(doc)
 
 
 def test_memory_snapshot_round_trip(tmp_path):

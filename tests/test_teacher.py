@@ -24,22 +24,6 @@ def test_ingest_updates_tree_incrementally():
     assert leaf.record_count == 6
 
 
-def test_incremental_equals_batch_rebuild():
-    """Per-record extraction and debounced rebuild land on the same tree."""
-    records = make_records(9, collaborator="a_j") + make_records(
-        7, collaborator="a_k", start_at=1_500
-    )
-    prompt = TeacherAgent()
-    debounced = TeacherAgent(cfg=TeacherConfig(extract_on_ingest=False))
-    for rec in records:
-        prompt.handle_performance_record(rec)
-        assert debounced.handle_performance_record(rec) is None
-    assert debounced.memory.semantics.leaf_count() == 0
-    assert debounced.rebuild_dirty() == 2
-    assert debounced.rebuild_dirty() == 0  # nothing dirty twice
-    assert debounced.memory.semantics.to_dict() == prompt.memory.semantics.to_dict()
-
-
 def test_extraction_window_is_trimmed_to_last_k():
     teacher = TeacherAgent(cfg=TeacherConfig(history_window_k=5))
     # 20 old satisfied records, then 5 unsatisfied: K=5 sees only failures.
