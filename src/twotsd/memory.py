@@ -185,7 +185,11 @@ class HistoryStore:
         store = cls()
         for rid, item in doc["records"]:
             store.append(codec.record_from_dict(item), record_id=rid)
-        store._next_id = doc["next_id"]
+        next_id = doc["next_id"]
+        if next_id < store._next_id:
+            # The next append would overwrite a stored record.
+            raise ValidationError(f"next_id {next_id} is not above every record id", field="next_id")
+        store._next_id = next_id
         return store
 
 
@@ -302,9 +306,12 @@ class MemoryModule:
         if doc.get("version") != SNAPSHOT_VERSION:
             raise ValidationError(f"unsupported snapshot version {doc.get('version')}")
         module = cls()
-        module.resources = ResourceStore.from_dict(doc["resources"])
-        module.history = HistoryStore.from_dict(doc["history"])
-        module.semantics = SemanticsTree.from_dict(doc["tree"])
+        try:
+            module.resources = ResourceStore.from_dict(doc["resources"])
+            module.history = HistoryStore.from_dict(doc["history"])
+            module.semantics = SemanticsTree.from_dict(doc["tree"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"malformed snapshot: {type(exc).__name__} {exc}") from None
         return module
 
     def __eq__(self, other: object) -> bool:

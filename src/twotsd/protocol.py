@@ -27,7 +27,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from . import codec
 from .domain import PerformanceRecord, ResourceProfile, Task, TimestampMs
@@ -79,7 +79,7 @@ class Message:
     sent_at: TimestampMs
 
     def __post_init__(self):
-        expected = _PAYLOAD_TYPES[self.kind]
+        expected = _PAYLOADS[self.kind][0]
         if not isinstance(self.payload, expected):
             raise ValidationError(
                 f"{self.kind.value} payload must be {expected.__name__}, "
@@ -90,16 +90,6 @@ class Message:
             raise ValidationError("sender must be nonempty", field="sender")
         if not self.msg_id:
             raise ValidationError("msg_id must be nonempty", field="msg_id")
-
-
-_PAYLOAD_TYPES: dict[MessageKind, type] = {
-    MessageKind.RESOURCE_REPORT: ResourceProfile,
-    MessageKind.PERFORMANCE_RECORD: PerformanceRecord,
-    MessageKind.TASK_REQUEST: Task,
-    MessageKind.CANDIDATE_BUNDLE: CandidateBundle,
-    MessageKind.ACK: Ack,
-    MessageKind.ERROR: ErrorInfo,
-}
 
 
 def _stage_result_to_dict(s: StageResult) -> dict[str, Any]:
@@ -137,32 +127,21 @@ def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
     return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
 
 
-def _payload_to_dict(kind: MessageKind, payload: Any) -> dict[str, Any]:
-    if kind is MessageKind.RESOURCE_REPORT:
-        return codec.profile_to_dict(payload)
-    if kind is MessageKind.PERFORMANCE_RECORD:
-        return codec.record_to_dict(payload)
-    if kind is MessageKind.TASK_REQUEST:
-        return codec.task_to_dict(payload)
-    if kind is MessageKind.CANDIDATE_BUNDLE:
-        return bundle_to_dict(payload)
-    if kind is MessageKind.ACK:
-        return {"detail": payload.detail}
-    return {"code": payload.code, "detail": payload.detail}
-
-
-def _payload_from_dict(kind: MessageKind, doc: dict[str, Any]) -> Any:
-    if kind is MessageKind.RESOURCE_REPORT:
-        return codec.profile_from_dict(doc)
-    if kind is MessageKind.PERFORMANCE_RECORD:
-        return codec.record_from_dict(doc)
-    if kind is MessageKind.TASK_REQUEST:
-        return codec.task_from_dict(doc)
-    if kind is MessageKind.CANDIDATE_BUNDLE:
-        return bundle_from_dict(doc)
-    if kind is MessageKind.ACK:
-        return Ack(detail=doc.get("detail"))
-    return ErrorInfo(code=doc["code"], detail=doc["detail"])
+# kind -> (payload type, payload to dict, dict to payload). The record entry
+# is codec.record_from_dict rather than domain.validate_record itself, so the
+# validator is looked up at call time, not bound here at import.
+_PAYLOADS: dict[MessageKind, tuple[type, Callable, Callable]] = {
+    MessageKind.RESOURCE_REPORT: (ResourceProfile, codec.profile_to_dict, codec.profile_from_dict),
+    MessageKind.PERFORMANCE_RECORD: (PerformanceRecord, codec.record_to_dict, codec.record_from_dict),
+    MessageKind.TASK_REQUEST: (Task, codec.task_to_dict, codec.task_from_dict),
+    MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, bundle_to_dict, bundle_from_dict),
+    MessageKind.ACK: (Ack, lambda a: {"detail": a.detail}, lambda doc: Ack(detail=doc.get("detail"))),
+    MessageKind.ERROR: (
+        ErrorInfo,
+        lambda e: {"code": e.code, "detail": e.detail},
+        lambda doc: ErrorInfo(code=doc["code"], detail=doc["detail"]),
+    ),
+}
 
 
 def encode(msg: Message) -> bytes:
@@ -172,7 +151,7 @@ def encode(msg: Message) -> bytes:
         "sender": msg.sender,
         "msg_id": msg.msg_id,
         "sent_at": msg.sent_at,
-        "payload": _payload_to_dict(msg.kind, msg.payload),
+        "payload": _PAYLOADS[msg.kind][1](msg.payload),
     }
     body = bytes([PROTOCOL_VERSION]) + codec.canonical_json_bytes(doc)
     return _LEN.pack(len(body)) + body
@@ -200,7 +179,7 @@ def _decode_body(body: bytes) -> Message:
         return Message(
             kind=kind,
             sender=doc["sender"],
-            payload=_payload_from_dict(kind, doc["payload"]),
+            payload=_PAYLOADS[kind][2](doc["payload"]),
             msg_id=doc["msg_id"],
             sent_at=doc["sent_at"],
         )
@@ -259,37 +238,24 @@ class _Handler(socketserver.BaseRequestHandler):
             try:
                 msg = read_frame(self.request)
             except TwoTsdError as exc:
-                self._reply_error("unknown", exc)
+                try:
+                    self.request.sendall(encode(self._error(exc, "unknown")))
+                except OSError:
+                    pass
                 return
             if msg is None:
                 return
             try:
                 response = server.dispatch(msg)
             except TwoTsdError as exc:
-                response = Message(
-                    MessageKind.ERROR,
-                    SERVER_SENDER,
-                    ErrorInfo(exc.code, exc.message),
-                    msg.msg_id,
-                    server.clock(),
-                )
+                response = self._error(exc, msg.msg_id)
             self.request.sendall(encode(response))
 
-    def _reply_error(self, msg_id: str, exc: TwoTsdError):
+    def _error(self, exc: TwoTsdError, msg_id: str) -> Message:
         server: TrustServer = self.server  # type: ignore[assignment]
-        frame = encode(
-            Message(
-                MessageKind.ERROR,
-                SERVER_SENDER,
-                ErrorInfo(exc.code, exc.message),
-                msg_id,
-                server.clock(),
-            )
+        return Message(
+            MessageKind.ERROR, SERVER_SENDER, ErrorInfo(exc.code, exc.message), msg_id, server.clock()
         )
-        try:
-            self.request.sendall(frame)
-        except OSError:
-            pass
 
 
 class TrustServer(socketserver.ThreadingTCPServer):

@@ -181,9 +181,6 @@ class RemoteSemanticsEngine:
                 device, task_type, exc,
             )
             return local
-        if state is TrustState.INSUFFICIENT_DATA:
-            comm = {m: Trend.NORMAL for m in COMM_METRICS}
-            comp = {m: Trend.NORMAL for m in COMP_METRICS}
         return TrustSemantics(
             device=device,
             task_type=task_type,

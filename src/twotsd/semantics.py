@@ -15,9 +15,10 @@ capability.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Protocol, Sequence
+from dataclasses import dataclass, field
+from math import fsum
+from operator import attrgetter
+from typing import Protocol, Sequence
 
 from .domain import (
     COMM_METRICS,
@@ -97,16 +98,40 @@ def detect_trend(
     the answer is always NORMAL: too little data to claim a direction.
     """
     cfg = cfg or TrendConfig()
-    times = [t for t, _ in series]
-    if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
+    if any(series[i][0] > series[i + 1][0] for i in range(len(series) - 1)):
         raise UnsortedInputError("series timestamps must be ascending")
-    n = len(series)
+    return _classify([v for _, v in series], cfg.abs_floor, cfg)
+
+
+def aggregate_state(
+    records: Sequence[PerformanceRecord], cfg: StateConfig | None = None
+) -> TrustState:
+    """Overall trust state from a window of records sharing (collaborator, task_type)."""
+    keys = {(r.collaborator, r.task_type) for r in records}
+    if len(keys) > 1:
+        raise HeterogeneousInputError(
+            f"records mix collaborators/task types: {sorted(keys)}"
+        )
+    return _state(records, cfg or StateConfig())
+
+
+def _classify(values: Sequence[float], floor: float, cfg: TrendConfig) -> Trend:
+    """Trend of a series already in index order.
+
+    The slope is the least-squares fit over x = 0..n-1 in closed form:
+    sum((i - (n-1)/2) * (v - mean)) over n(n^2-1)/12, the sum of the squared
+    centred indexes. Each step is the float operation that
+    ``statistics.linear_regression`` and ``statistics.fmean`` perform on the
+    same input, so slope and mean come out bit for bit equal to theirs.
+    """
+    n = len(values)
     if n < cfg.n_min:
         return Trend.NORMAL
-    values = [v for _, v in series]
-    slope = statistics.linear_regression(range(n), values).slope
-    mean = statistics.fmean(values)
-    normalized = slope * (n - 1) / max(mean, cfg.abs_floor)
+    mean = fsum(values) / n
+    centre = (n - 1) / 2
+    products = [(i - centre) * (v - mean) for i, v in enumerate(values)]
+    slope = fsum(products) / (n * (n * n - 1) / 12)
+    normalized = slope * (n - 1) / max(mean, floor)
     if normalized > cfg.rel_slope_threshold:
         return Trend.INCREASING
     if normalized < -cfg.rel_slope_threshold:
@@ -114,16 +139,7 @@ def detect_trend(
     return Trend.NORMAL
 
 
-def aggregate_state(
-    records: Sequence[PerformanceRecord], cfg: StateConfig | None = None
-) -> TrustState:
-    """Overall trust state from a window of records sharing (collaborator, task_type)."""
-    cfg = cfg or StateConfig()
-    keys = {(r.collaborator, r.task_type) for r in records}
-    if len(keys) > 1:
-        raise HeterogeneousInputError(
-            f"records mix collaborators/task types: {sorted(keys)}"
-        )
+def _state(records: Sequence[PerformanceRecord], cfg: StateConfig) -> TrustState:
     if len(records) < cfg.n_min:
         return TrustState.INSUFFICIENT_DATA
     satisfied = sum(1 for r in records if r.satisfied)
@@ -131,23 +147,12 @@ def aggregate_state(
     return TrustState.TRUSTED if fraction >= cfg.trust_threshold else TrustState.UNTRUSTED
 
 
-_METRIC_GETTERS = {
-    "throughput": lambda r: r.throughput_mbps,
-    "loss_rate": lambda r: r.loss_rate,
-    "accuracy": lambda r: r.accuracy,
-    "proc_speed": lambda r: r.proc_speed_mbps,
+_METRIC_VALUES = {
+    "throughput": attrgetter("throughput_mbps"),
+    "loss_rate": attrgetter("loss_rate"),
+    "accuracy": attrgetter("accuracy"),
+    "proc_speed": attrgetter("proc_speed_mbps"),
 }
-
-
-def _trend_for_metric(
-    records: Sequence[PerformanceRecord], metric: str, cfg: TrendConfig
-) -> Trend:
-    getter = _METRIC_GETTERS[metric]
-    series = [(r.at, getter(r)) for r in records]
-    floor = cfg.floor_for(metric)
-    if floor != cfg.abs_floor:
-        cfg = replace(cfg, abs_floor=floor)
-    return detect_trend(series, cfg)
 
 
 def extract_semantics(
@@ -166,33 +171,33 @@ def extract_semantics(
     trend_cfg = trend_cfg or TrendConfig()
     state_cfg = state_cfg or StateConfig()
     records = list(records)
+    last_at = None
     for r in records:
         if r.collaborator != device or r.task_type != task_type:
             raise HeterogeneousInputError(
                 f"record for ({r.collaborator}, {r.task_type}) passed to "
                 f"extraction for ({device}, {task_type})"
             )
-    if any(records[i].at > records[i + 1].at for i in range(len(records) - 1)):
-        raise UnsortedInputError("records must be ascending by timestamp")
+        if last_at is not None and r.at < last_at:
+            raise UnsortedInputError("records must be ascending by timestamp")
+        last_at = r.at
 
-    state = aggregate_state(records, state_cfg)
-    if state is TrustState.INSUFFICIENT_DATA:
-        # Cold start: no trend claims.
-        comm = {m: Trend.NORMAL for m in COMM_METRICS}
-        comp = {m: Trend.NORMAL for m in COMP_METRICS}
-    else:
-        comm = {m: _trend_for_metric(records, m, trend_cfg) for m in COMM_METRICS}
-        comp = {m: _trend_for_metric(records, m, trend_cfg) for m in COMP_METRICS}
-    window = (records[0].at, records[-1].at) if records else None
-    extracted_at = records[-1].at if records else 0
+    state = _state(records, state_cfg)
+
+    def trend(metric: str) -> Trend:
+        if state is TrustState.INSUFFICIENT_DATA:
+            return Trend.NORMAL  # cold start: no trend claims
+        values = list(map(_METRIC_VALUES[metric], records))
+        return _classify(values, trend_cfg.floor_for(metric), trend_cfg)
+
     return TrustSemantics(
         device=device,
         task_type=task_type,
         state=state,
-        comm_trends=comm,
-        comp_trends=comp,
-        window=window,
-        extracted_at=extracted_at,
+        comm_trends={m: trend(m) for m in COMM_METRICS},
+        comp_trends={m: trend(m) for m in COMP_METRICS},
+        window=(records[0].at, records[-1].at) if records else None,
+        extracted_at=records[-1].at if records else 0,
         record_count=len(records),
     )
 

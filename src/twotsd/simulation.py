@@ -8,8 +8,9 @@ Two worlds run the same task stream over the same synthetic fleet:
   collection occurs.
 * ``baseline``: no server. At request time the owner polls every other
   device, pulls its ``baseline_window_k`` newest records plus current
-  resources, and evaluates trust on the spot. One data collection per
-  candidate per task.
+  resources, and evaluates trust on the spot. Its bundle is assembled by
+  the teacher's :func:`~twotsd.teacher.assemble_bundle`, from semantics it
+  extracts itself. One data collection per candidate per task.
 
 Ground truth assigns each device a role: reliable devices satisfy requesters
 ~95% of the time, unreliable ones ~50%, and drifters sit at ~75% while their
@@ -57,7 +58,6 @@ from .domain import (
     Task,
     TaskType,
     TimestampMs,
-    TrustState,
     Verdict,
 )
 from .errors import ConfigError
@@ -65,7 +65,7 @@ from .matching import MatchConfig, evaluate_chain
 from .memory import HistoryQuery, HistoryStore, MemoryModule
 from .semantics import DeterministicEngine, StateConfig, TrendConfig, extract_semantics
 from .student import DecisionPolicy, decide
-from .teacher import Candidate, CandidateBundle, TeacherAgent, TeacherConfig
+from .teacher import TeacherAgent, TeacherConfig, assemble_bundle
 
 METHOD_2TSD = "2tsd"
 METHOD_BASELINE = "baseline"
@@ -409,33 +409,27 @@ class DirectPollingBaseline:
     ) -> tuple[DeviceId | None, float, int, int]:
         """Returns (selected, eval_time_s, collections, polled)."""
         cfg = self.cfg
-        polled = 0
-        kept: list[Candidate] = []
-        for device in sorted(self.truths_by_id):
-            if device == task.owner:
-                continue
-            polled += 1
-            window = self.history.query(
-                HistoryQuery(
-                    collaborator=device,
-                    task_type=task.task_type,
-                    last_k=cfg.baseline_window_k,
-                )
+        polled = [d for d in sorted(self.truths_by_id) if d != task.owner]
+        semantics = [
+            extract_semantics(
+                device,
+                task.task_type,
+                self.history.query(
+                    HistoryQuery(device, task.task_type, last_k=cfg.baseline_window_k)
+                ),
+                cfg.trend,
+                cfg.state,
             )
-            sem = extract_semantics(device, task.task_type, window, cfg.trend, cfg.state)
-            if sem.state is not TrustState.TRUSTED:
-                continue
-            verdict = evaluate_chain(
-                task, self.truths_by_id[device].profile, now, cfg.match
-            )
-            if verdict.matched:
-                kept.append(Candidate(sem, True, verdict.stages))
-        bundle = CandidateBundle(task.task_id, tuple(kept), now)
+            for device in polled
+        ]
+        bundle = assemble_bundle(
+            task, semantics, lambda d: self.truths_by_id[d].profile, now, cfg.match
+        )
         selected = decide(bundle, cfg.policy)
         lat = cfg.latency
-        eval_time = polled * (2 * lat.l_msg_s + cfg.baseline_window_k * lat.c_rec_s)
+        eval_time = len(polled) * (2 * lat.l_msg_s + cfg.baseline_window_k * lat.c_rec_s)
         eval_time += lat.c_eng_s
-        return selected, eval_time, polled, polled
+        return selected, eval_time, len(polled), len(polled)
 
 
 def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:

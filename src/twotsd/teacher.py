@@ -8,7 +8,9 @@ chain:
   re-queried, and the refreshed semantics is upserted into the tree.
 * task request -- semantics retrieval for the task type, owner dropped,
   resource retrieval, chain matching per candidate, then only devices that are
-  both trusted and matched go into the candidate bundle.
+  both trusted and matched go into the candidate bundle. That assembly is
+  :func:`assemble_bundle`, which the simulation's polling baseline shares;
+  only where the semantics and profiles come from differs.
 
 Serving a request touches memory only; it never contacts a device. That is the
 whole point of the architecture, and the simulation asserts it with counters.
@@ -17,12 +19,12 @@ whole point of the architecture, and the simulation asserts it with counters.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .domain import DeviceId, PerformanceRecord, ResourceProfile, Task, TimestampMs, TrustSemantics, TrustState
 from .errors import ValidationError
-from .matching import MatchConfig, MatchVerdict, StageResult, evaluate_chain, missing_profile_verdict
+from .matching import MatchConfig, StageResult, evaluate_chain, missing_profile_verdict
 from .memory import HistoryQuery, MemoryModule
 from .semantics import DeterministicEngine, SemanticsEngine
 
@@ -127,21 +129,39 @@ class TeacherAgent:
         """Assemble the candidate bundle for a task request.
 
         All data come from the memory module; devices are never contacted.
-        Devices without a resource profile fail the freshness stage and drop out.
         """
-        all_semantics = self.memory.semantics.get_by_task_type(task.task_type)
-        candidates: list[Candidate] = []
-        for sem in all_semantics:
-            if sem.device == task.owner:
-                continue
-            if sem.state is not TrustState.TRUSTED:
-                continue
-            profile = self.memory.resources.get(sem.device)
-            if profile is None:
-                verdict = missing_profile_verdict(sem.device, task.task_id)
-            else:
-                verdict = evaluate_chain(task, profile, now, self.match_cfg)
-            if verdict.matched:
-                candidates.append(Candidate(sem, True, verdict.stages))
-        candidates.sort(key=lambda c: c.device)
-        return CandidateBundle(task.task_id, tuple(candidates), now)
+        return assemble_bundle(
+            task,
+            self.memory.semantics.get_by_task_type(task.task_type),
+            self.memory.resources.get,
+            now,
+            self.match_cfg,
+        )
+
+
+def assemble_bundle(
+    task: Task,
+    semantics: Iterable[TrustSemantics],
+    profile_of: Callable[[DeviceId], ResourceProfile | None],
+    now: TimestampMs,
+    match_cfg: MatchConfig,
+) -> CandidateBundle:
+    """The candidate bundle for ``task`` from per-device semantics and profiles.
+
+    The owner and every device that is not trusted drop out. The rest run the
+    matching chain against ``profile_of(device)``; a device without a profile
+    fails the freshness stage. Matched devices are kept, ordered by device id.
+    """
+    candidates: list[Candidate] = []
+    for sem in semantics:
+        if sem.device == task.owner or sem.state is not TrustState.TRUSTED:
+            continue
+        profile = profile_of(sem.device)
+        if profile is None:
+            verdict = missing_profile_verdict(sem.device, task.task_id)
+        else:
+            verdict = evaluate_chain(task, profile, now, match_cfg)
+        if verdict.matched:
+            candidates.append(Candidate(sem, True, verdict.stages))
+    candidates.sort(key=lambda c: c.device)
+    return CandidateBundle(task.task_id, tuple(candidates), now)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import select
@@ -170,6 +171,41 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
 def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
     assert main(["inspect", "--snapshot", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
+    doc = json.loads((out / "snapshot.json").read_text())
+    del doc["history"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["inspect", "--snapshot", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
+
+
+# sha256 of the outputs of `twotsd simulate --config configs/default.yaml
+# --seed 0 --snapshot` (10 devices). A change to trend extraction, bundle
+# assembly, selection or the output formats shows up here.
+_DEFAULT_SEED0_SHA256 = {
+    "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
+    "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
+    "snapshot.json": "02b910ba04717d3a615a5298014fcd234624d14ac4b1451a189ff7b91de5ad1f",
+}
+
+
+def test_simulate_default_config_outputs_are_pinned(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--seed", "0", "--out", str(out),
+                 "--snapshot"]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in _DEFAULT_SEED0_SHA256
+    }
+    assert digests == _DEFAULT_SEED0_SHA256
 
 
 def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint():

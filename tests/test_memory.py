@@ -321,3 +321,30 @@ def test_snapshot_load_rejects_foreign_files(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ValidationError):
         MemoryModule.load(path)
+
+
+def test_history_snapshot_rejects_next_id_at_or_below_a_record_id():
+    store = HistoryStore()
+    for device in ("a", "b", "b"):
+        store.append(make_record(collaborator=device))
+    doc = store.to_dict()
+    assert doc["next_id"] == 4
+    assert HistoryStore.from_dict(doc).to_dict() == doc
+    # With next_id 2 the next append would overwrite record 2, which would
+    # then be indexed under both its old and its new pair.
+    for bad in (1, 2, 3):
+        with pytest.raises(ValidationError):
+            HistoryStore.from_dict({**doc, "next_id": bad})
+    assert HistoryStore.from_dict({**doc, "next_id": 9}).append(make_record()) == 9
+
+
+@pytest.mark.parametrize("section", ["resources", "history", "tree"])
+def test_snapshot_load_turns_missing_sections_into_validation_errors(tmp_path, section):
+    memory = MemoryModule()
+    memory.history.append(make_record())
+    doc = memory.to_snapshot_dict()
+    path = tmp_path / "snapshot.json"
+    for broken in ({k: v for k, v in doc.items() if k != section}, {**doc, section: []}):
+        path.write_bytes(codec.canonical_json_bytes(broken))
+        with pytest.raises(ValidationError, match="malformed snapshot"):
+            MemoryModule.load(path)

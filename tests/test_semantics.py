@@ -8,7 +8,10 @@ thresholds. It shares no code with the implementation.
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +122,36 @@ def test_thousand_case_oracle_agreement():
             for i in range(n)
         ]
         assert detect_trend(_series(values), TREND_CFG) is oracle_trend(values)
+
+
+def reference_normalized_slope(values: list[float], floor: float) -> float:
+    """The normalized slope computed with the statistics module."""
+    n = len(values)
+    slope = statistics.linear_regression(range(n), values).slope
+    return slope * (n - 1) / max(statistics.fmean(values), floor)
+
+
+def test_normalized_slope_is_bit_identical_to_statistics_reference():
+    """A threshold equal to the reference slope reads NORMAL, one ulp below it
+    reads a trend, so any difference in the last bit fails one of the two."""
+    rng = random.Random(20_251_018)
+    checked = 0
+    for _ in range(2_000):
+        n = rng.randint(2, 119)
+        scale = 10 ** rng.uniform(-6, 6)
+        drift = rng.uniform(-0.5, 0.5) * scale / n
+        values = [rng.uniform(0.2, 2.0) * scale + drift * i for i in range(n)]
+        floor = rng.choice([1e-6, scale])
+        s = reference_normalized_slope(values, floor)
+        if s == 0.0:
+            continue
+        direction = Trend.INCREASING if s > 0 else Trend.DECREASING
+        at = TrendConfig(n_min=2, rel_slope_threshold=abs(s), abs_floor=floor)
+        below = replace(at, rel_slope_threshold=math.nextafter(abs(s), 0.0))
+        assert detect_trend(_series(values), at) is Trend.NORMAL
+        assert detect_trend(_series(values), below) is direction
+        checked += 1
+    assert checked > 1_900
 
 
 def test_state_threshold_boundary():
