@@ -17,7 +17,6 @@ the manifest deliberately carries no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -38,10 +37,13 @@ from .memory import MemoryModule
 from .semantics import DeterministicEngine, StateConfig, TrendConfig
 from .simulation import (
     LatencyModel,
+    MethodSummary,
+    RunResult,
     ScenarioConfig,
     accuracy_over_seeds,
     eval_time_sweep,
     run_scenario,
+    write_csv,
     write_summary_csv,
     write_tasks_csv,
 )
@@ -260,6 +262,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _summaries_by_method(
+    runs: dict[int, RunResult], keys: Sequence[int]
+) -> list[tuple[int, MethodSummary]]:
+    """(key, summary) for each key in order, then each method by name."""
+    return [(k, runs[k].summaries[m]) for k in keys for m in sorted(runs[k].summaries)]
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.config, args.override, args.seed)
     device_counts = parse_int_list(args.devices)
@@ -268,31 +277,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = _OutputStage(out_dir)
     try:
-        sweep = eval_time_sweep(cfg, device_counts)
-        with open(stage.path("evaluation_time.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["device_count", "method", "mean_eval_time_s"])
-            for n in device_counts:
-                for method in sorted(sweep[n].summaries):
-                    writer.writerow(
-                        [n, method, repr(sweep[n].summaries[method].mean_eval_time_s)]
-                    )
-        with open(stage.path("data_collections.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["device_count", "method", "tasks", "total_collections"])
-            for n in device_counts:
-                for method in sorted(sweep[n].summaries):
-                    s = sweep[n].summaries[method]
-                    writer.writerow([n, method, s.tasks, s.total_collections])
+        sweep = _summaries_by_method(eval_time_sweep(cfg, device_counts), device_counts)
+        write_csv(
+            stage.path("evaluation_time.csv"),
+            ["device_count", "method", "mean_eval_time_s"],
+            [(n, s.method, s.mean_eval_time_s) for n, s in sweep],
+        )
+        write_csv(
+            stage.path("data_collections.csv"),
+            ["device_count", "method", "tasks", "total_collections"],
+            [(n, s.method, s.tasks, s.total_collections) for n, s in sweep],
+        )
         acc_runs = accuracy_over_seeds(cfg, seeds)
-        with open(stage.path("accuracy.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "method", "decided", "accuracy"])
-            for seed in seeds:
-                for method in sorted(acc_runs[seed].summaries):
-                    s = acc_runs[seed].summaries[method]
-                    acc = "" if s.accuracy is None else repr(s.accuracy)
-                    writer.writerow([seed, method, s.decided, acc])
+        write_csv(
+            stage.path("accuracy.csv"),
+            ["seed", "method", "decided", "accuracy"],
+            [(seed, s.method, s.decided, s.accuracy)
+             for seed, s in _summaries_by_method(acc_runs, seeds)],
+        )
         _write_manifest(stage, cfg, "compare")
     except Exception:
         stage.discard()
@@ -429,10 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TwoTsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TwoTsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

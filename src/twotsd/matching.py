@@ -31,15 +31,6 @@ class Stage(Enum):
     DEADLINE = "deadline"
 
 
-STAGE_ORDER: tuple[Stage, ...] = (
-    Stage.FRESHNESS,
-    Stage.STORAGE,
-    Stage.COMMUNICATION,
-    Stage.COMPUTATION,
-    Stage.DEADLINE,
-)
-
-
 @dataclass(frozen=True)
 class MatchConfig:
     """Knobs for the matching chain.

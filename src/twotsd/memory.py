@@ -82,9 +82,6 @@ class ResourceStore:
     def get(self, device: DeviceId) -> ResourceProfile | None:
         return self._profiles.get(device)
 
-    def devices(self) -> list[DeviceId]:
-        return sorted(self._profiles)
-
     def __len__(self) -> int:
         return len(self._profiles)
 
@@ -97,11 +94,9 @@ class ResourceStore:
     def from_dict(cls, doc: dict[str, Any]) -> "ResourceStore":
         store = cls()
         for item in doc["profiles"]:
-            store._profiles_insert(codec.profile_from_dict(item))
+            profile = codec.profile_from_dict(item)
+            store._profiles[profile.device] = profile
         return store
-
-    def _profiles_insert(self, profile: ResourceProfile) -> None:
-        self._profiles[profile.device] = profile
 
 
 class HistoryStore:
@@ -184,11 +179,15 @@ class HistoryStore:
     def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
         store = cls()
         for rid, item in doc["records"]:
+            if type(rid) is not int or rid in store._records:
+                raise ValidationError(f"record id {rid!r} is not a new integer", field="records")
             store.append(codec.record_from_dict(item), record_id=rid)
         next_id = doc["next_id"]
-        if next_id < store._next_id:
-            # The next append would overwrite a stored record.
-            raise ValidationError(f"next_id {next_id} is not above every record id", field="next_id")
+        if type(next_id) is not int or next_id < store._next_id:
+            # Below a record id, the next append would overwrite a stored record.
+            raise ValidationError(
+                f"next_id {next_id!r} is not an integer above every record id", field="next_id"
+            )
         store._next_id = next_id
         return store
 
@@ -310,7 +309,7 @@ class MemoryModule:
             module.resources = ResourceStore.from_dict(doc["resources"])
             module.history = HistoryStore.from_dict(doc["history"])
             module.semantics = SemanticsTree.from_dict(doc["tree"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
             raise ValidationError(f"malformed snapshot: {type(exc).__name__} {exc}") from None
         return module
 

@@ -1,16 +1,22 @@
 """Discrete-event comparison of serverized trust against direct polling.
 
-Two worlds run the same task stream over the same synthetic fleet:
+Two worlds run the same task stream over the same synthetic fleet. Each
+world is one method behind the same small interface: ``ingest(record)``
+takes a collaboration outcome, ``history`` is the record log whose per-pair
+counts give each device's next record index, and ``select(task, now)``
+returns the pick with its analytic cost. Each task runs in one world and
+then the other; the worlds share no mutable state.
 
-* ``2tsd``: devices stream resource reports and collaboration outcomes to the
-  teacher as they happen; at request time the teacher answers from memory and
-  the owner runs the lightweight final selection. No per-task data
-  collection occurs.
-* ``baseline``: no server. At request time the owner polls every other
-  device, pulls its ``baseline_window_k`` newest records plus current
-  resources, and evaluates trust on the spot. Its bundle is assembled by
-  the teacher's :func:`~twotsd.teacher.assemble_bundle`, from semantics it
-  extracts itself. One data collection per candidate per task.
+* ``2tsd`` (:class:`ServedWorld`): devices stream resource reports and
+  collaboration outcomes to the teacher as they happen; at request time the
+  teacher answers from memory and the owner runs the lightweight final
+  selection. No per-task data collection occurs.
+* ``baseline`` (:class:`DirectPollingBaseline`): no server. At request time
+  the owner polls every other device, pulls its ``baseline_window_k`` newest
+  records plus current resources, and evaluates trust on the spot. Its
+  bundle is assembled by the teacher's :func:`~twotsd.teacher.assemble_bundle`,
+  from semantics it extracts itself. One data collection per candidate per
+  task.
 
 Ground truth assigns each device a role: reliable devices satisfy requesters
 ~95% of the time, unreliable ones ~50%, and drifters sit at ~75% while their
@@ -393,8 +399,39 @@ def accuracy_of(
     return False if any_valid else None
 
 
+class ServedWorld:
+    """The 2tsd method: devices report to the teacher, which answers from memory."""
+
+    method = METHOD_2TSD
+
+    def __init__(self, cfg: ScenarioConfig, truths: Sequence[DeviceTruth], engine=None):
+        self.cfg = cfg
+        self.teacher = TeacherAgent(
+            MemoryModule(),
+            engine or DeterministicEngine(cfg.trend, cfg.state),
+            cfg.match,
+            TeacherConfig(history_window_k=cfg.teacher_window_k),
+        )
+        self.history = self.teacher.memory.history
+        for truth in truths:
+            self.teacher.handle_resource_report(truth.profile)
+
+    def ingest(self, record: PerformanceRecord) -> None:
+        self.teacher.handle_performance_record(record)
+
+    def select(self, task: Task, now: TimestampMs) -> tuple[DeviceId | None, float, int, int]:
+        """Returns (selected, eval_time_s, polled, bundle_size); nothing is polled."""
+        bundle = self.teacher.handle_task_request(task, now)
+        retrieved = len(self.teacher.memory.semantics.devices_for(task.task_type))
+        lat = self.cfg.latency
+        eval_time = 2 * lat.l_msg_s + lat.c_eng_s + lat.c_ret_s * retrieved
+        return decide(bundle, self.cfg.policy), eval_time, 0, len(bundle.candidates)
+
+
 class DirectPollingBaseline:
     """Owner-side selection with no server: poll everyone, judge locally."""
+
+    method = METHOD_BASELINE
 
     def __init__(self, cfg: ScenarioConfig, truths: Sequence[DeviceTruth]):
         self.cfg = cfg
@@ -404,10 +441,8 @@ class DirectPollingBaseline:
     def ingest(self, record: PerformanceRecord) -> None:
         self.history.append(record)
 
-    def select(
-        self, task: Task, now: TimestampMs
-    ) -> tuple[DeviceId | None, float, int, int]:
-        """Returns (selected, eval_time_s, collections, polled)."""
+    def select(self, task: Task, now: TimestampMs) -> tuple[DeviceId | None, float, int, int]:
+        """Returns (selected, eval_time_s, polled, bundle_size); no bundle is sent."""
         cfg = self.cfg
         polled = [d for d in sorted(self.truths_by_id) if d != task.owner]
         semantics = [
@@ -429,7 +464,7 @@ class DirectPollingBaseline:
         lat = cfg.latency
         eval_time = len(polled) * (2 * lat.l_msg_s + cfg.baseline_window_k * lat.c_rec_s)
         eval_time += lat.c_eng_s
-        return selected, eval_time, len(polled), len(polled)
+        return selected, eval_time, len(polled), 0
 
 
 def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
@@ -437,111 +472,51 @@ def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
     truths_by_id = {t.device: t for t in truths}
     warmup = synthesize_warmup(cfg, truths)
     tasks = synthesize_tasks(cfg)
+    served = ServedWorld(cfg, truths, engine)
+    worlds = (served, DirectPollingBaseline(cfg, truths))
+    for world in worlds:
+        for record in warmup:
+            world.ingest(record)
 
-    teacher = TeacherAgent(
-        MemoryModule(),
-        engine or DeterministicEngine(cfg.trend, cfg.state),
-        cfg.match,
-        TeacherConfig(history_window_k=cfg.teacher_window_k),
-    )
-    for truth in truths:
-        teacher.handle_resource_report(truth.profile)
-    for record in warmup:
-        teacher.handle_performance_record(record)
+    def feed(
+        world: ServedWorld | DirectPollingBaseline,
+        truth: DeviceTruth, owner: DeviceId, tt: TaskType, at: TimestampMs,
+    ) -> None:
+        """Push the device's next collaboration outcome into one world."""
+        index = world.history.count_for(truth.device, tt)
+        world.ingest(synth_record(cfg, truth, owner, tt, at, index))
 
-    baseline = DirectPollingBaseline(cfg, truths)
-    for record in warmup:
-        baseline.ingest(record)
-
-    def ambient_round(now: TimestampMs) -> None:
-        # Background collaborations, pushed to the teacher as they happen and
-        # sitting in device logs until the baseline polls. Same records in
-        # both worlds while the per-device record counts stay aligned.
-        at = now - 100
-        n = len(truths)
-        for j, truth in enumerate(truths):
-            owner = truths[(j + 1) % n].device
-            for tt in cfg.task_types:
-                teacher.handle_performance_record(
-                    synth_record(cfg, truth, owner, tt, at,
-                                 teacher.memory.history.count_for(truth.device, tt))
-                )
-                baseline.ingest(
-                    synth_record(cfg, truth, owner, tt, at,
-                                 baseline.history.count_for(truth.device, tt))
-                )
-
-    lat = cfg.latency
     rows: list[TaskRow] = []
     for k, task in enumerate(tasks):
         now = _task_at(cfg, k)
-        done_at = now + _TICK_MS // 2
-        if cfg.ambient_every_n_tasks and k % cfg.ambient_every_n_tasks == 0:
-            ambient_round(now)
+        ambient = cfg.ambient_every_n_tasks and k % cfg.ambient_every_n_tasks == 0
+        for world in worlds:
+            if ambient:
+                # Background collaborations, pushed to the teacher as they
+                # happen and sitting in device logs until the baseline polls.
+                for j, truth in enumerate(truths):
+                    owner = truths[(j + 1) % len(truths)].device
+                    for tt in cfg.task_types:
+                        feed(world, truth, owner, tt, now - 100)
+            selected, eval_time, polled, bundle_size = world.select(task, now)
+            correct = accuracy_of(
+                selected, task, truths_by_id, cfg.state.trust_threshold, cfg.match, now
+            )
+            rows.append(TaskRow(
+                task_id=task.task_id, task_type=task.task_type, owner=task.owner,
+                method=world.method, selected=selected, correct=correct,
+                eval_time_s=eval_time, collections=polled, candidates_polled=polled,
+                bundle_size=bundle_size,
+            ))
+            if selected is not None:
+                feed(world, truths_by_id[selected], task.owner, task.task_type,
+                     now + _TICK_MS // 2)
 
-        # Serverized path: answer from memory, zero collections.
-        bundle = teacher.handle_task_request(task, now)
-        retrieved = len(teacher.memory.semantics.devices_for(task.task_type))
-        t_eval = 2 * lat.l_msg_s + lat.c_eng_s + lat.c_ret_s * retrieved
-        selected = decide(bundle, cfg.policy)
-        rows.append(
-            TaskRow(
-                task_id=task.task_id,
-                task_type=task.task_type,
-                owner=task.owner,
-                method=METHOD_2TSD,
-                selected=selected,
-                correct=accuracy_of(
-                    selected, task, truths_by_id,
-                    cfg.state.trust_threshold, cfg.match, now,
-                ),
-                eval_time_s=t_eval,
-                collections=0,
-                candidates_polled=0,
-                bundle_size=len(bundle.candidates),
-            )
-        )
-        if selected is not None:
-            index = teacher.memory.history.count_for(selected, task.task_type)
-            teacher.handle_performance_record(
-                synth_record(cfg, truths_by_id[selected], task.owner,
-                             task.task_type, done_at, index)
-            )
-
-        # Polling path.
-        b_selected, b_time, b_cols, b_polled = baseline.select(task, now)
-        rows.append(
-            TaskRow(
-                task_id=task.task_id,
-                task_type=task.task_type,
-                owner=task.owner,
-                method=METHOD_BASELINE,
-                selected=b_selected,
-                correct=accuracy_of(
-                    b_selected, task, truths_by_id,
-                    cfg.state.trust_threshold, cfg.match, now,
-                ),
-                eval_time_s=b_time,
-                collections=b_cols,
-                candidates_polled=b_polled,
-                bundle_size=0,
-            )
-        )
-        if b_selected is not None:
-            index = baseline.history.count_for(b_selected, task.task_type)
-            baseline.ingest(
-                synth_record(cfg, truths_by_id[b_selected], task.owner,
-                             task.task_type, done_at, index)
-            )
-
-    all_rows = tuple(rows)
     summaries = {
-        method: MethodSummary.from_rows(
-            method, [r for r in all_rows if r.method == method]
-        )
-        for method in (METHOD_2TSD, METHOD_BASELINE)
+        w.method: MethodSummary.from_rows(w.method, [r for r in rows if r.method == w.method])
+        for w in worlds
     }
-    return RunResult(cfg, truths, all_rows, summaries, teacher.memory)
+    return RunResult(cfg, truths, tuple(rows), summaries, served.teacher.memory)
 
 
 def eval_time_sweep(
@@ -567,6 +542,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+# Column names are the field names of TaskRow and MethodSummary, in order.
 TASKS_CSV_HEADER = [
     "task_id", "task_type", "owner", "method", "selected", "correct",
     "eval_time_s", "collections", "candidates_polled", "bundle_size",
@@ -578,25 +554,23 @@ SUMMARY_CSV_HEADER = [
 ]
 
 
-def write_tasks_csv(path: str | Path, rows: Sequence[TaskRow]) -> None:
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """The header, then one line per row with every cell spelled by ``_fmt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TASKS_CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.task_id, r.task_type, r.owner, r.method,
-                _fmt(r.selected), _fmt(r.correct), _fmt(r.eval_time_s),
-                r.collections, r.candidates_polled, r.bundle_size,
-            ])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_tasks_csv(path: str | Path, rows: Sequence[TaskRow]) -> None:
+    write_csv(path, TASKS_CSV_HEADER, ([getattr(r, f) for f in TASKS_CSV_HEADER] for r in rows))
 
 
 def write_summary_csv(path: str | Path, summaries: dict[str, MethodSummary]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_HEADER)
-        for method in sorted(summaries):
-            s = summaries[method]
-            writer.writerow([
-                s.method, s.tasks, s.decided, s.correct,
-                _fmt(s.accuracy), _fmt(s.mean_eval_time_s), s.total_collections,
-            ])
+    write_csv(
+        path,
+        SUMMARY_CSV_HEADER,
+        ([getattr(summaries[m], f) for f in SUMMARY_CSV_HEADER] for m in sorted(summaries)),
+    )

@@ -61,26 +61,27 @@ def adverse_trend_count(candidate: Candidate, adverse_map: dict[str, Trend]) -> 
 def decide(bundle: CandidateBundle, policy: DecisionPolicy | None = None) -> DeviceId | None:
     """Pick the final collaborator from a bundle, or None when there is nothing to pick.
 
-    Pure in (bundle, policy); candidate order in the bundle never matters
-    because every path canonicalizes by device id first.
+    Pure in (bundle, policy). A bundle's candidates are always ordered by
+    device id (``CandidateBundle`` rejects any other order), so every policy
+    reads them as given.
     """
     policy = policy or DecisionPolicy()
-    ordered = sorted(bundle.candidates, key=lambda c: c.device)
-    if not ordered:
+    candidates = bundle.candidates
+    if not candidates:
         return None
 
     if policy.kind is PolicyKind.FIRST_MATCH:
-        return ordered[0].device
+        return candidates[0].device
 
     if policy.kind is PolicyKind.RANDOM_SEEDED:
         # Mix the task id into the seed so one policy instance still varies
         # across tasks while staying a pure function of (bundle, policy).
         mixed = (policy.seed or 0) ^ zlib.crc32(bundle.task_id.encode("utf-8"))
-        idx = Random(mixed).randrange(len(ordered))
-        return ordered[idx].device
+        idx = Random(mixed).randrange(len(candidates))
+        return candidates[idx].device
 
     # trend_averse
-    counts = [(adverse_trend_count(c, policy.adverse_map), c.device) for c in ordered]
+    counts = [(adverse_trend_count(c, policy.adverse_map), c.device) for c in candidates]
     clean = [device for n, device in counts if n == 0]
     if clean:
         return clean[0]

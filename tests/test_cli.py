@@ -139,6 +139,15 @@ def test_simulate_remote_engine_requires_endpoint(tmp_path, monkeypatch):
     assert code == 2
 
 
+# sha256 of the CSVs of `twotsd compare --devices 4,6 --seeds 0-1` with the
+# overrides in _FAST.
+_COMPARE_FAST_SHA256 = {
+    "evaluation_time.csv": "fc31c103937e1ff307099e549126b353861a53035398beadc0e8f27aad3a7e15",
+    "data_collections.csv": "c94086f0e6124a095c623b44d85b571ff6b7abb034d9216d2bdaa303b1094614",
+    "accuracy.csv": "6b800a0355612950e89b1cd53ecc2c4b2f9aa7cfb4222bac811ca4b4c799f039",
+}
+
+
 def test_compare_writes_sweep_csvs(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main([
@@ -154,6 +163,11 @@ def test_compare_writes_sweep_csvs(tmp_path, capsys):
     assert accuracy[0] == "seed,method,decided,accuracy"
     assert len(accuracy) == 1 + 2 * 2  # two seeds x two methods
     assert (out / "manifest.json").exists()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in _COMPARE_FAST_SHA256
+    }
+    assert digests == _COMPARE_FAST_SHA256
     assert "mean accuracy over 2 seeds" in capsys.readouterr().out
 
 
@@ -177,35 +191,49 @@ def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
     doc = json.loads((out / "snapshot.json").read_text())
-    del doc["history"]
+    no_history = {k: v for k, v in doc.items() if k != "history"}
+    records = doc["history"]["records"]
+    repeated_id = [records[0], [records[0][0], records[1][1]], *records[2:]]
+    duplicate_id = {**doc, "history": {**doc["history"], "records": repeated_id}}
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["inspect", "--snapshot", str(broken)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
+    for bad in (no_history, duplicate_id):
+        broken.write_text(json.dumps(bad))
+        assert main(["inspect", "--snapshot", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
 
 
-# sha256 of the outputs of `twotsd simulate --config configs/default.yaml
-# --seed 0 --snapshot` (10 devices). A change to trend extraction, bundle
-# assembly, selection or the output formats shows up here.
-_DEFAULT_SEED0_SHA256 = {
-    "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
-    "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-    "snapshot.json": "02b910ba04717d3a615a5298014fcd234624d14ac4b1451a189ff7b91de5ad1f",
+# sha256 of the outputs of `twotsd simulate --config configs/<name> --snapshot`:
+# default.yaml at seed 0 (10 devices), and large_fleet.yaml at its own seed
+# (40 devices, 400 tasks, the strict_trends policy). A change to trend
+# extraction, bundle assembly, selection or the output formats shows up here.
+_PINNED_SIMULATE_SHA256 = {
+    "default.yaml": (["--seed", "0"], {
+        "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
+        "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
+        "snapshot.json": "02b910ba04717d3a615a5298014fcd234624d14ac4b1451a189ff7b91de5ad1f",
+    }),
+    "large_fleet.yaml": ([], {
+        "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
+        "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
+        "snapshot.json": "b276227d5990b69e146ca3316228068396b2535b68b2193ba0e95d2e03f39ecf",
+    }),
 }
 
 
-def test_simulate_default_config_outputs_are_pinned(tmp_path, capsys):
-    config = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+@pytest.mark.parametrize("config_name", sorted(_PINNED_SIMULATE_SHA256))
+def test_simulate_default_config_outputs_are_pinned(tmp_path, capsys, config_name):
+    extra, expected = _PINNED_SIMULATE_SHA256[config_name]
+    config = Path(__file__).resolve().parent.parent / "configs" / config_name
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(config), "--seed", "0", "--out", str(out),
+    assert main(["simulate", "--config", str(config), *extra, "--out", str(out),
                  "--snapshot"]) == 0
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in _DEFAULT_SEED0_SHA256
+        for name in expected
     }
-    assert digests == _DEFAULT_SEED0_SHA256
+    assert digests == expected
 
 
 def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint():

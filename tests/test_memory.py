@@ -338,6 +338,20 @@ def test_history_snapshot_rejects_next_id_at_or_below_a_record_id():
     assert HistoryStore.from_dict({**doc, "next_id": 9}).append(make_record()) == 9
 
 
+@pytest.mark.parametrize(
+    "record_ids, next_id",
+    [([1, 1, 3], 4), ([True, 2, 3], 4), ([1, 2.5, 3], 4), ([1, 2, 3], 666.5)],
+    ids=["repeated-id", "bool-id", "float-id", "float-next-id"],
+)
+def test_history_snapshot_rejects_bad_record_ids(record_ids, next_id):
+    store = HistoryStore()
+    for device in ("a", "b", "b"):
+        store.append(make_record(collaborator=device))
+    records = [[rid, item] for rid, (_, item) in zip(record_ids, store.to_dict()["records"])]
+    with pytest.raises(ValidationError):
+        HistoryStore.from_dict({"next_id": next_id, "records": records})
+
+
 @pytest.mark.parametrize("section", ["resources", "history", "tree"])
 def test_snapshot_load_turns_missing_sections_into_validation_errors(tmp_path, section):
     memory = MemoryModule()
