@@ -76,23 +76,14 @@ def _require_device_id(value: Any, field_name: str) -> str:
     return value
 
 
-def _require_positive(value: Any, field_name: str) -> float:
+def _require_number(value: Any, field_name: str, positive: bool = False) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{field_name} must be a number", field=field_name) from None
-    if not math.isfinite(out) or out <= 0.0:
-        raise ValidationError(f"{field_name} must be > 0", field=field_name)
-    return out
-
-
-def _require_nonnegative(value: Any, field_name: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{field_name} must be a number", field=field_name) from None
-    if not math.isfinite(out) or out < 0.0:
-        raise ValidationError(f"{field_name} must be >= 0", field=field_name)
+    if not math.isfinite(out) or out < 0.0 or (positive and out == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValidationError(f"{field_name} must be {bound}", field=field_name)
     return out
 
 
@@ -104,26 +95,15 @@ def _require_timestamp(value: Any, field_name: str) -> int:
 
 def parse_fraction(value: Any, field_name: str) -> float:
     """Parse a fraction in [0,1], accepting both 0.01 and percent strings like "1%"."""
-    if isinstance(value, str):
-        raw = value.strip()
-        if raw.endswith("%"):
-            try:
-                value = float(raw[:-1]) / 100.0
-            except ValueError:
-                raise ValidationError(
-                    f"{field_name} percent string is not numeric: {raw!r}", field=field_name
-                ) from None
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"{field_name} is not numeric: {raw!r}", field=field_name
-                ) from None
     try:
-        out = float(value)
+        if isinstance(value, str) and value.strip().endswith("%"):
+            out = float(value.strip()[:-1]) / 100.0
+        else:
+            # float() of a float is the same object, so a loaded record shares
+            # it with the parsed document instead of holding a copy.
+            out = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{field_name} must be a number", field=field_name) from None
+        raise ValidationError(f"{field_name} is not numeric: {value!r}", field=field_name) from None
     if not math.isfinite(out) or not 0.0 <= out <= 1.0:
         raise ValidationError(
             f"{field_name} out of range [0,1]: {out}", field=field_name, code="out_of_range"
@@ -151,9 +131,8 @@ class Task:
         _require_device_id(self.task_id, "task_id")
         _require_device_id(self.owner, "owner")
         _require_device_id(self.task_type, "task_type")
-        object.__setattr__(self, "size_mb", _require_positive(self.size_mb, "size_mb"))
-        object.__setattr__(self, "density_cpb", _require_positive(self.density_cpb, "density_cpb"))
-        object.__setattr__(self, "deadline_s", _require_positive(self.deadline_s, "deadline_s"))
+        for name in ("size_mb", "density_cpb", "deadline_s"):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name, positive=True))
 
     @property
     def size_bits(self) -> float:
@@ -176,10 +155,12 @@ class ResourceProfile:
 
     def __post_init__(self):
         _require_device_id(self.device, "device")
-        object.__setattr__(self, "cpu_cps", _require_positive(self.cpu_cps, "cpu_cps"))
-        object.__setattr__(self, "storage_mb", _require_nonnegative(self.storage_mb, "storage_mb"))
+        object.__setattr__(self, "cpu_cps", _require_number(self.cpu_cps, "cpu_cps", positive=True))
+        object.__setattr__(self, "storage_mb", _require_number(self.storage_mb, "storage_mb"))
         object.__setattr__(
-            self, "bandwidth_mbps", _require_positive(self.bandwidth_mbps, "bandwidth_mbps")
+            self,
+            "bandwidth_mbps",
+            _require_number(self.bandwidth_mbps, "bandwidth_mbps", positive=True),
         )
         _require_timestamp(self.updated_at, "updated_at")
 
@@ -211,11 +192,11 @@ class PerformanceRecord:
             )
         _require_timestamp(self.at, "at")
         object.__setattr__(
-            self, "throughput_mbps", _require_nonnegative(self.throughput_mbps, "throughput_mbps")
+            self, "throughput_mbps", _require_number(self.throughput_mbps, "throughput_mbps")
         )
         object.__setattr__(self, "loss_rate", parse_fraction(self.loss_rate, "loss_rate"))
         object.__setattr__(
-            self, "proc_speed_mbps", _require_nonnegative(self.proc_speed_mbps, "proc_speed_mbps")
+            self, "proc_speed_mbps", _require_number(self.proc_speed_mbps, "proc_speed_mbps")
         )
         object.__setattr__(self, "accuracy", parse_fraction(self.accuracy, "accuracy"))
         if not isinstance(self.verdict, Verdict):

@@ -95,6 +95,8 @@ class ResourceStore:
         store = cls()
         for item in doc["profiles"]:
             profile = codec.profile_from_dict(item)
+            if profile.device in store._profiles:
+                raise ValidationError(f"profile for {profile.device} listed twice", field="profiles")
             store._profiles[profile.device] = profile
         return store
 
@@ -269,7 +271,12 @@ class SemanticsTree:
         tree = cls()
         for item in sorted(doc["nodes"], key=lambda n: n["id"]):
             if item["kind"] == "semantics" and item["payload"]:
-                tree.upsert(codec.semantics_from_dict(item["payload"]))
+                ts = codec.semantics_from_dict(item["payload"])
+                if (ts.task_type, ts.device) in tree._leaves:
+                    raise ValidationError(
+                        f"semantics for ({ts.task_type}, {ts.device}) listed twice", field="nodes"
+                    )
+                tree.upsert(ts)
         return tree
 
 

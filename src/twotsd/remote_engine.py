@@ -9,7 +9,8 @@ discarded in favor of the local deterministic answer, so a flaky or
 hallucinating endpoint degrades quality, never correctness of shape.
 
 Cold starts (fewer records than the state threshold) never hit the network:
-the answer is fully determined locally.
+the answer is fully determined locally. Requests go through the standard
+library's ``urllib.request``, one connection per call.
 
 The API credential is read from an environment variable at call time and is
 never logged or embedded in exceptions.
@@ -17,15 +18,16 @@ never logged or embedded in exceptions.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+import urllib.error
+import urllib.request
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
-
-import requests
 
 from .domain import (
     COMM_METRICS,
@@ -51,6 +53,10 @@ logger = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE_ID = "tsd-extract-v1"
 
+MAX_RETRIES = 3  # attempts after the first
+BACKOFF_S = 0.25  # delay before the first retry; doubles per retry
+MAX_IN_FLIGHT = 4  # concurrent requests per engine
+
 _SYSTEM_PROMPT = (
     "You label device collaboration history. Reply with one JSON object and "
     "nothing else: {\"state\": trusted|untrusted|insufficient_data, "
@@ -68,19 +74,15 @@ class RemoteEngineConfig:
     model: str = "trust-extractor-1"
     credential_env: str = "TWOTSD_REMOTE_KEY"
     timeout_s: float = 10.0
-    max_retries: int = 3  # attempts after the first
-    backoff_s: float = 0.25  # doubles per retry
-    max_in_flight: int = 4
 
     def __post_init__(self):
-        if not self.endpoint:
-            raise ConfigError("remote endpoint must be nonempty")
+        if not (
+            isinstance(self.endpoint, str)
+            and self.endpoint.lower().startswith(("http://", "https://"))
+        ):
+            raise ConfigError("remote endpoint must be an http:// or https:// URL")
         if self.timeout_s <= 0:
             raise ConfigError("timeout_s must be > 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
 
 
 def _record_payload(r: PerformanceRecord) -> dict[str, Any]:
@@ -139,15 +141,15 @@ class RemoteSemanticsEngine:
         cfg: RemoteEngineConfig,
         trend_cfg: TrendConfig | None = None,
         state_cfg: StateConfig | None = None,
-        session: requests.Session | None = None,
+        urlopen: Callable[..., Any] = urllib.request.urlopen,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.cfg = cfg
         self.trend_cfg = trend_cfg or TrendConfig()
         self.state_cfg = state_cfg or StateConfig()
-        self._session = session or requests.Session()
+        self._urlopen = urlopen
         self._sleep = sleep
-        self._gate = threading.BoundedSemaphore(cfg.max_in_flight)
+        self._gate = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self.calls = 0
         self.retries = 0
         self.fallbacks = 0
@@ -181,21 +183,12 @@ class RemoteSemanticsEngine:
                 device, task_type, exc,
             )
             return local
-        return TrustSemantics(
-            device=device,
-            task_type=task_type,
-            state=state,
-            comm_trends=comm,
-            comp_trends=comp,
-            window=local.window,
-            extracted_at=local.extracted_at,
-            record_count=local.record_count,
-        )
+        return replace(local, state=state, comm_trends=comm, comp_trends=comp)
 
     def _labels_with_retry(self, device, task_type, records):
-        delay = self.cfg.backoff_s
+        delay = BACKOFF_S
         last: RemoteEngineError | None = None
-        for attempt in range(self.cfg.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 self.retries += 1
                 self._sleep(delay)
@@ -210,7 +203,7 @@ class RemoteSemanticsEngine:
         if isinstance(last, SchemaViolationError):
             raise last
         raise RemoteEngineError(
-            f"remote extraction failed after {self.cfg.max_retries + 1} attempts: {last.message}"
+            f"remote extraction failed after {MAX_RETRIES + 1} attempts: {last.message}"
         )
 
     def _call_once(self, device, task_type, records):
@@ -235,32 +228,37 @@ class RemoteSemanticsEngine:
                 },
             ],
         }
-        headers = {"Authorization": f"Bearer {self._credential()}"}
+        request = urllib.request.Request(
+            self.cfg.endpoint,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        # Unredirected: a 301/302/303 is followed as a GET without the credential.
+        request.add_unredirected_header("Authorization", f"Bearer {self._credential()}")
         with self._gate:
             self.calls += 1
             try:
-                response = self._session.post(
-                    self.cfg.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self.cfg.timeout_s,
-                )
-            except requests.Timeout:
-                raise RemoteTimeoutError(
-                    f"no reply within {self.cfg.timeout_s}s"
-                ) from None
-            except requests.RequestException as exc:
+                with self._urlopen(request, timeout=self.cfg.timeout_s) as response:
+                    status, payload = response.status, response.read()
+            except urllib.error.HTTPError as exc:  # a non-2xx status
+                exc.close()
+                status, payload = exc.code, b""
+            except (OSError, http.client.HTTPException) as exc:
+                # A connect timeout arrives as URLError(reason=TimeoutError).
+                if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                    raise RemoteTimeoutError(f"no reply within {self.cfg.timeout_s}s") from None
                 raise RemoteEngineError(f"transport failure: {exc.__class__.__name__}") from None
-        if response.status_code in (401, 403):
-            raise RemoteAuthError(f"endpoint rejected credential ({response.status_code})")
-        if response.status_code == 429:
+        if status in (401, 403):
+            raise RemoteAuthError(f"endpoint rejected credential ({status})")
+        if status == 429:
             raise RemoteRateLimitError("endpoint rate limited the request")
-        if response.status_code >= 500:
-            raise RemoteTimeoutError(f"endpoint unavailable ({response.status_code})")
-        if response.status_code != 200:
-            raise RemoteEngineError(f"unexpected status {response.status_code}")
+        if status >= 500:
+            raise RemoteTimeoutError(f"endpoint unavailable ({status})")
+        if status != 200:
+            raise RemoteEngineError(f"unexpected status {status}")
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
             raise SchemaViolationError("reply envelope is not chat-completion shaped") from None
         if not isinstance(content, str):

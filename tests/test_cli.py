@@ -195,9 +195,19 @@ def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     records = doc["history"]["records"]
     repeated_id = [records[0], [records[0][0], records[1][1]], *records[2:]]
     duplicate_id = {**doc, "history": {**doc["history"], "records": repeated_id}}
+    profiles = doc["resources"]["profiles"]
+    repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
+    duplicate_profile = {**doc, "resources": {"profiles": repeated_profile + profiles[2:]}}
+    nodes = doc["tree"]["nodes"]
+    first_leaf, second_leaf = [n for n in nodes if n["kind"] == "semantics"][:2]
+    pair = {k: first_leaf["payload"][k] for k in ("device", "task_type")}
+    repeated_leaf = [
+        {**n, "payload": {**n["payload"], **pair}} if n is second_leaf else n for n in nodes
+    ]
+    duplicate_leaf = {**doc, "tree": {**doc["tree"], "nodes": repeated_leaf}}
     broken = tmp_path / "broken.json"
     capsys.readouterr()
-    for bad in (no_history, duplicate_id):
+    for bad in (no_history, duplicate_id, duplicate_profile, duplicate_leaf):
         broken.write_text(json.dumps(bad))
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err

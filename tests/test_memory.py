@@ -362,3 +362,29 @@ def test_snapshot_load_turns_missing_sections_into_validation_errors(tmp_path, s
         path.write_bytes(codec.canonical_json_bytes(broken))
         with pytest.raises(ValidationError, match="malformed snapshot"):
             MemoryModule.load(path)
+
+
+def _list_profile_twice(doc):
+    first, second = doc["resources"]["profiles"]
+    second["device"] = first["device"]
+
+
+def _list_leaf_twice(doc):
+    first, second = [n["payload"] for n in doc["tree"]["nodes"] if n["kind"] == "semantics"]
+    second["device"], second["task_type"] = first["device"], first["task_type"]
+
+
+@pytest.mark.parametrize("fault", [_list_profile_twice, _list_leaf_twice], ids=["profile", "leaf"])
+def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
+    """A repeated device profile or (task type, device) leaf would silently shrink the store."""
+    memory = MemoryModule()
+    memory.resources.upsert(make_profile(device="a_j"))
+    memory.resources.upsert(make_profile(device="a_k"))
+    memory.semantics.upsert(_semantics("a_j", "video_transcoding"))
+    memory.semantics.upsert(_semantics("a_k", "face_recognition"))
+    doc = memory.to_snapshot_dict()
+    fault(doc)
+    path = tmp_path / "snapshot.json"
+    path.write_bytes(codec.canonical_json_bytes(doc))
+    with pytest.raises(ValidationError, match="malformed snapshot.*listed twice"):
+        MemoryModule.load(path)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import os
+import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import HTTPError, URLError
+from pathlib import Path
+from urllib.response import addinfourl
 
 import pytest
-import requests
+
+import twotsd
 
 from twotsd.domain import Trend, TrustState
 from twotsd.errors import (
@@ -18,6 +27,8 @@ from twotsd.errors import (
     SchemaViolationError,
 )
 from twotsd.remote_engine import (
+    BACKOFF_S,
+    MAX_RETRIES,
     RemoteEngineConfig,
     RemoteSemanticsEngine,
     parse_label_reply,
@@ -30,29 +41,40 @@ SECRET = "sekret-test-credential-123"
 
 
 class StubResponse:
+    """A canned reply: its status and its JSON body (None: a body that is not JSON)."""
+
     def __init__(self, status_code: int, doc=None):
         self.status_code = status_code
-        self._doc = doc
-
-    def json(self):
-        if self._doc is None:
-            raise ValueError("not json")
-        return self._doc
+        self.doc = doc
 
 
-class StubSession:
-    """Scripted session: each post() pops the next canned outcome."""
+class StubOpener:
+    """Scripted urlopen: each call pops the next canned outcome.
+
+    A non-200 reply is raised as HTTPError, as the default opener does; an
+    exception outcome is raised as is.
+    """
 
     def __init__(self, *outcomes):
         self.outcomes = list(outcomes)
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def __call__(self, request, timeout=None):
+        self.posts.append({
+            "url": request.full_url,
+            "method": request.get_method(),
+            "json": json.loads(request.data),
+            "headers": dict(request.header_items()),
+            "redirectable_headers": dict(request.headers),
+            "timeout": timeout,
+        })
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
-        return outcome
+        if outcome.status_code != 200:
+            raise HTTPError(request.full_url, outcome.status_code, "stub", {}, None)
+        body = b"not json" if outcome.doc is None else json.dumps(outcome.doc).encode()
+        return addinfourl(io.BytesIO(body), {}, request.full_url, outcome.status_code)
 
 
 def chat_reply(state="trusted", loss_rate="normal"):
@@ -65,14 +87,11 @@ def chat_reply(state="trusted", loss_rate="normal"):
 
 
 def _engine(*outcomes, **cfg_over):
-    cfg = RemoteEngineConfig(
-        endpoint="https://example.test/v1/chat", max_retries=2, backoff_s=0.01,
-        **cfg_over,
-    )
-    session = StubSession(*outcomes)
+    cfg = RemoteEngineConfig(endpoint="https://example.test/v1/chat", **cfg_over)
+    opener = StubOpener(*outcomes)
     slept = []
-    engine = RemoteSemanticsEngine(cfg, session=session, sleep=slept.append)
-    return engine, session, slept
+    engine = RemoteSemanticsEngine(cfg, urlopen=opener, sleep=slept.append)
+    return engine, opener, slept
 
 
 @pytest.fixture(autouse=True)
@@ -81,7 +100,7 @@ def credential(monkeypatch):
 
 
 def test_happy_path_uses_remote_labels_and_local_bookkeeping():
-    engine, session, _ = _engine(chat_reply(state="untrusted", loss_rate="increasing"))
+    engine, opener, _ = _engine(chat_reply(state="untrusted", loss_rate="increasing"))
     records = make_records(8)
     result = engine.extract("a_j", "video_transcoding", records)
     local = extract_semantics("a_j", "video_transcoding", records)
@@ -94,10 +113,17 @@ def test_happy_path_uses_remote_labels_and_local_bookkeeping():
 
 
 def test_request_shape_and_credential_header():
-    engine, session, _ = _engine(chat_reply())
+    engine, opener, _ = _engine(chat_reply())
     engine.extract("a_j", "video_transcoding", make_records(6))
-    (post,) = session.posts
-    assert post["headers"] == {"Authorization": f"Bearer {SECRET}"}
+    (post,) = opener.posts
+    assert post["url"] == "https://example.test/v1/chat"
+    assert post["method"] == "POST"
+    assert post["headers"] == {
+        "Authorization": f"Bearer {SECRET}",
+        "Content-type": "application/json",
+    }
+    # The credential is not among the headers a redirect would copy.
+    assert post["redirectable_headers"] == {"Content-type": "application/json"}
     assert post["timeout"] == engine.cfg.timeout_s
     body = post["json"]
     assert body["model"] == "trust-extractor-1"
@@ -110,61 +136,63 @@ def test_request_shape_and_credential_header():
 
 
 def test_cold_start_never_touches_network():
-    engine, session, _ = _engine()
+    engine, opener, _ = _engine()
     records = make_records(4)  # below the state n_min of 5
     result = engine.extract("a_j", "video_transcoding", records)
     assert result == extract_semantics("a_j", "video_transcoding", records)
     assert result.state is TrustState.INSUFFICIENT_DATA
-    assert session.posts == []
+    assert opener.posts == []
 
 
 def test_auth_failure_propagates_without_retry():
-    engine, session, slept = _engine(StubResponse(401))
+    engine, opener, slept = _engine(StubResponse(401))
     with pytest.raises(RemoteAuthError) as exc_info:
         engine.extract("a_j", "video_transcoding", make_records(6))
-    assert len(session.posts) == 1
+    assert len(opener.posts) == 1
     assert slept == []
     assert SECRET not in str(exc_info.value)
 
 
 def test_missing_credential_is_auth_error_before_any_call(monkeypatch):
     monkeypatch.delenv("TWOTSD_REMOTE_KEY")
-    engine, session, _ = _engine(chat_reply())
+    engine, opener, _ = _engine(chat_reply())
     with pytest.raises(RemoteAuthError):
         engine.extract("a_j", "video_transcoding", make_records(6))
-    assert session.posts == []
+    assert opener.posts == []
 
 
 def test_rate_limit_retries_with_backoff_then_succeeds():
-    engine, session, slept = _engine(StubResponse(429), chat_reply())
+    engine, opener, slept = _engine(StubResponse(429), chat_reply())
     result = engine.extract("a_j", "video_transcoding", make_records(6))
     assert result.state is TrustState.TRUSTED
-    assert len(session.posts) == 2
+    assert len(opener.posts) == 2
     assert engine.retries == 1
-    assert slept == [0.01]
+    assert slept == [BACKOFF_S]
 
 
 def test_persistent_server_errors_exhaust_retries_and_propagate():
-    engine, session, slept = _engine(
-        StubResponse(500), requests.Timeout(), StubResponse(503)
+    assert MAX_RETRIES == 3
+    engine, opener, slept = _engine(
+        # A read timeout raises TimeoutError; a connect timeout wraps it in URLError.
+        StubResponse(500), TimeoutError(), URLError(TimeoutError()), StubResponse(503)
     )
     with pytest.raises(RemoteEngineError) as exc_info:
         engine.extract("a_j", "video_transcoding", make_records(6))
     assert not isinstance(exc_info.value, SchemaViolationError)
-    assert "3 attempts" in str(exc_info.value)
-    assert len(session.posts) == 3
-    assert slept == [0.01, 0.02]
+    assert "4 attempts" in str(exc_info.value)
+    assert len(opener.posts) == 4
+    assert slept == [0.25, 0.5, 1.0]
 
 
 def test_schema_violations_fall_back_to_deterministic_labels(caplog):
     bad = StubResponse(200, {"choices": [{"message": {"content": "not json at all"}}]})
-    engine, session, _ = _engine(bad, bad, bad)
+    engine, opener, _ = _engine(bad, bad, bad, bad)
     records = make_records(8)
     with caplog.at_level(logging.WARNING, logger="twotsd.remote_engine"):
         result = engine.extract("a_j", "video_transcoding", records)
     assert result == extract_semantics("a_j", "video_transcoding", records)
     assert engine.fallbacks == 1
-    assert len(session.posts) == 3  # initial try plus two retries
+    assert len(opener.posts) == 4  # initial try plus three retries
     assert any("deterministic" in message for message in caplog.messages)
     assert all(SECRET not in message for message in caplog.messages)
 
@@ -232,9 +260,12 @@ def test_engine_config_validation():
     with pytest.raises(ConfigError):
         RemoteEngineConfig(endpoint="")
     with pytest.raises(ConfigError):
-        RemoteEngineConfig(endpoint="https://x", timeout_s=0)
+        RemoteEngineConfig(endpoint="example.test/v1/chat")  # no scheme
     with pytest.raises(ConfigError):
-        RemoteEngineConfig(endpoint="https://x", max_retries=-1)
+        RemoteEngineConfig(endpoint=None)
+    assert RemoteEngineConfig(endpoint="HTTPS://example.test/v1/chat").endpoint.startswith("HTTPS")
+    with pytest.raises(ConfigError):
+        RemoteEngineConfig(endpoint="https://x", timeout_s=0)
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -270,3 +301,123 @@ def test_real_http_round_trip():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """Records each request's method and headers, then answers with the
+    server's ``reply(handler)``."""
+
+    def _record(self):
+        length = int(self.headers.get("Content-Length") or 0)
+        self.rfile.read(length)
+        self.server.seen.append((self.command, dict(self.headers)))
+        self.server.reply(self)
+
+    do_GET = do_POST = _record
+
+    def log_message(self, *args):
+        pass
+
+
+def _recording_server(reply):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _RecordingHandler)
+    server.seen, server.reply = [], reply
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _answer(handler, status, headers=()):
+    handler.send_response(status)
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.send_header("Content-Length", "0")
+    handler.end_headers()
+
+
+def test_redirect_never_carries_the_credential():
+    target = _recording_server(lambda h: _answer(h, 401))
+    host, port = target.server_address
+    origin = _recording_server(
+        lambda h: _answer(h, 302, [("Location", f"http://{host}:{port}/elsewhere")])
+    )
+    try:
+        o_host, o_port = origin.server_address
+        cfg = RemoteEngineConfig(endpoint=f"http://{o_host}:{o_port}/v1/chat", timeout_s=5)
+        engine = RemoteSemanticsEngine(cfg, sleep=lambda s: None)
+        with pytest.raises(RemoteAuthError):
+            engine.extract("a_j", "video_transcoding", make_records(8))
+        ((o_method, o_headers),) = origin.seen
+        assert o_method == "POST" and o_headers["Authorization"] == f"Bearer {SECRET}"
+        ((t_method, t_headers),) = target.seen
+        assert t_method == "GET"
+        assert "Authorization" not in t_headers
+        assert all(SECRET not in value for value in t_headers.values())
+    finally:
+        for server in (origin, target):
+            server.shutdown()
+            server.server_close()
+
+
+class _StallingHandler(BaseHTTPRequestHandler):
+    """Reads the request, then answers nothing until the test releases it."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.release.wait(10)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_stalled_endpoint_times_out_on_every_attempt():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StallingHandler)
+    server.release = threading.Event()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        host, port = server.server_address
+        cfg = RemoteEngineConfig(endpoint=f"http://{host}:{port}/v1/chat", timeout_s=0.2)
+        slept = []
+        engine = RemoteSemanticsEngine(cfg, sleep=slept.append)
+        with pytest.raises(RemoteEngineError) as exc_info:
+            engine.extract("a_j", "video_transcoding", make_records(8))
+        assert str(exc_info.value) == (
+            "remote extraction failed after 4 attempts: no reply within 0.2s"
+        )
+        assert engine.calls == 4 and engine.retries == 3
+        assert slept == [0.25, 0.5, 1.0]
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+
+
+def test_refused_connection_is_a_transport_failure_without_retry():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    host, port = probe.getsockname()
+    probe.close()  # nothing listens on the port now
+    cfg = RemoteEngineConfig(endpoint=f"http://{host}:{port}/v1/chat", timeout_s=5)
+    slept = []
+    engine = RemoteSemanticsEngine(cfg, sleep=slept.append)
+    with pytest.raises(RemoteEngineError) as exc_info:
+        engine.extract("a_j", "video_transcoding", make_records(8))
+    assert str(exc_info.value).startswith("transport failure: ")
+    assert engine.calls == 1 and engine.retries == 0
+    assert slept == []
+
+
+def test_every_module_imports_without_requests():
+    src = str(Path(twotsd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['requests'] = None\n"
+        "import twotsd\n"
+        "for info in pkgutil.iter_modules(twotsd.__path__):\n"
+        "    importlib.import_module('twotsd.' + info.name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
