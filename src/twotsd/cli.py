@@ -341,6 +341,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     memory = MemoryModule.load(args.snapshot)
     tree = memory.semantics
     print(
+        f"version={memory.loaded_version} "
         f"resources={len(memory.resources)} "
         f"history={len(memory.history)} "
         f"semantics_leaves={tree.leaf_count()}"

@@ -191,14 +191,19 @@ class PerformanceRecord:
                 code="self_collaboration",
             )
         _require_timestamp(self.at, "at")
-        object.__setattr__(
-            self, "throughput_mbps", _require_number(self.throughput_mbps, "throughput_mbps")
-        )
-        object.__setattr__(self, "loss_rate", parse_fraction(self.loss_rate, "loss_rate"))
-        object.__setattr__(
-            self, "proc_speed_mbps", _require_number(self.proc_speed_mbps, "proc_speed_mbps")
-        )
-        object.__setattr__(self, "accuracy", parse_fraction(self.accuracy, "accuracy"))
+        # A float input comes back as the same object, and then is not set again.
+        value = self.throughput_mbps
+        if (out := _require_number(value, "throughput_mbps")) is not value:
+            object.__setattr__(self, "throughput_mbps", out)
+        value = self.loss_rate
+        if (out := parse_fraction(value, "loss_rate")) is not value:
+            object.__setattr__(self, "loss_rate", out)
+        value = self.proc_speed_mbps
+        if (out := _require_number(value, "proc_speed_mbps")) is not value:
+            object.__setattr__(self, "proc_speed_mbps", out)
+        value = self.accuracy
+        if (out := parse_fraction(value, "accuracy")) is not value:
+            object.__setattr__(self, "accuracy", out)
         if not isinstance(self.verdict, Verdict):
             raise ValidationError(f"verdict must be a Verdict, got {self.verdict!r}", field="verdict")
 
@@ -273,14 +278,19 @@ class TrustSemantics:
         return merged
 
 
-def _parse_verdict(value: Any) -> Verdict:
+_VERDICTS = {v.value: v for v in Verdict}
+
+
+def parse_verdict(value: Any) -> Verdict:
+    """Parse a Verdict or its value, ignoring case and surrounding blanks."""
     if isinstance(value, Verdict):
         return value
     if isinstance(value, str):
-        try:
-            return Verdict(value.strip().lower())
-        except ValueError:
-            pass
+        verdict = _VERDICTS.get(value)
+        if verdict is None:
+            verdict = _VERDICTS.get(value.strip().lower())
+        if verdict is not None:
+            return verdict
     raise ValidationError(f"verdict must be 'satisfied' or 'unsatisfied', got {value!r}", field="verdict")
 
 
@@ -326,11 +336,18 @@ def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
     Accepts percent strings for loss_rate and accuracy ("1%" == 0.01) and
     verdicts as strings; rejects self-collaboration and out-of-range bounds.
     """
-    missing = sorted(_RECORD_FIELDS - set(raw))
-    if missing:
+    keys = raw.keys()
+    if not keys >= _RECORD_FIELDS:
+        missing = sorted(_RECORD_FIELDS - keys)
         raise ValidationError(f"missing record fields: {', '.join(missing)}", field=missing[0])
-    extra = {k: v for k, v in raw.items() if k not in _RECORD_FIELDS and k != "extra"}
-    extra.update(dict(raw.get("extra", {})))
+    given = raw.get("extra", {})
+    if not isinstance(given, Mapping):
+        raise ValidationError(f"extra must be a mapping, got {given!r}", field="extra")
+    if len(keys) > len(_RECORD_FIELDS) + ("extra" in keys):  # unknown keys fold into extra
+        extra = {k: v for k, v in raw.items() if k not in _RECORD_FIELDS and k != "extra"}
+        extra.update(given)
+    else:
+        extra = dict(given)
     return PerformanceRecord(
         owner=raw["owner"],
         collaborator=raw["collaborator"],
@@ -340,6 +357,6 @@ def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
         loss_rate=raw["loss_rate"],
         proc_speed_mbps=raw["proc_speed_mbps"],
         accuracy=raw["accuracy"],
-        verdict=_parse_verdict(raw["verdict"]),
+        verdict=parse_verdict(raw["verdict"]),
         extra=extra,
     )

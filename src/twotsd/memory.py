@@ -13,13 +13,22 @@ Three components back the server-side agent:
 Every store serializes its mutations under a per-store lock; history
 queries and tree reads hold the same lock, so they never see a half-done
 write or prune. :class:`MemoryModule` bundles the three and
-snapshots them to a single versioned JSON file (``load(save(state)) == state``).
+snapshots them to a single versioned JSON file (``load(save(state)) == state``),
+written atomically (temp file, fsync, rename).
+
+Snapshot version 2 stores history as positional rows in the column order
+:data:`HISTORY_COLUMNS` (no per-file header) and the tree as a flat list of
+leaves sorted by (task type, device). Version 1 (history as ``[id, record
+dict]`` pairs, the tree as a 4-level node list) is still read, with each
+leaf's device, task-type and root nodes checked against its payload; it is
+no longer written, so a v1 file re-saves as v2.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,11 +42,28 @@ from .domain import (
     TaskType,
     TimestampMs,
     TrustSemantics,
+    parse_verdict,
 )
 from .errors import DuplicateRecordError, StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+
+# Column order of one snapshot-v2 history row.
+HISTORY_COLUMNS = (
+    "id",
+    "owner",
+    "collaborator",
+    "task_type",
+    "at",
+    "throughput_mbps",
+    "loss_rate",
+    "proc_speed_mbps",
+    "accuracy",
+    "verdict",
+    "extra",
+)
 
 
 @dataclass(frozen=True)
@@ -172,20 +198,44 @@ class HistoryStore:
         return len(self._records)
 
     def to_dict(self) -> dict[str, Any]:
+        """Snapshot v2: ``next_id`` and one row per record, in id order."""
         return {
             "next_id": self._next_id,
-            "records": [[i, codec.record_to_dict(r)] for i, r in self.all_records()],
+            "rows": [
+                [i, r.owner, r.collaborator, r.task_type, r.at, r.throughput_mbps, r.loss_rate,
+                 r.proc_speed_mbps, r.accuracy, r.verdict.value, dict(r.extra)]
+                for i, r in self.all_records()
+            ],
         }
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
+    def from_dict(cls, doc: dict[str, Any], version: int = SNAPSHOT_VERSION) -> "HistoryStore":
+        """One validated pass over the records, then one sort per pair.
+
+        Version-2 rows and version-1 ``[id, record dict]`` pairs build the
+        same index; every record goes through the PerformanceRecord checks.
+        """
+        if version == 1:
+            items = ((rid, codec.record_from_dict(item)) for rid, item in doc["records"])
+        else:
+            items = map(_record_from_row, doc["rows"])
         store = cls()
-        for rid, item in doc["records"]:
-            if type(rid) is not int or rid in store._records:
+        records = store._records
+        orders: dict[tuple[DeviceId, TaskType], list[tuple[TimestampMs, int]]] = {}
+        for rid, record in items:
+            if type(rid) is not int or rid in records:
                 raise ValidationError(f"record id {rid!r} is not a new integer", field="records")
-            store.append(codec.record_from_dict(item), record_id=rid)
+            records[rid] = record
+            key = (record.collaborator, record.task_type)
+            order = orders.get(key)
+            if order is None:
+                order = orders[key] = []
+            order.append((record.at, rid))
+        for key, order in orders.items():
+            order.sort()
+            store._by_key[key] = [rid for _, rid in order]
         next_id = doc["next_id"]
-        if type(next_id) is not int or next_id < store._next_id:
+        if type(next_id) is not int or next_id <= max(0, max(records, default=0)):
             # Below a record id, the next append would overwrite a stored record.
             raise ValidationError(
                 f"next_id {next_id!r} is not an integer above every record id", field="next_id"
@@ -194,15 +244,30 @@ class HistoryStore:
         return store
 
 
+def _record_from_row(row: Any) -> tuple[Any, PerformanceRecord]:
+    if type(row) is not list or len(row) != len(HISTORY_COLUMNS):
+        raise ValidationError(
+            f"history row is not a list of {len(HISTORY_COLUMNS)} columns: {row!r:.80}",
+            field="rows",
+        )
+    rid, owner, collaborator, task_type, at, throughput, loss, proc, accuracy, verdict, extra = row
+    if not isinstance(extra, dict):
+        raise ValidationError(f"extra must be a mapping, got {extra!r}", field="extra")
+    record = PerformanceRecord(
+        owner, collaborator, task_type, at, throughput, loss, proc, accuracy,
+        parse_verdict(verdict), extra,
+    )
+    return rid, record
+
+
 class SemanticsTree:
     """Tree-structured trust-semantics store: root -> task type -> device -> leaf.
 
-    Only the leaves are stored, one per (task type, device), keyed in a dict
-    whose insertion order is the order in which each pair first appeared;
-    updates replace the leaf in place. A sorted device list per task type
-    gives ordered retrieval. The 4-level node view of snapshot version 1
-    (depths root=0, task type=1, device=2, leaf=3; dense creation-order node
-    ids; children sorted by key) is derived from that order in :meth:`to_dict`.
+    Only the leaves are stored, one per (task type, device), in a dict keyed
+    by that pair; updates replace the leaf in place. A sorted device list per
+    task type gives ordered retrieval. The root, task-type and device levels
+    are implied by the keys, so a snapshot holds just the leaves, sorted by
+    (task type, device).
     """
 
     def __init__(self):
@@ -239,54 +304,70 @@ class SemanticsTree:
         return 1 + len(self._devices) + 2 * len(self._leaves)
 
     def to_dict(self) -> dict[str, Any]:
-        """The v1 node list, replayed from the leaves in creation order."""
+        """Snapshot v2: the leaves, sorted by (task type, device)."""
         with self._lock:
-            leaves = list(self._leaves.items())
-        nodes: list[dict[str, Any]] = []
-        children: list[dict[str, int]] = []  # per node: child key -> child id
-
-        def add(kind: str, key: str | None, parent: int | None, payload: Any = None) -> int:
-            node_id = len(nodes)
-            nodes.append(
-                {"id": node_id, "kind": kind, "key": key, "parent": parent, "payload": payload}
-            )
-            children.append({})
-            if parent is not None:
-                children[parent][key or ""] = node_id
-            return node_id
-
-        add("root", None, None)
-        type_ids: dict[TaskType, int] = {}
-        for (task_type, device), ts in leaves:
-            if task_type not in type_ids:
-                type_ids[task_type] = add("task_type", task_type, 0)
-            device_id = add("device", device, type_ids[task_type])
-            add("semantics", None, device_id, codec.semantics_to_dict(ts))
-        for node, kids in zip(nodes, children):
-            node["children"] = [kids[k] for k in sorted(kids)]
-        return {"next_node_id": len(nodes), "nodes": nodes}
+            leaves = [self._leaves[k] for k in sorted(self._leaves)]
+        return {"leaves": [codec.semantics_to_dict(ts) for ts in leaves]}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "SemanticsTree":
+    def from_dict(cls, doc: dict[str, Any], version: int = SNAPSHOT_VERSION) -> "SemanticsTree":
+        if version == 1:
+            leaves = _v1_leaves(doc["nodes"])
+        else:
+            leaves = map(codec.semantics_from_dict, doc["leaves"])
         tree = cls()
-        for item in sorted(doc["nodes"], key=lambda n: n["id"]):
-            if item["kind"] == "semantics" and item["payload"]:
-                ts = codec.semantics_from_dict(item["payload"])
-                if (ts.task_type, ts.device) in tree._leaves:
-                    raise ValidationError(
-                        f"semantics for ({ts.task_type}, {ts.device}) listed twice", field="nodes"
-                    )
-                tree.upsert(ts)
+        for ts in leaves:
+            if (ts.task_type, ts.device) in tree._leaves:
+                raise ValidationError(
+                    f"semantics for ({ts.task_type}, {ts.device}) listed twice", field="tree"
+                )
+            tree.upsert(ts)
         return tree
 
 
+def _v1_leaves(nodes: list[dict[str, Any]]) -> list[TrustSemantics]:
+    """The leaves of a v1 node list, in node-id order.
+
+    Each leaf must hang from a device node keyed by its payload's device,
+    under a task-type node keyed by its payload's task type, under the root.
+    """
+    by_id = {node["id"]: node for node in nodes}
+    if len(by_id) != len(nodes):
+        raise ValidationError("a tree node id is listed twice", field="nodes")
+    leaves = []
+    for node_id in sorted(by_id):
+        node = by_id[node_id]
+        if node["kind"] != "semantics" or not node["payload"]:
+            continue
+        ts = codec.semantics_from_dict(node["payload"])
+        chain, parent = [], node["parent"]
+        while parent is not None and len(chain) < 3:
+            up = by_id[parent]
+            chain.append((up["kind"], up["key"]))
+            parent = up["parent"]
+        if parent is not None or chain != [
+            ("device", ts.device), ("task_type", ts.task_type), ("root", None)
+        ]:
+            raise ValidationError(
+                f"semantics node {node_id} for ({ts.task_type}, {ts.device}) hangs under {chain}",
+                field="nodes",
+            )
+        leaves.append(ts)
+    return leaves
+
+
 class MemoryModule:
-    """The three stores, plus single-file snapshotting."""
+    """The three stores, plus single-file snapshotting.
+
+    ``loaded_version`` is the format version of the snapshot this memory was
+    loaded from, or None for a memory built in process.
+    """
 
     def __init__(self):
         self.resources = ResourceStore()
         self.history = HistoryStore()
         self.semantics = SemanticsTree()
+        self.loaded_version: int | None = None
 
     def to_snapshot_dict(self) -> dict[str, Any]:
         return {
@@ -298,8 +379,25 @@ class MemoryModule:
         }
 
     def save(self, path: str | Path) -> None:
-        data = codec.canonical_json_bytes(self.to_snapshot_dict())
-        Path(path).write_bytes(data + b"\n")
+        """Write the snapshot atomically.
+
+        The bytes go to a new temp file in the target's directory, which is
+        flushed and fsynced and then renamed over the target. On any failure
+        the temp file is removed and the previous snapshot stays as it was.
+        """
+        path = Path(path)
+        data = codec.canonical_json_bytes(self.to_snapshot_dict()) + b"\n"
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryModule":
@@ -309,13 +407,15 @@ class MemoryModule:
             raise ValidationError(f"unreadable snapshot: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValidationError("not a twotsd snapshot file")
-        if doc.get("version") != SNAPSHOT_VERSION:
-            raise ValidationError(f"unsupported snapshot version {doc.get('version')}")
+        version = doc.get("version")
+        if type(version) is not int or version not in READABLE_VERSIONS:
+            raise ValidationError(f"unsupported snapshot version {version!r}")
         module = cls()
+        module.loaded_version = version
         try:
             module.resources = ResourceStore.from_dict(doc["resources"])
-            module.history = HistoryStore.from_dict(doc["history"])
-            module.semantics = SemanticsTree.from_dict(doc["tree"])
+            module.history = HistoryStore.from_dict(doc["history"], version)
+            module.semantics = SemanticsTree.from_dict(doc["tree"], version)
         except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
             raise ValidationError(f"malformed snapshot: {type(exc).__name__} {exc}") from None
         return module

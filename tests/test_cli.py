@@ -177,9 +177,13 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--snapshot", str(out / "snapshot.json")]) == 0
     text = capsys.readouterr().out
-    assert "semantics_leaves=" in text
+    assert text.startswith("version=2 resources=6 history=")
+    assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
     assert "loss_rate=" in text
+    assert main(["inspect", "--snapshot", str(SNAPSHOT_V1)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == "version=1 resources=3 history=54 semantics_leaves=6"
 
 
 def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
@@ -187,10 +191,27 @@ def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
-    doc = json.loads((out / "snapshot.json").read_text())
+SNAPSHOT_V1 = Path(__file__).parent / "fixtures" / "snapshot_v1.json"
+
+
+def _malformed_v2(doc):
+    """No history, a repeated record id, profile or leaf, and a short history row."""
+    no_history = {k: v for k, v in doc.items() if k != "history"}
+    rows = doc["history"]["rows"]
+    repeated_id = [rows[0], [rows[0][0], *rows[1][1:]], *rows[2:]]
+    duplicate_id = {**doc, "history": {**doc["history"], "rows": repeated_id}}
+    profiles = doc["resources"]["profiles"]
+    repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
+    duplicate_profile = {**doc, "resources": {"profiles": repeated_profile + profiles[2:]}}
+    leaves = doc["tree"]["leaves"]
+    pair = {k: leaves[0][k] for k in ("device", "task_type")}
+    duplicate_leaf = {**doc, "tree": {"leaves": [leaves[0], {**leaves[1], **pair}, *leaves[2:]]}}
+    short_row = {**doc, "history": {**doc["history"], "rows": [rows[0][:-1], *rows[1:]]}}
+    return [no_history, duplicate_id, duplicate_profile, duplicate_leaf, short_row]
+
+
+def _malformed_v1(doc):
+    """The same four faults in the v1 layout, and a leaf whose payload leaves its device node."""
     no_history = {k: v for k, v in doc.items() if k != "history"}
     records = doc["history"]["records"]
     repeated_id = [records[0], [records[0][0], records[1][1]], *records[2:]]
@@ -205,13 +226,34 @@ def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
         {**n, "payload": {**n["payload"], **pair}} if n is second_leaf else n for n in nodes
     ]
     duplicate_leaf = {**doc, "tree": {**doc["tree"], "nodes": repeated_leaf}}
+    moved = {**first_leaf["payload"], "device": "zz_not_in_fleet"}
+    foreign = [{**n, "payload": moved} if n is first_leaf else n for n in nodes]
+    foreign_device = {**doc, "tree": {**doc["tree"], "nodes": foreign}}
+    return [no_history, duplicate_id, duplicate_profile, duplicate_leaf, foreign_device]
+
+
+def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
+    v2 = json.loads((out / "snapshot.json").read_text())
+    v1 = json.loads(SNAPSHOT_V1.read_text())
+    assert (v2["version"], v1["version"]) == (2, 1)
     broken = tmp_path / "broken.json"
     capsys.readouterr()
-    for bad in (no_history, duplicate_id, duplicate_profile, duplicate_leaf):
+    for bad in _malformed_v2(v2) + _malformed_v1(v1):
         broken.write_text(json.dumps(bad))
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
+
+
+def test_serve_refuses_a_v1_leaf_off_its_device_node(tmp_path, capsys):
+    """The zz_not_in_fleet payload under device node d000 stops serve before it binds."""
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_malformed_v1(json.loads(SNAPSHOT_V1.read_text()))[-1]))
+    assert main(["serve", "--port", "0", "--snapshot", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed snapshot") and "zz_not_in_fleet" in err, err
 
 
 # sha256 of the outputs of `twotsd simulate --config configs/<name> --snapshot`:
@@ -222,12 +264,12 @@ _PINNED_SIMULATE_SHA256 = {
     "default.yaml": (["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-        "snapshot.json": "02b910ba04717d3a615a5298014fcd234624d14ac4b1451a189ff7b91de5ad1f",
+        "snapshot.json": "2bce45c64a4d09d5f7363f1f60f34c989f432e23bfcb160d63cecabf7d6a6ed0",
     }),
     "large_fleet.yaml": ([], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
-        "snapshot.json": "b276227d5990b69e146ca3316228068396b2535b68b2193ba0e95d2e03f39ecf",
+        "snapshot.json": "c2ef4fa4d60a90480cb0087b2cda21c9bf04c1ef0510a3a543fc09e35d413042",
     }),
 }
 

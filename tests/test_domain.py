@@ -108,6 +108,29 @@ def test_validate_record_parses_percent_and_verdict_strings():
     assert rec.extra == {"battery": 0.8}
 
 
+def test_validate_record_extra_must_be_a_mapping_and_wins_over_unknown_keys():
+    raw = codec.record_to_dict(make_record())
+    assert validate_record({**raw, "site": "a", "extra": {"site": "b"}}).extra == {"site": "b"}
+    given = {"site": "b"}
+    rec = validate_record({**raw, "extra": given})
+    assert rec.extra == given and rec.extra is not given
+    for bad in ([["site", "b"]], None, "site"):
+        with pytest.raises(ValidationError) as err:
+            validate_record({**raw, "extra": bad})
+        assert err.value.field == "extra"
+    with pytest.raises(ValidationError) as err:
+        validate_record({k: v for k, v in raw.items() if k not in ("at", "accuracy")})
+    assert err.value.message == "missing record fields: accuracy, at"
+
+
+def test_record_numbers_are_normalised_to_floats():
+    rec = make_record(throughput_mbps=100, loss_rate="1%", proc_speed_mbps=2, accuracy=1)
+    assert [type(v) for v in (rec.throughput_mbps, rec.loss_rate, rec.proc_speed_mbps,
+                              rec.accuracy)] == [float] * 4
+    assert (rec.throughput_mbps, rec.loss_rate, rec.proc_speed_mbps, rec.accuracy) == (
+        100.0, 0.01, 2.0, 1.0)
+
+
 def test_validate_record_rejects_unknown_verdict():
     with pytest.raises(ValidationError):
         validate_record({

@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 import random
+import tempfile
 import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotsd import codec
-from twotsd.domain import Trend, TrustSemantics, TrustState
+from twotsd.domain import Trend, TrustSemantics, TrustState, Verdict
 from twotsd.errors import DuplicateRecordError, StaleUpdateError, ValidationError
 from twotsd.memory import (
+    HISTORY_COLUMNS,
     HistoryQuery,
     HistoryStore,
     MemoryModule,
@@ -215,18 +221,11 @@ def test_tree_shape_after_upserts():
     assert tree.task_types() == ["face_recognition", "video_transcoding"]
     assert tree.devices_for("video_transcoding") == ["a_j", "a_k"]
 
-    doc = tree.to_dict()
-    nodes = {n["id"]: n for n in doc["nodes"]}
-    assert sorted(nodes) == list(range(9)) and doc["next_node_id"] == 9
-    expected_depth = {"root": 0, "task_type": 1, "device": 2, "semantics": 3}
-    for node in nodes.values():
-        if node["parent"] is not None:
-            assert node["id"] in nodes[node["parent"]]["children"]
-        depth, parent = 0, node["parent"]
-        while parent is not None:
-            depth, parent = depth + 1, nodes[parent]["parent"]
-        assert depth == expected_depth[node["kind"]]
-        assert (node["payload"] is not None) == (node["kind"] == "semantics")
+    # The snapshot holds only the leaves, sorted by (task type, device).
+    leaves = tree.to_dict()["leaves"]
+    assert [(leaf["task_type"], leaf["device"]) for leaf in leaves] == [
+        ("face_recognition", "a_j"), ("video_transcoding", "a_j"), ("video_transcoding", "a_k"),
+    ]
 
 
 def test_tree_upsert_replaces_leaf_in_place():
@@ -288,14 +287,95 @@ def _fixture_semantics(device: str, task_type: str, n: int) -> TrustSemantics:
 
 
 def test_tree_v1_fixture_loads_and_replays_identically():
+    """The v1 read path: the node list loads to the leaves of its upserts."""
     doc = json.loads(FIXTURE.read_text())
-    loaded = SemanticsTree.from_dict(doc).to_dict()
-    assert loaded == doc
-    assert codec.canonical_json_bytes(loaded) == codec.canonical_json_bytes(doc)
+    loaded = SemanticsTree.from_dict(doc, version=1)
     replayed = SemanticsTree()
     for args in _FIXTURE_UPSERTS:
         replayed.upsert(_fixture_semantics(*args))
-    assert codec.canonical_json_bytes(replayed.to_dict()) == codec.canonical_json_bytes(doc)
+    assert loaded.node_count() == replayed.node_count() == doc["next_node_id"]
+    assert loaded.task_types() == replayed.task_types() == ["tt_a", "tt_b", "tt_c"]
+    for task_type in loaded.task_types():
+        assert loaded.get_by_task_type(task_type) == replayed.get_by_task_type(task_type)
+    assert loaded.to_dict() == replayed.to_dict()
+
+
+SNAPSHOT_FIXTURE = Path(__file__).parent / "fixtures" / "snapshot_v1.json"
+
+
+def test_v1_snapshot_fixture_loads_and_resaves_as_v2(tmp_path):
+    """A full v1 snapshot (written by the v1 writer) loads, re-saves as v2, and reloads equal."""
+    v1 = MemoryModule.load(SNAPSHOT_FIXTURE)
+    assert v1.loaded_version == 1
+    assert (len(v1.resources), len(v1.history), v1.semantics.leaf_count()) == (3, 54, 6)
+    doc = json.loads(SNAPSHOT_FIXTURE.read_text())
+    assert [rid for rid, _ in v1.history.all_records()] == [rid for rid, _ in doc["history"]["records"]]
+    assert v1.history.to_dict()["next_id"] == doc["history"]["next_id"]
+    path = tmp_path / "snapshot.json"
+    v1.save(path)
+    saved = json.loads(path.read_text())
+    assert saved["version"] == 2
+    assert sorted(saved["history"]) == ["next_id", "rows"] and sorted(saved["tree"]) == ["leaves"]
+    for row, (rid, item) in zip(saved["history"]["rows"], doc["history"]["records"], strict=True):
+        assert dict(zip(HISTORY_COLUMNS, row, strict=True)) == {"id": rid, **item}
+    v2 = MemoryModule.load(path)
+    assert v2.loaded_version == 2
+    assert v2 == v1
+    for _, record in v1.history.all_records():
+        query = HistoryQuery(record.collaborator, record.task_type, last_k=100)
+        assert v2.history.query(query) == v1.history.query(query)
+    for task_type in v1.semantics.task_types():
+        assert v2.semantics.get_by_task_type(task_type) == v1.semantics.get_by_task_type(task_type)
+
+
+def _leaf_nodes(doc):
+    return [n for n in doc["tree"]["nodes"] if n["kind"] == "semantics"]
+
+
+def _leaf_under_foreign_device(doc):
+    _leaf_nodes(doc)[0]["payload"]["device"] = "zz_not_in_fleet"
+
+
+def _leaf_under_foreign_task_type(doc):
+    first, *rest = _leaf_nodes(doc)
+    task_type = first["payload"]["task_type"]
+    first["payload"]["task_type"] = next(
+        n["payload"]["task_type"] for n in rest if n["payload"]["task_type"] != task_type
+    )
+
+
+def _leaf_hung_from_task_type(doc):
+    nodes = {n["id"]: n for n in doc["tree"]["nodes"]}
+    leaf = _leaf_nodes(doc)[0]
+    leaf["parent"] = nodes[leaf["parent"]]["parent"]
+
+
+def _task_type_hung_from_device(doc):
+    nodes = {n["id"]: n for n in doc["tree"]["nodes"]}
+    device = nodes[_leaf_nodes(doc)[0]["parent"]]
+    nodes[device["parent"]]["parent"] = device["id"]
+
+
+def _node_id_listed_twice(doc):
+    doc["tree"]["nodes"][-1]["id"] = 0
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(_leaf_under_foreign_device, "hangs under"), (_leaf_under_foreign_task_type, "hangs under"),
+     (_leaf_hung_from_task_type, "hangs under"), (_task_type_hung_from_device, "hangs under"),
+     (_node_id_listed_twice, "listed twice")],
+    ids=["device-key", "task-type-key", "leaf-under-task-type", "task-type-under-device",
+         "node-id-twice"],
+)
+def test_v1_tree_rejects_a_leaf_off_its_chain(tmp_path, fault, message):
+    """Each v1 leaf must hang from its device node, its task-type node and the root."""
+    doc = json.loads(SNAPSHOT_FIXTURE.read_text())
+    fault(doc)
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"malformed snapshot.*{message}"):
+        MemoryModule.load(path)
 
 
 def test_memory_snapshot_round_trip(tmp_path):
@@ -311,6 +391,29 @@ def test_memory_snapshot_round_trip(tmp_path):
     # byte-identical re-save
     again.save(tmp_path / "snapshot2.json")
     assert (tmp_path / "snapshot.json").read_bytes() == (tmp_path / "snapshot2.json").read_bytes()
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_failed_save_leaves_the_previous_snapshot_intact(tmp_path, monkeypatch, step):
+    path = tmp_path / "snapshot.json"
+    memory = MemoryModule()
+    memory.history.append(make_record())
+    memory.save(path)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError(f"{step} failed")
+
+    memory.history.append(make_record(at=2_000))
+    monkeypatch.setattr(os, step, fail)
+    with pytest.raises(OSError, match=f"{step} failed"):
+        memory.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+    memory.save(path)
+    assert MemoryModule.load(path) == memory
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
 
 
 def test_snapshot_load_rejects_foreign_files(tmp_path):
@@ -347,9 +450,12 @@ def test_history_snapshot_rejects_bad_record_ids(record_ids, next_id):
     store = HistoryStore()
     for device in ("a", "b", "b"):
         store.append(make_record(collaborator=device))
-    records = [[rid, item] for rid, (_, item) in zip(record_ids, store.to_dict()["records"])]
+    rows = [[rid, *row[1:]] for rid, row in zip(record_ids, store.to_dict()["rows"])]
     with pytest.raises(ValidationError):
-        HistoryStore.from_dict({"next_id": next_id, "records": records})
+        HistoryStore.from_dict({"next_id": next_id, "rows": rows})
+    records = [[rid, codec.record_to_dict(r)] for rid, (_, r) in zip(record_ids, store.all_records())]
+    with pytest.raises(ValidationError):
+        HistoryStore.from_dict({"next_id": next_id, "records": records}, version=1)
 
 
 @pytest.mark.parametrize("section", ["resources", "history", "tree"])
@@ -370,7 +476,7 @@ def _list_profile_twice(doc):
 
 
 def _list_leaf_twice(doc):
-    first, second = [n["payload"] for n in doc["tree"]["nodes"] if n["kind"] == "semantics"]
+    first, second = doc["tree"]["leaves"]
     second["device"], second["task_type"] = first["device"], first["task_type"]
 
 
@@ -388,3 +494,147 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
     path.write_bytes(codec.canonical_json_bytes(doc))
     with pytest.raises(ValidationError, match="malformed snapshot.*listed twice"):
         MemoryModule.load(path)
+
+
+# Loader parity: the v1 reader (record dicts) and the v2 reader (positional
+# rows) accept and reject the same records. A history is written here as
+# next_id plus [id, fields, tail] items; tail is anything past the last column.
+
+
+def _history():
+    records = [make_record(), make_record(at=2_000, collaborator="a_k")]
+    items = [[rid, codec.record_to_dict(r), []] for rid, r in enumerate(records, start=1)]
+    return {"next_id": 3, "items": items}
+
+
+def _write_history(path: Path, version: int, history) -> None:
+    items = history["items"]
+    if version == 1:
+        records = {"records": [[rid, f, *tail] for rid, f, tail in items]}
+        tree = {"next_node_id": 0, "nodes": []}
+    else:
+        records = {"rows": [[rid, *(f[c] for c in HISTORY_COLUMNS[1:] if c in f), *tail]
+                            for rid, f, tail in items]}
+        tree = {"leaves": []}
+    doc = {"format": "twotsd-snapshot", "version": version, "resources": {"profiles": []},
+           "history": {"next_id": history["next_id"], **records}, "tree": tree}
+    path.write_text(json.dumps(doc))
+
+
+def _set(name, value):
+    def fault(history):
+        history["items"][0][1][name] = value
+    return fault
+
+
+def _drop_column(history):
+    del history["items"][0][1]["accuracy"]
+
+
+def _add_column(history):
+    history["items"][0][2].append("surplus")
+
+
+def _self_collaboration(history):
+    fields = history["items"][0][1]
+    fields["collaborator"] = fields["owner"]
+
+
+def _id(value):
+    def fault(history):
+        history["items"][1][0] = value
+    return fault
+
+
+def _next_id(value):
+    def fault(history):
+        history["next_id"] = value
+    return fault
+
+
+_CORRUPTIONS = {
+    "missing-column": _drop_column,
+    "extra-column": _add_column,
+    "bool-at": _set("at", True),
+    "float-at": _set("at", 1_000.0),
+    "negative-throughput": _set("throughput_mbps", -1.0),
+    "nan-throughput": _set("throughput_mbps", math.nan),
+    "loss-rate-150%": _set("loss_rate", "150%"),
+    "unknown-verdict": _set("verdict", "delighted"),
+    "self-collaboration": _self_collaboration,
+    "non-int-id": _id("2"),
+    "repeated-id": _id(1),
+    "non-mapping-extra": _set("extra", [["site", "lab"]]),
+    "next-id-at-an-id": _next_id(2),
+    "next-id-below-an-id": _next_id(1),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_both_readers_reject_each_corrupt_record(tmp_path, version, corruption):
+    path = tmp_path / "snapshot.json"
+    history = _history()
+    _write_history(path, version, history)
+    assert len(MemoryModule.load(path).history) == 2  # the uncorrupted file loads
+    _CORRUPTIONS[corruption](history)
+    _write_history(path, version, history)
+    with pytest.raises(ValidationError, match="malformed snapshot") as err:
+        MemoryModule.load(path)
+    if version == 2 and corruption.endswith("-column"):
+        assert "not a list of 11 columns" in err.value.message
+
+
+def test_both_readers_accept_the_same_lenient_forms(tmp_path):
+    """Percent strings, a padded verdict and unknown keys load to equal records."""
+    lenient = {**codec.record_to_dict(make_record()), "loss_rate": "1%", "accuracy": "98%",
+               "verdict": " Satisfied "}
+    _write_history(tmp_path / "v1.json", 1,
+                   {"next_id": 2, "items": [[1, {**lenient, "site": "lab"}, []]]})
+    _write_history(tmp_path / "v2.json", 2,
+                   {"next_id": 2, "items": [[1, {**lenient, "extra": {"site": "lab"}}, []]]})
+    expected = [(1, make_record(loss_rate=0.01, accuracy=0.98, extra={"site": "lab"}))]
+    for name in ("v1.json", "v2.json"):
+        assert MemoryModule.load(tmp_path / name).history.all_records() == expected
+
+
+_devices = st.sampled_from(["a_i", "a_j", "a_k"])
+_fractions = st.floats(min_value=0.0, max_value=1.0)
+_records = st.builds(
+    make_record,
+    owner=st.just("o_x"),
+    collaborator=_devices,
+    task_type=st.sampled_from(["face_recognition", "video_transcoding"]),
+    at=st.integers(min_value=-10**12, max_value=10**12) | st.integers(0, 20),
+    throughput_mbps=st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10**6),
+    loss_rate=_fractions,
+    proc_speed_mbps=st.floats(min_value=0.0, allow_infinity=False),
+    accuracy=_fractions,
+    verdict=st.sampled_from(list(Verdict)),
+    extra=st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(_records, max_size=40),
+    ids=st.lists(st.integers(min_value=1, max_value=10**6), min_size=40, max_size=40, unique=True),
+)
+def test_v2_round_trip_and_per_pair_queries_match_append(records, ids):
+    memory = MemoryModule()
+    for rid, record in zip(ids, records):
+        memory.history.append(record, record_id=rid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.json"
+        memory.save(path)
+        loaded = MemoryModule.load(path)
+    assert loaded == memory
+    assert loaded.history.all_records() == memory.history.all_records()
+    for collaborator in ["a_i", "a_j", "a_k"]:
+        for task_type in ["face_recognition", "video_transcoding"]:
+            for q in (
+                HistoryQuery(collaborator, task_type, last_k=1_000),
+                HistoryQuery(collaborator, task_type, last_k=3),
+                HistoryQuery(collaborator, task_type, interval=(0, 10)),
+            ):
+                assert loaded.history.query(q) == memory.history.query(q)
