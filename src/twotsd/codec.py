@@ -99,20 +99,30 @@ def semantics_to_dict(ts: TrustSemantics) -> dict[str, Any]:
     }
 
 
+# label -> member: a dict lookup per decoded label instead of ``Enum.__call__``.
+_TREND_OF = {t.value: t for t in Trend}
+_STATE_OF = {s.value: s for s in TrustState}
+
+
+def _member(table: Mapping[str, Any], label: Any) -> Any:
+    try:
+        return table[label]
+    except (KeyError, TypeError):
+        raise ValidationError(f"bad semantics enum value: {label!r}") from None
+
+
 def semantics_from_dict(doc: Mapping[str, Any]) -> TrustSemantics:
     try:
         window = doc["window"]
         return TrustSemantics(
             device=doc["device"],
             task_type=doc["task_type"],
-            state=TrustState(doc["state"]),
-            comm_trends={k: Trend(v) for k, v in doc["comm_trends"].items()},
-            comp_trends={k: Trend(v) for k, v in doc["comp_trends"].items()},
+            state=_member(_STATE_OF, doc["state"]),
+            comm_trends={k: _member(_TREND_OF, v) for k, v in doc["comm_trends"].items()},
+            comp_trends={k: _member(_TREND_OF, v) for k, v in doc["comp_trends"].items()},
             window=tuple(window) if window is not None else None,
             extracted_at=doc["extracted_at"],
             record_count=doc["record_count"],
         )
     except KeyError as exc:
         raise ValidationError(f"missing semantics field: {exc.args[0]}", field=exc.args[0]) from None
-    except ValueError as exc:
-        raise ValidationError(f"bad semantics enum value: {exc}") from None

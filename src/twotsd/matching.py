@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .domain import ResourceProfile, Task, TimestampMs
 from .errors import ValidationError
@@ -50,16 +51,15 @@ class MatchConfig:
             raise ValidationError("result_size_factor must be >= 0", field="result_size_factor")
 
 
-@dataclass(frozen=True)
-class StageResult:
+# Named tuples rather than frozen dataclasses: a served request runs the chain
+# once per trusted device, and a tuple is built several times faster.
+class StageResult(NamedTuple):
     stage: Stage
     passed: bool
     carry: float  # accumulated elapsed-time estimate, seconds
-    note: str
 
 
-@dataclass(frozen=True)
-class MatchVerdict:
+class MatchVerdict(NamedTuple):
     """Outcome of one task-collaborator evaluation.
 
     ``stages`` lists executed stages only: everything after a failed stage is
@@ -101,33 +101,24 @@ def evaluate_chain(
     stages: list[StageResult] = []
     carry = 0.0
 
-    age_s = (now - profile.updated_at) / 1000.0
-    fresh = age_s <= cfg.staleness_s
-    stages.append(
-        StageResult(Stage.FRESHNESS, fresh, carry, f"report age {age_s:.1f}s vs bound {cfg.staleness_s:.0f}s")
-    )
+    fresh = (now - profile.updated_at) / 1000.0 <= cfg.staleness_s
+    stages.append(StageResult(Stage.FRESHNESS, fresh, carry))
     if not fresh:
         return MatchVerdict(profile.device, task.task_id, tuple(stages), False)
 
     fits = profile.storage_mb >= task.size_mb
-    stages.append(
-        StageResult(Stage.STORAGE, fits, carry, f"storage {profile.storage_mb:.0f}MB vs size {task.size_mb:.0f}MB")
-    )
+    stages.append(StageResult(Stage.STORAGE, fits, carry))
     if not fits:
         return MatchVerdict(profile.device, task.task_id, tuple(stages), False)
 
-    t_tx = transfer_time_s(task, profile, cfg)
-    carry += t_tx
-    stages.append(StageResult(Stage.COMMUNICATION, True, carry, f"transfer {t_tx:.3f}s"))
+    carry += transfer_time_s(task, profile, cfg)
+    stages.append(StageResult(Stage.COMMUNICATION, True, carry))
 
-    t_cp = compute_time_s(task, profile)
-    carry += t_cp
-    stages.append(StageResult(Stage.COMPUTATION, True, carry, f"compute {t_cp:.3f}s"))
+    carry += compute_time_s(task, profile)
+    stages.append(StageResult(Stage.COMPUTATION, True, carry))
 
     in_time = carry <= task.deadline_s
-    stages.append(
-        StageResult(Stage.DEADLINE, in_time, carry, f"elapsed {carry:.3f}s vs deadline {task.deadline_s:.0f}s")
-    )
+    stages.append(StageResult(Stage.DEADLINE, in_time, carry))
     return MatchVerdict(profile.device, task.task_id, tuple(stages), in_time)
 
 
@@ -136,5 +127,4 @@ def missing_profile_verdict(device: str, task_id: str) -> MatchVerdict:
 
     No report means nothing fresh to trust, so the chain fails at freshness.
     """
-    stage = StageResult(Stage.FRESHNESS, False, 0.0, "no resource profile on record")
-    return MatchVerdict(device, task_id, (stage,), False)
+    return MatchVerdict(device, task_id, (StageResult(Stage.FRESHNESS, False, 0.0),), False)

@@ -8,9 +8,15 @@ Wire format, bit-exact:
 ``length`` counts the body (version byte + document). The document is a JSON
 object with sorted keys and compact separators, so encoding is deterministic:
 ``{"kind": ..., "msg_id": ..., "payload": {...}, "sender": ..., "sent_at": ...}``.
-The current schema version byte is 0x01; any other version raises
+The current schema version byte is 0x02; any other version raises
 version_mismatch. Corrupt input raises malformed, never yields a partial
-message.
+message. A body longer than ``MAX_FRAME_BYTES`` is refused on both sides:
+``encode`` raises rather than emit a frame every peer would reject.
+
+A ``candidate_bundle`` payload is ``{"candidates": [...], "generated_at": ...,
+"task_id": ...}``, where each candidate is its trust semantics document alone
+(``codec.semantics_to_dict``): a bundle holds only matched, trusted devices,
+and the per-stage chain results stay on the server.
 
 Service mode runs a threaded TCP listener, one connection per device,
 pipelined requests; every response reuses the request's msg_id as its
@@ -33,15 +39,15 @@ from . import codec
 from .domain import PerformanceRecord, ResourceProfile, Task, TimestampMs
 from .errors import (
     MalformedFrameError,
+    ProtocolError,
     TwoTsdError,
     UnknownKindError,
     ValidationError,
     VersionMismatchError,
 )
-from .matching import Stage, StageResult
 from .teacher import Candidate, CandidateBundle, TeacherAgent
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 SERVER_SENDER = "server"
 
@@ -92,38 +98,17 @@ class Message:
             raise ValidationError("msg_id must be nonempty", field="msg_id")
 
 
-def _stage_result_to_dict(s: StageResult) -> dict[str, Any]:
-    return {"stage": s.stage.value, "passed": s.passed, "carry": s.carry, "note": s.note}
-
-
-def _stage_result_from_dict(doc: dict[str, Any]) -> StageResult:
-    return StageResult(Stage(doc["stage"]), doc["passed"], doc["carry"], doc["note"])
-
-
 def bundle_to_dict(bundle: CandidateBundle) -> dict[str, Any]:
     return {
         "task_id": bundle.task_id,
         "generated_at": bundle.generated_at,
-        "candidates": [
-            {
-                "semantics": codec.semantics_to_dict(c.semantics),
-                "matched": c.matched,
-                "stages": [_stage_result_to_dict(s) for s in c.stages],
-            }
-            for c in bundle.candidates
-        ],
+        "candidates": [codec.semantics_to_dict(c.semantics) for c in bundle.candidates],
     }
 
 
 def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
-    candidates = tuple(
-        Candidate(
-            semantics=codec.semantics_from_dict(item["semantics"]),
-            matched=item["matched"],
-            stages=tuple(_stage_result_from_dict(s) for s in item["stages"]),
-        )
-        for item in doc["candidates"]
-    )
+    """Every bundled candidate is matched, so the wire carries only its semantics."""
+    candidates = tuple(Candidate(codec.semantics_from_dict(item), True) for item in doc["candidates"])
     return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
 
 
@@ -154,6 +139,10 @@ def encode(msg: Message) -> bytes:
         "payload": _PAYLOADS[msg.kind][1](msg.payload),
     }
     body = bytes([PROTOCOL_VERSION]) + codec.canonical_json_bytes(doc)
+    if len(body) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"{msg.kind.value} frame body of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}"
+        )
     return _LEN.pack(len(body)) + body
 
 
@@ -246,10 +235,10 @@ class _Handler(socketserver.BaseRequestHandler):
             if msg is None:
                 return
             try:
-                response = server.dispatch(msg)
-            except TwoTsdError as exc:
-                response = self._error(exc, msg.msg_id)
-            self.request.sendall(encode(response))
+                frame = encode(server.dispatch(msg))
+            except TwoTsdError as exc:  # includes a reply too big to frame
+                frame = encode(self._error(exc, msg.msg_id))
+            self.request.sendall(frame)
 
     def _error(self, exc: TwoTsdError, msg_id: str) -> Message:
         server: TrustServer = self.server  # type: ignore[assignment]

@@ -24,18 +24,20 @@ from typing import Callable, Iterable
 
 from .domain import DeviceId, PerformanceRecord, ResourceProfile, Task, TimestampMs, TrustSemantics, TrustState
 from .errors import ValidationError
-from .matching import MatchConfig, StageResult, evaluate_chain, missing_profile_verdict
+from .matching import MatchConfig, evaluate_chain, missing_profile_verdict
 from .memory import HistoryQuery, MemoryModule
 from .semantics import DeterministicEngine, SemanticsEngine
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """One qualified collaborator: its trust semantics annotated with the match outcome."""
+    """One qualified collaborator: its trust semantics and the match outcome.
+
+    The per-stage chain results stay on the server; only the semantics travel.
+    """
 
     semantics: TrustSemantics
     matched: bool
-    stages: tuple[StageResult, ...]
 
     @property
     def device(self) -> DeviceId:
@@ -162,6 +164,6 @@ def assemble_bundle(
         else:
             verdict = evaluate_chain(task, profile, now, match_cfg)
         if verdict.matched:
-            candidates.append(Candidate(sem, True, verdict.stages))
+            candidates.append(Candidate(sem, True))
     candidates.sort(key=lambda c: c.device)
     return CandidateBundle(task.task_id, tuple(candidates), now)

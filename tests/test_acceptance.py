@@ -325,7 +325,7 @@ def _messages(draw):
                             density_cpb=draw(pos), deadline_s=draw(pos))
     elif kind is MessageKind.CANDIDATE_BUNDLE:
         candidates = tuple(
-            Candidate(_leaf(device, "video_transcoding", draw(st.integers(5, 40))), True, ())
+            Candidate(_leaf(device, "video_transcoding", draw(st.integers(5, 40))), True)
             for device in draw(st.lists(st.sampled_from(["a_j", "a_k", "a_l"]),
                                         unique=True, max_size=3).map(sorted))
         )

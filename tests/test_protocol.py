@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import socket
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twotsd import codec, protocol
 from twotsd.domain import Verdict
 from twotsd.errors import (
     MalformedFrameError,
     ProtocolError,
     UnknownKindError,
+    ValidationError,
     VersionMismatchError,
 )
+from twotsd.matching import MatchConfig
 from twotsd.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -28,7 +33,8 @@ from twotsd.protocol import (
     encode,
     read_frame,
 )
-from twotsd.teacher import TeacherAgent
+from twotsd.semantics import DeterministicEngine
+from twotsd.teacher import TeacherAgent, assemble_bundle
 
 from _builders import make_profile, make_record, make_records, make_task
 
@@ -93,9 +99,64 @@ def test_round_trip_survives_value_ranges(sender, msg_id, sent_at, at, throughpu
 
 def test_version_byte_is_checked():
     frame = bytearray(encode(_messages()[0]))
-    frame[4] = 2
+    frame[4] = 1  # a protocol v1 peer
     with pytest.raises(VersionMismatchError):
         decode(bytes(frame))
+
+
+# Frame size of ``_wide_bundle()`` under protocol v1, where each candidate also
+# carried its ``matched`` flag and five chain stages with formatted notes.
+_V1_WIDE_FRAME_BYTES = 695_143
+
+
+def _wide_bundle(n: int = 1_000):
+    """A fixed ``n``-candidate bundle: one trusted leaf copied across devices."""
+    records = make_records(8, collaborator="d0000")
+    leaf = DeterministicEngine().extract("d0000", "video_transcoding", records)
+    leaves = [dataclasses.replace(leaf, device=f"d{i:04d}") for i in range(n)]
+    profiles = {ts.device: make_profile(device=ts.device, updated_at=50_000) for ts in leaves}
+    return assemble_bundle(make_task(), leaves, profiles.get, 50_000, MatchConfig())
+
+
+def test_bundle_payload_is_semantics_only_and_within_the_size_bound():
+    bundle = _wide_bundle()
+    assert len(bundle.candidates) == 1_000
+    frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
+    payload = json.loads(frame[5:])["payload"]
+    assert set(payload) == {"candidates", "generated_at", "task_id"}
+    semantics_keys = set(codec.semantics_to_dict(bundle.candidates[0].semantics))
+    assert len(semantics_keys) == 8
+    for item in payload["candidates"]:
+        assert set(item) == semantics_keys
+    assert b'"stages"' not in frame and b'"note"' not in frame
+    assert len(frame) <= 0.4 * _V1_WIDE_FRAME_BYTES
+    decoded = decode(frame).payload
+    assert decoded == bundle
+    assert all(c.matched for c in decoded.candidates)
+
+
+@pytest.mark.parametrize("label, bad", [(b'"normal"', b'"upward"'), (b'"trusted"', b'"trustee"')])
+def test_bundle_with_an_unknown_semantics_label_is_malformed(label, bad):
+    frame = encode(_messages()[3])
+    assert label in frame
+    tampered = frame.replace(label, bad, 1)  # same length, frame stays valid
+    with pytest.raises(MalformedFrameError, match="bad semantics enum value"):
+        decode(tampered)
+
+
+def test_unhashable_semantics_label_is_a_validation_error():
+    doc = codec.semantics_to_dict(_sample_bundle().candidates[0].semantics)
+    doc["comm_trends"]["loss_rate"] = ["normal"]
+    with pytest.raises(ValidationError, match="bad semantics enum value"):
+        codec.semantics_from_dict(doc)
+
+
+def test_encode_refuses_a_body_over_the_cap(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 200)
+    fits = Message(MessageKind.ACK, "server", Ack(detail="x"), "m1", 0)
+    assert decode(encode(fits)) == fits
+    with pytest.raises(ProtocolError, match="exceeds cap 200"):
+        encode(Message(MessageKind.ACK, "server", Ack(detail="x" * 200), "m1", 0))
 
 
 def test_unknown_kind_is_distinguished_from_malformed():
@@ -200,11 +261,42 @@ def test_tcp_pipelined_frames_answered_in_order(server):
 def test_tcp_malformed_frame_gets_error_then_close(server):
     host, port = server.address
     with socket.create_connection((host, port)) as sock:
-        sock.sendall((5).to_bytes(4, "big") + b"\x02abcd")  # wrong version byte
+        sock.sendall((5).to_bytes(4, "big") + b"\x01abcd")  # wrong version byte
         reply = read_frame(sock)
         assert reply.kind is MessageKind.ERROR
         assert reply.payload.code == "version_mismatch"
         assert read_frame(sock) is None  # server hangs up after a framing error
+
+
+def test_tcp_v1_task_request_gets_version_mismatch(server):
+    host, port = server.address
+    frame = bytearray(encode(_messages()[2]))
+    frame[4] = 1
+    with socket.create_connection((host, port)) as sock:
+        sock.sendall(bytes(frame))
+        reply = read_frame(sock)
+        assert reply.kind is MessageKind.ERROR
+        assert reply.payload.code == "version_mismatch"
+
+
+def test_tcp_reply_over_the_cap_gets_error_and_connection_stays_usable(server, monkeypatch):
+    host, port = server.address
+    with DeviceClient(host, port, "a_i") as client:
+        for device in ["a_j", "a_k", "a_l", "a_m", "a_n"]:
+            client.call(MessageKind.RESOURCE_REPORT, make_profile(device=device, updated_at=70_000))
+            for rec in make_records(8, collaborator=device):
+                client.call(MessageKind.PERFORMANCE_RECORD, rec)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1_000)
+        reply = client.call(MessageKind.TASK_REQUEST, make_task())
+        assert reply.kind is MessageKind.ERROR
+        assert reply.payload.code == "protocol"
+        assert "exceeds cap" in reply.payload.detail
+        assert reply.msg_id == "a_i-46"
+        ok = client.call(MessageKind.RESOURCE_REPORT, make_profile(device="a_i", updated_at=70_000))
+        assert ok.kind is MessageKind.ACK
+        monkeypatch.undo()
+        bundle = client.call(MessageKind.TASK_REQUEST, make_task())
+        assert bundle.payload.devices() == ["a_j", "a_k", "a_l", "a_m", "a_n"]
 
 
 def test_read_frame_clean_eof_vs_midframe_cut(server):

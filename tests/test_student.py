@@ -36,7 +36,7 @@ def _candidate(device: str, **trend_over) -> Candidate:
         extracted_at=9_000,
         record_count=9,
     )
-    return Candidate(sem, True, ())
+    return Candidate(sem, True)
 
 
 def _bundle(*candidates: Candidate, task_id: str = "c2") -> CandidateBundle:

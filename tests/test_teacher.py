@@ -110,7 +110,7 @@ def _candidate(device: str, state=TrustState.TRUSTED, matched=True) -> Candidate
     records = make_records(8, collaborator=device)
     if state is not TrustState.TRUSTED:
         records = make_records(8, collaborator=device, verdict=Verdict.UNSATISFIED)
-    return Candidate(engine.extract(device, "video_transcoding", records), matched, ())
+    return Candidate(engine.extract(device, "video_transcoding", records), matched)
 
 
 def test_bundle_constructor_rejects_disorder_and_disqualified():
