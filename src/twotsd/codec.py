@@ -2,8 +2,11 @@
 
 Encoding is canonical (sorted keys, compact separators) so equal values always
 produce identical bytes; floats round-trip exactly through JSON's shortest
-repr. The framing and message taxonomy live in :mod:`twotsd.protocol`; memory
-snapshots reuse these codecs directly.
+repr. Canonical encoding has no indentation, so a value's bytes do not depend
+on where it sits in a document: a document's bytes are the bytes of its parts
+joined with the keys and punctuation around them, which is how
+:mod:`twotsd.protocol` builds frames. The framing and message taxonomy live
+there; memory snapshots reuse these codecs directly.
 """
 
 from __future__ import annotations
@@ -24,8 +27,13 @@ from .domain import (
 from .errors import ValidationError
 
 
+# One shared encoder: ``json.dumps`` with these arguments builds a new one per
+# call. ``JSONEncoder.encode`` keeps no state between calls, so threads share it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json_bytes(doc: Any) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    return _CANONICAL.encode(doc).encode("ascii")
 
 
 def task_to_dict(task: Task) -> dict[str, Any]:
@@ -97,6 +105,20 @@ def semantics_to_dict(ts: TrustSemantics) -> dict[str, Any]:
         "extracted_at": ts.extracted_at,
         "record_count": ts.record_count,
     }
+
+
+def semantics_json(ts: TrustSemantics) -> bytes:
+    """``canonical_json_bytes(semantics_to_dict(ts))``, encoded once per instance.
+
+    The bytes are kept in the instance ``__dict__``, as ``functools.cached_property``
+    does. ``TrustSemantics`` is frozen and a re-extraction makes a new instance
+    (``SemanticsTree.upsert`` replaces the leaf), so the cached bytes cannot go
+    stale; two threads filling the same instance at once store equal bytes.
+    """
+    cached = ts.__dict__.get("_canonical_json")
+    if cached is None:
+        cached = ts.__dict__["_canonical_json"] = canonical_json_bytes(semantics_to_dict(ts))
+    return cached
 
 
 # label -> member: a dict lookup per decoded label instead of ``Enum.__call__``.

@@ -9,14 +9,23 @@ Wire format, bit-exact:
 object with sorted keys and compact separators, so encoding is deterministic:
 ``{"kind": ..., "msg_id": ..., "payload": {...}, "sender": ..., "sent_at": ...}``.
 The current schema version byte is 0x02; any other version raises
-version_mismatch. Corrupt input raises malformed, never yields a partial
-message. A body longer than ``MAX_FRAME_BYTES`` is refused on both sides:
-``encode`` raises rather than emit a frame every peer would reject.
+version_mismatch. Canonical form is what ``encode`` guarantees; ``decode``
+accepts any JSON object with the right fields, in any key order or layout.
+Corrupt input raises malformed, never yields a partial message. A body longer
+than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
+than emit a frame every peer would reject.
 
 A ``candidate_bundle`` payload is ``{"candidates": [...], "generated_at": ...,
 "task_id": ...}``, where each candidate is its trust semantics document alone
 (``codec.semantics_to_dict``): a bundle holds only matched, trusted devices,
-and the per-stage chain results stay on the server.
+and the per-stage chain results stay on the server. Each candidate's bytes
+come from ``codec.semantics_json``, which fills once per extraction: the
+canonical bytes are cached on the immutable ``TrustSemantics`` the first time
+it is shipped, and re-extraction replaces the instance, so a request joins
+cached fragments instead of re-encoding every leaf.
+
+An error reply echoes at most ``_MAX_DETAIL_CHARS`` of its detail; when even
+that frame is over the cap, the server closes the connection without one.
 
 Service mode runs a threaded TCP listener, one connection per device,
 pipelined requests; every response reuses the request's msg_id as its
@@ -52,6 +61,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 SERVER_SENDER = "server"
 
 _LEN = struct.Struct(">I")
+_VERSION_BYTE = bytes([PROTOCOL_VERSION])
 
 
 class MessageKind(Enum):
@@ -98,12 +108,21 @@ class Message:
             raise ValidationError("msg_id must be nonempty", field="msg_id")
 
 
-def bundle_to_dict(bundle: CandidateBundle) -> dict[str, Any]:
-    return {
-        "task_id": bundle.task_id,
-        "generated_at": bundle.generated_at,
-        "candidates": [codec.semantics_to_dict(c.semantics) for c in bundle.candidates],
-    }
+def _bundle_json(bundle: CandidateBundle) -> bytes:
+    """The bundle payload, joined from each candidate's cached semantics bytes."""
+    return b"".join((
+        b'{"candidates":[',
+        b",".join([codec.semantics_json(c.semantics) for c in bundle.candidates]),
+        b'],"generated_at":',
+        codec.canonical_json_bytes(bundle.generated_at),
+        b',"task_id":',
+        codec.canonical_json_bytes(bundle.task_id),
+        b"}",
+    ))
+
+
+def _json_of(to_dict: Callable[[Any], Any]) -> Callable[[Any], bytes]:
+    return lambda payload: codec.canonical_json_bytes(to_dict(payload))
 
 
 def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
@@ -112,33 +131,44 @@ def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
     return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
 
 
-# kind -> (payload type, payload to dict, dict to payload). The record entry
-# is codec.record_from_dict rather than domain.validate_record itself, so the
-# validator is looked up at call time, not bound here at import.
+# kind -> (payload type, payload to canonical JSON bytes, dict to payload). The
+# record entry is codec.record_from_dict rather than domain.validate_record
+# itself, so the validator is looked up at call time, not bound here at import.
 _PAYLOADS: dict[MessageKind, tuple[type, Callable, Callable]] = {
-    MessageKind.RESOURCE_REPORT: (ResourceProfile, codec.profile_to_dict, codec.profile_from_dict),
-    MessageKind.PERFORMANCE_RECORD: (PerformanceRecord, codec.record_to_dict, codec.record_from_dict),
-    MessageKind.TASK_REQUEST: (Task, codec.task_to_dict, codec.task_from_dict),
-    MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, bundle_to_dict, bundle_from_dict),
-    MessageKind.ACK: (Ack, lambda a: {"detail": a.detail}, lambda doc: Ack(detail=doc.get("detail"))),
+    MessageKind.RESOURCE_REPORT: (ResourceProfile, _json_of(codec.profile_to_dict), codec.profile_from_dict),
+    MessageKind.PERFORMANCE_RECORD: (
+        PerformanceRecord, _json_of(codec.record_to_dict), codec.record_from_dict
+    ),
+    MessageKind.TASK_REQUEST: (Task, _json_of(codec.task_to_dict), codec.task_from_dict),
+    MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, _bundle_json, bundle_from_dict),
+    MessageKind.ACK: (
+        Ack, _json_of(lambda a: {"detail": a.detail}), lambda doc: Ack(detail=doc.get("detail"))
+    ),
     MessageKind.ERROR: (
         ErrorInfo,
-        lambda e: {"code": e.code, "detail": e.detail},
+        _json_of(lambda e: {"code": e.code, "detail": e.detail}),
         lambda doc: ErrorInfo(code=doc["code"], detail=doc["detail"]),
     ),
 }
 
 
 def encode(msg: Message) -> bytes:
-    """Canonical, self-delimiting frame for one message."""
-    doc = {
-        "kind": msg.kind.value,
-        "sender": msg.sender,
-        "msg_id": msg.msg_id,
-        "sent_at": msg.sent_at,
-        "payload": _PAYLOADS[msg.kind][1](msg.payload),
-    }
-    body = bytes([PROTOCOL_VERSION]) + codec.canonical_json_bytes(doc)
+    """Canonical, self-delimiting frame for one message.
+
+    The document is written key by key in sorted order, each value through
+    ``codec.canonical_json_bytes``, so its bytes equal that function's output
+    for the whole document without building it as one dict.
+    """
+    dumps = codec.canonical_json_bytes
+    body = b"".join((
+        _VERSION_BYTE,
+        b'{"kind":', dumps(msg.kind.value),
+        b',"msg_id":', dumps(msg.msg_id),
+        b',"payload":', _PAYLOADS[msg.kind][1](msg.payload),
+        b',"sender":', dumps(msg.sender),
+        b',"sent_at":', dumps(msg.sent_at),
+        b"}",
+    ))
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"{msg.kind.value} frame body of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}"
@@ -220,31 +250,52 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
+# An error reply echoes at most this many characters of its detail, which can
+# repeat client input (an unknown kind, a rejected field value). Escaped as
+# ASCII, a character takes at most 12 bytes, so the reply to a framing error
+# stays a few KiB however long the offending input was.
+_MAX_DETAIL_CHARS = 200
+
+
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         server: TrustServer = self.server  # type: ignore[assignment]
         while True:
             try:
                 msg = read_frame(self.request)
-            except TwoTsdError as exc:
-                try:
-                    self.request.sendall(encode(self._error(exc, "unknown")))
-                except OSError:
-                    pass
+            except TwoTsdError as exc:  # a framing error: reply, then hang up
+                frame = self._error_frame(exc, "unknown")
+                if frame is not None:
+                    try:
+                        self.request.sendall(frame)
+                    except OSError:
+                        pass
                 return
             if msg is None:
                 return
             try:
                 frame = encode(server.dispatch(msg))
             except TwoTsdError as exc:  # includes a reply too big to frame
-                frame = encode(self._error(exc, msg.msg_id))
+                frame = self._error_frame(exc, msg.msg_id)
+                if frame is None:
+                    return
             self.request.sendall(frame)
 
-    def _error(self, exc: TwoTsdError, msg_id: str) -> Message:
+    def _error_frame(self, exc: TwoTsdError, msg_id: str) -> bytes | None:
+        """An ``error`` frame with a bounded detail, or None if even that is over the cap.
+
+        Only a ``msg_id`` close to the cap, echoed as the correlation id, can
+        make the error frame too big; the connection is then closed quietly.
+        """
         server: TrustServer = self.server  # type: ignore[assignment]
-        return Message(
-            MessageKind.ERROR, SERVER_SENDER, ErrorInfo(exc.code, exc.message), msg_id, server.clock()
-        )
+        detail = exc.message
+        if len(detail) > _MAX_DETAIL_CHARS:
+            detail = detail[:_MAX_DETAIL_CHARS] + "..."
+        error = Message(MessageKind.ERROR, SERVER_SENDER, ErrorInfo(exc.code, detail), msg_id, server.clock())
+        try:
+            return encode(error)
+        except ProtocolError:
+            return None
 
 
 class TrustServer(socketserver.ThreadingTCPServer):

@@ -5,13 +5,25 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import sys
+import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twotsd import codec, protocol
-from twotsd.domain import Verdict
+from twotsd.domain import (
+    COMM_METRICS,
+    COMP_METRICS,
+    PerformanceRecord,
+    ResourceProfile,
+    Task,
+    Trend,
+    TrustSemantics,
+    TrustState,
+    Verdict,
+)
 from twotsd.errors import (
     MalformedFrameError,
     ProtocolError,
@@ -34,7 +46,7 @@ from twotsd.protocol import (
     read_frame,
 )
 from twotsd.semantics import DeterministicEngine
-from twotsd.teacher import TeacherAgent, assemble_bundle
+from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, assemble_bundle
 
 from _builders import make_profile, make_record, make_records, make_task
 
@@ -97,6 +109,115 @@ def test_round_trip_survives_value_ranges(sender, msg_id, sent_at, at, throughpu
     assert decode(encode(msg)) == msg
 
 
+def _reference_frame(msg: Message) -> bytes:
+    """The frame as one whole document: the codec dicts, then one canonical dump."""
+    p = msg.payload
+    payload = {
+        MessageKind.RESOURCE_REPORT: lambda: codec.profile_to_dict(p),
+        MessageKind.PERFORMANCE_RECORD: lambda: codec.record_to_dict(p),
+        MessageKind.TASK_REQUEST: lambda: codec.task_to_dict(p),
+        MessageKind.CANDIDATE_BUNDLE: lambda: {
+            "task_id": p.task_id,
+            "generated_at": p.generated_at,
+            "candidates": [codec.semantics_to_dict(c.semantics) for c in p.candidates],
+        },
+        MessageKind.ACK: lambda: {"detail": p.detail},
+        MessageKind.ERROR: lambda: {"code": p.code, "detail": p.detail},
+    }[msg.kind]()
+    doc = {
+        "kind": msg.kind.value,
+        "sender": msg.sender,
+        "msg_id": msg.msg_id,
+        "sent_at": msg.sent_at,
+        "payload": payload,
+    }
+    # The canonical arguments spelled out, independent of codec's shared encoder.
+    document = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    body = bytes([PROTOCOL_VERSION]) + document.encode("ascii")
+    return len(body).to_bytes(4, "big") + body
+
+
+# Any code point: non-ASCII, astral (a surrogate pair when escaped) and control.
+_IDS = st.text(min_size=1, max_size=12)
+_STAMPS = st.integers(-(2**64), 2**64)
+_MAX = sys.float_info.max
+_POSITIVE = st.floats(min_value=5e-324, max_value=_MAX) | st.sampled_from([5e-324, _MAX])
+_NONNEG = st.floats(min_value=0.0, max_value=_MAX) | st.sampled_from([-0.0, 0.0, 5e-324, _MAX])
+_FRACTION = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
+_EXTRA = st.dictionaries(
+    st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    max_size=3,
+)
+
+
+@st.composite
+def _bundles(draw):
+    window = draw(st.none() | st.tuples(_STAMPS, _STAMPS).map(sorted).map(tuple))
+    leaf = TrustSemantics(
+        device="placeholder",
+        task_type=draw(_IDS),
+        state=TrustState.TRUSTED,
+        comm_trends={m: draw(st.sampled_from(list(Trend))) for m in COMM_METRICS},
+        comp_trends={m: draw(st.sampled_from(list(Trend))) for m in COMP_METRICS},
+        window=window,
+        extracted_at=draw(_STAMPS),
+        record_count=draw(st.integers(0, 2**64)),
+    )
+    n = draw(st.sampled_from([0, 1, 3, 1_000]))
+    if n == 1_000:
+        prefix = draw(_IDS)
+        devices = [f"{prefix}{i:04d}" for i in range(n)]
+    else:
+        devices = sorted(draw(st.lists(_IDS, min_size=n, max_size=n, unique=True)))
+    candidates = tuple(Candidate(dataclasses.replace(leaf, device=d), True) for d in devices)
+    return CandidateBundle(draw(_IDS), candidates, draw(_STAMPS))
+
+
+@st.composite
+def _records(draw):
+    owner = draw(_IDS)
+    return PerformanceRecord(
+        owner=owner,
+        collaborator=draw(_IDS.filter(lambda c: c != owner)),
+        task_type=draw(_IDS),
+        at=draw(_STAMPS),
+        throughput_mbps=draw(_NONNEG),
+        loss_rate=draw(_FRACTION),
+        proc_speed_mbps=draw(_NONNEG),
+        accuracy=draw(_FRACTION),
+        verdict=draw(st.sampled_from(list(Verdict))),
+        extra=draw(_EXTRA),
+    )
+
+
+_PAYLOAD_STRATEGIES = {
+    MessageKind.RESOURCE_REPORT: st.builds(
+        ResourceProfile, device=_IDS, cpu_cps=_POSITIVE, storage_mb=_NONNEG,
+        bandwidth_mbps=_POSITIVE, updated_at=_STAMPS,
+    ),
+    MessageKind.PERFORMANCE_RECORD: _records(),
+    MessageKind.TASK_REQUEST: st.builds(
+        Task, task_id=_IDS, owner=_IDS, task_type=_IDS, size_mb=_POSITIVE,
+        density_cpb=_POSITIVE, deadline_s=_POSITIVE, extra=_EXTRA,
+    ),
+    MessageKind.CANDIDATE_BUNDLE: _bundles(),
+    MessageKind.ACK: st.builds(Ack, detail=st.none() | st.text(max_size=20)),
+    MessageKind.ERROR: st.builds(ErrorInfo, code=st.text(max_size=12), detail=st.text(max_size=30)),
+}
+
+
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda k: k.value)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_frame_equals_the_whole_document_encoding(kind, data):
+    payload = data.draw(_PAYLOAD_STRATEGIES[kind])
+    msg = Message(kind, data.draw(_IDS), payload, data.draw(_IDS), data.draw(_STAMPS))
+    reference = _reference_frame(msg)
+    assert encode(msg) == reference  # cold: bundle semantics encoded now
+    assert encode(msg) == reference  # warm: bundle semantics from the cache
+
+
 def test_version_byte_is_checked():
     frame = bytearray(encode(_messages()[0]))
     frame[4] = 1  # a protocol v1 peer
@@ -157,6 +278,50 @@ def test_encode_refuses_a_body_over_the_cap(monkeypatch):
     assert decode(encode(fits)) == fits
     with pytest.raises(ProtocolError, match="exceeds cap 200"):
         encode(Message(MessageKind.ACK, "server", Ack(detail="x" * 200), "m1", 0))
+
+
+def test_semantics_made_by_replace_encode_their_own_fields():
+    leaf = _sample_bundle().candidates[0].semantics
+    original = codec.semantics_json(leaf)
+    assert codec.semantics_json(leaf) is original  # filled once, then served from the instance
+    changed = dataclasses.replace(
+        leaf, device="a_z", comm_trends={**leaf.comm_trends, "throughput": Trend.INCREASING}
+    )
+    assert codec.semantics_json(changed) == codec.canonical_json_bytes(codec.semantics_to_dict(changed))
+    assert codec.semantics_json(changed) != original
+    assert codec.semantics_json(leaf) == codec.canonical_json_bytes(codec.semantics_to_dict(leaf))
+
+
+def test_two_threads_encoding_one_cold_bundle_get_identical_frames():
+    msg = Message(MessageKind.CANDIDATE_BUNDLE, "server", _wide_bundle(), "m1", 50_000)
+    reference = _reference_frame(msg)
+    barrier = threading.Barrier(2)
+    frames = [None, None]
+
+    def work(slot):
+        barrier.wait(timeout=10)
+        frames[slot] = encode(msg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert frames[0] == frames[1] == reference
+
+
+def test_decoder_accepts_a_non_canonical_document():
+    doc = {"sent_at": 5, "sender": "server", "payload": {"detail": "ok"}, "msg_id": "m1", "kind": "ack"}
+    body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, indent=2).encode("utf-8")
+    msg = decode(len(body).to_bytes(4, "big") + body)
+    assert msg == Message(MessageKind.ACK, "server", Ack(detail="ok"), "m1", 5)
+    assert encode(msg) != len(body).to_bytes(4, "big") + body  # re-encoding is canonical
 
 
 def test_unknown_kind_is_distinguished_from_malformed():
@@ -297,6 +462,92 @@ def test_tcp_reply_over_the_cap_gets_error_and_connection_stays_usable(server, m
         monkeypatch.undo()
         bundle = client.call(MessageKind.TASK_REQUEST, make_task())
         assert bundle.payload.devices() == ["a_j", "a_k", "a_l", "a_m", "a_n"]
+
+
+def test_tcp_bundle_after_a_re_extraction_carries_the_new_semantics(server):
+    host, port = server.address
+    with DeviceClient(host, port, "a_i") as client:
+        for device in ["a_k", "a_l"]:
+            client.call(MessageKind.RESOURCE_REPORT, make_profile(device=device, updated_at=70_000))
+            for rec in make_records(8, collaborator=device):
+                client.call(MessageKind.PERFORMANCE_RECORD, rec)
+        bundle = client.call(MessageKind.TASK_REQUEST, make_task()).payload
+        before = {c.device: c.semantics for c in bundle.candidates}
+        assert before["a_k"].comm_trends["throughput"] is Trend.NORMAL
+        for i in range(8):  # a steep throughput rise on a_k alone
+            rec = make_record(collaborator="a_k", at=20_000 + i * 1_000, throughput_mbps=200.0 + 100.0 * i)
+            client.call(MessageKind.PERFORMANCE_RECORD, rec)
+        bundle = client.call(MessageKind.TASK_REQUEST, make_task()).payload
+        after = {c.device: c.semantics for c in bundle.candidates}
+    assert after["a_k"].comm_trends["throughput"] is Trend.INCREASING
+    assert after["a_k"].state is TrustState.TRUSTED
+    assert after["a_k"].record_count == 16 and after["a_k"].window == (1_000, 27_000)
+    assert after["a_l"] == before["a_l"]
+
+
+def _raw_request(kind: str, msg_id: str = "x-1") -> bytes:
+    """A frame whose document is raw UTF-8, as a peer may send it."""
+    doc = {"kind": kind, "msg_id": msg_id, "payload": {}, "sender": "a_i", "sent_at": 0}
+    body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.fixture()
+def quiet_failures(server, monkeypatch):
+    """Exceptions that escape a connection handler, however they surface."""
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: seen.append(args.exc_value))
+    monkeypatch.setattr(server, "handle_error", lambda request, address: seen.append(sys.exc_info()[1]))
+    return seen
+
+
+_SMALL_CAP = 4_096
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["k" * (_SMALL_CAP - 100), "\u00e9" * 1_000, "\U0001f600" * 500],
+    ids=["ascii", "two_byte", "astral"],
+)
+def test_tcp_error_reply_echoing_a_long_kind_fits_the_cap(server, monkeypatch, quiet_failures, kind):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", _SMALL_CAP)
+    request = _raw_request(kind)
+    assert len(request) - 4 <= _SMALL_CAP
+    unbounded = Message(
+        MessageKind.ERROR, "server", ErrorInfo("unknown_kind", f"unknown message kind {kind!r}"), "unknown", 0
+    )
+    assert len(_reference_frame(unbounded)) - 4 > _SMALL_CAP  # the reply would not fit unbounded
+    host, port = server.address
+    with socket.create_connection((host, port)) as sock:
+        sock.sendall(request)
+        reply = read_frame(sock)
+        assert reply.kind is MessageKind.ERROR
+        assert reply.payload.code == "unknown_kind"
+        assert reply.payload.detail.startswith("unknown message kind ")
+        assert reply.payload.detail.endswith("...")
+        assert read_frame(sock) is None  # a framing error still ends the connection
+    with DeviceClient(host, port, "a_k") as client:
+        assert client.call(MessageKind.RESOURCE_REPORT, make_profile()).kind is MessageKind.ACK
+    assert quiet_failures == []
+
+
+def test_tcp_msg_id_too_long_to_echo_closes_quietly(server, monkeypatch, quiet_failures):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", _SMALL_CAP)
+    msg_id = "\u00e9" * 1_500  # 3 000 bytes raw, 9 000 once escaped in any reply
+    doc = {
+        "kind": "resource_report", "msg_id": msg_id, "sender": "a_k", "sent_at": 0,
+        "payload": codec.profile_to_dict(make_profile()),
+    }
+    body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    assert len(body) <= _SMALL_CAP
+    host, port = server.address
+    with socket.create_connection((host, port)) as sock:
+        sock.sendall(len(body).to_bytes(4, "big") + body)
+        assert read_frame(sock) is None
+    with DeviceClient(host, port, "a_k") as client:
+        reply = client.call(MessageKind.RESOURCE_REPORT, make_profile(updated_at=1))
+        assert reply.kind is MessageKind.ACK
+    assert quiet_failures == []
 
 
 def test_read_frame_clean_eof_vs_midframe_cut(server):
