@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .matching import MatchConfig, MatchVerdict, Stage, StageResult, evaluate_chain
+from .matching import MatchConfig, MatchVerdict, Stage, evaluate_chain
 from .memory import HistoryQuery, HistoryStore, MemoryModule, ResourceStore, SemanticsTree
 from .semantics import (
     DeterministicEngine,
@@ -90,7 +90,6 @@ __all__ = [
     "SemanticsEngine",
     "SemanticsTree",
     "Stage",
-    "StageResult",
     "StaleUpdateError",
     "StateConfig",
     "Task",

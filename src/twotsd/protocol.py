@@ -264,12 +264,9 @@ class _Handler(socketserver.BaseRequestHandler):
             try:
                 msg = read_frame(self.request)
             except TwoTsdError as exc:  # a framing error: reply, then hang up
-                frame = self._error_frame(exc, "unknown")
-                if frame is not None:
-                    try:
-                        self.request.sendall(frame)
-                    except OSError:
-                        pass
+                self._send(self._error_frame(exc, "unknown"))
+                return
+            except OSError:  # the client reset the connection
                 return
             if msg is None:
                 return
@@ -277,9 +274,18 @@ class _Handler(socketserver.BaseRequestHandler):
                 frame = encode(server.dispatch(msg))
             except TwoTsdError as exc:  # includes a reply too big to frame
                 frame = self._error_frame(exc, msg.msg_id)
-                if frame is None:
-                    return
+            if not self._send(frame):
+                return
+
+    def _send(self, frame: bytes | None) -> bool:
+        """Send ``frame``; False when there is none or the client is gone."""
+        if frame is None:
+            return False
+        try:
             self.request.sendall(frame)
+        except OSError:
+            return False
+        return True
 
     def _error_frame(self, exc: TwoTsdError, msg_id: str) -> bytes | None:
         """An ``error`` frame with a bounded detail, or None if even that is over the cap.

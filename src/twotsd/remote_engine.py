@@ -56,6 +56,7 @@ PROMPT_TEMPLATE_ID = "tsd-extract-v1"
 MAX_RETRIES = 3  # attempts after the first
 BACKOFF_S = 0.25  # delay before the first retry; doubles per retry
 MAX_IN_FLIGHT = 4  # concurrent requests per engine
+CREDENTIAL_ENV = "TWOTSD_REMOTE_KEY"  # read at call time
 
 _SYSTEM_PROMPT = (
     "You label device collaboration history. Reply with one JSON object and "
@@ -72,7 +73,6 @@ _SYSTEM_PROMPT = (
 class RemoteEngineConfig:
     endpoint: str
     model: str = "trust-extractor-1"
-    credential_env: str = "TWOTSD_REMOTE_KEY"
     timeout_s: float = 10.0
 
     def __post_init__(self):
@@ -155,11 +155,9 @@ class RemoteSemanticsEngine:
         self.fallbacks = 0
 
     def _credential(self) -> str:
-        key = os.environ.get(self.cfg.credential_env)
+        key = os.environ.get(CREDENTIAL_ENV)
         if not key:
-            raise RemoteAuthError(
-                f"no credential in ${self.cfg.credential_env}"
-            )
+            raise RemoteAuthError(f"no credential in ${CREDENTIAL_ENV}")
         return key
 
     def extract(

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 from .domain import DeviceId, PerformanceRecord, ResourceProfile, Task, TimestampMs, TrustSemantics, TrustState
 from .errors import ValidationError
-from .matching import MatchConfig, evaluate_chain, missing_profile_verdict
+from .matching import MatchConfig, evaluate_chain
 from .memory import HistoryQuery, MemoryModule
 from .semantics import DeterministicEngine, SemanticsEngine
 
@@ -152,18 +152,14 @@ def assemble_bundle(
 
     The owner and every device that is not trusted drop out. The rest run the
     matching chain against ``profile_of(device)``; a device without a profile
-    fails the freshness stage. Matched devices are kept, ordered by device id.
+    drops out too. Matched devices are kept, ordered by device id.
     """
     candidates: list[Candidate] = []
     for sem in semantics:
         if sem.device == task.owner or sem.state is not TrustState.TRUSTED:
             continue
         profile = profile_of(sem.device)
-        if profile is None:
-            verdict = missing_profile_verdict(sem.device, task.task_id)
-        else:
-            verdict = evaluate_chain(task, profile, now, match_cfg)
-        if verdict.matched:
+        if profile is not None and evaluate_chain(task, profile, now, match_cfg).matched:
             candidates.append(Candidate(sem, True))
     candidates.sort(key=lambda c: c.device)
     return CandidateBundle(task.task_id, tuple(candidates), now)

@@ -68,6 +68,15 @@ def test_load_scenario_defaults_without_file():
     assert load_scenario(None, [], None) == ScenarioConfig()
 
 
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_shipped_configs_load_and_default_yaml_is_the_defaults():
+    # default.yaml says its values mirror the library defaults.
+    assert load_scenario(str(_CONFIGS / "default.yaml"), [], None) == ScenarioConfig()
+    assert load_scenario(str(_CONFIGS / "large_fleet.yaml"), [], None) != ScenarioConfig()
+
+
 def test_load_scenario_rejects_unknown_keys(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text("devices: 8\n")  # misspelling of device_count
@@ -123,13 +132,18 @@ def test_simulate_writes_outputs_and_reruns_identically(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 12  # header + two methods per task
 
 
-def test_simulate_exit_code_2_on_bad_config(tmp_path):
+def test_simulate_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x"),
                  "--override", "device_count=1"]) == 2
     assert main(["simulate", "--out", str(tmp_path / "x"),
                  "--override", "not_a_key=1"]) == 2
     assert main(["simulate", "--out", str(tmp_path / "x"),
                  "--config", str(tmp_path / "missing.yaml")]) == 2
+    removed = tmp_path / "removed.yaml"  # a match key that no longer exists
+    removed.write_text("match:\n  staleness_s: 300.0\n  include_result_return: false\n")
+    capsys.readouterr()
+    assert main(["simulate", "--out", str(tmp_path / "x"), "--config", str(removed)]) == 2
+    assert "bad match section" in capsys.readouterr().err
     assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
 

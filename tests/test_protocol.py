@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import struct
 import sys
 import threading
 
@@ -547,6 +548,30 @@ def test_tcp_msg_id_too_long_to_echo_closes_quietly(server, monkeypatch, quiet_f
     with DeviceClient(host, port, "a_k") as client:
         reply = client.call(MessageKind.RESOURCE_REPORT, make_profile(updated_at=1))
         assert reply.kind is MessageKind.ACK
+    assert quiet_failures == []
+
+
+def test_tcp_client_reset_ends_its_connection_quietly(server, monkeypatch, quiet_failures):
+    """A client that sends a request and resets the connection leaves no traceback."""
+    done = threading.Semaphore(0)
+    shutdown_request = server.shutdown_request
+
+    def counted_shutdown(request):
+        shutdown_request(request)
+        done.release()
+
+    monkeypatch.setattr(server, "shutdown_request", counted_shutdown)
+    frame = encode(Message(MessageKind.TASK_REQUEST, "a_i", make_task(), "a_i-1", 0))
+    host, port = server.address
+    for _ in range(5):
+        sock = socket.create_connection((host, port))
+        sock.sendall(frame)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()  # linger 0: the close sends a reset
+    for _ in range(5):
+        assert done.acquire(timeout=5.0)  # every reset connection's handler has finished
+    with DeviceClient(host, port, "a_k") as client:
+        assert client.call(MessageKind.RESOURCE_REPORT, make_profile()).kind is MessageKind.ACK
     assert quiet_failures == []
 
 
