@@ -7,6 +7,14 @@ on where it sits in a document: a document's bytes are the bytes of its parts
 joined with the keys and punctuation around them, which is how
 :mod:`twotsd.protocol` builds frames. The framing and message taxonomy live
 there; memory snapshots reuse these codecs directly.
+
+Trust semantics has two encodings. Snapshots store the ``semantics_to_dict``
+document; the wire carries a positional row, ``SEMANTICS_COLUMNS`` in order
+(``semantics_to_row``), whose canonical bytes ``semantics_row_json`` keeps on
+the immutable instance. ``semantics_from_row`` maps the labels through the
+same tables as ``semantics_from_dict`` and builds the value through
+``TrustSemantics``'s validating constructor, so a row is checked exactly as a
+document is.
 """
 
 from __future__ import annotations
@@ -107,17 +115,43 @@ def semantics_to_dict(ts: TrustSemantics) -> dict[str, Any]:
     }
 
 
-def semantics_json(ts: TrustSemantics) -> bytes:
-    """``canonical_json_bytes(semantics_to_dict(ts))``, encoded once per instance.
+# A semantics row: ``SEMANTICS_COLUMNS`` in this order, each trend column
+# holding its ``Trend`` label and the window as two columns (two nulls for None).
+SEMANTICS_COLUMNS = (
+    "device", "task_type", "state", "throughput", "loss_rate", "accuracy", "proc_speed",
+    "window_from", "window_to", "extracted_at", "record_count",
+)
+
+
+def semantics_to_row(ts: TrustSemantics) -> list[Any]:
+    comm, comp = ts.comm_trends, ts.comp_trends
+    lo, hi = ts.window or (None, None)
+    return [
+        ts.device,
+        ts.task_type,
+        ts.state.value,
+        comm["throughput"].value,
+        comm["loss_rate"].value,
+        comp["accuracy"].value,
+        comp["proc_speed"].value,
+        lo,
+        hi,
+        ts.extracted_at,
+        ts.record_count,
+    ]
+
+
+def semantics_row_json(ts: TrustSemantics) -> bytes:
+    """``canonical_json_bytes(semantics_to_row(ts))``, encoded once per instance.
 
     The bytes are kept in the instance ``__dict__``, as ``functools.cached_property``
     does. ``TrustSemantics`` is frozen and a re-extraction makes a new instance
     (``SemanticsTree.upsert`` replaces the leaf), so the cached bytes cannot go
     stale; two threads filling the same instance at once store equal bytes.
     """
-    cached = ts.__dict__.get("_canonical_json")
+    cached = ts.__dict__.get("_row_json")
     if cached is None:
-        cached = ts.__dict__["_canonical_json"] = canonical_json_bytes(semantics_to_dict(ts))
+        cached = ts.__dict__["_row_json"] = canonical_json_bytes(semantics_to_row(ts))
     return cached
 
 
@@ -148,3 +182,20 @@ def semantics_from_dict(doc: Mapping[str, Any]) -> TrustSemantics:
         )
     except KeyError as exc:
         raise ValidationError(f"missing semantics field: {exc.args[0]}", field=exc.args[0]) from None
+
+
+def semantics_from_row(row: Any) -> TrustSemantics:
+    """Inverse of ``semantics_to_row``, through the validating constructor."""
+    if type(row) is not list or len(row) != len(SEMANTICS_COLUMNS):
+        raise ValidationError(f"a semantics row must be a list of {len(SEMANTICS_COLUMNS)} values")
+    device, task_type, state, throughput, loss_rate, accuracy, proc_speed, lo, hi, extracted_at, count = row
+    return TrustSemantics(
+        device,
+        task_type,
+        _member(_STATE_OF, state),
+        {"throughput": _member(_TREND_OF, throughput), "loss_rate": _member(_TREND_OF, loss_rate)},
+        {"accuracy": _member(_TREND_OF, accuracy), "proc_speed": _member(_TREND_OF, proc_speed)},
+        None if lo is None and hi is None else (lo, hi),
+        extracted_at,
+        count,
+    )

@@ -212,7 +212,15 @@ class PerformanceRecord:
         return self.verdict is Verdict.SATISFIED
 
 
-@dataclass(frozen=True)
+_COMM_KEYS = frozenset(COMM_METRICS)
+_COMP_KEYS = frozenset(COMP_METRICS)
+# Module constants: reading an Enum member off its class is several times
+# slower than a global lookup, and these are read once per constructed value.
+_NORMAL = Trend.NORMAL
+_INSUFFICIENT_DATA = TrustState.INSUFFICIENT_DATA
+
+
+@dataclass(frozen=True, init=False)
 class TrustSemantics:
     """Per (device, task type) trust assessment: overall state plus per-metric trends.
 
@@ -230,46 +238,58 @@ class TrustSemantics:
     extracted_at: TimestampMs
     record_count: int
 
-    def __post_init__(self):
-        _require_device_id(self.device, "device")
-        _require_device_id(self.task_type, "task_type")
-        if not isinstance(self.state, TrustState):
-            raise ValidationError(f"state must be a TrustState, got {self.state!r}", field="state")
-        object.__setattr__(self, "comm_trends", dict(self.comm_trends))
-        object.__setattr__(self, "comp_trends", dict(self.comp_trends))
-        for name, trends, expected in (
-            ("comm_trends", self.comm_trends, COMM_METRICS),
-            ("comp_trends", self.comp_trends, COMP_METRICS),
-        ):
-            if set(trends) != set(expected):
+    # Written by hand rather than generated: the generated frozen __init__ sets
+    # each field through an object.__setattr__ call, which was about a third of
+    # decoding a bundle row. This one validates the arguments, then stores the
+    # fields as instance-dict items in declaration order; ``dict.update`` would
+    # be slower and would unshare the dict's keys, growing every instance.
+    def __init__(self, device, task_type, state, comm_trends, comp_trends, window, extracted_at, record_count):
+        _require_device_id(device, "device")
+        _require_device_id(task_type, "task_type")
+        if not isinstance(state, TrustState):
+            raise ValidationError(f"state must be a TrustState, got {state!r}", field="state")
+        comm, comp = dict(comm_trends), dict(comp_trends)
+        all_normal = True
+        for name, trends, expected in (("comm_trends", comm, _COMM_KEYS), ("comp_trends", comp, _COMP_KEYS)):
+            if trends.keys() != expected:
                 raise ValidationError(
                     f"{name} must contain exactly {sorted(expected)}, got {sorted(trends)}",
                     field=name,
                 )
             for metric, trend in trends.items():
-                if not isinstance(trend, Trend):
-                    raise ValidationError(
-                        f"{name}[{metric}] must be a Trend, got {trend!r}", field=name
-                    )
-        if self.window is not None:
-            lo, hi = self.window
+                if trend is not _NORMAL:
+                    if not isinstance(trend, Trend):
+                        raise ValidationError(
+                            f"{name}[{metric}] must be a Trend, got {trend!r}", field=name
+                        )
+                    all_normal = False
+        if window is not None:
+            lo, hi = window
             _require_timestamp(lo, "window.from")
             _require_timestamp(hi, "window.to")
             if lo > hi:
                 raise ValidationError("window.from must be <= window.to", field="window")
-            object.__setattr__(self, "window", (lo, hi))
-        _require_timestamp(self.extracted_at, "extracted_at")
-        if isinstance(self.record_count, bool) or not isinstance(self.record_count, int):
+            if type(window) is not tuple:
+                window = (lo, hi)
+        _require_timestamp(extracted_at, "extracted_at")
+        if isinstance(record_count, bool) or not isinstance(record_count, int):
             raise ValidationError("record_count must be an integer", field="record_count")
-        if self.record_count < 0:
+        if record_count < 0:
             raise ValidationError("record_count must be >= 0", field="record_count")
-        if self.state is TrustState.INSUFFICIENT_DATA:
-            all_trends = list(self.comm_trends.values()) + list(self.comp_trends.values())
-            if any(t is not Trend.NORMAL for t in all_trends):
-                raise ValidationError(
-                    "insufficient_data semantics must carry only normal trends",
-                    field="state",
-                )
+        if not all_normal and state is _INSUFFICIENT_DATA:
+            raise ValidationError(
+                "insufficient_data semantics must carry only normal trends",
+                field="state",
+            )
+        attrs = self.__dict__
+        attrs["device"] = device
+        attrs["task_type"] = task_type
+        attrs["state"] = state
+        attrs["comm_trends"] = comm
+        attrs["comp_trends"] = comp
+        attrs["window"] = window
+        attrs["extracted_at"] = extracted_at
+        attrs["record_count"] = record_count
 
     def all_trends(self) -> dict[str, Trend]:
         """Flat metric -> trend view across both trend groups."""

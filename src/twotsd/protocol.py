@@ -8,7 +8,7 @@ Wire format, bit-exact:
 ``length`` counts the body (version byte + document). The document is a JSON
 object with sorted keys and compact separators, so encoding is deterministic:
 ``{"kind": ..., "msg_id": ..., "payload": {...}, "sender": ..., "sent_at": ...}``.
-The current schema version byte is 0x02; any other version raises
+The current schema version byte is 0x03; any other version raises
 version_mismatch. Canonical form is what ``encode`` guarantees; ``decode``
 accepts any JSON object with the right fields, in any key order or layout.
 Corrupt input raises malformed, never yields a partial message. A body longer
@@ -16,13 +16,21 @@ than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
 than emit a frame every peer would reject.
 
 A ``candidate_bundle`` payload is ``{"candidates": [...], "generated_at": ...,
-"task_id": ...}``, where each candidate is its trust semantics document alone
-(``codec.semantics_to_dict``): a bundle holds only matched, trusted devices,
-and the per-stage chain results stay on the server. Each candidate's bytes
-come from ``codec.semantics_json``, which fills once per extraction: the
-canonical bytes are cached on the immutable ``TrustSemantics`` the first time
-it is shipped, and re-extraction replaces the instance, so a request joins
-cached fragments instead of re-encoding every leaf.
+"task_id": ...}``, where each candidate is one positional row of its trust
+semantics, the columns of ``codec.SEMANTICS_COLUMNS`` in order:
+
+    [device, task_type, state, throughput, loss_rate, accuracy, proc_speed,
+     window_from, window_to, extracted_at, record_count]
+
+The four trend columns hold ``Trend`` labels, and a semantics without a
+window has two nulls there. A bundle holds only matched, trusted devices, in
+strictly ascending device order; the per-stage chain results stay on the
+server. Each row's bytes come from ``codec.semantics_row_json``, which fills
+once per extraction: the canonical bytes are cached on the immutable
+``TrustSemantics`` the first time it is shipped, and re-extraction replaces
+the instance, so a request joins cached rows instead of re-encoding every
+leaf. The decoder builds each row through the validating ``TrustSemantics``
+constructor, so a bad row fails the whole frame as malformed.
 
 An error reply echoes at most ``_MAX_DETAIL_CHARS`` of its detail; when even
 that frame is over the cap, the server closes the connection without one.
@@ -45,7 +53,14 @@ from enum import Enum
 from typing import Any, Callable
 
 from . import codec
-from .domain import PerformanceRecord, ResourceProfile, Task, TimestampMs
+from .domain import (
+    PerformanceRecord,
+    ResourceProfile,
+    Task,
+    TimestampMs,
+    _require_device_id,
+    _require_timestamp,
+)
 from .errors import (
     MalformedFrameError,
     ProtocolError,
@@ -56,7 +71,7 @@ from .errors import (
 )
 from .teacher import Candidate, CandidateBundle, TeacherAgent
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 SERVER_SENDER = "server"
 
@@ -102,17 +117,16 @@ class Message:
                 f"got {type(self.payload).__name__}",
                 field="payload",
             )
-        if not self.sender:
-            raise ValidationError("sender must be nonempty", field="sender")
-        if not self.msg_id:
-            raise ValidationError("msg_id must be nonempty", field="msg_id")
+        _require_device_id(self.sender, "sender")
+        _require_device_id(self.msg_id, "msg_id")
+        _require_timestamp(self.sent_at, "sent_at")
 
 
 def _bundle_json(bundle: CandidateBundle) -> bytes:
-    """The bundle payload, joined from each candidate's cached semantics bytes."""
+    """The bundle payload, joined from each candidate's cached semantics row bytes."""
     return b"".join((
         b'{"candidates":[',
-        b",".join([codec.semantics_json(c.semantics) for c in bundle.candidates]),
+        b",".join([codec.semantics_row_json(c.semantics) for c in bundle.candidates]),
         b'],"generated_at":',
         codec.canonical_json_bytes(bundle.generated_at),
         b',"task_id":',
@@ -126,8 +140,8 @@ def _json_of(to_dict: Callable[[Any], Any]) -> Callable[[Any], bytes]:
 
 
 def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
-    """Every bundled candidate is matched, so the wire carries only its semantics."""
-    candidates = tuple(Candidate(codec.semantics_from_dict(item), True) for item in doc["candidates"])
+    """Every bundled candidate is matched, so the wire carries only its semantics row."""
+    candidates = tuple([Candidate(codec.semantics_from_row(row), True) for row in doc["candidates"]])
     return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
 
 

@@ -54,8 +54,8 @@ class DecisionPolicy:
 
 
 def adverse_trend_count(candidate: Candidate, adverse_map: dict[str, Trend]) -> int:
-    trends = candidate.semantics.all_trends()
-    return sum(1 for metric, bad in adverse_map.items() if trends.get(metric) is bad)
+    comm, comp = candidate.semantics.comm_trends, candidate.semantics.comp_trends
+    return sum(1 for metric, bad in adverse_map.items() if comm.get(metric, comp.get(metric)) is bad)
 
 
 def decide(bundle: CandidateBundle, policy: DecisionPolicy | None = None) -> DeviceId | None:
@@ -80,11 +80,12 @@ def decide(bundle: CandidateBundle, policy: DecisionPolicy | None = None) -> Dev
         idx = Random(mixed).randrange(len(candidates))
         return candidates[idx].device
 
-    # trend_averse
-    counts = [(adverse_trend_count(c, policy.adverse_map), c.device) for c in candidates]
-    clean = [device for n, device in counts if n == 0]
-    if clean:
-        return clean[0]
-    if policy.strict_trends:
-        return None
-    return min(counts)[1]
+    # trend_averse: the first clean candidate, else the first least adverse one
+    least, pick = None, None
+    for c in candidates:
+        n = adverse_trend_count(c, policy.adverse_map)
+        if n == 0:
+            return c.device
+        if least is None or n < least:
+            least, pick = n, c.device
+    return None if policy.strict_trends else pick

@@ -20,17 +20,29 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .domain import DeviceId, PerformanceRecord, ResourceProfile, Task, TimestampMs, TrustSemantics, TrustState
+from .domain import (
+    DeviceId,
+    PerformanceRecord,
+    ResourceProfile,
+    Task,
+    TimestampMs,
+    TrustSemantics,
+    TrustState,
+    _require_device_id,
+    _require_timestamp,
+)
 from .errors import ValidationError
 from .matching import MatchConfig, evaluate_chain
 from .memory import HistoryQuery, MemoryModule
 from .semantics import DeterministicEngine, SemanticsEngine
 
 
-@dataclass(frozen=True)
-class Candidate:
+_TRUSTED = TrustState.TRUSTED  # read once per candidate; a global is faster than the Enum class
+
+
+class Candidate(NamedTuple):
     """One qualified collaborator: its trust semantics and the match outcome.
 
     The per-stage chain results stay on the server; only the semantics travel.
@@ -48,7 +60,8 @@ class Candidate:
 class CandidateBundle:
     """What the teacher transfers to a student: qualified candidates only.
 
-    Every candidate is matched and trusted, ordered by device id.
+    Every candidate is matched and trusted, in strictly ascending device id
+    order, so no device is listed twice.
     """
 
     task_id: str
@@ -56,14 +69,21 @@ class CandidateBundle:
     generated_at: TimestampMs
 
     def __post_init__(self):
-        devices = [c.device for c in self.candidates]
-        if devices != sorted(devices):
-            raise ValidationError("bundle candidates must be ordered by device id", field="candidates")
-        for c in self.candidates:
-            if not c.matched:
-                raise ValidationError(f"unmatched candidate {c.device} in bundle", field="candidates")
-            if c.semantics.state is not TrustState.TRUSTED:
-                raise ValidationError(f"non-trusted candidate {c.device} in bundle", field="candidates")
+        _require_device_id(self.task_id, "task_id")
+        _require_timestamp(self.generated_at, "generated_at")
+        previous = None
+        for semantics, matched in self.candidates:
+            device = semantics.device
+            if previous is not None and device <= previous:
+                raise ValidationError(
+                    f"bundle candidates must be ordered by device id, each once: {device} after {previous}",
+                    field="candidates",
+                )
+            if not matched:
+                raise ValidationError(f"unmatched candidate {device} in bundle", field="candidates")
+            if semantics.state is not _TRUSTED:
+                raise ValidationError(f"non-trusted candidate {device} in bundle", field="candidates")
+            previous = device
 
     def devices(self) -> list[DeviceId]:
         return [c.device for c in self.candidates]
@@ -156,7 +176,7 @@ def assemble_bundle(
     """
     candidates: list[Candidate] = []
     for sem in semantics:
-        if sem.device == task.owner or sem.state is not TrustState.TRUSTED:
+        if sem.device == task.owner or sem.state is not _TRUSTED:
             continue
         profile = profile_of(sem.device)
         if profile is not None and evaluate_chain(task, profile, now, match_cfg).matched:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import socket
 import struct
 import sys
@@ -110,6 +111,15 @@ def test_round_trip_survives_value_ranges(sender, msg_id, sent_at, at, throughpu
     assert decode(encode(msg)) == msg
 
 
+def _reference_row(ts: TrustSemantics) -> list:
+    """The semantics document's fields, picked by name in ``SEMANTICS_COLUMNS`` order."""
+    doc = codec.semantics_to_dict(ts)
+    window_from, window_to = doc["window"] or (None, None)
+    fields = {**doc, **doc["comm_trends"], **doc["comp_trends"],
+              "window_from": window_from, "window_to": window_to}
+    return [fields[column] for column in codec.SEMANTICS_COLUMNS]
+
+
 def _reference_frame(msg: Message) -> bytes:
     """The frame as one whole document: the codec dicts, then one canonical dump."""
     p = msg.payload
@@ -120,7 +130,7 @@ def _reference_frame(msg: Message) -> bytes:
         MessageKind.CANDIDATE_BUNDLE: lambda: {
             "task_id": p.task_id,
             "generated_at": p.generated_at,
-            "candidates": [codec.semantics_to_dict(c.semantics) for c in p.candidates],
+            "candidates": [_reference_row(c.semantics) for c in p.candidates],
         },
         MessageKind.ACK: lambda: {"detail": p.detail},
         MessageKind.ERROR: lambda: {"code": p.code, "detail": p.detail},
@@ -226,9 +236,9 @@ def test_version_byte_is_checked():
         decode(bytes(frame))
 
 
-# Frame size of ``_wide_bundle()`` under protocol v1, where each candidate also
-# carried its ``matched`` flag and five chain stages with formatted notes.
-_V1_WIDE_FRAME_BYTES = 695_143
+# Frame size of ``_wide_bundle()`` under protocol v2, where each candidate was
+# its ``codec.semantics_to_dict`` document with the keys spelled out.
+_V2_WIDE_FRAME_BYTES = 244_143
 
 
 def _wide_bundle(n: int = 1_000):
@@ -246,12 +256,12 @@ def test_bundle_payload_is_semantics_only_and_within_the_size_bound():
     frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
     payload = json.loads(frame[5:])["payload"]
     assert set(payload) == {"candidates", "generated_at", "task_id"}
-    semantics_keys = set(codec.semantics_to_dict(bundle.candidates[0].semantics))
-    assert len(semantics_keys) == 8
-    for item in payload["candidates"]:
-        assert set(item) == semantics_keys
-    assert b'"stages"' not in frame and b'"note"' not in frame
-    assert len(frame) <= 0.4 * _V1_WIDE_FRAME_BYTES
+    assert len(codec.SEMANTICS_COLUMNS) == 11
+    for row, candidate in zip(payload["candidates"], bundle.candidates, strict=True):
+        assert row == _reference_row(candidate.semantics)
+        assert len(row) == 11
+    assert b'"stages"' not in frame and b'"comm_trends"' not in frame
+    assert len(frame) <= 0.4 * _V2_WIDE_FRAME_BYTES
     decoded = decode(frame).payload
     assert decoded == bundle
     assert all(c.matched for c in decoded.candidates)
@@ -264,6 +274,130 @@ def test_bundle_with_an_unknown_semantics_label_is_malformed(label, bad):
     tampered = frame.replace(label, bad, 1)  # same length, frame stays valid
     with pytest.raises(MalformedFrameError, match="bad semantics enum value"):
         decode(tampered)
+
+
+# The ``_messages()`` bundle frame, byte for byte: any change to it is a wire change.
+_GOLDEN_BUNDLE_FRAME = bytes.fromhex(
+    "000000e6037b226b696e64223a2263616e6469646174655f62756e646c65222c226d7367"
+    "5f6964223a22615f692d32222c227061796c6f6164223a7b2263616e6469646174657322"
+    "3a5b5b22615f6b222c22766964656f5f7472616e73636f64696e67222c22747275737465"
+    "64222c226e6f726d616c222c226e6f726d616c222c226e6f726d616c222c226e6f726d61"
+    "6c222c313030302c383030302c383030302c385d5d2c2267656e6572617465645f617422"
+    "3a35303030302c227461736b5f6964223a226332227d2c2273656e646572223a22736572"
+    "766572222c2273656e745f6174223a31337d"
+)
+
+
+def test_bundle_frame_matches_the_golden_bytes():
+    msg = _messages()[3]
+    assert encode(msg) == _GOLDEN_BUNDLE_FRAME
+    assert decode(_GOLDEN_BUNDLE_FRAME) == msg
+
+
+def _frame_of(doc: dict, version: int = PROTOCOL_VERSION) -> bytes:
+    body = bytes([version]) + json.dumps(doc).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
+
+
+def _bundle_doc(rows: list, **payload) -> dict:
+    return {
+        "kind": "candidate_bundle", "msg_id": "a_i-2", "sender": "server", "sent_at": 13,
+        "payload": {"candidates": rows, "generated_at": 50_000, "task_id": "c2", **payload},
+    }
+
+
+_ROW = ["a_k", "video_transcoding", "trusted", "normal", "normal", "normal", "normal", 1000, 8000, 8000, 8]
+
+
+def _row(**columns) -> list:
+    """``_ROW`` for device ``a_l``, with the named columns replaced."""
+    row = dict(zip(codec.SEMANTICS_COLUMNS, _ROW), device="a_l")
+    row.update(columns)
+    return list(row.values())
+
+
+def test_a_valid_row_decodes_to_its_semantics():
+    bundle = decode(_frame_of(_bundle_doc([_ROW, _row(window_from=None, window_to=None)]))).payload
+    assert bundle.devices() == ["a_k", "a_l"]
+    assert bundle.candidates[0] == _sample_bundle().candidates[0]
+    assert bundle.candidates[1].semantics.window is None  # two nulls are no window
+
+
+_ARITY = "a semantics row must be a list of 11 values"
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        pytest.param(_ROW[:-1], _ARITY, id="short"),
+        pytest.param(_ROW + [0], _ARITY, id="long"),
+        pytest.param([], _ARITY, id="empty"),
+        pytest.param(dict(zip(codec.SEMANTICS_COLUMNS, _row())), _ARITY, id="object"),
+        pytest.param("a_l", _ARITY, id="string"),
+        pytest.param(None, _ARITY, id="null"),
+        pytest.param(_row(state="trustee"), "bad semantics enum value: 'trustee'", id="unknown_state"),
+        pytest.param(_row(loss_rate="upward"), "bad semantics enum value: 'upward'", id="unknown_trend"),
+        pytest.param(_row(accuracy=["normal"]), "bad semantics enum value", id="unhashable_label"),
+        pytest.param(_row(window_from=None), "window.from must be an integer", id="half_null_window_from"),
+        pytest.param(_row(window_to=None), "window.to must be an integer", id="half_null_window_to"),
+        pytest.param(_row(record_count=True), "record_count must be an integer", id="bool_count"),
+        pytest.param(_row(record_count=8.0), "record_count must be an integer", id="float_count"),
+        pytest.param(_row(record_count=-1), "record_count must be >= 0", id="negative_count"),
+        pytest.param(_row(window_from=9000, window_to=1000), "window.from must be <= window.to",
+                     id="reversed_window"),
+        pytest.param(_row(extracted_at=8000.5), "extracted_at must be an integer", id="float_extracted_at"),
+        pytest.param(_row(device=""), "device must be a nonempty string", id="empty_device"),
+        pytest.param(_row(task_type=5), "task_type must be a nonempty string", id="int_task_type"),
+        pytest.param(_row(state="untrusted"), "non-trusted candidate a_l", id="untrusted"),
+        pytest.param(_row(state="insufficient_data", throughput="increasing"),
+                     "insufficient_data semantics must carry only normal trends",
+                     id="insufficient_data_with_a_trend"),
+    ],
+)
+def test_a_malformed_row_fails_the_whole_frame(row, error):
+    frame = _frame_of(_bundle_doc([_ROW, row]))  # a valid row first: no partial bundle
+    with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {error}")):
+        decode(frame)
+
+
+@pytest.mark.parametrize("devices", [["a_k", "a_k"], ["a_l", "a_k"]], ids=["twice", "descending"])
+def test_a_bundle_frame_listing_devices_out_of_order_is_malformed(devices):
+    frame = _frame_of(_bundle_doc([_row(device=d) for d in devices]))
+    with pytest.raises(MalformedFrameError, match="ordered by device id"):
+        decode(frame)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sender", 7), ("msg_id", 5), ("sent_at", "13"), ("sent_at", True), ("task_id", ["c2"]),
+     ("generated_at", "50000")],
+)
+def test_a_header_field_of_the_wrong_type_is_malformed(field, value):
+    doc = _bundle_doc([_ROW])
+    (doc["payload"] if field in doc["payload"] else doc)[field] = value
+    with pytest.raises(MalformedFrameError, match=field):
+        decode(_frame_of(doc))
+
+
+@pytest.mark.parametrize("field, value", [("sender", 7), ("msg_id", ""), ("sent_at", 1.5)])
+def test_message_type_checks_its_header(field, value):
+    fields = {"sender": "a_k", "msg_id": "a_k-1", "sent_at": 0, field: value}
+    with pytest.raises(ValidationError, match=field):
+        Message(MessageKind.ACK, payload=Ack(), **fields)
+
+
+def test_a_v2_peer_gets_version_mismatch(server):
+    msg = _messages()[3]
+    v2_doc = _bundle_doc([codec.semantics_to_dict(c.semantics) for c in msg.payload.candidates])
+    with pytest.raises(VersionMismatchError, match="schema version 2, supported 3"):
+        decode(_frame_of(v2_doc, version=2))
+    request = bytearray(encode(_messages()[2]))
+    request[4] = 2
+    with socket.create_connection(server.address) as sock:
+        sock.sendall(bytes(request))
+        reply = read_frame(sock)
+    assert reply.kind is MessageKind.ERROR
+    assert reply.payload.code == "version_mismatch"
 
 
 def test_unhashable_semantics_label_is_a_validation_error():
@@ -283,14 +417,14 @@ def test_encode_refuses_a_body_over_the_cap(monkeypatch):
 
 def test_semantics_made_by_replace_encode_their_own_fields():
     leaf = _sample_bundle().candidates[0].semantics
-    original = codec.semantics_json(leaf)
-    assert codec.semantics_json(leaf) is original  # filled once, then served from the instance
+    original = codec.semantics_row_json(leaf)
+    assert codec.semantics_row_json(leaf) is original  # filled once, then served from the instance
     changed = dataclasses.replace(
         leaf, device="a_z", comm_trends={**leaf.comm_trends, "throughput": Trend.INCREASING}
     )
-    assert codec.semantics_json(changed) == codec.canonical_json_bytes(codec.semantics_to_dict(changed))
-    assert codec.semantics_json(changed) != original
-    assert codec.semantics_json(leaf) == codec.canonical_json_bytes(codec.semantics_to_dict(leaf))
+    assert codec.semantics_row_json(changed) == codec.canonical_json_bytes(_reference_row(changed))
+    assert codec.semantics_row_json(changed) != original
+    assert codec.semantics_row_json(leaf) == codec.canonical_json_bytes(_reference_row(leaf))
 
 
 def test_two_threads_encoding_one_cold_bundle_get_identical_frames():
@@ -452,7 +586,7 @@ def test_tcp_reply_over_the_cap_gets_error_and_connection_stays_usable(server, m
             client.call(MessageKind.RESOURCE_REPORT, make_profile(device=device, updated_at=70_000))
             for rec in make_records(8, collaborator=device):
                 client.call(MessageKind.PERFORMANCE_RECORD, rec)
-        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1_000)
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 500)  # the bundle body is 598 bytes
         reply = client.call(MessageKind.TASK_REQUEST, make_task())
         assert reply.kind is MessageKind.ERROR
         assert reply.payload.code == "protocol"

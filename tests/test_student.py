@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twotsd.domain import Trend, TrustSemantics, TrustState
+from twotsd.domain import COMM_METRICS, COMP_METRICS, Trend, TrustSemantics, TrustState
 from twotsd.errors import ValidationError
 from twotsd.student import (
     DecisionPolicy,
@@ -111,6 +111,45 @@ def test_adverse_trend_count_matches_map():
     c = _candidate("a_j", loss_rate=Trend.INCREASING, proc_speed=Trend.DECREASING)
     assert adverse_trend_count(c, default_adverse_map()) == 2
     assert adverse_trend_count(_candidate("a_k"), default_adverse_map()) == 0
+
+
+def _reference_trend_averse(bundle: CandidateBundle, policy: DecisionPolicy):
+    """The pick from every candidate's count over the merged trend view."""
+    counts = []
+    for c in bundle.candidates:
+        trends = c.semantics.all_trends()
+        counts.append((sum(1 for m, bad in policy.adverse_map.items() if trends.get(m) is bad), c.device))
+    clean = [device for n, device in counts if n == 0]
+    if clean:
+        return clean[0]
+    if policy.strict_trends or not counts:
+        return None
+    return min(counts)[1]
+
+
+_TRENDS = st.sampled_from(list(Trend))
+
+
+@st.composite
+def _trend_bundles(draw):
+    devices = sorted(draw(st.lists(st.text(min_size=1, max_size=4), max_size=12, unique=True)))
+    all_adverse = draw(st.booleans())
+    adverse_map = {m: draw(_TRENDS) for m in COMM_METRICS + COMP_METRICS}
+    policy = DecisionPolicy(adverse_map=adverse_map, strict_trends=draw(st.booleans()))
+    candidates = []
+    for device in devices:
+        trends = {m: draw(_TRENDS) for m in COMM_METRICS + COMP_METRICS}
+        if all_adverse:  # at least one adverse trend on every candidate
+            metric = draw(st.sampled_from(sorted(trends)))
+            trends[metric] = adverse_map[metric]
+        candidates.append(_candidate(device, **trends))
+    return CandidateBundle("c2", tuple(candidates), 0), policy
+
+
+@given(_trend_bundles())
+def test_trend_averse_picks_what_counting_every_candidate_picks(case):
+    bundle, policy = case
+    assert decide(bundle, policy) == _reference_trend_averse(bundle, policy)
 
 
 def test_policy_validation():

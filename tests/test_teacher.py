@@ -123,6 +123,21 @@ def test_bundle_constructor_rejects_disorder_and_disqualified():
         CandidateBundle("t", (_candidate("a_a", state=TrustState.UNTRUSTED),), 0)
 
 
+def test_bundle_constructor_rejects_a_device_listed_twice():
+    c = _candidate("d1")
+    with pytest.raises(ValidationError, match="ordered by device id, each once"):
+        CandidateBundle("t", (c, c), 5)
+
+
+@pytest.mark.parametrize(
+    "task_id, generated_at, field",
+    [("", 5, "task_id"), (["t"], 5, "task_id"), ("t", "5", "generated_at"), ("t", 5.0, "generated_at")],
+)
+def test_bundle_constructor_type_checks_its_header(task_id, generated_at, field):
+    with pytest.raises(ValidationError, match=field):
+        CandidateBundle(task_id, (_candidate("d1"),), generated_at)
+
+
 def test_teacher_config_validates_window():
     with pytest.raises(ValidationError):
         TeacherConfig(history_window_k=0)
