@@ -26,7 +26,6 @@ from .domain import (
 )
 from .errors import (
     ConfigError,
-    DuplicateRecordError,
     HeterogeneousInputError,
     MalformedFrameError,
     ProtocolError,
@@ -69,7 +68,6 @@ __all__ = [
     "DecisionPolicy",
     "DeterministicEngine",
     "DeviceId",
-    "DuplicateRecordError",
     "HeterogeneousInputError",
     "HistoryQuery",
     "HistoryStore",

@@ -33,7 +33,7 @@ from . import __version__
 from .codec import canonical_json_bytes
 from .errors import ConfigError, TwoTsdError, ValidationError
 from .matching import MatchConfig
-from .memory import MemoryModule
+from .memory import SNAPSHOT_VERSION, MemoryModule
 from .semantics import DeterministicEngine, StateConfig, TrendConfig
 from .simulation import (
     LatencyModel,
@@ -65,6 +65,8 @@ def _policy_from_dict(doc: dict[str, Any]) -> DecisionPolicy:
         kwargs["kind"] = PolicyKind(doc.pop("kind"))
     if "adverse_map" in doc:
         raw = doc.pop("adverse_map")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"bad policy section: adverse_map must be a mapping, got {raw!r}")
         kwargs["adverse_map"] = {m: Trend(t) for m, t in raw.items()}
     kwargs.update(doc)
     return DecisionPolicy(**kwargs)
@@ -92,7 +94,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad policy section: {exc}") from None
     if "task_types" in doc:
-        kwargs["task_types"] = tuple(doc.pop("task_types"))
+        task_types = doc.pop("task_types")
+        if not isinstance(task_types, list):
+            raise ConfigError(f"task_types must be a list, got {task_types!r}")
+        kwargs["task_types"] = tuple(task_types)
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     for key in doc:
         if key not in known:
@@ -341,7 +346,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     memory = MemoryModule.load(args.snapshot)
     tree = memory.semantics
     print(
-        f"version={memory.loaded_version} "
+        f"version={SNAPSHOT_VERSION} "
         f"resources={len(memory.resources)} "
         f"history={len(memory.history)} "
         f"semantics_leaves={tree.leaf_count()}"

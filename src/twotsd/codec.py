@@ -1,4 +1,4 @@
-"""Dict codecs for domain values plus canonical JSON helpers.
+"""Codecs for domain values plus canonical JSON helpers.
 
 Encoding is canonical (sorted keys, compact separators) so equal values always
 produce identical bytes; floats round-trip exactly through JSON's shortest
@@ -8,13 +8,11 @@ joined with the keys and punctuation around them, which is how
 :mod:`twotsd.protocol` builds frames. The framing and message taxonomy live
 there; memory snapshots reuse these codecs directly.
 
-Trust semantics has two encodings. Snapshots store the ``semantics_to_dict``
-document; the wire carries a positional row, ``SEMANTICS_COLUMNS`` in order
-(``semantics_to_row``), whose canonical bytes ``semantics_row_json`` keeps on
-the immutable instance. ``semantics_from_row`` maps the labels through the
-same tables as ``semantics_from_dict`` and builds the value through
-``TrustSemantics``'s validating constructor, so a row is checked exactly as a
-document is.
+Trust semantics has one encoding, a positional row of ``SEMANTICS_COLUMNS``
+in order (``semantics_to_row``), which both the wire and memory snapshots
+carry; ``semantics_row_json`` keeps its canonical bytes on the immutable
+instance. ``semantics_from_row`` maps the labels through lookup tables and
+builds the value through ``TrustSemantics``'s validating constructor.
 """
 
 from __future__ import annotations
@@ -102,19 +100,6 @@ def record_from_dict(doc: Mapping[str, Any]) -> PerformanceRecord:
     return validate_record(doc)
 
 
-def semantics_to_dict(ts: TrustSemantics) -> dict[str, Any]:
-    return {
-        "device": ts.device,
-        "task_type": ts.task_type,
-        "state": ts.state.value,
-        "comm_trends": {k: v.value for k, v in ts.comm_trends.items()},
-        "comp_trends": {k: v.value for k, v in ts.comp_trends.items()},
-        "window": list(ts.window) if ts.window is not None else None,
-        "extracted_at": ts.extracted_at,
-        "record_count": ts.record_count,
-    }
-
-
 # A semantics row: ``SEMANTICS_COLUMNS`` in this order, each trend column
 # holding its ``Trend`` label and the window as two columns (two nulls for None).
 SEMANTICS_COLUMNS = (
@@ -165,23 +150,6 @@ def _member(table: Mapping[str, Any], label: Any) -> Any:
         return table[label]
     except (KeyError, TypeError):
         raise ValidationError(f"bad semantics enum value: {label!r}") from None
-
-
-def semantics_from_dict(doc: Mapping[str, Any]) -> TrustSemantics:
-    try:
-        window = doc["window"]
-        return TrustSemantics(
-            device=doc["device"],
-            task_type=doc["task_type"],
-            state=_member(_STATE_OF, doc["state"]),
-            comm_trends={k: _member(_TREND_OF, v) for k, v in doc["comm_trends"].items()},
-            comp_trends={k: _member(_TREND_OF, v) for k, v in doc["comp_trends"].items()},
-            window=tuple(window) if window is not None else None,
-            extracted_at=doc["extracted_at"],
-            record_count=doc["record_count"],
-        )
-    except KeyError as exc:
-        raise ValidationError(f"missing semantics field: {exc.args[0]}", field=exc.args[0]) from None
 
 
 def semantics_from_row(row: Any) -> TrustSemantics:

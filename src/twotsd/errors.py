@@ -39,10 +39,6 @@ class StaleUpdateError(TwoTsdError):
     code = "stale_update"
 
 
-class DuplicateRecordError(TwoTsdError):
-    code = "duplicate_record"
-
-
 class UnsortedInputError(TwoTsdError):
     code = "unsorted_input"
 

@@ -4,30 +4,33 @@ Three components back the server-side agent:
 
 * :class:`ResourceStore` -- key-value map device -> newest ResourceProfile,
   rejecting stale writes.
-* :class:`HistoryStore` -- append-only performance-record log with a
-  (collaborator, task_type) secondary index; the "relational database" of the
-  design, realized as the query contract rather than a SQL engine.
+* :class:`HistoryStore` -- append-only performance records, one list per
+  (collaborator, task_type) in (timestamp, arrival) order; the "relational
+  database" of the design, realized as the query contract rather than a SQL
+  engine.
 * :class:`SemanticsTree` -- the 4-level tree root -> task type -> device ->
   semantics leaf, one leaf per (task type, device), stored as a keyed map.
 
 Every store serializes its mutations under a per-store lock; history
 queries and tree reads hold the same lock, so they never see a half-done
-write or prune. :class:`MemoryModule` bundles the three and
-snapshots them to a single versioned JSON file (``load(save(state)) == state``),
-written atomically (temp file, fsync, rename).
+write. :class:`MemoryModule` bundles the three and snapshots them to a single
+versioned JSON file (``load(save(state)) == state``), written atomically
+(temp file, fsync, rename).
 
-Snapshot version 2 stores history as positional rows in the column order
-:data:`HISTORY_COLUMNS` (no per-file header) and the tree as a flat list of
-leaves sorted by (task type, device). Version 1 (history as ``[id, record
-dict]`` pairs, the tree as a 4-level node list) is still read, with each
-leaf's device, task-type and root nodes checked against its payload; it is
-no longer written, so a v1 file re-saves as v2.
+Snapshot version 3 stores history as positional rows in the column order
+:data:`HISTORY_COLUMNS` (no per-file header, no record ids), pair by pair in
+sorted pair order and each pair in store order, and the tree as the leaves'
+wire rows (``codec.semantics_to_row``) sorted by (task type, device). Loading
+replays each history row as an append and reads each leaf through the
+validating ``codec.semantics_from_row``. Any other version is refused: a
+snapshot is rebuilt from its scenario config and seed, not migrated.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -44,15 +47,13 @@ from .domain import (
     TrustSemantics,
     parse_verdict,
 )
-from .errors import DuplicateRecordError, StaleUpdateError, ValidationError
+from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+SNAPSHOT_VERSION = 3
 
-# Column order of one snapshot-v2 history row.
+# Column order of one snapshot-v3 history row.
 HISTORY_COLUMNS = (
-    "id",
     "owner",
     "collaborator",
     "task_type",
@@ -127,137 +128,94 @@ class ResourceStore:
         return store
 
 
-class HistoryStore:
-    """Append-only record log, indexed by (collaborator, task_type).
+_at = operator.attrgetter("at")
 
-    Record ids are dense integers assigned on append; explicit ids may be
-    supplied (e.g. for idempotent replays) and must be unique. Each
-    per-pair id list is kept ascending by (timestamp, id) as records arrive,
-    so a query is a slice or two bisects and its results come out in that
-    order. Records are immutable; the only removal path is explicit retention
-    pruning.
+
+class HistoryStore:
+    """Append-only performance records, one list per (collaborator, task_type).
+
+    Each list is kept in (timestamp, arrival) order as records arrive: a record
+    goes after every stored record of its pair with the same or an earlier
+    timestamp, which for in-order arrivals is a plain append. A newest-K query
+    is a slice and a time-interval query two bisects, so either costs
+    O(log n + window) whatever the history depth. Records are immutable and
+    never removed, so ``count_for`` counts every record appended for a pair.
     """
 
     def __init__(self):
-        self._records: dict[int, PerformanceRecord] = {}
-        self._by_key: dict[tuple[DeviceId, TaskType], list[int]] = {}
-        self._next_id = 1
+        self._by_key: dict[tuple[DeviceId, TaskType], list[PerformanceRecord]] = {}
         self._lock = threading.Lock()
 
-    def append(self, record: PerformanceRecord, record_id: int | None = None) -> int:
+    def append(self, record: PerformanceRecord) -> None:
         with self._lock:
-            if record_id is None:
-                record_id = self._next_id
-            elif record_id in self._records:
-                raise DuplicateRecordError(f"record id {record_id} already stored")
-            self._next_id = max(self._next_id, record_id + 1)
-            self._records[record_id] = record
-            ids = self._by_key.setdefault((record.collaborator, record.task_type), [])
-            if not ids or self._order(ids[-1]) < (record.at, record_id):
-                ids.append(record_id)
-            else:
-                bisect.insort(ids, record_id, key=self._order)
-            return record_id
+            self._insert(record)
 
-    def _order(self, record_id: int) -> tuple[TimestampMs, int]:
-        return self._records[record_id].at, record_id
-
-    def _at(self, record_id: int) -> TimestampMs:
-        return self._records[record_id].at
+    def _insert(self, record: PerformanceRecord) -> None:
+        key = (record.collaborator, record.task_type)
+        records = self._by_key.get(key)
+        if records is None:
+            self._by_key[key] = [record]
+        elif records[-1].at <= record.at:
+            records.append(record)
+        else:
+            bisect.insort_right(records, record, key=_at)
 
     def query(self, q: HistoryQuery) -> list[PerformanceRecord]:
         with self._lock:
-            ids = self._by_key.get((q.collaborator, q.task_type), [])
+            records = self._by_key.get((q.collaborator, q.task_type), [])
             if q.interval is not None:
                 lo, hi = q.interval
-                start = bisect.bisect_left(ids, lo, key=self._at)
-                ids = ids[start : bisect.bisect_right(ids, hi, key=self._at)]
-            else:
-                ids = ids[-q.last_k :]
-            return [self._records[i] for i in ids]
+                return records[bisect.bisect_left(records, lo, key=_at) :
+                               bisect.bisect_right(records, hi, key=_at)]
+            return records[-q.last_k :]
 
     def count_for(self, collaborator: DeviceId, task_type: TaskType) -> int:
-        return len(self._by_key.get((collaborator, task_type), []))
-
-    def all_records(self) -> list[tuple[int, PerformanceRecord]]:
-        return sorted(self._records.items())
-
-    def prune_older_than(self, cutoff: TimestampMs) -> int:
-        """Retention: drop records with at < cutoff. Returns how many went."""
-        with self._lock:
-            dropped = 0
-            for ids in self._by_key.values():
-                cut = bisect.bisect_left(ids, cutoff, key=self._at)
-                for i in ids[:cut]:
-                    del self._records[i]
-                del ids[:cut]
-                dropped += cut
-            return dropped
+        return len(self._by_key.get((collaborator, task_type), ()))
 
     def __len__(self) -> int:
-        return len(self._records)
+        with self._lock:
+            return sum(map(len, self._by_key.values()))
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v2: ``next_id`` and one row per record, in id order."""
-        return {
-            "next_id": self._next_id,
-            "rows": [
-                [i, r.owner, r.collaborator, r.task_type, r.at, r.throughput_mbps, r.loss_rate,
-                 r.proc_speed_mbps, r.accuracy, r.verdict.value, dict(r.extra)]
-                for i, r in self.all_records()
-            ],
-        }
+        """Snapshot v3: one row per record, pair by pair in sorted pair order."""
+        with self._lock:
+            return {
+                "rows": [
+                    [r.owner, r.collaborator, r.task_type, r.at, r.throughput_mbps, r.loss_rate,
+                     r.proc_speed_mbps, r.accuracy, r.verdict.value, dict(r.extra)]
+                    for key in sorted(self._by_key)
+                    for r in self._by_key[key]
+                ],
+            }
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], version: int = SNAPSHOT_VERSION) -> "HistoryStore":
-        """One validated pass over the records, then one sort per pair.
+    def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
+        """Replay each row as an append; every record goes through the PerformanceRecord checks.
 
-        Version-2 rows and version-1 ``[id, record dict]`` pairs build the
-        same index; every record goes through the PerformanceRecord checks.
+        The rows go through ``append``'s body without its lock: the store is
+        not shared yet, and a traced load (``bench/tracing.py`` wraps
+        ``append``) would otherwise count each loaded row as a served append.
         """
-        if version == 1:
-            items = ((rid, codec.record_from_dict(item)) for rid, item in doc["records"])
-        else:
-            items = map(_record_from_row, doc["rows"])
         store = cls()
-        records = store._records
-        orders: dict[tuple[DeviceId, TaskType], list[tuple[TimestampMs, int]]] = {}
-        for rid, record in items:
-            if type(rid) is not int or rid in records:
-                raise ValidationError(f"record id {rid!r} is not a new integer", field="records")
-            records[rid] = record
-            key = (record.collaborator, record.task_type)
-            order = orders.get(key)
-            if order is None:
-                order = orders[key] = []
-            order.append((record.at, rid))
-        for key, order in orders.items():
-            order.sort()
-            store._by_key[key] = [rid for _, rid in order]
-        next_id = doc["next_id"]
-        if type(next_id) is not int or next_id <= max(0, max(records, default=0)):
-            # Below a record id, the next append would overwrite a stored record.
-            raise ValidationError(
-                f"next_id {next_id!r} is not an integer above every record id", field="next_id"
-            )
-        store._next_id = next_id
+        insert = store._insert
+        for row in doc["rows"]:
+            insert(_record_from_row(row))
         return store
 
 
-def _record_from_row(row: Any) -> tuple[Any, PerformanceRecord]:
+def _record_from_row(row: Any) -> PerformanceRecord:
     if type(row) is not list or len(row) != len(HISTORY_COLUMNS):
         raise ValidationError(
             f"history row is not a list of {len(HISTORY_COLUMNS)} columns: {row!r:.80}",
             field="rows",
         )
-    rid, owner, collaborator, task_type, at, throughput, loss, proc, accuracy, verdict, extra = row
+    owner, collaborator, task_type, at, throughput, loss, proc, accuracy, verdict, extra = row
     if not isinstance(extra, dict):
         raise ValidationError(f"extra must be a mapping, got {extra!r}", field="extra")
-    record = PerformanceRecord(
+    return PerformanceRecord(
         owner, collaborator, task_type, at, throughput, loss, proc, accuracy,
         parse_verdict(verdict), extra,
     )
-    return rid, record
 
 
 class SemanticsTree:
@@ -304,19 +262,15 @@ class SemanticsTree:
         return 1 + len(self._devices) + 2 * len(self._leaves)
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v2: the leaves, sorted by (task type, device)."""
+        """Snapshot v3: each leaf as its wire row, sorted by (task type, device)."""
         with self._lock:
             leaves = [self._leaves[k] for k in sorted(self._leaves)]
-        return {"leaves": [codec.semantics_to_dict(ts) for ts in leaves]}
+        return {"leaves": [codec.semantics_to_row(ts) for ts in leaves]}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], version: int = SNAPSHOT_VERSION) -> "SemanticsTree":
-        if version == 1:
-            leaves = _v1_leaves(doc["nodes"])
-        else:
-            leaves = map(codec.semantics_from_dict, doc["leaves"])
+    def from_dict(cls, doc: dict[str, Any]) -> "SemanticsTree":
         tree = cls()
-        for ts in leaves:
+        for ts in map(codec.semantics_from_row, doc["leaves"]):
             if (ts.task_type, ts.device) in tree._leaves:
                 raise ValidationError(
                     f"semantics for ({ts.task_type}, {ts.device}) listed twice", field="tree"
@@ -325,49 +279,13 @@ class SemanticsTree:
         return tree
 
 
-def _v1_leaves(nodes: list[dict[str, Any]]) -> list[TrustSemantics]:
-    """The leaves of a v1 node list, in node-id order.
-
-    Each leaf must hang from a device node keyed by its payload's device,
-    under a task-type node keyed by its payload's task type, under the root.
-    """
-    by_id = {node["id"]: node for node in nodes}
-    if len(by_id) != len(nodes):
-        raise ValidationError("a tree node id is listed twice", field="nodes")
-    leaves = []
-    for node_id in sorted(by_id):
-        node = by_id[node_id]
-        if node["kind"] != "semantics" or not node["payload"]:
-            continue
-        ts = codec.semantics_from_dict(node["payload"])
-        chain, parent = [], node["parent"]
-        while parent is not None and len(chain) < 3:
-            up = by_id[parent]
-            chain.append((up["kind"], up["key"]))
-            parent = up["parent"]
-        if parent is not None or chain != [
-            ("device", ts.device), ("task_type", ts.task_type), ("root", None)
-        ]:
-            raise ValidationError(
-                f"semantics node {node_id} for ({ts.task_type}, {ts.device}) hangs under {chain}",
-                field="nodes",
-            )
-        leaves.append(ts)
-    return leaves
-
-
 class MemoryModule:
-    """The three stores, plus single-file snapshotting.
-
-    ``loaded_version`` is the format version of the snapshot this memory was
-    loaded from, or None for a memory built in process.
-    """
+    """The three stores, plus single-file snapshotting."""
 
     def __init__(self):
         self.resources = ResourceStore()
         self.history = HistoryStore()
         self.semantics = SemanticsTree()
-        self.loaded_version: int | None = None
 
     def to_snapshot_dict(self) -> dict[str, Any]:
         return {
@@ -408,14 +326,16 @@ class MemoryModule:
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValidationError("not a twotsd snapshot file")
         version = doc.get("version")
-        if type(version) is not int or version not in READABLE_VERSIONS:
-            raise ValidationError(f"unsupported snapshot version {version!r}")
+        if type(version) is not int or version != SNAPSHOT_VERSION:
+            raise ValidationError(
+                f"unsupported snapshot version {version!r}; this build reads version "
+                f"{SNAPSHOT_VERSION} only, so rebuild the file with `twotsd simulate --snapshot`"
+            )
         module = cls()
-        module.loaded_version = version
         try:
             module.resources = ResourceStore.from_dict(doc["resources"])
-            module.history = HistoryStore.from_dict(doc["history"], version)
-            module.semantics = SemanticsTree.from_dict(doc["tree"], version)
+            module.history = HistoryStore.from_dict(doc["history"])
+            module.semantics = SemanticsTree.from_dict(doc["tree"])
         except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
             raise ValidationError(f"malformed snapshot: {type(exc).__name__} {exc}") from None
         return module

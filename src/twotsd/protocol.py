@@ -92,11 +92,20 @@ class MessageKind(Enum):
 class Ack:
     detail: str | None = None
 
+    def __post_init__(self):
+        if self.detail is not None and not isinstance(self.detail, str):
+            raise ValidationError("detail must be a string or null", field="detail")
+
 
 @dataclass(frozen=True)
 class ErrorInfo:
     code: str
     detail: str
+
+    def __post_init__(self):
+        _require_device_id(self.code, "code")
+        if not isinstance(self.detail, str):
+            raise ValidationError("detail must be a string", field="detail")
 
 
 @dataclass(frozen=True)
@@ -362,12 +371,12 @@ class DeviceClient:
         self._sock = socket.create_connection((host, port))
         self._seq = 0
 
-    def _next_id(self) -> str:
+    def _next_msg_id(self) -> str:
         self._seq += 1
         return f"{self.device}-{self._seq}"
 
     def call(self, kind: MessageKind, payload: Any) -> Message:
-        msg = Message(kind, self.device, payload, self._next_id(), self.clock())
+        msg = Message(kind, self.device, payload, self._next_msg_id(), self.clock())
         self._sock.sendall(encode(msg))
         response = read_frame(self._sock)
         if response is None:

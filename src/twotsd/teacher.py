@@ -131,11 +131,9 @@ class TeacherAgent:
         """Ingest an idle-state resource report. Raises StaleUpdateError on old reports."""
         self.memory.resources.upsert(profile)
 
-    def handle_performance_record(
-        self, record: PerformanceRecord, record_id: int | None = None
-    ) -> TrustSemantics:
+    def handle_performance_record(self, record: PerformanceRecord) -> TrustSemantics:
         """Ingest a collaboration outcome; return the collaborator's refreshed semantics."""
-        self.memory.history.append(record, record_id=record_id)
+        self.memory.history.append(record)
         device, task_type = record.collaborator, record.task_type
         # Per-(device, task type) serialization so concurrent ingests for the
         # same pair cannot interleave query and upsert (lost updates).
@@ -170,9 +168,12 @@ def assemble_bundle(
 ) -> CandidateBundle:
     """The candidate bundle for ``task`` from per-device semantics and profiles.
 
-    The owner and every device that is not trusted drop out. The rest run the
-    matching chain against ``profile_of(device)``; a device without a profile
-    drops out too. Matched devices are kept, ordered by device id.
+    ``semantics`` must come in strictly ascending device order, as
+    ``SemanticsTree.get_by_task_type`` returns them; ``CandidateBundle``
+    rejects any other order. The owner and every device that is not trusted
+    drop out. The rest run the matching chain against ``profile_of(device)``;
+    a device without a profile drops out too. Matched devices are kept, in
+    the order given.
     """
     candidates: list[Candidate] = []
     for sem in semantics:
@@ -181,5 +182,4 @@ def assemble_bundle(
         profile = profile_of(sem.device)
         if profile is not None and evaluate_chain(task, profile, now, match_cfg).matched:
             candidates.append(Candidate(sem, True))
-    candidates.sort(key=lambda c: c.device)
     return CandidateBundle(task.task_id, tuple(candidates), now)

@@ -139,6 +139,11 @@ def test_simulate_exit_code_2_on_bad_config(tmp_path, capsys):
                  "--override", "not_a_key=1"]) == 2
     assert main(["simulate", "--out", str(tmp_path / "x"),
                  "--config", str(tmp_path / "missing.yaml")]) == 2
+    capsys.readouterr()
+    for override in ("policy.adverse_map=5", "task_types=5"):  # not a mapping, not a list
+        assert main(["simulate", "--out", str(tmp_path / "x"), "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     removed = tmp_path / "removed.yaml"  # a match key that no longer exists
     removed.write_text("match:\n  staleness_s: 300.0\n  include_result_return: false\n")
     capsys.readouterr()
@@ -191,13 +196,10 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--snapshot", str(out / "snapshot.json")]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("version=2 resources=6 history=")
+    assert text.startswith("version=3 resources=6 history=")
     assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
     assert "loss_rate=" in text
-    assert main(["inspect", "--snapshot", str(SNAPSHOT_V1)]) == 0
-    header = capsys.readouterr().out.splitlines()[0]
-    assert header == "version=1 resources=3 history=54 semantics_leaves=6"
 
 
 def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
@@ -205,69 +207,59 @@ def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-SNAPSHOT_V1 = Path(__file__).parent / "fixtures" / "snapshot_v1.json"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _malformed_v2(doc):
-    """No history, a repeated record id, profile or leaf, and a short history row."""
+def _malformed_v3(doc):
+    """No history, a repeated profile or leaf, and a short history row."""
     no_history = {k: v for k, v in doc.items() if k != "history"}
-    rows = doc["history"]["rows"]
-    repeated_id = [rows[0], [rows[0][0], *rows[1][1:]], *rows[2:]]
-    duplicate_id = {**doc, "history": {**doc["history"], "rows": repeated_id}}
     profiles = doc["resources"]["profiles"]
     repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
     duplicate_profile = {**doc, "resources": {"profiles": repeated_profile + profiles[2:]}}
     leaves = doc["tree"]["leaves"]
-    pair = {k: leaves[0][k] for k in ("device", "task_type")}
-    duplicate_leaf = {**doc, "tree": {"leaves": [leaves[0], {**leaves[1], **pair}, *leaves[2:]]}}
-    short_row = {**doc, "history": {**doc["history"], "rows": [rows[0][:-1], *rows[1:]]}}
-    return [no_history, duplicate_id, duplicate_profile, duplicate_leaf, short_row]
-
-
-def _malformed_v1(doc):
-    """The same four faults in the v1 layout, and a leaf whose payload leaves its device node."""
-    no_history = {k: v for k, v in doc.items() if k != "history"}
-    records = doc["history"]["records"]
-    repeated_id = [records[0], [records[0][0], records[1][1]], *records[2:]]
-    duplicate_id = {**doc, "history": {**doc["history"], "records": repeated_id}}
-    profiles = doc["resources"]["profiles"]
-    repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
-    duplicate_profile = {**doc, "resources": {"profiles": repeated_profile + profiles[2:]}}
-    nodes = doc["tree"]["nodes"]
-    first_leaf, second_leaf = [n for n in nodes if n["kind"] == "semantics"][:2]
-    pair = {k: first_leaf["payload"][k] for k in ("device", "task_type")}
-    repeated_leaf = [
-        {**n, "payload": {**n["payload"], **pair}} if n is second_leaf else n for n in nodes
-    ]
-    duplicate_leaf = {**doc, "tree": {**doc["tree"], "nodes": repeated_leaf}}
-    moved = {**first_leaf["payload"], "device": "zz_not_in_fleet"}
-    foreign = [{**n, "payload": moved} if n is first_leaf else n for n in nodes]
-    foreign_device = {**doc, "tree": {**doc["tree"], "nodes": foreign}}
-    return [no_history, duplicate_id, duplicate_profile, duplicate_leaf, foreign_device]
+    repeated_leaf = [leaves[0], leaves[0][:2] + leaves[1][2:], *leaves[2:]]
+    duplicate_leaf = {**doc, "tree": {"leaves": repeated_leaf}}
+    rows = doc["history"]["rows"]
+    short_row = {**doc, "history": {"rows": [rows[0][:-1], *rows[1:]]}}
+    return [no_history, duplicate_profile, duplicate_leaf, short_row]
 
 
 def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
-    v2 = json.loads((out / "snapshot.json").read_text())
-    v1 = json.loads(SNAPSHOT_V1.read_text())
-    assert (v2["version"], v1["version"]) == (2, 1)
+    v3 = json.loads((out / "snapshot.json").read_text())
+    assert v3["version"] == 3
     broken = tmp_path / "broken.json"
     capsys.readouterr()
-    for bad in _malformed_v2(v2) + _malformed_v1(v1):
+    for bad in _malformed_v3(v3):
         broken.write_text(json.dumps(bad))
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_inspect_and_serve_refuse_an_older_snapshot(capsys, version):
+    """Both exit 2 with one error line that names the version and how to rebuild the file."""
+    path = FIXTURES / f"snapshot_v{version}.json"
+    for command in (["inspect"], ["serve", "--port", "0"]):
+        assert main([*command, "--snapshot", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: unsupported snapshot version {version};"), err
+        assert "twotsd simulate --snapshot" in err
+
+
 def test_serve_refuses_a_v1_leaf_off_its_device_node(tmp_path, capsys):
-    """The zz_not_in_fleet payload under device node d000 stops serve before it binds."""
+    """A v1 file whose leaf payload leaves its device node stops serve before it binds."""
+    doc = json.loads((FIXTURES / "snapshot_v1.json").read_text())
+    leaf = next(n for n in doc["tree"]["nodes"] if n["kind"] == "semantics")
+    leaf["payload"]["device"] = "zz_not_in_fleet"
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(_malformed_v1(json.loads(SNAPSHOT_V1.read_text()))[-1]))
+    broken.write_text(json.dumps(doc))
     assert main(["serve", "--port", "0", "--snapshot", str(broken)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed snapshot") and "zz_not_in_fleet" in err, err
+    assert err.startswith("error: unsupported snapshot version 1;"), err
 
 
 # sha256 of the outputs of `twotsd simulate --config configs/<name> --snapshot`:
@@ -278,12 +270,12 @@ _PINNED_SIMULATE_SHA256 = {
     "default.yaml": (["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-        "snapshot.json": "2bce45c64a4d09d5f7363f1f60f34c989f432e23bfcb160d63cecabf7d6a6ed0",
+        "snapshot.json": "39a607ce202997c0475cf563ffdbbcf2251761aca2594f29d4039260977a9580",
     }),
     "large_fleet.yaml": ([], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
-        "snapshot.json": "c2ef4fa4d60a90480cb0087b2cda21c9bf04c1ef0510a3a543fc09e35d413042",
+        "snapshot.json": "2cfffe124f040eb7d980279adce1dd91f4e7ee60e826759cadc25d7d9c81118d",
     }),
 }
 

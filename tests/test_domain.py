@@ -232,10 +232,3 @@ def test_record_dict_round_trip(owner, collaborator, at, throughput, loss, proc,
 def test_task_dict_round_trip(size, density, deadline):
     task = make_task(size_mb=size, density_cpb=density, deadline_s=deadline)
     assert codec.task_from_dict(codec.task_to_dict(task)) == task
-
-
-def test_semantics_dict_round_trip():
-    ts = _semantics()
-    assert codec.semantics_from_dict(codec.semantics_to_dict(ts)) == ts
-    none_window = _semantics(window=None)
-    assert codec.semantics_from_dict(codec.semantics_to_dict(none_window)) == none_window

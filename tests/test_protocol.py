@@ -111,9 +111,20 @@ def test_round_trip_survives_value_ranges(sender, msg_id, sent_at, at, throughpu
     assert decode(encode(msg)) == msg
 
 
+def _semantics_doc(ts: TrustSemantics) -> dict:
+    """The semantics as a keyed document, as protocol v2 carried each candidate."""
+    return {
+        "device": ts.device, "task_type": ts.task_type, "state": ts.state.value,
+        "comm_trends": {k: v.value for k, v in ts.comm_trends.items()},
+        "comp_trends": {k: v.value for k, v in ts.comp_trends.items()},
+        "window": list(ts.window) if ts.window is not None else None,
+        "extracted_at": ts.extracted_at, "record_count": ts.record_count,
+    }
+
+
 def _reference_row(ts: TrustSemantics) -> list:
     """The semantics document's fields, picked by name in ``SEMANTICS_COLUMNS`` order."""
-    doc = codec.semantics_to_dict(ts)
+    doc = _semantics_doc(ts)
     window_from, window_to = doc["window"] or (None, None)
     fields = {**doc, **doc["comm_trends"], **doc["comp_trends"],
               "window_from": window_from, "window_to": window_to}
@@ -214,7 +225,9 @@ _PAYLOAD_STRATEGIES = {
     ),
     MessageKind.CANDIDATE_BUNDLE: _bundles(),
     MessageKind.ACK: st.builds(Ack, detail=st.none() | st.text(max_size=20)),
-    MessageKind.ERROR: st.builds(ErrorInfo, code=st.text(max_size=12), detail=st.text(max_size=30)),
+    MessageKind.ERROR: st.builds(
+        ErrorInfo, code=st.text(min_size=1, max_size=12), detail=st.text(max_size=30)
+    ),
 }
 
 
@@ -237,7 +250,7 @@ def test_version_byte_is_checked():
 
 
 # Frame size of ``_wide_bundle()`` under protocol v2, where each candidate was
-# its ``codec.semantics_to_dict`` document with the keys spelled out.
+# its keyed semantics document (``_semantics_doc``).
 _V2_WIDE_FRAME_BYTES = 244_143
 
 
@@ -386,9 +399,23 @@ def test_message_type_checks_its_header(field, value):
         Message(MessageKind.ACK, payload=Ack(), **fields)
 
 
+@pytest.mark.parametrize(
+    "kind, payload, field",
+    [("error", {"code": 5, "detail": "x"}, "code"), ("error", {"code": "", "detail": "x"}, "code"),
+     ("error", {"code": "stale_update", "detail": ["x"]}, "detail"), ("ack", {"detail": 7}, "detail")],
+    ids=["error-code-int", "error-code-empty", "error-detail-list", "ack-detail-int"],
+)
+def test_an_ack_or_error_payload_of_the_wrong_type_is_malformed(kind, payload, field):
+    doc = {"kind": kind, "msg_id": "m1", "sender": "server", "sent_at": 0, "payload": payload}
+    with pytest.raises(MalformedFrameError, match=f"bad {kind} payload: {field} must be"):
+        decode(_frame_of(doc))
+    ack = {**doc, "kind": "ack", "payload": {"detail": None}}
+    assert decode(_frame_of(ack)).payload == Ack()
+
+
 def test_a_v2_peer_gets_version_mismatch(server):
     msg = _messages()[3]
-    v2_doc = _bundle_doc([codec.semantics_to_dict(c.semantics) for c in msg.payload.candidates])
+    v2_doc = _bundle_doc([_semantics_doc(c.semantics) for c in msg.payload.candidates])
     with pytest.raises(VersionMismatchError, match="schema version 2, supported 3"):
         decode(_frame_of(v2_doc, version=2))
     request = bytearray(encode(_messages()[2]))
@@ -401,10 +428,10 @@ def test_a_v2_peer_gets_version_mismatch(server):
 
 
 def test_unhashable_semantics_label_is_a_validation_error():
-    doc = codec.semantics_to_dict(_sample_bundle().candidates[0].semantics)
-    doc["comm_trends"]["loss_rate"] = ["normal"]
+    row = codec.semantics_to_row(_sample_bundle().candidates[0].semantics)
+    row[codec.SEMANTICS_COLUMNS.index("loss_rate")] = ["normal"]
     with pytest.raises(ValidationError, match="bad semantics enum value"):
-        codec.semantics_from_dict(doc)
+        codec.semantics_from_row(row)
 
 
 def test_encode_refuses_a_body_over_the_cap(monkeypatch):

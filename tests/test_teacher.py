@@ -6,7 +6,7 @@ import pytest
 
 from twotsd.domain import Trend, TrustState, Verdict
 from twotsd.errors import StaleUpdateError, ValidationError
-from twotsd.memory import HistoryQuery, MemoryModule
+from twotsd.memory import HistoryQuery
 from twotsd.semantics import DeterministicEngine
 from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, TeacherConfig
 
@@ -141,10 +141,3 @@ def test_bundle_constructor_type_checks_its_header(task_id, generated_at, field)
 def test_teacher_config_validates_window():
     with pytest.raises(ValidationError):
         TeacherConfig(history_window_k=0)
-
-
-def test_explicit_record_ids_flow_through_to_history():
-    memory = MemoryModule()
-    teacher = TeacherAgent(memory=memory)
-    teacher.handle_performance_record(make_record(), record_id=41)
-    assert [rid for rid, _ in memory.history.all_records()] == [41]
