@@ -51,7 +51,7 @@ from .semantics import (
 )
 from .simulation import LatencyModel, RunResult, ScenarioConfig, run_scenario
 from .student import DecisionPolicy, PolicyKind, decide, default_adverse_map
-from .teacher import Candidate, CandidateBundle, TeacherAgent, TeacherConfig
+from .teacher import Candidate, CandidateBundle, TeacherAgent
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "Task",
     "TaskType",
     "TeacherAgent",
-    "TeacherConfig",
     "TimestampMs",
     "Trend",
     "TrendConfig",

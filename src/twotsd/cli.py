@@ -23,6 +23,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
@@ -32,11 +34,9 @@ import yaml
 from . import __version__
 from .codec import canonical_json_bytes
 from .errors import ConfigError, TwoTsdError, ValidationError
-from .matching import MatchConfig
 from .memory import SNAPSHOT_VERSION, MemoryModule
-from .semantics import DeterministicEngine, StateConfig, TrendConfig
+from .semantics import DeterministicEngine
 from .simulation import (
-    LatencyModel,
     MethodSummary,
     RunResult,
     ScenarioConfig,
@@ -47,66 +47,67 @@ from .simulation import (
     write_summary_csv,
     write_tasks_csv,
 )
-from .student import DecisionPolicy, PolicyKind, default_adverse_map
-from .domain import Trend
 
-_NESTED_SECTIONS = {
-    "latency": LatencyModel,
-    "trend": TrendConfig,
-    "state": StateConfig,
-    "match": MatchConfig,
-}
+def _error(path: str, message: str) -> ConfigError:
+    """``message`` about the key at dotted ``path``, naming its section if nested."""
+    section, dot, _ = path.partition(".")
+    return ConfigError(f"bad {section} section: {message}" if dot else message)
 
 
-def _policy_from_dict(doc: dict[str, Any]) -> DecisionPolicy:
-    doc = dict(doc)
-    kwargs: dict[str, Any] = {}
-    if "kind" in doc:
-        kwargs["kind"] = PolicyKind(doc.pop("kind"))
-    if "adverse_map" in doc:
-        raw = doc.pop("adverse_map")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"bad policy section: adverse_map must be a mapping, got {raw!r}")
-        kwargs["adverse_map"] = {m: Trend(t) for m, t in raw.items()}
-    kwargs.update(doc)
-    return DecisionPolicy(**kwargs)
+def _build(tp: Any, value: Any, path: str) -> Any:
+    """``value`` parsed as ``tp``, a config field's type; ``path`` is its dotted key.
+
+    Dataclasses and ``dict[K, V]`` come from mappings, ``tuple[X, ...]`` from
+    lists and an ``Enum`` from a member's value. Other types must match exactly,
+    except that an int stands, unconverted, for a float. Range checks stay in
+    each class's ``__post_init__``.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _error(path, f"{path or 'config'} must be a mapping, got {value!r}")
+        hints = typing.get_type_hints(tp)
+        fields = {f.name: hints[f.name] for f in dataclasses.fields(tp)}
+        kwargs = {}
+        for name, raw in value.items():
+            key = f"{path}.{name}" if path else str(name)
+            if name not in fields:
+                raise _error(key, f"unknown config key {key!r}")
+            kwargs[name] = _build(fields[name], raw, key)
+        try:
+            return tp(**kwargs)
+        except (ConfigError, ValidationError) as exc:
+            key = ".".join(p for p in (path, exc.field) if p)
+            raise _error(key, f"{key}: {exc}" if key else str(exc)) from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _build(tp, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise _error(path, f"{path} must be a list, got {value!r}")
+        return tuple(_build(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise _error(path, f"{path} must be a mapping, got {value!r}")
+        return {
+            _build(args[0], k, f"{path} key {k!r}"): _build(args[1], v, f"{path}.{k}")
+            for k, v in value.items()
+        }
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except (ValueError, TypeError):
+            raise _error(path, f"{path} must be one of {[m.value for m in tp]}, got {value!r}") from None
+    if type(value) is tp or (tp is float and type(value) is int):
+        return value
+    raise _error(path, f"{path} must be {tp.__name__}, got {value!r}")
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
-    """Build a scenario from a plain mapping (YAML shape)."""
-    doc = dict(doc)
-    kwargs: dict[str, Any] = {}
-    for key, cls in _NESTED_SECTIONS.items():
-        if key in doc:
-            section = doc.pop(key)
-            if not isinstance(section, dict):
-                raise ConfigError(f"config section {key!r} must be a mapping")
-            try:
-                kwargs[key] = cls(**section)
-            except TypeError as exc:
-                raise ConfigError(f"bad {key} section: {exc}") from None
-    if "policy" in doc:
-        section = doc.pop("policy")
-        if not isinstance(section, dict):
-            raise ConfigError("config section 'policy' must be a mapping")
-        try:
-            kwargs["policy"] = _policy_from_dict(section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad policy section: {exc}") from None
-    if "task_types" in doc:
-        task_types = doc.pop("task_types")
-        if not isinstance(task_types, list):
-            raise ConfigError(f"task_types must be a list, got {task_types!r}")
-        kwargs["task_types"] = tuple(task_types)
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-    kwargs.update(doc)
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    """Build a scenario from a plain mapping (YAML shape), checking every value."""
+    return _build(ScenarioConfig, doc, "")
 
 
 def to_jsonable(value: Any) -> Any:
@@ -318,14 +319,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .protocol import TrustServer
-    from .teacher import TeacherAgent, TeacherConfig
+    from .teacher import TeacherAgent
 
     cfg = load_scenario(args.config, args.override, args.seed)
     memory = MemoryModule.load(args.snapshot) if args.snapshot else MemoryModule()
     engine = _build_engine(args, cfg)
-    teacher = TeacherAgent(
-        memory, engine, cfg.match, TeacherConfig(history_window_k=cfg.teacher_window_k)
-    )
+    teacher = TeacherAgent(memory, engine, cfg.match, cfg.teacher_window_k)
     server = TrustServer(
         teacher, host=args.host, port=args.port, clock=lambda: int(time.time() * 1000)
     )

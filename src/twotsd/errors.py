@@ -8,23 +8,23 @@ from __future__ import annotations
 
 
 class TwoTsdError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. ``field`` names the offending field."""
 
     code = "error"
 
-    def __init__(self, message: str):
+    def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.message = message
+        self.field = field
 
 
 class ValidationError(TwoTsdError):
-    """A value failed its invariants. ``field`` names the offending field."""
+    """A value failed its invariants."""
 
     code = "validation"
 
     def __init__(self, message: str, field: str | None = None, code: str | None = None):
-        super().__init__(message)
-        self.field = field
+        super().__init__(message, field)
         if code is not None:
             self.code = code
 

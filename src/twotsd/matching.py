@@ -38,7 +38,7 @@ class MatchConfig:
     staleness_s: float = 300.0
 
     def __post_init__(self):
-        if self.staleness_s <= 0:
+        if not self.staleness_s > 0:  # refuses NaN too
             raise ValidationError("staleness_s must be > 0", field="staleness_s")
 
 

@@ -52,10 +52,15 @@ class TrendConfig:
     def __post_init__(self):
         if self.n_min < 2:
             raise ValidationError("n_min must be >= 2", field="n_min")
-        if self.rel_slope_threshold <= 0:
+        # Each `not x > 0` refuses NaN as well.
+        if not self.rel_slope_threshold > 0:
             raise ValidationError("rel_slope_threshold must be > 0", field="rel_slope_threshold")
-        if self.abs_floor < 0:
-            raise ValidationError("abs_floor must be >= 0", field="abs_floor")
+        # Each floor divides a slope in _classify.
+        floors = {"abs_floor": self.abs_floor}
+        floors.update((f"metric_floors.{m}", f) for m, f in self.metric_floors.items())
+        for name, floor in floors.items():
+            if not floor > 0:
+                raise ValidationError(f"{name} must be > 0", field=name)
 
     def floor_for(self, metric: str) -> float:
         return self.metric_floors.get(metric, self.abs_floor)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -71,7 +72,7 @@ from .matching import MatchConfig, evaluate_chain
 from .memory import HistoryQuery, HistoryStore, MemoryModule
 from .semantics import DeterministicEngine, StateConfig, TrendConfig, extract_semantics
 from .student import DecisionPolicy, decide
-from .teacher import TeacherAgent, TeacherConfig, assemble_bundle
+from .teacher import TeacherAgent, assemble_bundle
 
 METHOD_2TSD = "2tsd"
 METHOD_BASELINE = "baseline"
@@ -100,6 +101,11 @@ class LatencyModel:
     c_rec_s: float = 0.002  # transferring one history record
     c_eng_s: float = 0.2  # one trust evaluation pass
     c_ret_s: float = 1e-5  # reading one semantics entry from memory
+
+    def __post_init__(self):
+        for name, cost in vars(self).items():
+            if not 0 <= cost < math.inf:  # refuses NaN too
+                raise ConfigError(f"{name} must be finite and >= 0", field=name)
 
 
 @dataclass(frozen=True)
@@ -166,8 +172,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be within [0, 1]")
         if self.drifter_fraction > self.unreliable_fraction:
             raise ConfigError("drifter_fraction cannot exceed unreliable_fraction")
-        if self.teacher_window_k < 1 or self.baseline_window_k < 1:
-            raise ConfigError("window sizes must be >= 1")
+        for name in ("teacher_window_k", "baseline_window_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.ambient_every_n_tasks < 0:
             raise ConfigError("ambient_every_n_tasks must be >= 0")
 
@@ -410,7 +417,7 @@ class ServedWorld:
             MemoryModule(),
             engine or DeterministicEngine(cfg.trend, cfg.state),
             cfg.match,
-            TeacherConfig(history_window_k=cfg.teacher_window_k),
+            cfg.teacher_window_k,
         )
         self.history = self.teacher.memory.history
         for truth in truths:

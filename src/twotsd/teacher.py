@@ -89,20 +89,6 @@ class CandidateBundle:
         return [c.device for c in self.candidates]
 
 
-@dataclass(frozen=True)
-class TeacherConfig:
-    """Orchestration knobs.
-
-    ``history_window_k``: how many newest records feed each extraction.
-    """
-
-    history_window_k: int = 20
-
-    def __post_init__(self):
-        if self.history_window_k < 1:
-            raise ValidationError("history_window_k must be >= 1", field="history_window_k")
-
-
 class TeacherAgent:
     """The server-side agent. Owns a MemoryModule and a SemanticsEngine."""
 
@@ -111,12 +97,14 @@ class TeacherAgent:
         memory: MemoryModule | None = None,
         engine: SemanticsEngine | None = None,
         match_cfg: MatchConfig | None = None,
-        cfg: TeacherConfig | None = None,
+        window_k: int = 20,  # how many newest records feed each extraction
     ):
+        if window_k < 1:
+            raise ValidationError("window_k must be >= 1", field="window_k")
         self.memory = memory or MemoryModule()
         self.engine = engine or DeterministicEngine()
         self.match_cfg = match_cfg or MatchConfig()
-        self.cfg = cfg or TeacherConfig()
+        self.window_k = window_k
         self._extraction_locks: dict[tuple[DeviceId, str], threading.Lock] = {}
         self._locks_guard = threading.Lock()
 
@@ -139,7 +127,7 @@ class TeacherAgent:
         # same pair cannot interleave query and upsert (lost updates).
         with self._lock_for((device, task_type)):
             window = self.memory.history.query(
-                HistoryQuery(device, task_type, last_k=self.cfg.history_window_k)
+                HistoryQuery(device, task_type, last_k=self.window_k)
             )
             semantics = self.engine.extract(device, task_type, window)
             self.memory.semantics.upsert(semantics)

@@ -224,16 +224,19 @@ def test_criterion_5_oracle_equivalences():
         assert verdict.carry == pytest.approx(t_tx + t_cp, abs=1e-9)
         assert verdict.matched == (verdict.carry <= task.deadline_s)
 
-    # Window queries vs brute-force filtering over the same log.
+    # Window queries vs brute-force filtering over the same log. Each record
+    # is distinct, so records that tie on `at` must come back in arrival order.
     store = HistoryStore()
     mirror = []
-    for _ in range(500):
+    for i in range(500):
         rec = make_record(
             collaborator=rng.choice(["a_j", "a_k", "a_l"]),
             task_type=rng.choice(["face_recognition", "video_transcoding"]),
             at=rng.randrange(0, 3_000),
+            throughput_mbps=float(i),
         )
-        mirror.append((store.append(rec), rec))
+        store.append(rec)
+        mirror.append((i, rec))
     for _ in range(1_000):
         query = HistoryQuery(
             collaborator=rng.choice(["a_j", "a_k", "a_l"]),
@@ -246,8 +249,8 @@ def test_criterion_5_oracle_equivalences():
         )
         hits = sorted(
             (
-                (rec.at, rid, rec)
-                for rid, rec in mirror
+                (rec.at, arrival, rec)
+                for arrival, rec in mirror
                 if rec.collaborator == query.collaborator
                 and rec.task_type == query.task_type
             ),

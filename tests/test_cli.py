@@ -100,6 +100,13 @@ def test_policy_section_parses_enums():
     assert cfg.policy.adverse_map["loss_rate"] is Trend.INCREASING
 
 
+def test_config_values_keep_their_parsed_type():
+    # An int stands for a float unconverted, so the manifest echoes the config.
+    cfg = load_scenario(None, ["match.staleness_s=300", "policy.seed=4"], None)
+    assert type(cfg.match.staleness_s) is int and cfg.policy.seed == 4
+    assert load_scenario(None, ["policy.seed=null"], None).policy.seed is None
+
+
 def test_to_jsonable_flattens_config():
     doc = to_jsonable(ScenarioConfig())
     assert doc["device_count"] == 10
@@ -140,10 +147,29 @@ def test_simulate_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x"),
                  "--config", str(tmp_path / "missing.yaml")]) == 2
     capsys.readouterr()
-    for override in ("policy.adverse_map=5", "task_types=5"):  # not a mapping, not a list
+    for override in (
+        "policy.adverse_map=5",  # not a mapping
+        "task_types=5",  # not a list
+        "latency.l_msg_s=abc",
+        "teacher_window_k=1.5",
+        "warmup_records=2.5",
+        "trend.metric_floors=5",
+        "trend.metric_floors={loss_rate: abc}",
+        "seed=abc",
+        "policy.strict_trends=maybe",
+        "state.n_min=2.5",  # a float is not an int
+        "seed=true",  # nor is a bool
+        "reliable_rate=true",
+        "task_types=[1]",
+        "latency.c_eng_s=-1",  # range checks name the dotted key too
+        "trend.abs_floor=0",
+        "trend.rel_slope_threshold=.nan",
+        "match.staleness_s=.nan",  # would make every profile stale
+    ):
         assert main(["simulate", "--out", str(tmp_path / "x"), "--override", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert override.partition("=")[0] in err, err  # names the dotted key
     removed = tmp_path / "removed.yaml"  # a match key that no longer exists
     removed.write_text("match:\n  staleness_s: 300.0\n  include_result_return: false\n")
     capsys.readouterr()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twotsd.domain import Trend, TrustState, Verdict
-from twotsd.errors import HeterogeneousInputError, UnsortedInputError
+from twotsd.errors import HeterogeneousInputError, UnsortedInputError, ValidationError
 from twotsd.semantics import (
     DeterministicEngine,
     StateConfig,
@@ -100,6 +100,19 @@ def test_metric_floor_suppresses_noise_near_zero():
     assert detect_trend(_series(values), TREND_CFG) is Trend.INCREASING
     floored = TrendConfig(n_min=5, rel_slope_threshold=0.10, abs_floor=0.05)
     assert detect_trend(_series(values), floored) is Trend.NORMAL
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"abs_floor": 0.0}, "abs_floor"),
+    ({"abs_floor": math.nan}, "abs_floor"),
+    ({"metric_floors": {"loss_rate": 0.0}}, "metric_floors.loss_rate"),
+    ({"metric_floors": {"loss_rate": -1.0}}, "metric_floors.loss_rate"),
+])
+def test_trend_floors_must_be_positive(over, field):
+    # A floor divides the slope: at 0 an all-zero loss window divides by zero.
+    with pytest.raises(ValidationError) as info:
+        TrendConfig(**over)
+    assert info.value.field == field
 
 
 @settings(max_examples=200)

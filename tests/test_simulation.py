@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from twotsd.simulation import (
     STORAGE_MB_RANGE,
     TASK_CLASSES,
     DeviceTruth,
+    LatencyModel,
     MethodSummary,
     Role,
     ScenarioConfig,
@@ -223,6 +225,14 @@ def test_disabling_ambient_rounds_shrinks_history():
     picks = sum(1 for r in quiet.rows_for(METHOD_2TSD) if r.selected is not None)
     assert len(quiet.teacher_memory.history) == warmup + picks
     assert len(chatty.teacher_memory.history) > len(quiet.teacher_memory.history)
+
+
+@pytest.mark.parametrize("cost", [-1.0, -1e-9, math.inf, math.nan])
+def test_latency_model_rejects_negative_or_non_finite_costs(cost):
+    with pytest.raises(ConfigError) as info:
+        LatencyModel(c_eng_s=cost)
+    assert info.value.field == "c_eng_s"
+    assert LatencyModel(c_eng_s=0.0).c_eng_s == 0.0
 
 
 def test_scenario_config_validation():

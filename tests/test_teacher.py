@@ -8,7 +8,7 @@ from twotsd.domain import Trend, TrustState, Verdict
 from twotsd.errors import StaleUpdateError, ValidationError
 from twotsd.memory import HistoryQuery
 from twotsd.semantics import DeterministicEngine
-from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, TeacherConfig
+from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent
 
 from _builders import make_profile, make_record, make_records, make_task
 
@@ -25,7 +25,7 @@ def test_ingest_updates_tree_incrementally():
 
 
 def test_extraction_window_is_trimmed_to_last_k():
-    teacher = TeacherAgent(cfg=TeacherConfig(history_window_k=5))
+    teacher = TeacherAgent(window_k=5)
     # 20 old satisfied records, then 5 unsatisfied: K=5 sees only failures.
     for rec in make_records(20):
         teacher.handle_performance_record(rec)
@@ -138,6 +138,6 @@ def test_bundle_constructor_type_checks_its_header(task_id, generated_at, field)
         CandidateBundle(task_id, (_candidate("d1"),), generated_at)
 
 
-def test_teacher_config_validates_window():
-    with pytest.raises(ValidationError):
-        TeacherConfig(history_window_k=0)
+def test_teacher_validates_window_k():
+    with pytest.raises(ValidationError, match="window_k"):
+        TeacherAgent(window_k=0)
