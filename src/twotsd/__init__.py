@@ -50,7 +50,7 @@ from .semantics import (
     extract_semantics,
 )
 from .simulation import LatencyModel, RunResult, ScenarioConfig, run_scenario
-from .student import DecisionPolicy, PolicyKind, decide, default_adverse_map
+from .student import DecisionPolicy, decide
 from .teacher import Candidate, CandidateBundle, TeacherAgent
 
 __version__ = "0.1.0"
@@ -77,7 +77,6 @@ __all__ = [
     "MatchVerdict",
     "MemoryModule",
     "PerformanceRecord",
-    "PolicyKind",
     "ProtocolError",
     "RemoteEngineError",
     "ResourceProfile",
@@ -106,7 +105,6 @@ __all__ = [
     "VersionMismatchError",
     "aggregate_state",
     "decide",
-    "default_adverse_map",
     "detect_trend",
     "evaluate_chain",
     "extract_semantics",

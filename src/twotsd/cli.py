@@ -23,9 +23,7 @@ import json
 import os
 import sys
 import time
-import types
 import typing
-from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -54,36 +52,34 @@ def _error(path: str, message: str) -> ConfigError:
     return ConfigError(f"bad {section} section: {message}" if dot else message)
 
 
-def _build(tp: Any, value: Any, path: str) -> Any:
+def _build(tp: Any, value: Any, path: str, default: Any = dataclasses.MISSING) -> Any:
     """``value`` parsed as ``tp``, a config field's type; ``path`` is its dotted key.
 
-    Dataclasses and ``dict[K, V]`` come from mappings, ``tuple[X, ...]`` from
-    lists and an ``Enum`` from a member's value. Other types must match exactly,
-    except that an int stands, unconverted, for a float. Range checks stay in
-    each class's ``__post_init__``.
+    Dataclasses and ``dict[K, V]`` come from mappings and ``tuple[X, ...]``
+    from lists. A nested dataclass starts from the field's ``default``, so the
+    keys a section leaves out keep the scenario's values. Other types must
+    match exactly, except that an int stands, unconverted, for a float. Range
+    checks stay in each class's ``__post_init__``.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise _error(path, f"{path or 'config'} must be a mapping, got {value!r}")
         hints = typing.get_type_hints(tp)
-        fields = {f.name: hints[f.name] for f in dataclasses.fields(tp)}
+        fields = {f.name: f for f in dataclasses.fields(tp)}
         kwargs = {}
         for name, raw in value.items():
             key = f"{path}.{name}" if path else str(name)
             if name not in fields:
                 raise _error(key, f"unknown config key {key!r}")
-            kwargs[name] = _build(fields[name], raw, key)
+            kwargs[name] = _build(hints[name], raw, key, fields[name].default)
         try:
-            return tp(**kwargs)
+            if default is dataclasses.MISSING:
+                return tp(**kwargs)
+            return dataclasses.replace(default, **kwargs)
         except (ConfigError, ValidationError) as exc:
             key = ".".join(p for p in (path, exc.field) if p)
             raise _error(key, f"{key}: {exc}" if key else str(exc)) from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
-        if value is None and type(None) in args:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _build(tp, value, path)
     if origin is tuple:
         if not isinstance(value, list):
             raise _error(path, f"{path} must be a list, got {value!r}")
@@ -95,11 +91,6 @@ def _build(tp: Any, value: Any, path: str) -> Any:
             _build(args[0], k, f"{path} key {k!r}"): _build(args[1], v, f"{path}.{k}")
             for k, v in value.items()
         }
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        try:
-            return tp(value)
-        except (ValueError, TypeError):
-            raise _error(path, f"{path} must be one of {[m.value for m in tp]}, got {value!r}") from None
     if type(value) is tp or (tp is float and type(value) is int):
         return value
     raise _error(path, f"{path} must be {tp.__name__}, got {value!r}")
@@ -111,14 +102,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
 
 
 def to_jsonable(value: Any) -> Any:
-    """Dataclasses, enums and tuples down to plain JSON types."""
+    """Dataclasses and tuples down to plain JSON types."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: to_jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -35,7 +35,7 @@ DEFAULT_TASK_TYPES: tuple[TaskType, ...] = (
     TEXT_WORD_COUNT,
 )
 
-# Metric names used throughout semantics extraction and student policies.
+# Metric names used throughout semantics extraction and the student's decision.
 COMM_METRICS: tuple[str, str] = ("throughput", "loss_rate")
 COMP_METRICS: tuple[str, str] = ("accuracy", "proc_speed")
 

@@ -166,10 +166,12 @@ class ScenarioConfig:
             if tt not in TASK_CLASSES:
                 raise ConfigError(f"no task class defined for task type {tt!r}")
         for name in ("unreliable_fraction", "drifter_fraction", "reliable_rate",
-                     "unreliable_rate", "drifter_rate"):
+                     "unreliable_rate", "drifter_rate", "base_loss", "drifter_base_loss"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= value <= 1.0:  # refuses NaN too
                 raise ConfigError(f"{name} must be within [0, 1]")
+        if not 0.0 <= self.drift_loss_per_record < math.inf:
+            raise ConfigError("drift_loss_per_record must be finite and >= 0")
         if self.drifter_fraction > self.unreliable_fraction:
             raise ConfigError("drifter_fraction cannot exceed unreliable_fraction")
         for name in ("teacher_window_k", "baseline_window_k"):

@@ -10,16 +10,15 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import twotsd
 from twotsd.cli import apply_override, load_scenario, main, parse_int_list, to_jsonable
-from twotsd.domain import Trend
 from twotsd.errors import ConfigError
 from twotsd.simulation import ScenarioConfig
-from twotsd.student import PolicyKind
 
 
 def test_parse_int_list_forms():
@@ -54,14 +53,14 @@ def test_load_scenario_file_overrides_and_seed(tmp_path):
         "device_count: 8\n"
         "task_count: 40\n"
         "latency:\n  l_msg_s: 0.07\n"
-        "policy:\n  kind: first_match\n"
+        "policy:\n  strict_trends: true\n"
     )
     cfg = load_scenario(str(path), ["device_count=12"], seed=9)
     assert cfg.seed == 9  # --seed beats both file and override
     assert cfg.device_count == 12  # override beats file
     assert cfg.task_count == 40
     assert cfg.latency.l_msg_s == 0.07
-    assert cfg.policy.kind is PolicyKind.FIRST_MATCH
+    assert cfg.policy.strict_trends is True
 
 
 def test_load_scenario_defaults_without_file():
@@ -89,28 +88,25 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         load_scenario(str(path), [], None)
 
 
-def test_policy_section_parses_enums():
-    cfg = load_scenario(
-        None,
-        ["policy.kind=trend_averse", "policy.adverse_map.loss_rate=increasing",
-         "policy.adverse_map.throughput=decreasing", "policy.adverse_map.accuracy=decreasing",
-         "policy.adverse_map.proc_speed=decreasing"],
-        None,
-    )
-    assert cfg.policy.adverse_map["loss_rate"] is Trend.INCREASING
+def test_sections_start_from_the_scenario_defaults(tmp_path):
+    # A key a section leaves out keeps the scenario's value, not its class's.
+    cfg = load_scenario(None, ["trend.n_min=6"], None)
+    assert cfg.trend == replace(ScenarioConfig().trend, n_min=6)
+    path = tmp_path / "scenario.yaml"
+    path.write_text("match: {}\n")
+    assert load_scenario(str(path), [], None).match.staleness_s == 1e9
 
 
 def test_config_values_keep_their_parsed_type():
     # An int stands for a float unconverted, so the manifest echoes the config.
-    cfg = load_scenario(None, ["match.staleness_s=300", "policy.seed=4"], None)
-    assert type(cfg.match.staleness_s) is int and cfg.policy.seed == 4
-    assert load_scenario(None, ["policy.seed=null"], None).policy.seed is None
+    cfg = load_scenario(None, ["match.staleness_s=300"], None)
+    assert type(cfg.match.staleness_s) is int
 
 
 def test_to_jsonable_flattens_config():
     doc = to_jsonable(ScenarioConfig())
     assert doc["device_count"] == 10
-    assert doc["policy"]["kind"] == "trend_averse"
+    assert doc["policy"] == {"strict_trends": False}
     assert doc["trend"]["metric_floors"] == {"loss_rate": 0.05}
     json.dumps(doc)  # fully JSON-serializable
 
@@ -148,7 +144,9 @@ def test_simulate_exit_code_2_on_bad_config(tmp_path, capsys):
                  "--config", str(tmp_path / "missing.yaml")]) == 2
     capsys.readouterr()
     for override in (
-        "policy.adverse_map=5",  # not a mapping
+        "policy.adverse_map=5",  # removed policy keys
+        "policy.kind=first_match",
+        "policy.seed=4",
         "task_types=5",  # not a list
         "latency.l_msg_s=abc",
         "teacher_window_k=1.5",
@@ -165,11 +163,21 @@ def test_simulate_exit_code_2_on_bad_config(tmp_path, capsys):
         "trend.abs_floor=0",
         "trend.rel_slope_threshold=.nan",
         "match.staleness_s=.nan",  # would make every profile stale
+        "base_loss=-5",
+        "base_loss=.nan",
+        "drifter_base_loss=2",
+        "drift_loss_per_record=-1",
+        "drift_loss_per_record=.nan",
     ):
         assert main(["simulate", "--out", str(tmp_path / "x"), "--override", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert override.partition("=")[0] in err, err  # names the dotted key
+    # A key under a removed one names the removed key.
+    assert main(["simulate", "--out", str(tmp_path / "x"),
+                 "--override", "policy.adverse_map.loss_rate=increasing"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad policy section: unknown config key 'policy.adverse_map'\n", err
     removed = tmp_path / "removed.yaml"  # a match key that no longer exists
     removed.write_text("match:\n  staleness_s: 300.0\n  include_result_return: false\n")
     capsys.readouterr()

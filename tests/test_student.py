@@ -1,20 +1,12 @@
-"""Student decision policies over candidate bundles."""
+"""The student's decision over candidate bundles."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from twotsd.domain import COMM_METRICS, COMP_METRICS, Trend, TrustSemantics, TrustState
-from twotsd.errors import ValidationError
-from twotsd.student import (
-    DecisionPolicy,
-    PolicyKind,
-    adverse_trend_count,
-    decide,
-    default_adverse_map,
-)
+from twotsd.student import ADVERSE, DecisionPolicy, adverse_trend_count, decide
 from twotsd.teacher import Candidate, CandidateBundle
 
 
@@ -39,8 +31,8 @@ def _candidate(device: str, **trend_over) -> Candidate:
     return Candidate(sem, True)
 
 
-def _bundle(*candidates: Candidate, task_id: str = "c2") -> CandidateBundle:
-    return CandidateBundle(task_id, tuple(sorted(candidates, key=lambda c: c.device)), 0)
+def _bundle(*candidates: Candidate) -> CandidateBundle:
+    return CandidateBundle("c2", tuple(sorted(candidates, key=lambda c: c.device)), 0)
 
 
 def test_trend_averse_avoids_rising_loss():
@@ -81,36 +73,11 @@ def test_empty_bundle_yields_none():
     assert decide(CandidateBundle("c2", (), 0)) is None
 
 
-def test_first_match_takes_lowest_device_id():
-    bundle = _bundle(_candidate("a_k"), _candidate("a_j", loss_rate=Trend.INCREASING))
-    assert decide(bundle, DecisionPolicy(kind=PolicyKind.FIRST_MATCH)) == "a_j"
-
-
-def test_random_seeded_is_deterministic_and_task_sensitive():
-    policy = DecisionPolicy(kind=PolicyKind.RANDOM_SEEDED, seed=7)
-    devices = [f"a_{chr(ord('a') + i)}" for i in range(8)]
-    bundle = _bundle(*[_candidate(d) for d in devices])
-    first = decide(bundle, policy)
-    assert first == decide(bundle, policy)  # pure in (bundle, policy)
-    picks = {
-        decide(_bundle(*[_candidate(d) for d in devices], task_id=f"c{i}"), policy)
-        for i in range(30)
-    }
-    assert len(picks) > 1  # task id varies the draw
-    assert picks <= set(devices)
-
-
-@given(seed=st.integers(0, 2**32 - 1), task_id=st.text(min_size=1, max_size=12))
-def test_random_seeded_always_in_bundle(seed, task_id):
-    policy = DecisionPolicy(kind=PolicyKind.RANDOM_SEEDED, seed=seed)
-    bundle = _bundle(_candidate("a_j"), _candidate("a_k"), _candidate("a_l"), task_id=task_id)
-    assert decide(bundle, policy) in {"a_j", "a_k", "a_l"}
-
-
 def test_adverse_trend_count_matches_map():
+    assert set(ADVERSE) == set(COMM_METRICS) | set(COMP_METRICS)
     c = _candidate("a_j", loss_rate=Trend.INCREASING, proc_speed=Trend.DECREASING)
-    assert adverse_trend_count(c, default_adverse_map()) == 2
-    assert adverse_trend_count(_candidate("a_k"), default_adverse_map()) == 0
+    assert adverse_trend_count(c) == 2
+    assert adverse_trend_count(_candidate("a_k")) == 0
 
 
 def _reference_trend_averse(bundle: CandidateBundle, policy: DecisionPolicy):
@@ -118,7 +85,7 @@ def _reference_trend_averse(bundle: CandidateBundle, policy: DecisionPolicy):
     counts = []
     for c in bundle.candidates:
         trends = c.semantics.all_trends()
-        counts.append((sum(1 for m, bad in policy.adverse_map.items() if trends.get(m) is bad), c.device))
+        counts.append((sum(1 for m, bad in ADVERSE.items() if trends.get(m) is bad), c.device))
     clean = [device for n, device in counts if n == 0]
     if clean:
         return clean[0]
@@ -134,14 +101,13 @@ _TRENDS = st.sampled_from(list(Trend))
 def _trend_bundles(draw):
     devices = sorted(draw(st.lists(st.text(min_size=1, max_size=4), max_size=12, unique=True)))
     all_adverse = draw(st.booleans())
-    adverse_map = {m: draw(_TRENDS) for m in COMM_METRICS + COMP_METRICS}
-    policy = DecisionPolicy(adverse_map=adverse_map, strict_trends=draw(st.booleans()))
+    policy = DecisionPolicy(strict_trends=draw(st.booleans()))
     candidates = []
     for device in devices:
         trends = {m: draw(_TRENDS) for m in COMM_METRICS + COMP_METRICS}
         if all_adverse:  # at least one adverse trend on every candidate
             metric = draw(st.sampled_from(sorted(trends)))
-            trends[metric] = adverse_map[metric]
+            trends[metric] = ADVERSE[metric]
         candidates.append(_candidate(device, **trends))
     return CandidateBundle("c2", tuple(candidates), 0), policy
 
@@ -150,10 +116,5 @@ def _trend_bundles(draw):
 def test_trend_averse_picks_what_counting_every_candidate_picks(case):
     bundle, policy = case
     assert decide(bundle, policy) == _reference_trend_averse(bundle, policy)
+    assert decide(bundle) == decide(bundle, DecisionPolicy())  # the one-argument call
 
-
-def test_policy_validation():
-    with pytest.raises(ValidationError):
-        DecisionPolicy(adverse_map={"loss_rate": Trend.INCREASING})
-    with pytest.raises(ValidationError):
-        DecisionPolicy(kind=PolicyKind.RANDOM_SEEDED)  # seed required
