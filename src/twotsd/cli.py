@@ -56,10 +56,11 @@ def _build(tp: Any, value: Any, path: str, default: Any = dataclasses.MISSING) -
     """``value`` parsed as ``tp``, a config field's type; ``path`` is its dotted key.
 
     Dataclasses and ``dict[K, V]`` come from mappings and ``tuple[X, ...]``
-    from lists. A nested dataclass starts from the field's ``default``, so the
-    keys a section leaves out keep the scenario's values. Other types must
-    match exactly, except that an int stands, unconverted, for a float. Range
-    checks stay in each class's ``__post_init__``.
+    from lists. A nested dataclass starts from ``default``, the section's
+    current value, and a ``dict[K, V]`` is merged over its ``default``, so
+    the keys a section or mapping leaves out keep the scenario's values.
+    Other types must match exactly, except that an int stands, unconverted,
+    for a float. Range checks stay in each class's ``__post_init__``.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -71,7 +72,8 @@ def _build(tp: Any, value: Any, path: str, default: Any = dataclasses.MISSING) -
             key = f"{path}.{name}" if path else str(name)
             if name not in fields:
                 raise _error(key, f"unknown config key {key!r}")
-            kwargs[name] = _build(hints[name], raw, key, fields[name].default)
+            current = fields[name].default if default is dataclasses.MISSING else getattr(default, name)
+            kwargs[name] = _build(hints[name], raw, key, current)
         try:
             if default is dataclasses.MISSING:
                 return tp(**kwargs)
@@ -87,10 +89,11 @@ def _build(tp: Any, value: Any, path: str, default: Any = dataclasses.MISSING) -
     if origin is dict:
         if not isinstance(value, dict):
             raise _error(path, f"{path} must be a mapping, got {value!r}")
-        return {
+        given = {
             _build(args[0], k, f"{path} key {k!r}"): _build(args[1], v, f"{path}.{k}")
             for k, v in value.items()
         }
+        return given if default is dataclasses.MISSING else {**default, **given}
     if type(value) is tp or (tp is float and type(value) is int):
         return value
     raise _error(path, f"{path} must be {tp.__name__}, got {value!r}")

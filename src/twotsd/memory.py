@@ -17,11 +17,14 @@ write. :class:`MemoryModule` bundles the three and snapshots them to a single
 versioned JSON file (``load(save(state)) == state``), written atomically
 (temp file, fsync, rename).
 
-Snapshot version 3 stores history as positional rows in the column order
-:data:`HISTORY_COLUMNS` (no per-file header, no record ids), pair by pair in
-sorted pair order and each pair in store order, and the tree as the leaves'
-wire rows (``codec.semantics_to_row``) sorted by (task type, device). Loading
-replays each history row as an append and reads each leaf through the
+Snapshot version 4 stores history in columns: one entry per pair, in sorted
+pair order, laid out as :data:`HISTORY_COLUMNS` (no per-file header, no
+record ids). Each column is a list in store order, ``satisfied`` holds
+booleans and ``extras`` is sparse, ``[index, mapping]`` for each record whose
+``extra`` is not empty. The tree is stored as the leaves' wire rows
+(``codec.semantics_to_row``) sorted by (task type, device). Loading builds
+each pair's list straight from its columns through the validating
+``PerformanceRecord`` constructor, and reads each leaf through the
 validating ``codec.semantics_from_row``. Any other version is refused: a
 snapshot is rebuilt from its scenario config and seed, not migrated.
 """
@@ -29,13 +32,15 @@ snapshot is rebuilt from its scenario config and seed, not migrated.
 from __future__ import annotations
 
 import bisect
+import gc
 import json
 import operator
 import os
 import threading
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from . import codec
 from .domain import (
@@ -45,25 +50,28 @@ from .domain import (
     TaskType,
     TimestampMs,
     TrustSemantics,
-    parse_verdict,
+    Verdict,
+    _NO_EXTRA,
+    _require_device_id,
 )
 from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
-# Column order of one snapshot-v3 history row.
+# Column order of one snapshot-v4 history entry: the pair, then its records'
+# fields as one list each, in store order.
 HISTORY_COLUMNS = (
-    "owner",
     "collaborator",
     "task_type",
+    "owners",
     "at",
     "throughput_mbps",
     "loss_rate",
     "proc_speed_mbps",
     "accuracy",
-    "verdict",
-    "extra",
+    "satisfied",
+    "extras",
 )
 
 
@@ -147,18 +155,15 @@ class HistoryStore:
         self._lock = threading.Lock()
 
     def append(self, record: PerformanceRecord) -> None:
-        with self._lock:
-            self._insert(record)
-
-    def _insert(self, record: PerformanceRecord) -> None:
         key = (record.collaborator, record.task_type)
-        records = self._by_key.get(key)
-        if records is None:
-            self._by_key[key] = [record]
-        elif records[-1].at <= record.at:
-            records.append(record)
-        else:
-            bisect.insort_right(records, record, key=_at)
+        with self._lock:
+            records = self._by_key.get(key)
+            if records is None:
+                self._by_key[key] = [record]
+            elif records[-1].at <= record.at:
+                records.append(record)
+            else:
+                bisect.insort_right(records, record, key=_at)
 
     def query(self, q: HistoryQuery) -> list[PerformanceRecord]:
         with self._lock:
@@ -177,45 +182,96 @@ class HistoryStore:
             return sum(map(len, self._by_key.values()))
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v3: one row per record, pair by pair in sorted pair order."""
+        """Snapshot v4: one entry of columns per pair, in sorted pair order."""
         with self._lock:
-            return {
-                "rows": [
-                    [r.owner, r.collaborator, r.task_type, r.at, r.throughput_mbps, r.loss_rate,
-                     r.proc_speed_mbps, r.accuracy, r.verdict.value, dict(r.extra)]
-                    for key in sorted(self._by_key)
-                    for r in self._by_key[key]
-                ],
-            }
+            return {"pairs": [_pair_to_columns(key, self._by_key[key]) for key in sorted(self._by_key)]}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
-        """Replay each row as an append; every record goes through the PerformanceRecord checks.
+        """Build each pair's list from its columns; every record goes through the PerformanceRecord checks.
 
-        The rows go through ``append``'s body without its lock: the store is
-        not shared yet, and a traced load (``bench/tracing.py`` wraps
-        ``append``) would otherwise count each loaded row as a served append.
+        Nothing goes through ``append``: the store is not shared yet, and a
+        traced load (``bench/tracing.py`` wraps ``append``) would otherwise
+        count each loaded record as a served append. Ids are interned through
+        one dict, so each distinct owner, collaborator and task type is one
+        string object however many records name it.
         """
         store = cls()
-        insert = store._insert
-        for row in doc["rows"]:
-            insert(_record_from_row(row))
+        by_key = store._by_key
+        ids: dict[str, str] = {}
+        for entry in doc["pairs"]:
+            key, records = _pair_from_columns(entry, ids)
+            if key in by_key:
+                raise ValidationError(f"history pair {key} listed twice", field="pairs")
+            by_key[key] = records
         return store
 
 
-def _record_from_row(row: Any) -> PerformanceRecord:
-    if type(row) is not list or len(row) != len(HISTORY_COLUMNS):
+_SATISFIED, _UNSATISFIED = Verdict.SATISFIED, Verdict.UNSATISFIED
+_FIELD_GETTERS = tuple(
+    operator.attrgetter(name)
+    for name in ("owner", "at", "throughput_mbps", "loss_rate", "proc_speed_mbps", "accuracy")
+)
+
+
+def _pair_to_columns(key: tuple[DeviceId, TaskType], records: list[PerformanceRecord]) -> list[Any]:
+    return [
+        *key,
+        *(list(map(get, records)) for get in _FIELD_GETTERS),
+        [r.verdict is _SATISFIED for r in records],
+        [[i, dict(r.extra)] for i, r in enumerate(records) if r.extra],
+    ]
+
+
+def _not_a_bool(value: Any) -> NoReturn:
+    raise ValidationError(f"satisfied must hold booleans, got {value!r}", field="satisfied")
+
+
+def _pair_from_columns(entry: Any, ids: dict[str, str]):
+    """One snapshot-v4 history entry as its pair key and its records in store order."""
+    if type(entry) is not list or len(entry) != len(HISTORY_COLUMNS):
         raise ValidationError(
-            f"history row is not a list of {len(HISTORY_COLUMNS)} columns: {row!r:.80}",
-            field="rows",
+            f"history pair is not a list of {len(HISTORY_COLUMNS)} columns: {entry!r:.80}",
+            field="pairs",
         )
-    owner, collaborator, task_type, at, throughput, loss, proc, accuracy, verdict, extra = row
-    if not isinstance(extra, dict):
-        raise ValidationError(f"extra must be a mapping, got {extra!r}", field="extra")
-    return PerformanceRecord(
-        owner, collaborator, task_type, at, throughput, loss, proc, accuracy,
-        parse_verdict(verdict), extra,
-    )
+    collaborator, task_type, owners, *columns, satisfied, extras = entry
+    _require_device_id(collaborator, "collaborator")
+    _require_device_id(task_type, "task_type")
+    n = len(owners) if type(owners) is list else 0
+    if n == 0:
+        raise ValidationError("owners must be a nonempty list", field="owners")
+    for name, column in zip(HISTORY_COLUMNS[3:9], entry[3:9]):
+        if type(column) is not list or len(column) != n:
+            raise ValidationError(f"{name} must be a list of {n} entries, one per owner", field=name)
+    verdicts = [_SATISFIED if s is True else _UNSATISFIED if s is False else _not_a_bool(s)
+                for s in satisfied]
+    if type(extras) is not list:
+        raise ValidationError("extras must be a list", field="extras")
+    extra_of = [_NO_EXTRA] * n
+    previous = -1
+    for item in extras:
+        if type(item) is not list or len(item) != 2:
+            raise ValidationError(f"an extras item is not [index, mapping]: {item!r:.80}", field="extras")
+        index, extra = item
+        if type(index) is not int or not previous < index < n:
+            raise ValidationError(
+                f"extras index {index!r} must be an integer above {previous} and below {n}",
+                field="extras",
+            )
+        if type(extra) is not dict or not extra:
+            raise ValidationError(f"extras[{index}] must be a nonempty mapping", field="extras")
+        extra_of[index] = extra
+        previous = index
+    intern = ids.setdefault
+    collaborator = intern(collaborator, collaborator)
+    task_type = intern(task_type, task_type)
+    owners = [intern(o, o) if type(o) is str else o for o in owners]
+    records = list(map(PerformanceRecord, owners, repeat(collaborator), repeat(task_type),
+                       *columns, verdicts, extra_of))
+    at = columns[0]  # integers now: each record checked its own
+    if any(map(operator.gt, at, islice(at, 1, None))):
+        raise ValidationError(f"at must not decrease within a pair: {collaborator}, {task_type}", field="at")
+    return (collaborator, task_type), records
 
 
 class SemanticsTree:
@@ -319,26 +375,41 @@ class MemoryModule:
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryModule":
+        """Read a snapshot, checking every value as an ingest would.
+
+        The cyclic GC is paused across the parse and the build, then restored
+        to the caller's setting: every object they allocate is kept, so each
+        collection would walk the growing heap again for nothing.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            doc = json.loads(Path(path).read_bytes())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"unreadable snapshot: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
-            raise ValidationError("not a twotsd snapshot file")
-        version = doc.get("version")
-        if type(version) is not int or version != SNAPSHOT_VERSION:
-            raise ValidationError(
-                f"unsupported snapshot version {version!r}; this build reads version "
-                f"{SNAPSHOT_VERSION} only, so rebuild the file with `twotsd simulate --snapshot`"
-            )
-        module = cls()
-        try:
-            module.resources = ResourceStore.from_dict(doc["resources"])
-            module.history = HistoryStore.from_dict(doc["history"])
-            module.semantics = SemanticsTree.from_dict(doc["tree"])
-        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
-            raise ValidationError(f"malformed snapshot: {type(exc).__name__} {exc}") from None
-        return module
+            try:
+                doc = json.loads(Path(path).read_bytes())
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ValidationError(f"unreadable snapshot: {exc}") from None
+            if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
+                raise ValidationError("not a twotsd snapshot file")
+            version = doc.get("version")
+            if type(version) is not int or version != SNAPSHOT_VERSION:
+                raise ValidationError(
+                    f"unsupported snapshot version {version!r}; this build reads version "
+                    f"{SNAPSHOT_VERSION} only, so rebuild the file with `twotsd simulate --snapshot`"
+                )
+            module = cls()
+            try:
+                module.resources = ResourceStore.from_dict(doc["resources"])
+                module.history = HistoryStore.from_dict(doc["history"])
+                module.semantics = SemanticsTree.from_dict(doc["tree"])
+            except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
+                field = exc.field if isinstance(exc, ValidationError) else None
+                raise ValidationError(
+                    f"malformed snapshot: {type(exc).__name__} {exc}", field=field
+                ) from None
+            return module
+        finally:
+            if enabled:
+                gc.enable()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryModule):

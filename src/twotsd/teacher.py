@@ -3,9 +3,10 @@
 Two flows compose the memory module, the semantics engine, and the matching
 chain:
 
-* ingestion -- resource reports upsert the key-value store; performance
-  records are appended to history, the (collaborator, task type) window is
-  re-queried, and the refreshed semantics is upserted into the tree.
+* ingestion -- resource reports upsert the key-value store; a performance
+  record joins its (collaborator, task type) window, the semantics is
+  extracted from that window, and only then is the record appended to
+  history and the refreshed semantics upserted into the tree.
 * task request -- semantics retrieval for the task type, owner dropped,
   resource retrieval, chain matching per candidate, then only devices that are
   both trusted and matched go into the candidate bundle. That assembly is
@@ -18,6 +19,8 @@ whole point of the architecture, and the simulation asserts it with counters.
 
 from __future__ import annotations
 
+import bisect
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -40,6 +43,7 @@ from .semantics import DeterministicEngine, SemanticsEngine
 
 
 _TRUSTED = TrustState.TRUSTED  # read once per candidate; a global is faster than the Enum class
+_at = operator.attrgetter("at")
 
 
 class Candidate(NamedTuple):
@@ -120,16 +124,23 @@ class TeacherAgent:
         self.memory.resources.upsert(profile)
 
     def handle_performance_record(self, record: PerformanceRecord) -> TrustSemantics:
-        """Ingest a collaboration outcome; return the collaborator's refreshed semantics."""
-        self.memory.history.append(record)
+        """Ingest a collaboration outcome; return the collaborator's refreshed semantics.
+
+        The record is stored only after its extraction succeeds, so an engine
+        that raises leaves history and tree as they were, and a resend stores
+        the record once.
+        """
         device, task_type = record.collaborator, record.task_type
         # Per-(device, task type) serialization so concurrent ingests for the
-        # same pair cannot interleave query and upsert (lost updates).
+        # same pair cannot interleave query, append and upsert (lost updates).
         with self._lock_for((device, task_type)):
             window = self.memory.history.query(
                 HistoryQuery(device, task_type, last_k=self.window_k)
             )
-            semantics = self.engine.extract(device, task_type, window)
+            # Where HistoryStore.append puts it: after every record at the same or an earlier time.
+            bisect.insort_right(window, record, key=_at)
+            semantics = self.engine.extract(device, task_type, window[-self.window_k :])
+            self.memory.history.append(record)
             self.memory.semantics.upsert(semantics)
             return semantics
 

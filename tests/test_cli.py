@@ -97,6 +97,14 @@ def test_sections_start_from_the_scenario_defaults(tmp_path):
     assert load_scenario(str(path), [], None).match.staleness_s == 1e9
 
 
+def test_a_mapping_override_merges_over_the_scenario_mapping():
+    # A key inside a mapping-valued field is set alone; the scenario's other keys stay.
+    floors = load_scenario(None, ["trend.metric_floors.accuracy=0.1"], None).trend.metric_floors
+    assert floors == {"loss_rate": 0.05, "accuracy": 0.1}
+    floors = load_scenario(None, ["trend.metric_floors.loss_rate=0.2"], None).trend.metric_floors
+    assert floors == {"loss_rate": 0.2}
+
+
 def test_config_values_keep_their_parsed_type():
     # An int stands for a float unconverted, so the manifest echoes the config.
     cfg = load_scenario(None, ["match.staleness_s=300"], None)
@@ -230,7 +238,7 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--snapshot", str(out / "snapshot.json")]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("version=3 resources=6 history=")
+    assert text.startswith("version=4 resources=6 history=")
     assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
     assert "loss_rate=" in text
@@ -244,8 +252,8 @@ def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _malformed_v3(doc):
-    """No history, a repeated profile or leaf, and a short history row."""
+def _malformed_v4(doc):
+    """No history, a repeated profile or leaf, and a short history column."""
     no_history = {k: v for k, v in doc.items() if k != "history"}
     profiles = doc["resources"]["profiles"]
     repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
@@ -253,19 +261,20 @@ def _malformed_v3(doc):
     leaves = doc["tree"]["leaves"]
     repeated_leaf = [leaves[0], leaves[0][:2] + leaves[1][2:], *leaves[2:]]
     duplicate_leaf = {**doc, "tree": {"leaves": repeated_leaf}}
-    rows = doc["history"]["rows"]
-    short_row = {**doc, "history": {"rows": [rows[0][:-1], *rows[1:]]}}
-    return [no_history, duplicate_profile, duplicate_leaf, short_row]
+    first, *pairs = doc["history"]["pairs"]
+    short_column = [*first[:3], first[3][:-1], *first[4:]]
+    short_pair = {**doc, "history": {"pairs": [short_column, *pairs]}}
+    return [no_history, duplicate_profile, duplicate_leaf, short_pair]
 
 
 def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
-    v3 = json.loads((out / "snapshot.json").read_text())
-    assert v3["version"] == 3
+    v4 = json.loads((out / "snapshot.json").read_text())
+    assert v4["version"] == 4
     broken = tmp_path / "broken.json"
     capsys.readouterr()
-    for bad in _malformed_v3(v3):
+    for bad in _malformed_v4(v4):
         broken.write_text(json.dumps(bad))
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err
@@ -304,12 +313,12 @@ _PINNED_SIMULATE_SHA256 = {
     "default.yaml": (["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-        "snapshot.json": "39a607ce202997c0475cf563ffdbbcf2251761aca2594f29d4039260977a9580",
+        "snapshot.json": "59d20046af3f499ac90e8f3a11d49dc3b5ee8807ece059a1c9489b38e32a365a",
     }),
     "large_fleet.yaml": ([], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
-        "snapshot.json": "2cfffe124f040eb7d980279adce1dd91f4e7ee60e826759cadc25d7d9c81118d",
+        "snapshot.json": "a4df9a87bcaaf9ee39fcfbcf7708e8b1ce1f3372b009187cab733cdb4f5a7c14",
     }),
 }
 

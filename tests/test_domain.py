@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
+import pickle
+import struct
+from dataclasses import dataclass, field
+from typing import Any, Mapping
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twotsd import codec
 from twotsd.domain import (
     COMM_METRICS,
     COMP_METRICS,
+    PerformanceRecord,
     Trend,
     TrustSemantics,
     TrustState,
     Verdict,
+    _require_device_id,
+    _require_number,
+    _require_timestamp,
     parse_fraction,
     validate_record,
     validate_task,
@@ -144,6 +156,114 @@ def test_validate_record_rejects_unknown_verdict():
             "accuracy": 0.98,
             "verdict": "maybe",
         })
+
+
+@dataclass(frozen=True)
+class _ReferenceRecord:
+    """PerformanceRecord as a generated frozen dataclass with its earlier __post_init__ rules."""
+
+    owner: Any
+    collaborator: Any
+    task_type: Any
+    at: Any
+    throughput_mbps: Any
+    loss_rate: Any
+    proc_speed_mbps: Any
+    accuracy: Any
+    verdict: Any
+    extra: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _require_device_id(self.owner, "owner")
+        _require_device_id(self.collaborator, "collaborator")
+        _require_device_id(self.task_type, "task_type")
+        if self.owner == self.collaborator:
+            raise ValidationError(
+                f"owner and collaborator must differ (both {self.owner!r})",
+                field="collaborator",
+                code="self_collaboration",
+            )
+        _require_timestamp(self.at, "at")
+        object.__setattr__(self, "throughput_mbps", _require_number(self.throughput_mbps, "throughput_mbps"))
+        object.__setattr__(self, "loss_rate", parse_fraction(self.loss_rate, "loss_rate"))
+        object.__setattr__(self, "proc_speed_mbps", _require_number(self.proc_speed_mbps, "proc_speed_mbps"))
+        object.__setattr__(self, "accuracy", parse_fraction(self.accuracy, "accuracy"))
+        if not isinstance(self.verdict, Verdict):
+            raise ValidationError(f"verdict must be a Verdict, got {self.verdict!r}", field="verdict")
+
+
+def _outcome(cls, args):
+    try:
+        record = cls(*args)
+    except ValidationError as exc:
+        return ("rejected", exc.field, exc.code, exc.message)
+    except OverflowError as exc:  # float() of a huge int, in both
+        return ("overflow", str(exc))
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    bits = [
+        (type(v), struct.pack("<d", v)) if type(v) is float else (type(v), v)
+        for v in values[:-1]
+    ]
+    return ("accepted", bits, dict(values[-1]))
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_NUMBERS = [
+    -0.0, 0.0, 1.0, 1.0000000000000002, 1.5, 1e308, 5e-324, -5e-324, math.inf, -math.inf,
+    math.nan, _Float(0.5), 0, 1, 2, -1, 10**400, True, False, "1%", "150%", "-1%", " 98% ",
+    "0.5", "1e309", "nan", "-0.0", "x", "", None, [0.5],
+]
+# Edge values per field, in field order; each also stands alone in a valid record.
+_EDGES = [
+    ["a_i", "a_j", "", " ", _Str("a_i"), 3, None],
+    ["a_j", "a_i", "", " ", _Str("a_k"), 3, None],
+    ["video_transcoding", "", _Str("t"), b"x", None],
+    [0, -1, 2**70, True, 1.0, "1", None],
+    _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS,
+    [*Verdict, "satisfied", None, True],
+    [{}, {"site": "lab"}],
+]
+_VALID = ("a_i", "a_j", "video_transcoding", 1_000, 100.0, 0.01, 2.0, 0.98, Verdict.SATISFIED, {})
+
+
+def test_record_constructor_agrees_with_the_reference_rules_on_edge_values():
+    for index, values in enumerate(_EDGES):
+        for value in values:
+            args = (*_VALID[:index], value, *_VALID[index + 1:])
+            assert _outcome(PerformanceRecord, args) == _outcome(_ReferenceRecord, args), args
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*(st.sampled_from(values) for values in _EDGES[:4]),
+                 *(st.sampled_from(_NUMBERS) | st.floats() for _ in range(4)),
+                 st.sampled_from(_EDGES[8]),
+                 st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)))
+def test_record_constructor_agrees_with_the_reference_rules(args):
+    """Same accept or reject, same error field, code and message, same stored bits."""
+    assert _outcome(PerformanceRecord, args) == _outcome(_ReferenceRecord, args)
+
+
+def test_record_is_frozen_shares_one_empty_extra_and_copies():
+    record = make_record()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.at = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = {"site": "lab"}
+    assert record.extra == {} and record.extra is make_record(extra={}).extra
+    with pytest.raises(TypeError):
+        record.extra["site"] = "lab"
+    for again in (copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                  dataclasses.replace(record, at=record.at)):
+        assert again == record
+    given = {"site": "lab"}
+    assert make_record(extra=given).extra is given  # a nonempty extra is stored as given
 
 
 def test_timestamps_must_be_integers():

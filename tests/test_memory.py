@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -269,7 +270,7 @@ def test_snapshot_load_rejects_foreign_files(tmp_path):
     with pytest.raises(ValidationError):
         MemoryModule.load(path)
     doc = MemoryModule().to_snapshot_dict()
-    for version in (4, "3", 3.0, True, None):
+    for version in (3, "4", 4.0, True, None):
         path.write_bytes(codec.canonical_json_bytes({**doc, "version": version}))
         with pytest.raises(ValidationError, match=f"unsupported snapshot version {version!r};"):
             MemoryModule.load(path)
@@ -313,11 +314,11 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
         MemoryModule.load(path)
 
 
-# The snapshot reader on hand-written v3 files. A history is written here as
-# [fields, tail] items, one per row; tail is anything past the last column.
-# The test ids keep the names they had when a v1 and a v2 reader were both
-# checked: "-1" and "-2" now name the history row that is corrupted, the
-# first or the one after a valid row.
+# The snapshot reader on hand-written v4 files. A history is written here as
+# [fields, tail] items, one per record and each in a pair of its own; tail is
+# anything past the pair's last column. The test ids keep the names they had
+# when a v1 and a v2 reader were both checked: "-1" and "-2" name the record
+# that is corrupted, the first or the one after a valid one.
 
 
 def _history():
@@ -325,11 +326,28 @@ def _history():
     return [[codec.record_to_dict(r), []] for r in records]
 
 
-def _write_history(path: Path, history) -> None:
-    rows = [[*(f[c] for c in HISTORY_COLUMNS if c in f), *tail] for f, tail in history]
-    doc = {"format": "twotsd-snapshot", "version": SNAPSHOT_VERSION, "resources": {"profiles": []},
-           "history": {"rows": rows}, "tree": {"leaves": []}}
+_SATISFIED_OF = {"satisfied": True, "unsatisfied": False}
+
+
+def _pair_entry(f, tail):
+    """One record's fields as a v4 pair entry; a value no writer would emit passes through."""
+    columns = {
+        "collaborator": f["collaborator"], "task_type": f["task_type"], "owners": [f["owner"]],
+        **{c: [f[c]] for c in HISTORY_COLUMNS[3:8] if c in f},
+        "satisfied": [_SATISFIED_OF.get(f["verdict"], f["verdict"])],
+        "extras": [[0, f["extra"]]] if f["extra"] else [],
+    }
+    return [*(columns[c] for c in HISTORY_COLUMNS if c in columns), *tail]
+
+
+def _write_pairs(path: Path, pairs, version=SNAPSHOT_VERSION) -> None:
+    doc = {"format": "twotsd-snapshot", "version": version, "resources": {"profiles": []},
+           "history": {"pairs": pairs}, "tree": {"leaves": []}}
     path.write_text(json.dumps(doc))
+
+
+def _write_history(path: Path, history) -> None:
+    _write_pairs(path, [_pair_entry(f, tail) for f, tail in history])
 
 
 def _set(name, value):
@@ -380,13 +398,63 @@ def test_both_readers_reject_each_corrupt_record(tmp_path, row, corruption):
 
 
 def test_both_readers_accept_the_same_lenient_forms(tmp_path):
-    """Percent strings and a padded verdict load to the record an ingest builds."""
+    """Percent strings and integers load to the record an ingest builds."""
     lenient = {**codec.record_to_dict(make_record()), "loss_rate": "1%", "accuracy": "98%",
-               "verdict": " Satisfied ", "extra": {"site": "lab"}}
+               "throughput_mbps": 100, "proc_speed_mbps": 2, "extra": {"site": "lab"}}
     _write_history(tmp_path / "snapshot.json", [[lenient, []]])
     history = MemoryModule.load(tmp_path / "snapshot.json").history
     expected = [make_record(loss_rate=0.01, accuracy=0.98, extra={"site": "lab"})]
     assert history.query(HistoryQuery("a_j", "video_transcoding", last_k=10)) == expected
+
+
+def _three_records_pair():
+    """A valid pair entry of three records; the second carries an extra."""
+    return ["a_j", "video_transcoding", ["a_i", "a_k", "a_i"], [1_000, 1_000, 2_000],
+            [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], [0.9, 0.9, 0.9],
+            [True, False, True], [[1, {"site": "lab"}]]]
+
+
+def _column(name, value):
+    def fault(pairs):
+        pairs[0][HISTORY_COLUMNS.index(name)] = value
+    return fault
+
+
+_MALFORMED_PAIRS = {
+    "ragged-owners": (_column("owners", ["a_i", "a_k"]), "at"),
+    "ragged-at": (_column("at", [1_000, 1_000]), "at"),
+    "ragged-accuracy": (_column("accuracy", [0.9, 0.9, 0.9, 0.9]), "accuracy"),
+    "ragged-satisfied": (_column("satisfied", [True]), "satisfied"),
+    "no-records": (_column("owners", []), "owners"),
+    "extras-index-out-of-range": (_column("extras", [[3, {"site": "lab"}]]), "extras"),
+    "extras-index-negative": (_column("extras", [[-1, {"site": "lab"}]]), "extras"),
+    "extras-index-repeated": (_column("extras", [[1, {"a": 1}], [1, {"b": 2}]]), "extras"),
+    "extras-index-out-of-order": (_column("extras", [[2, {"a": 1}], [1, {"b": 2}]]), "extras"),
+    "extras-index-not-an-int": (_column("extras", [[True, {"a": 1}]]), "extras"),
+    "extras-empty-mapping": (_column("extras", [[1, {}]]), "extras"),
+    "satisfied-not-a-bool": (_column("satisfied", [True, 0, True]), "satisfied"),
+    "satisfied-a-label": (_column("satisfied", [True, "satisfied", True]), "satisfied"),
+    "pair-listed-twice": (lambda pairs: pairs.append(_three_records_pair()), "pairs"),
+    "owner-is-collaborator": (_column("owners", ["a_i", "a_j", "a_i"]), "collaborator"),
+    "at-decreasing": (_column("at", [1_000, 3_000, 2_000]), "at"),
+    "collaborator-empty": (_column("collaborator", ""), "collaborator"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED_PAIRS))
+def test_v4_loader_refuses_each_malformed_history_naming_the_field(tmp_path, fault):
+    path = tmp_path / "snapshot.json"
+    pairs = [_three_records_pair()]
+    _write_pairs(path, pairs)
+    assert len(MemoryModule.load(path).history) == 3  # the unbroken file loads
+    corrupt, field = _MALFORMED_PAIRS[fault]
+    corrupt(pairs)
+    _write_pairs(path, pairs)
+    with pytest.raises(ValidationError, match="malformed snapshot") as err:
+        MemoryModule.load(path)
+    assert err.value.field == field
+    if fault == "owner-is-collaborator":
+        assert "owner and collaborator must differ" in err.value.message
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -402,8 +470,52 @@ def test_load_refuses_an_older_snapshot_with_the_rebuild_hint(version):
     assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
 
 
-def test_a_tiny_v3_snapshot_has_the_golden_bytes(tmp_path):
-    """Rows pair by pair in sorted pair order, each pair in (at, arrival) order; leaves as rows."""
+def test_load_refuses_a_v3_snapshot_with_the_rebuild_hint(tmp_path):
+    """A v3 file, its history one row per record, is refused by its version too."""
+    path = tmp_path / "snapshot.json"
+    row = ["a_i", "a_j", "video_transcoding", 1000, 100.0, 0.01, 2.0, 0.98, "satisfied", {}]
+    path.write_text(json.dumps({"format": "twotsd-snapshot", "version": 3,
+                                "resources": {"profiles": []}, "history": {"rows": [row]},
+                                "tree": {"leaves": []}}))
+    with pytest.raises(ValidationError, match="unsupported snapshot version 3;") as err:
+        MemoryModule.load(path)
+    assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_callers_gc_setting_as_it_was(tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    _write_pairs(good, [_three_records_pair()])
+    broken = _three_records_pair()
+    broken[HISTORY_COLUMNS.index("at")] = [1_000]
+    _write_pairs(bad, [broken])
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(MemoryModule.load(good).history) == 3
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValidationError):
+            MemoryModule.load(bad)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValidationError):
+            MemoryModule.load(tmp_path / "missing.json")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_load_interns_ids_and_shares_one_empty_extra(tmp_path):
+    path = tmp_path / "snapshot.json"
+    _write_pairs(path, [_three_records_pair()])
+    first, second, third = MemoryModule.load(path).history.query(
+        HistoryQuery("a_j", "video_transcoding", last_k=3))
+    assert first.owner is third.owner and first.collaborator is second.collaborator
+    assert first.extra is third.extra and first.extra == {}
+    assert second.extra == {"site": "lab"}
+
+
+def test_a_tiny_v4_snapshot_has_the_golden_bytes(tmp_path):
+    """Pairs in sorted pair order, each pair's columns in (at, arrival) order; leaves as rows."""
     memory = MemoryModule()
     memory.resources.upsert(make_profile(device="a_k", updated_at=5))
     memory.history.append(make_record(collaborator="a_k", at=2_000))
@@ -412,29 +524,30 @@ def test_a_tiny_v3_snapshot_has_the_golden_bytes(tmp_path):
     memory.semantics.upsert(_semantics("a_j", "video_transcoding", n=2))
     path = tmp_path / "snapshot.json"
     memory.save(path)
-    assert path.read_bytes() == _GOLDEN_V3
+    assert path.read_bytes() == _GOLDEN_V4
     assert MemoryModule.load(path) == memory
 
 
-_GOLDEN_V3 = b"".join((
-    b'{"format":"twotsd-snapshot","history":{"rows":[',
-    b'["a_i","a_j","video_transcoding",1000,100.0,0.5,2.0,0.98,"satisfied",{}],',
-    b'["a_i","a_j","video_transcoding",3000,100.0,0.01,2.0,0.98,"unsatisfied",{"site":"lab"}],',
-    b'["a_i","a_k","video_transcoding",2000,100.0,0.01,2.0,0.98,"satisfied",{}]]},',
+_GOLDEN_V4 = b"".join((
+    b'{"format":"twotsd-snapshot","history":{"pairs":[',
+    b'["a_j","video_transcoding",["a_i","a_i"],[1000,3000],[100.0,100.0],[0.5,0.01],',
+    b'[2.0,2.0],[0.98,0.98],[true,false],[[1,{"site":"lab"}]]],',
+    b'["a_k","video_transcoding",["a_i"],[2000],[100.0],[0.01],[2.0],[0.98],[true],[]]]},',
     b'"resources":{"profiles":[{"bandwidth_mbps":100.0,"cpu_cps":10000000000.0,',
     b'"device":"a_k","storage_mb":200.0,"updated_at":5}]},',
     b'"tree":{"leaves":[["a_j","video_transcoding","trusted","normal","normal","normal",',
-    b'"normal",1000,2000,2000,2]]},"version":3}\n',
+    b'"normal",1000,2000,2000,2]]},"version":4}\n',
 ))
 
 
-_devices = st.sampled_from(["a_i", "a_j", "a_k"])
+_COLLABORATORS = ["a_i", "a_j", "é_k", "设备"]
+_TASK_TYPES = ["face_recognition", "vidéo"]
 _fractions = st.floats(min_value=0.0, max_value=1.0)
 _records = st.builds(
     make_record,
-    owner=st.just("o_x"),
-    collaborator=_devices,
-    task_type=st.sampled_from(["face_recognition", "video_transcoding"]),
+    owner=st.sampled_from(["o_x", "ö_y"]),
+    collaborator=st.sampled_from(_COLLABORATORS),
+    task_type=st.sampled_from(_TASK_TYPES),
     at=st.integers(min_value=-10**12, max_value=10**12) | st.integers(0, 20),
     throughput_mbps=st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10**6),
     loss_rate=_fractions,
@@ -447,8 +560,8 @@ _records = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(records=st.lists(_records, max_size=40))
-def test_v3_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
-    """Tied and out-of-order timestamps: store, rows and reload all follow (at, arrival)."""
+def test_v4_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
+    """Tied and out-of-order timestamps: store, columns and reload all follow (at, arrival)."""
     memory = MemoryModule()
     for record in records:
         memory.history.append(record)
@@ -458,13 +571,20 @@ def test_v3_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
         loaded = MemoryModule.load(path)
     assert loaded == memory
     assert len(loaded.history) == len(records)
-    rows = []
-    for collaborator in ["a_i", "a_j", "a_k"]:
-        for task_type in ["face_recognition", "video_transcoding"]:
+    pairs = []
+    for collaborator in _COLLABORATORS:
+        for task_type in _TASK_TYPES:
             everything = brute_force_query(records, HistoryQuery(collaborator, task_type, last_k=10**6))
             assert loaded.history.count_for(collaborator, task_type) == len(everything)
-            rows += [[r.owner, r.collaborator, r.task_type, r.at, r.throughput_mbps, r.loss_rate,
-                      r.proc_speed_mbps, r.accuracy, r.verdict.value, dict(r.extra)] for r in everything]
+            if everything:
+                pairs.append([
+                    collaborator, task_type,
+                    *([getattr(r, name) for r in everything]
+                      for name in ("owner", "at", "throughput_mbps", "loss_rate",
+                                   "proc_speed_mbps", "accuracy")),
+                    [r.verdict is Verdict.SATISFIED for r in everything],
+                    [[i, dict(r.extra)] for i, r in enumerate(everything) if r.extra],
+                ])
             for q in (
                 HistoryQuery(collaborator, task_type, last_k=1_000),
                 HistoryQuery(collaborator, task_type, last_k=3),
@@ -474,4 +594,4 @@ def test_v3_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
                 expected = brute_force_query(records, q)
                 assert memory.history.query(q) == expected
                 assert loaded.history.query(q) == expected
-    assert loaded.history.to_dict()["rows"] == rows
+    assert loaded.history.to_dict()["pairs"] == sorted(pairs, key=lambda p: p[:2])

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotsd.domain import Trend, TrustState, Verdict
-from twotsd.errors import StaleUpdateError, ValidationError
-from twotsd.memory import HistoryQuery
+from twotsd.errors import RemoteTimeoutError, StaleUpdateError, ValidationError
+from twotsd.memory import HistoryQuery, HistoryStore
 from twotsd.semantics import DeterministicEngine
 from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent
 
@@ -34,6 +36,62 @@ def test_extraction_window_is_trimmed_to_last_k():
     assert sem.record_count == 5
     assert sem.state is TrustState.UNTRUSTED
     assert sem.window == (50_000, 54_000)
+
+
+class _FlakyEngine(DeterministicEngine):
+    """Raises on its first ``failures`` calls, then extracts; keeps every window it is given."""
+
+    def __init__(self, failures: int = 0):
+        super().__init__()
+        self.failures = failures
+        self.windows = []
+
+    def extract(self, device, task_type, records):
+        self.windows.append(list(records))
+        if self.failures:
+            self.failures -= 1
+            raise RemoteTimeoutError("no answer in time")
+        return super().extract(device, task_type, records)
+
+
+def test_an_engine_that_raises_leaves_the_record_unstored():
+    teacher = TeacherAgent(engine=_FlakyEngine())
+    for rec in make_records(3):
+        teacher.handle_performance_record(rec)
+    (leaf,) = teacher.memory.semantics.get_by_task_type("video_transcoding")
+    teacher.engine.failures = 1
+    resent = make_record(at=10_000, verdict=Verdict.UNSATISFIED)
+    with pytest.raises(RemoteTimeoutError):
+        teacher.handle_performance_record(resent)
+    assert teacher.memory.history.count_for("a_j", "video_transcoding") == 3
+    assert teacher.memory.semantics.get_by_task_type("video_transcoding") == [leaf]
+    sem = teacher.handle_performance_record(resent)  # the resend after the error
+    assert teacher.memory.history.count_for("a_j", "video_transcoding") == 4
+    assert sem.record_count == 4 and sem.window == (1_000, 10_000)
+    assert teacher.memory.semantics.get_by_task_type("video_transcoding") == [sem]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    history=st.lists(st.integers(0, 12), max_size=30),
+    at=st.integers(-1, 13),
+    window_k=st.integers(1, 8),
+)
+def test_extraction_window_equals_the_append_then_query_window(history, at, window_k):
+    """Tied and out-of-order timestamps: the new record sits where the store puts it."""
+    records = [make_record(at=t, extra={"i": i}) for i, t in enumerate(history)]
+    new = make_record(at=at, extra={"i": "new"})
+    engine = _FlakyEngine()
+    teacher = TeacherAgent(engine=engine, window_k=window_k)
+    reference = HistoryStore()
+    for rec in records:
+        teacher.memory.history.append(rec)
+        reference.append(rec)
+    reference.append(new)
+    teacher.handle_performance_record(new)
+    query = HistoryQuery("a_j", "video_transcoding", last_k=window_k)
+    assert engine.windows == [reference.query(query)]
+    assert teacher.memory.history.query(query) == reference.query(query)
 
 
 def test_resource_report_stale_rejection_propagates():
