@@ -50,7 +50,6 @@ def task_to_dict(task: Task) -> dict[str, Any]:
         "size_mb": task.size_mb,
         "density_cpb": task.density_cpb,
         "deadline_s": task.deadline_s,
-        "extra": dict(task.extra),
     }
 
 
@@ -92,7 +91,6 @@ def record_to_dict(record: PerformanceRecord) -> dict[str, Any]:
         "proc_speed_mbps": record.proc_speed_mbps,
         "accuracy": record.accuracy,
         "verdict": record.verdict.value,
-        "extra": dict(record.extra),
     }
 
 

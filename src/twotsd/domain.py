@@ -1,21 +1,21 @@
 """Core value types: tasks, resource profiles, performance records, trust semantics.
 
 All values are immutable after construction and validate their own invariants,
-so any instance that exists is well-formed. Raw (possibly stringly-typed) input
-goes through :func:`validate_task` / :func:`validate_record`, which also accept
-percent-style fields like ``"1%"``.
+so any instance that exists is well-formed. Tasks and records carry only
+their named fields. Raw (possibly stringly-typed) input goes through
+:func:`validate_task` / :func:`validate_record`, which also accept
+percent-style fields like ``"1%"`` and ignore keys that are not fields.
 
 Unit conventions: MB = 10^6 bytes, Mbps = 10^6 bits/s, so a task's size in bits
-is ``size_mb * 8e6``. Timestamps are integer milliseconds on a scenario-local
-clock (simulation) or the wall clock (service mode).
+is ``size_mb * 8e6``. Timestamps are signed 64-bit integer milliseconds on a
+scenario-local clock (simulation) or the wall clock (service mode).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import ValidationError
@@ -41,6 +41,8 @@ COMM_METRICS: tuple[str, str] = ("throughput", "loss_rate")
 COMP_METRICS: tuple[str, str] = ("accuracy", "proc_speed")
 
 BITS_PER_MB = 8_000_000  # 1 MB = 10^6 bytes
+# Timestamps are signed 64-bit, as an ``array('q')`` column holds them.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class Verdict(Enum):
@@ -82,6 +84,8 @@ def _require_number(value: Any, field_name: str, positive: bool = False) -> floa
         out = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{field_name} must be a number", field=field_name) from None
+    except OverflowError:  # an int too large for a float
+        raise ValidationError(f"{field_name} is too large", field=field_name) from None
     if not math.isfinite(out) or out < 0.0 or (positive and out == 0.0):
         bound = "> 0" if positive else ">= 0"
         raise ValidationError(f"{field_name} must be {bound}", field=field_name)
@@ -91,6 +95,8 @@ def _require_number(value: Any, field_name: str, positive: bool = False) -> floa
 def _require_timestamp(value: Any, field_name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{field_name} must be an integer (ms)", field=field_name)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValidationError(f"{field_name} must fit in 64 bits", field=field_name, code="out_of_range")
     return value
 
 
@@ -105,6 +111,8 @@ def parse_fraction(value: Any, field_name: str) -> float:
             out = float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{field_name} is not numeric: {value!r}", field=field_name) from None
+    except OverflowError:  # an int too large for a float
+        raise ValidationError(f"{field_name} is too large", field=field_name, code="out_of_range") from None
     if not math.isfinite(out) or not 0.0 <= out <= 1.0:
         raise ValidationError(
             f"{field_name} out of range [0,1]: {out}", field=field_name, code="out_of_range"
@@ -114,11 +122,7 @@ def parse_fraction(value: Any, field_name: str) -> float:
 
 @dataclass(frozen=True)
 class Task:
-    """A computational job: what it is, how big, how heavy, how urgent.
-
-    ``extra`` holds unrecognized metrics from open-ended schemas; it is kept
-    for round-tripping but ignored by the semantics engine.
-    """
+    """A computational job: what it is, how big, how heavy, how urgent."""
 
     task_id: str
     owner: DeviceId
@@ -126,7 +130,6 @@ class Task:
     size_mb: float
     density_cpb: float  # CPU cycles per bit
     deadline_s: float
-    extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         _require_device_id(self.task_id, "task_id")
@@ -156,28 +159,17 @@ class ResourceProfile:
 
     def __post_init__(self):
         _require_device_id(self.device, "device")
-        object.__setattr__(self, "cpu_cps", _require_number(self.cpu_cps, "cpu_cps", positive=True))
-        object.__setattr__(self, "storage_mb", _require_number(self.storage_mb, "storage_mb"))
-        object.__setattr__(
-            self,
-            "bandwidth_mbps",
-            _require_number(self.bandwidth_mbps, "bandwidth_mbps", positive=True),
-        )
+        for name, positive in (("cpu_cps", True), ("storage_mb", False), ("bandwidth_mbps", True)):
+            object.__setattr__(self, name, _require_number(getattr(self, name), name, positive))
         _require_timestamp(self.updated_at, "updated_at")
 
 
-# Shared by every record with no extra metrics: one read-only mapping instead
-# of an empty dict per record.
-_NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 _INF = math.inf
 
 
 @dataclass(frozen=True, init=False, slots=True)
 class PerformanceRecord:
-    """One collaboration outcome, reported by the task owner.
-
-    An empty ``extra`` is stored as one shared read-only mapping.
-    """
+    """One collaboration outcome, reported by the task owner."""
 
     owner: DeviceId
     collaborator: DeviceId
@@ -188,19 +180,16 @@ class PerformanceRecord:
     proc_speed_mbps: float  # MB/second
     accuracy: float
     verdict: Verdict
-    extra: Mapping[str, Any]
 
     # Written by hand, as TrustSemantics's is: the generated frozen __init__
     # plus a __post_init__ was most of the cost of loading a snapshot record.
-    # Exact-type values that pass are checked inline; any other value goes
-    # through the same helpers as before, so what is accepted, each error's
-    # field and code, and each stored value stay the same; the checks run in
-    # field order, so the first bad field is the one named. The fields are
-    # slots, set through their descriptors' ``__set__`` (``_set_*`` below the
-    # class) at about half the cost of object.__setattr__: extraction reads
-    # records field by field, and instance-dict items read about twice as slow.
+    # Exact-type values in range are checked inline; any other value goes
+    # through the shared helpers, which name the field and code of the first
+    # bad field in field order. The fields are slots, set through their
+    # descriptors' ``__set__`` (``_set_*`` below the class) at about half the
+    # cost of object.__setattr__; instance-dict items read about twice as slow.
     def __init__(self, owner, collaborator, task_type, at, throughput_mbps, loss_rate,
-                 proc_speed_mbps, accuracy, verdict, extra=_NO_EXTRA):
+                 proc_speed_mbps, accuracy, verdict):
         if type(owner) is not str or not owner:
             _require_device_id(owner, "owner")
         if type(collaborator) is not str or not collaborator:
@@ -213,7 +202,7 @@ class PerformanceRecord:
                 field="collaborator",
                 code="self_collaboration",
             )
-        if type(at) is not int:
+        if type(at) is not int or not _INT64_MIN <= at <= _INT64_MAX:
             _require_timestamp(at, "at")
         if type(throughput_mbps) is not float or not 0.0 <= throughput_mbps < _INF:
             throughput_mbps = _require_number(throughput_mbps, "throughput_mbps")
@@ -225,8 +214,6 @@ class PerformanceRecord:
             accuracy = parse_fraction(accuracy, "accuracy")
         if type(verdict) is not Verdict:
             raise ValidationError(f"verdict must be a Verdict, got {verdict!r}", field="verdict")
-        if type(extra) is dict and not extra:
-            extra = _NO_EXTRA
         _set_owner(self, owner)
         _set_collaborator(self, collaborator)
         _set_task_type(self, task_type)
@@ -236,13 +223,14 @@ class PerformanceRecord:
         _set_proc_speed(self, proc_speed_mbps)
         _set_accuracy(self, accuracy)
         _set_verdict(self, verdict)
-        _set_extra(self, extra)
 
     def __reduce__(self):
-        # Through the constructor: the shared empty mapping does not pickle.
+        # Through the constructor. The default protocol restores slot state
+        # with setattr, which a frozen class refuses on Python 3.10 (3.11's
+        # dataclasses add a __setstate__ that avoids it).
         return PerformanceRecord, (
             self.owner, self.collaborator, self.task_type, self.at, self.throughput_mbps,
-            self.loss_rate, self.proc_speed_mbps, self.accuracy, self.verdict, dict(self.extra),
+            self.loss_rate, self.proc_speed_mbps, self.accuracy, self.verdict,
         )
 
     @property
@@ -251,7 +239,7 @@ class PerformanceRecord:
 
 
 (_set_owner, _set_collaborator, _set_task_type, _set_at, _set_throughput, _set_loss,
- _set_proc_speed, _set_accuracy, _set_verdict, _set_extra) = (
+ _set_proc_speed, _set_accuracy, _set_verdict) = (
     getattr(PerformanceRecord, f.name).__set__ for f in fields(PerformanceRecord)
 )
 
@@ -375,23 +363,13 @@ _RECORD_FIELDS = {
 def validate_task(raw: Mapping[str, Any]) -> Task:
     """Build a Task from raw task-shaped fields, validating every invariant.
 
-    Unknown keys are preserved in ``extra``. Diagnostics name the field that
-    failed.
+    Keys other than the task's fields are ignored. Diagnostics name the field
+    that failed.
     """
     missing = sorted(_TASK_FIELDS - set(raw))
     if missing:
         raise ValidationError(f"missing task fields: {', '.join(missing)}", field=missing[0])
-    extra = {k: v for k, v in raw.items() if k not in _TASK_FIELDS and k != "extra"}
-    extra.update(dict(raw.get("extra", {})))
-    return Task(
-        task_id=raw["task_id"],
-        owner=raw["owner"],
-        task_type=raw["task_type"],
-        size_mb=raw["size_mb"],
-        density_cpb=raw["density_cpb"],
-        deadline_s=raw["deadline_s"],
-        extra=extra,
-    )
+    return Task(**{name: raw[name] for name in _TASK_FIELDS})
 
 
 def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
@@ -399,19 +377,12 @@ def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
 
     Accepts percent strings for loss_rate and accuracy ("1%" == 0.01) and
     verdicts as strings; rejects self-collaboration and out-of-range bounds.
+    Keys other than the record's fields are ignored.
     """
     keys = raw.keys()
     if not keys >= _RECORD_FIELDS:
         missing = sorted(_RECORD_FIELDS - keys)
         raise ValidationError(f"missing record fields: {', '.join(missing)}", field=missing[0])
-    given = raw.get("extra", {})
-    if not isinstance(given, Mapping):
-        raise ValidationError(f"extra must be a mapping, got {given!r}", field="extra")
-    if len(keys) > len(_RECORD_FIELDS) + ("extra" in keys):  # unknown keys fold into extra
-        extra = {k: v for k, v in raw.items() if k not in _RECORD_FIELDS and k != "extra"}
-        extra.update(given)
-    else:
-        extra = dict(given)
     return PerformanceRecord(
         owner=raw["owner"],
         collaborator=raw["collaborator"],
@@ -422,5 +393,4 @@ def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
         proc_speed_mbps=raw["proc_speed_mbps"],
         accuracy=raw["accuracy"],
         verdict=parse_verdict(raw["verdict"]),
-        extra=extra,
     )

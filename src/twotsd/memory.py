@@ -17,11 +17,10 @@ write. :class:`MemoryModule` bundles the three and snapshots them to a single
 versioned JSON file (``load(save(state)) == state``), written atomically
 (temp file, fsync, rename).
 
-Snapshot version 4 stores history in columns: one entry per pair, in sorted
+Snapshot version 5 stores history in columns: one entry per pair, in sorted
 pair order, laid out as :data:`HISTORY_COLUMNS` (no per-file header, no
-record ids). Each column is a list in store order, ``satisfied`` holds
-booleans and ``extras`` is sparse, ``[index, mapping]`` for each record whose
-``extra`` is not empty. The tree is stored as the leaves' wire rows
+record ids). Each column is a list in store order, and ``satisfied`` holds
+booleans. The tree is stored as the leaves' wire rows
 (``codec.semantics_to_row``) sorted by (task type, device). Loading builds
 each pair's list straight from its columns through the validating
 ``PerformanceRecord`` constructor, and reads each leaf through the
@@ -51,15 +50,14 @@ from .domain import (
     TimestampMs,
     TrustSemantics,
     Verdict,
-    _NO_EXTRA,
     _require_device_id,
 )
 from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
-# Column order of one snapshot-v4 history entry: the pair, then its records'
+# Column order of one snapshot-v5 history entry: the pair, then its records'
 # fields as one list each, in store order.
 HISTORY_COLUMNS = (
     "collaborator",
@@ -71,7 +69,6 @@ HISTORY_COLUMNS = (
     "proc_speed_mbps",
     "accuracy",
     "satisfied",
-    "extras",
 )
 
 
@@ -182,7 +179,7 @@ class HistoryStore:
             return sum(map(len, self._by_key.values()))
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v4: one entry of columns per pair, in sorted pair order."""
+        """Snapshot v5: one entry of columns per pair, in sorted pair order."""
         with self._lock:
             return {"pairs": [_pair_to_columns(key, self._by_key[key]) for key in sorted(self._by_key)]}
 
@@ -219,7 +216,6 @@ def _pair_to_columns(key: tuple[DeviceId, TaskType], records: list[PerformanceRe
         *key,
         *(list(map(get, records)) for get in _FIELD_GETTERS),
         [r.verdict is _SATISFIED for r in records],
-        [[i, dict(r.extra)] for i, r in enumerate(records) if r.extra],
     ]
 
 
@@ -228,46 +224,29 @@ def _not_a_bool(value: Any) -> NoReturn:
 
 
 def _pair_from_columns(entry: Any, ids: dict[str, str]):
-    """One snapshot-v4 history entry as its pair key and its records in store order."""
+    """One snapshot-v5 history entry as its pair key and its records in store order."""
     if type(entry) is not list or len(entry) != len(HISTORY_COLUMNS):
         raise ValidationError(
             f"history pair is not a list of {len(HISTORY_COLUMNS)} columns: {entry!r:.80}",
             field="pairs",
         )
-    collaborator, task_type, owners, *columns, satisfied, extras = entry
+    collaborator, task_type, owners, *columns, satisfied = entry
     _require_device_id(collaborator, "collaborator")
     _require_device_id(task_type, "task_type")
     n = len(owners) if type(owners) is list else 0
     if n == 0:
         raise ValidationError("owners must be a nonempty list", field="owners")
-    for name, column in zip(HISTORY_COLUMNS[3:9], entry[3:9]):
+    for name, column in zip(HISTORY_COLUMNS[3:], entry[3:]):
         if type(column) is not list or len(column) != n:
             raise ValidationError(f"{name} must be a list of {n} entries, one per owner", field=name)
     verdicts = [_SATISFIED if s is True else _UNSATISFIED if s is False else _not_a_bool(s)
                 for s in satisfied]
-    if type(extras) is not list:
-        raise ValidationError("extras must be a list", field="extras")
-    extra_of = [_NO_EXTRA] * n
-    previous = -1
-    for item in extras:
-        if type(item) is not list or len(item) != 2:
-            raise ValidationError(f"an extras item is not [index, mapping]: {item!r:.80}", field="extras")
-        index, extra = item
-        if type(index) is not int or not previous < index < n:
-            raise ValidationError(
-                f"extras index {index!r} must be an integer above {previous} and below {n}",
-                field="extras",
-            )
-        if type(extra) is not dict or not extra:
-            raise ValidationError(f"extras[{index}] must be a nonempty mapping", field="extras")
-        extra_of[index] = extra
-        previous = index
     intern = ids.setdefault
     collaborator = intern(collaborator, collaborator)
     task_type = intern(task_type, task_type)
     owners = [intern(o, o) if type(o) is str else o for o in owners]
     records = list(map(PerformanceRecord, owners, repeat(collaborator), repeat(task_type),
-                       *columns, verdicts, extra_of))
+                       *columns, verdicts))
     at = columns[0]  # integers now: each record checked its own
     if any(map(operator.gt, at, islice(at, 1, None))):
         raise ValidationError(f"at must not decrease within a pair: {collaborator}, {task_type}", field="at")
@@ -386,7 +365,7 @@ class MemoryModule:
         try:
             try:
                 doc = json.loads(Path(path).read_bytes())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
                 raise ValidationError(f"unreadable snapshot: {exc}") from None
             if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
                 raise ValidationError("not a twotsd snapshot file")
@@ -402,9 +381,9 @@ class MemoryModule:
                 module.history = HistoryStore.from_dict(doc["history"])
                 module.semantics = SemanticsTree.from_dict(doc["tree"])
             except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
-                field = exc.field if isinstance(exc, ValidationError) else None
+                field, code = (exc.field, exc.code) if isinstance(exc, ValidationError) else (None, None)
                 raise ValidationError(
-                    f"malformed snapshot: {type(exc).__name__} {exc}", field=field
+                    f"malformed snapshot: {type(exc).__name__} {exc}", field=field, code=code
                 ) from None
             return module
         finally:

@@ -207,7 +207,7 @@ def _decode_body(body: bytes) -> Message:
         raise VersionMismatchError(f"schema version {version}, supported {PROTOCOL_VERSION}")
     try:
         doc = json.loads(body[1:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
         raise MalformedFrameError(f"bad message document: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedFrameError("message document must be an object")

@@ -100,13 +100,13 @@ def parse_label_reply(text: str) -> tuple[TrustState, dict[str, Trend], dict[str
     """Strict closed-vocabulary parse of the model reply."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
         raise SchemaViolationError(f"reply is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaViolationError("reply must be a JSON object")
-    extra = set(doc) - {"state", "comm_trends", "comp_trends"}
-    if extra:
-        raise SchemaViolationError(f"unexpected reply keys {sorted(extra)}")
+    unexpected = set(doc) - {"state", "comm_trends", "comp_trends"}
+    if unexpected:
+        raise SchemaViolationError(f"unexpected reply keys {sorted(unexpected)}")
     try:
         state = TrustState(doc["state"])
     except (KeyError, ValueError):
@@ -257,7 +257,7 @@ class RemoteSemanticsEngine:
             raise RemoteEngineError(f"unexpected status {status}")
         try:
             content = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             raise SchemaViolationError("reply envelope is not chat-completion shaped") from None
         if not isinstance(content, str):
             raise SchemaViolationError("reply content must be a string")

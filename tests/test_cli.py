@@ -238,7 +238,7 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--snapshot", str(out / "snapshot.json")]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("version=4 resources=6 history=")
+    assert text.startswith("version=5 resources=6 history=")
     assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
     assert "loss_rate=" in text
@@ -252,7 +252,7 @@ def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _malformed_v4(doc):
+def _malformed_v5(doc):
     """No history, a repeated profile or leaf, and a short history column."""
     no_history = {k: v for k, v in doc.items() if k != "history"}
     profiles = doc["resources"]["profiles"]
@@ -270,15 +270,40 @@ def _malformed_v4(doc):
 def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
-    v4 = json.loads((out / "snapshot.json").read_text())
-    assert v4["version"] == 4
+    v5 = json.loads((out / "snapshot.json").read_text())
+    assert v5["version"] == 5
     broken = tmp_path / "broken.json"
     capsys.readouterr()
-    for bad in _malformed_v4(v4):
+    for bad in _malformed_v5(v5):
         broken.write_text(json.dumps(bad))
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
+
+
+def test_inspect_refuses_a_snapshot_holding_a_huge_number(tmp_path, capsys):
+    """A number no float or int64 can hold, or an int too long to parse, exits 2 without a traceback."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
+    doc = json.loads((out / "snapshot.json").read_text())
+    profile = doc["resources"]["profiles"][0]
+    pair = doc["history"]["pairs"][0]
+    huge = 10**400
+    broken = tmp_path / "broken.json"
+    capsys.readouterr()
+    for where, key, expected in ((profile, "cpu_cps", "malformed"), (profile, "updated_at", "malformed"),
+                                 (pair[3], 0, "malformed"), (pair[4], 0, "malformed"),
+                                 (profile, "storage_mb", "unreadable")):
+        was, where[key] = where[key], huge
+        text = json.dumps(doc)
+        where[key] = was
+        if expected == "unreadable":
+            text = text.replace(str(huge), "9" * 5_000)
+        broken.write_text(text)
+        assert main(["inspect", "--snapshot", str(broken)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: {expected} snapshot"), err
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -313,12 +338,12 @@ _PINNED_SIMULATE_SHA256 = {
     "default.yaml": (["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-        "snapshot.json": "59d20046af3f499ac90e8f3a11d49dc3b5ee8807ece059a1c9489b38e32a365a",
+        "snapshot.json": "0ce8edd4f73d1e44b03a698ddac57ab7a192ffa3f733ad8e3c2436c706b8ced9",
     }),
     "large_fleet.yaml": ([], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
-        "snapshot.json": "a4df9a87bcaaf9ee39fcfbcf7708e8b1ce1f3372b009187cab733cdb4f5a7c14",
+        "snapshot.json": "49d8dc8c584fabcdba429f40d9a3596561273538ce74cea8e48d33870f629007",
     }),
 }
 

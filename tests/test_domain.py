@@ -7,8 +7,8 @@ import dataclasses
 import math
 import pickle
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +31,7 @@ from twotsd.domain import (
 )
 from twotsd.errors import ValidationError
 
-from _builders import make_record, make_task
+from _builders import make_profile, make_record, make_task
 
 
 def test_parse_fraction_accepts_percent_strings():
@@ -81,18 +81,22 @@ def test_task_field_invariants(field, value):
         make_task(**{field: value})
 
 
-def test_validate_task_collects_unknown_keys_into_extra():
-    task = validate_task({
+def test_validate_task_ignores_unknown_keys():
+    raw = {
         "task_id": "t1",
         "owner": "a_i",
         "task_type": "video_transcoding",
         "size_mb": 50,
         "density_cpb": 1000,
         "deadline_s": 50,
-        "codec_profile": "h264",
-    })
-    assert task.extra == {"codec_profile": "h264"}
+    }
+    task = validate_task(raw)
     assert task.size_mb == 50.0
+    for extra in ({"site": "lab"}, "not a mapping", None):
+        assert validate_task({**raw, "codec_profile": "h264", "extra": extra}) == task
+    assert [f.name for f in dataclasses.fields(task)] == [
+        "task_id", "owner", "task_type", "size_mb", "density_cpb", "deadline_s",
+    ]
 
 
 def test_validate_task_reports_missing_fields():
@@ -112,24 +116,17 @@ def test_validate_record_parses_percent_and_verdict_strings():
         "proc_speed_mbps": 2,
         "accuracy": "98%",
         "verdict": "Satisfied",
-        "battery": 0.8,
     })
     assert rec.loss_rate == pytest.approx(0.01)
     assert rec.accuracy == pytest.approx(0.98)
     assert rec.verdict is Verdict.SATISFIED
-    assert rec.extra == {"battery": 0.8}
 
 
-def test_validate_record_extra_must_be_a_mapping_and_wins_over_unknown_keys():
+def test_validate_record_ignores_unknown_keys_and_names_missing_fields():
     raw = codec.record_to_dict(make_record())
-    assert validate_record({**raw, "site": "a", "extra": {"site": "b"}}).extra == {"site": "b"}
-    given = {"site": "b"}
-    rec = validate_record({**raw, "extra": given})
-    assert rec.extra == given and rec.extra is not given
-    for bad in ([["site", "b"]], None, "site"):
-        with pytest.raises(ValidationError) as err:
-            validate_record({**raw, "extra": bad})
-        assert err.value.field == "extra"
+    assert set(raw) == {f.name for f in dataclasses.fields(PerformanceRecord)}
+    for extra in ({"site": "b"}, [["site", "b"]], None, "site"):
+        assert validate_record({**raw, "battery": 0.8, "extra": extra}) == make_record()
     with pytest.raises(ValidationError) as err:
         validate_record({k: v for k, v in raw.items() if k not in ("at", "accuracy")})
     assert err.value.message == "missing record fields: accuracy, at"
@@ -171,7 +168,6 @@ class _ReferenceRecord:
     proc_speed_mbps: Any
     accuracy: Any
     verdict: Any
-    extra: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         _require_device_id(self.owner, "owner")
@@ -197,14 +193,10 @@ def _outcome(cls, args):
         record = cls(*args)
     except ValidationError as exc:
         return ("rejected", exc.field, exc.code, exc.message)
-    except OverflowError as exc:  # float() of a huge int, in both
-        return ("overflow", str(exc))
     values = [getattr(record, f.name) for f in dataclasses.fields(record)]
-    bits = [
-        (type(v), struct.pack("<d", v)) if type(v) is float else (type(v), v)
-        for v in values[:-1]
-    ]
-    return ("accepted", bits, dict(values[-1]))
+    return ("accepted", [
+        (type(v), struct.pack("<d", v)) if type(v) is float else (type(v), v) for v in values
+    ])
 
 
 class _Str(str):
@@ -225,12 +217,11 @@ _EDGES = [
     ["a_i", "a_j", "", " ", _Str("a_i"), 3, None],
     ["a_j", "a_i", "", " ", _Str("a_k"), 3, None],
     ["video_transcoding", "", _Str("t"), b"x", None],
-    [0, -1, 2**70, True, 1.0, "1", None],
+    [0, -1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70, 10**400, True, 1.0, "1", None],
     _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS,
     [*Verdict, "satisfied", None, True],
-    [{}, {"site": "lab"}],
 ]
-_VALID = ("a_i", "a_j", "video_transcoding", 1_000, 100.0, 0.01, 2.0, 0.98, Verdict.SATISFIED, {})
+_VALID = ("a_i", "a_j", "video_transcoding", 1_000, 100.0, 0.01, 2.0, 0.98, Verdict.SATISFIED)
 
 
 def test_record_constructor_agrees_with_the_reference_rules_on_edge_values():
@@ -243,27 +234,19 @@ def test_record_constructor_agrees_with_the_reference_rules_on_edge_values():
 @settings(max_examples=500, deadline=None)
 @given(st.tuples(*(st.sampled_from(values) for values in _EDGES[:4]),
                  *(st.sampled_from(_NUMBERS) | st.floats() for _ in range(4)),
-                 st.sampled_from(_EDGES[8]),
-                 st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)))
+                 st.sampled_from(_EDGES[8])))
 def test_record_constructor_agrees_with_the_reference_rules(args):
     """Same accept or reject, same error field, code and message, same stored bits."""
     assert _outcome(PerformanceRecord, args) == _outcome(_ReferenceRecord, args)
 
 
-def test_record_is_frozen_shares_one_empty_extra_and_copies():
+def test_record_is_frozen_and_copies():
     record = make_record()
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.at = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        record.extra = {"site": "lab"}
-    assert record.extra == {} and record.extra is make_record(extra={}).extra
-    with pytest.raises(TypeError):
-        record.extra["site"] = "lab"
     for again in (copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
                   dataclasses.replace(record, at=record.at)):
         assert again == record
-    given = {"site": "lab"}
-    assert make_record(extra=given).extra is given  # a nonempty extra is stored as given
 
 
 def test_timestamps_must_be_integers():
@@ -320,6 +303,33 @@ def test_all_trends_merges_both_groups():
     merged = _semantics().all_trends()
     assert set(merged) == set(COMM_METRICS) | set(COMP_METRICS)
     assert merged["loss_rate"] is Trend.INCREASING
+
+
+_HUGE = 10**400  # an int no float can hold
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("record", "throughput_mbps"), ("record", "loss_rate"), ("record", "proc_speed_mbps"),
+    ("record", "accuracy"), ("record", "at"), ("profile", "cpu_cps"), ("profile", "updated_at"),
+    ("task", "deadline_s"), ("semantics", "extracted_at"),
+])
+def test_a_huge_number_is_a_validation_error_naming_its_field(kind, field):
+    build = {"record": make_record, "profile": make_profile, "task": make_task, "semantics": _semantics}
+    with pytest.raises(ValidationError) as err:
+        build[kind](**{field: _HUGE})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("at", [2**63 - 1, -(2**63)])
+def test_timestamps_span_the_signed_64_bit_range(at):
+    assert make_record(at=at).at == at
+    assert make_profile(updated_at=at).updated_at == at
+    assert _semantics(window=(at, at), extracted_at=at).window == (at, at)
+    for outside in (at + 1 if at > 0 else at - 1, 2 * at):
+        for build, field in ((make_record, "at"), (make_profile, "updated_at"), (_semantics, "extracted_at")):
+            with pytest.raises(ValidationError, match=f"{field} must fit in 64 bits") as err:
+                build(**{field: outside})
+            assert err.value.code == "out_of_range"
 
 
 # Codec round-trips: canonical bytes are stable and dict codecs invert.

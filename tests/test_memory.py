@@ -130,7 +130,7 @@ def test_concurrent_append_query_prune_stress():
     def append(rng):
         rid = next(ids)
         at = rid // 8 + rng.randrange(0, 50)  # drifting clock with some lateness
-        store.append(make_record(at=at, extra={"rid": rid}))
+        store.append(make_record(at=at, throughput_mbps=float(rid)))  # tagged by its id
         appended.append(rid)
 
     def query(rng):
@@ -156,7 +156,7 @@ def test_concurrent_append_query_prune_stress():
     assert errors == []
     remaining = store.query(HistoryQuery("a_j", "video_transcoding", last_k=len(store) + 1))
     assert len(remaining) == len(store) == len(appended) > 0
-    assert sorted(r.extra["rid"] for r in remaining) == sorted(appended)
+    assert sorted(int(r.throughput_mbps) for r in remaining) == sorted(appended)
     ats = [r.at for r in remaining]
     assert ats == sorted(ats)
 
@@ -270,7 +270,7 @@ def test_snapshot_load_rejects_foreign_files(tmp_path):
     with pytest.raises(ValidationError):
         MemoryModule.load(path)
     doc = MemoryModule().to_snapshot_dict()
-    for version in (3, "4", 4.0, True, None):
+    for version in (3, 4, "5", 5.0, True, None):
         path.write_bytes(codec.canonical_json_bytes({**doc, "version": version}))
         with pytest.raises(ValidationError, match=f"unsupported snapshot version {version!r};"):
             MemoryModule.load(path)
@@ -314,7 +314,7 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
         MemoryModule.load(path)
 
 
-# The snapshot reader on hand-written v4 files. A history is written here as
+# The snapshot reader on hand-written v5 files. A history is written here as
 # [fields, tail] items, one per record and each in a pair of its own; tail is
 # anything past the pair's last column. The test ids keep the names they had
 # when a v1 and a v2 reader were both checked: "-1" and "-2" name the record
@@ -330,12 +330,11 @@ _SATISFIED_OF = {"satisfied": True, "unsatisfied": False}
 
 
 def _pair_entry(f, tail):
-    """One record's fields as a v4 pair entry; a value no writer would emit passes through."""
+    """One record's fields as a v5 pair entry; a value no writer would emit passes through."""
     columns = {
         "collaborator": f["collaborator"], "task_type": f["task_type"], "owners": [f["owner"]],
         **{c: [f[c]] for c in HISTORY_COLUMNS[3:8] if c in f},
         "satisfied": [_SATISFIED_OF.get(f["verdict"], f["verdict"])],
-        "extras": [[0, f["extra"]]] if f["extra"] else [],
     }
     return [*(columns[c] for c in HISTORY_COLUMNS if c in columns), *tail]
 
@@ -378,7 +377,6 @@ _CORRUPTIONS = {
     "loss-rate-150%": _set("loss_rate", "150%"),
     "unknown-verdict": _set("verdict", "delighted"),
     "self-collaboration": _self_collaboration,
-    "non-mapping-extra": _set("extra", [["site", "lab"]]),
 }
 
 
@@ -394,24 +392,24 @@ def test_both_readers_reject_each_corrupt_record(tmp_path, row, corruption):
     with pytest.raises(ValidationError, match="malformed snapshot") as err:
         MemoryModule.load(path)
     if corruption.endswith("-column"):
-        assert "not a list of 10 columns" in err.value.message
+        assert "not a list of 9 columns" in err.value.message
 
 
 def test_both_readers_accept_the_same_lenient_forms(tmp_path):
     """Percent strings and integers load to the record an ingest builds."""
     lenient = {**codec.record_to_dict(make_record()), "loss_rate": "1%", "accuracy": "98%",
-               "throughput_mbps": 100, "proc_speed_mbps": 2, "extra": {"site": "lab"}}
+               "throughput_mbps": 100, "proc_speed_mbps": 2}
     _write_history(tmp_path / "snapshot.json", [[lenient, []]])
     history = MemoryModule.load(tmp_path / "snapshot.json").history
-    expected = [make_record(loss_rate=0.01, accuracy=0.98, extra={"site": "lab"})]
+    expected = [make_record(loss_rate=0.01, accuracy=0.98)]
     assert history.query(HistoryQuery("a_j", "video_transcoding", last_k=10)) == expected
 
 
 def _three_records_pair():
-    """A valid pair entry of three records; the second carries an extra."""
+    """A valid pair entry of three records."""
     return ["a_j", "video_transcoding", ["a_i", "a_k", "a_i"], [1_000, 1_000, 2_000],
             [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], [0.9, 0.9, 0.9],
-            [True, False, True], [[1, {"site": "lab"}]]]
+            [True, False, True]]
 
 
 def _column(name, value):
@@ -426,18 +424,16 @@ _MALFORMED_PAIRS = {
     "ragged-accuracy": (_column("accuracy", [0.9, 0.9, 0.9, 0.9]), "accuracy"),
     "ragged-satisfied": (_column("satisfied", [True]), "satisfied"),
     "no-records": (_column("owners", []), "owners"),
-    "extras-index-out-of-range": (_column("extras", [[3, {"site": "lab"}]]), "extras"),
-    "extras-index-negative": (_column("extras", [[-1, {"site": "lab"}]]), "extras"),
-    "extras-index-repeated": (_column("extras", [[1, {"a": 1}], [1, {"b": 2}]]), "extras"),
-    "extras-index-out-of-order": (_column("extras", [[2, {"a": 1}], [1, {"b": 2}]]), "extras"),
-    "extras-index-not-an-int": (_column("extras", [[True, {"a": 1}]]), "extras"),
-    "extras-empty-mapping": (_column("extras", [[1, {}]]), "extras"),
     "satisfied-not-a-bool": (_column("satisfied", [True, 0, True]), "satisfied"),
     "satisfied-a-label": (_column("satisfied", [True, "satisfied", True]), "satisfied"),
     "pair-listed-twice": (lambda pairs: pairs.append(_three_records_pair()), "pairs"),
     "owner-is-collaborator": (_column("owners", ["a_i", "a_j", "a_i"]), "collaborator"),
     "at-decreasing": (_column("at", [1_000, 3_000, 2_000]), "at"),
     "collaborator-empty": (_column("collaborator", ""), "collaborator"),
+    "at-past-int64": (_column("at", [1_000, 1_000, 2**63]), "at"),
+    "at-huge": (_column("at", [1_000, 10**400, 2_000]), "at"),
+    "throughput-huge": (_column("throughput_mbps", [1.0, 10**400, 3.0]), "throughput_mbps"),
+    "loss-rate-huge": (_column("loss_rate", [0.0, 10**400, 1.0]), "loss_rate"),
 }
 
 
@@ -455,6 +451,7 @@ def test_v4_loader_refuses_each_malformed_history_naming_the_field(tmp_path, fau
     assert err.value.field == field
     if fault == "owner-is-collaborator":
         assert "owner and collaborator must differ" in err.value.message
+        assert err.value.code == "self_collaboration"  # the record's code survives the rewrap
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -482,6 +479,27 @@ def test_load_refuses_a_v3_snapshot_with_the_rebuild_hint(tmp_path):
     assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
 
 
+def test_load_refuses_a_v4_snapshot_with_the_rebuild_hint(tmp_path):
+    """A v4 file, each pair with a tenth column of sparse extras, is refused by its version too."""
+    path = tmp_path / "snapshot.json"
+    _write_pairs(path, [[*_three_records_pair(), [[1, {"site": "lab"}]]]], version=4)
+    with pytest.raises(ValidationError, match="unsupported snapshot version 4;") as err:
+        MemoryModule.load(path)
+    assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
+
+
+def test_load_refuses_an_int_too_long_or_a_document_too_deep_to_parse(tmp_path):
+    path = tmp_path / "snapshot.json"
+    _write_pairs(path, [_three_records_pair()])
+    text = path.read_text()
+    path.write_text(text.replace("[1000, 1000, 2000]", f"[1000, 1000, {'9' * 5_000}]", 1))
+    with pytest.raises(ValidationError, match="unreadable snapshot"):
+        MemoryModule.load(path)
+    path.write_text(text.replace("[1000, 1000, 2000]", "[" * 100_000 + "]" * 100_000, 1))
+    with pytest.raises(ValidationError, match="unreadable snapshot"):
+        MemoryModule.load(path)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_leaves_the_callers_gc_setting_as_it_was(tmp_path, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -504,39 +522,37 @@ def test_load_leaves_the_callers_gc_setting_as_it_was(tmp_path, enabled):
         gc.enable() if was else gc.disable()
 
 
-def test_load_interns_ids_and_shares_one_empty_extra(tmp_path):
+def test_load_interns_ids(tmp_path):
     path = tmp_path / "snapshot.json"
     _write_pairs(path, [_three_records_pair()])
     first, second, third = MemoryModule.load(path).history.query(
         HistoryQuery("a_j", "video_transcoding", last_k=3))
     assert first.owner is third.owner and first.collaborator is second.collaborator
-    assert first.extra is third.extra and first.extra == {}
-    assert second.extra == {"site": "lab"}
 
 
-def test_a_tiny_v4_snapshot_has_the_golden_bytes(tmp_path):
+def test_a_tiny_v5_snapshot_has_the_golden_bytes(tmp_path):
     """Pairs in sorted pair order, each pair's columns in (at, arrival) order; leaves as rows."""
     memory = MemoryModule()
     memory.resources.upsert(make_profile(device="a_k", updated_at=5))
     memory.history.append(make_record(collaborator="a_k", at=2_000))
-    memory.history.append(make_record(at=3_000, verdict=Verdict.UNSATISFIED, extra={"site": "lab"}))
+    memory.history.append(make_record(at=3_000, verdict=Verdict.UNSATISFIED))
     memory.history.append(make_record(at=1_000, loss_rate=0.5))  # late: goes first in its pair
     memory.semantics.upsert(_semantics("a_j", "video_transcoding", n=2))
     path = tmp_path / "snapshot.json"
     memory.save(path)
-    assert path.read_bytes() == _GOLDEN_V4
+    assert path.read_bytes() == _GOLDEN_V5
     assert MemoryModule.load(path) == memory
 
 
-_GOLDEN_V4 = b"".join((
+_GOLDEN_V5 = b"".join((
     b'{"format":"twotsd-snapshot","history":{"pairs":[',
     b'["a_j","video_transcoding",["a_i","a_i"],[1000,3000],[100.0,100.0],[0.5,0.01],',
-    b'[2.0,2.0],[0.98,0.98],[true,false],[[1,{"site":"lab"}]]],',
-    b'["a_k","video_transcoding",["a_i"],[2000],[100.0],[0.01],[2.0],[0.98],[true],[]]]},',
+    b'[2.0,2.0],[0.98,0.98],[true,false]],',
+    b'["a_k","video_transcoding",["a_i"],[2000],[100.0],[0.01],[2.0],[0.98],[true]]]},',
     b'"resources":{"profiles":[{"bandwidth_mbps":100.0,"cpu_cps":10000000000.0,',
     b'"device":"a_k","storage_mb":200.0,"updated_at":5}]},',
     b'"tree":{"leaves":[["a_j","video_transcoding","trusted","normal","normal","normal",',
-    b'"normal",1000,2000,2000,2]]},"version":4}\n',
+    b'"normal",1000,2000,2000,2]]},"version":5}\n',
 ))
 
 
@@ -554,7 +570,6 @@ _records = st.builds(
     proc_speed_mbps=st.floats(min_value=0.0, allow_infinity=False),
     accuracy=_fractions,
     verdict=st.sampled_from(list(Verdict)),
-    extra=st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5), max_size=2),
 )
 
 
@@ -583,7 +598,6 @@ def test_v4_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
                       for name in ("owner", "at", "throughput_mbps", "loss_rate",
                                    "proc_speed_mbps", "accuracy")),
                     [r.verdict is Verdict.SATISFIED for r in everything],
-                    [[i, dict(r.extra)] for i, r in enumerate(everything) if r.extra],
                 ])
             for q in (
                 HistoryQuery(collaborator, task_type, last_k=1_000),

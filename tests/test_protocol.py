@@ -161,16 +161,11 @@ def _reference_frame(msg: Message) -> bytes:
 
 # Any code point: non-ASCII, astral (a surrogate pair when escaped) and control.
 _IDS = st.text(min_size=1, max_size=12)
-_STAMPS = st.integers(-(2**64), 2**64)
+_STAMPS = st.integers(-(2**63), 2**63 - 1)  # timestamps are signed 64-bit
 _MAX = sys.float_info.max
 _POSITIVE = st.floats(min_value=5e-324, max_value=_MAX) | st.sampled_from([5e-324, _MAX])
 _NONNEG = st.floats(min_value=0.0, max_value=_MAX) | st.sampled_from([-0.0, 0.0, 5e-324, _MAX])
 _FRACTION = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
-_EXTRA = st.dictionaries(
-    st.text(max_size=6),
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    max_size=3,
-)
 
 
 @st.composite
@@ -209,7 +204,6 @@ def _records(draw):
         proc_speed_mbps=draw(_NONNEG),
         accuracy=draw(_FRACTION),
         verdict=draw(st.sampled_from(list(Verdict))),
-        extra=draw(_EXTRA),
     )
 
 
@@ -221,7 +215,7 @@ _PAYLOAD_STRATEGIES = {
     MessageKind.PERFORMANCE_RECORD: _records(),
     MessageKind.TASK_REQUEST: st.builds(
         Task, task_id=_IDS, owner=_IDS, task_type=_IDS, size_mb=_POSITIVE,
-        density_cpb=_POSITIVE, deadline_s=_POSITIVE, extra=_EXTRA,
+        density_cpb=_POSITIVE, deadline_s=_POSITIVE,
     ),
     MessageKind.CANDIDATE_BUNDLE: _bundles(),
     MessageKind.ACK: st.builds(Ack, detail=st.none() | st.text(max_size=20)),
@@ -411,6 +405,52 @@ def test_an_ack_or_error_payload_of_the_wrong_type_is_malformed(kind, payload, f
         decode(_frame_of(doc))
     ack = {**doc, "kind": "ack", "payload": {"detail": None}}
     assert decode(_frame_of(ack)).payload == Ack()
+
+
+def _request_doc(kind: str, payload: dict, **header) -> dict:
+    return {"kind": kind, "msg_id": "a_i-1", "sender": "a_i", "sent_at": 0, "payload": payload, **header}
+
+
+def test_a_record_or_task_frame_with_extra_and_unknown_keys_decodes_to_the_plain_value():
+    for kind, value, to_dict in (("performance_record", make_record(), codec.record_to_dict),
+                                 ("task_request", make_task(), codec.task_to_dict)):
+        assert "extra" not in to_dict(value)
+        for extra in ({"site": "lab"}, 7):  # a frame from an older peer; a non-mapping too
+            doc = _request_doc(kind, {**to_dict(value), "extra": extra, "battery": 0.8})
+            assert decode(_frame_of(doc)).payload == value
+
+
+_HUGE = 10**400  # an int no float can hold
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("resource_report", "cpu_cps"), ("resource_report", "storage_mb"), ("resource_report", "updated_at"),
+    ("performance_record", "at"), ("performance_record", "throughput_mbps"),
+    ("performance_record", "loss_rate"), ("performance_record", "accuracy"),
+    ("task_request", "size_mb"), ("task_request", "deadline_s"),
+])
+def test_a_request_carrying_a_huge_number_is_malformed(kind, field):
+    payload = {
+        "resource_report": codec.profile_to_dict(make_profile()),
+        "performance_record": codec.record_to_dict(make_record()),
+        "task_request": codec.task_to_dict(make_task()),
+    }[kind]
+    payload[field] = _HUGE
+    with pytest.raises(MalformedFrameError, match=f"bad {kind} payload: {field} "):
+        decode(_frame_of(_request_doc(kind, payload)))
+
+
+def test_a_huge_or_unparsable_header_value_is_malformed():
+    doc = _request_doc("task_request", codec.task_to_dict(make_task()), sent_at=2**63)
+    with pytest.raises(MalformedFrameError, match="sent_at must fit in 64 bits"):
+        decode(_frame_of(doc))
+    frame = _frame_of({**doc, "sent_at": 0})
+    body = frame[4:].replace(b'"sent_at": 0', b'"sent_at": ' + b"9" * 5_000)
+    with pytest.raises(MalformedFrameError, match="bad message document"):
+        decode(len(body).to_bytes(4, "big") + body)
+    nested = frame[4:].replace(b'"sent_at": 0', b'"sent_at": ' + b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(MalformedFrameError, match="bad message document"):
+        decode(len(nested).to_bytes(4, "big") + nested)
 
 
 def test_a_v2_peer_gets_version_mismatch(server):
@@ -760,3 +800,34 @@ def test_read_frame_clean_eof_vs_midframe_cut(server):
             with pytest.raises(MalformedFrameError):
                 read_frame(client)
     listener.close()
+
+
+def test_tcp_a_poisoned_profile_is_refused_and_requests_still_get_bundles(server, quiet_failures):
+    """A profile stamped past int64 is refused, so no later request that reaches its device fails on it."""
+    host, port = server.address
+    with DeviceClient(host, port, "a_i") as owner:
+        for rec in make_records(8, collaborator="a_k"):
+            owner.call(MessageKind.PERFORMANCE_RECORD, rec)
+    poisoned = {**codec.profile_to_dict(make_profile(device="a_k")), "updated_at": _HUGE}
+    with socket.create_connection((host, port)) as sock:
+        sock.sendall(_frame_of(_request_doc("resource_report", poisoned, sender="a_k")))
+        reply = read_frame(sock)
+        assert reply.kind is MessageKind.ERROR
+        assert reply.payload.code == "malformed" and "updated_at" in reply.payload.detail
+        assert read_frame(sock) is None
+    with DeviceClient(host, port, "a_i") as owner:
+        assert owner.call(MessageKind.TASK_REQUEST, make_task()).payload.devices() == []
+        owner.call(MessageKind.RESOURCE_REPORT, make_profile(device="a_k", updated_at=70_000))
+        assert owner.call(MessageKind.TASK_REQUEST, make_task()).payload.devices() == ["a_k"]
+    assert quiet_failures == []
+
+
+def test_tcp_an_ingest_with_a_large_extra_stores_what_the_plain_ingest_stores(server):
+    """A 1 MiB ``extra`` and an unknown key are acked and leave no trace in memory."""
+    doc = {**codec.record_to_dict(make_record()), "extra": {"blob": "x" * 2**20}, "site": "lab"}
+    with socket.create_connection(server.address) as sock:
+        sock.sendall(_frame_of(_request_doc("performance_record", doc)))
+        assert read_frame(sock).kind is MessageKind.ACK
+    plain = TeacherAgent()
+    plain.handle_performance_record(make_record())
+    assert server.teacher.memory.to_snapshot_dict() == plain.memory.to_snapshot_dict()

@@ -41,7 +41,7 @@ SECRET = "sekret-test-credential-123"
 
 
 class StubResponse:
-    """A canned reply: its status and its JSON body (None: a body that is not JSON)."""
+    """A canned reply: its status and its JSON body (None: a body that is not JSON; bytes: that body)."""
 
     def __init__(self, status_code: int, doc=None):
         self.status_code = status_code
@@ -73,7 +73,8 @@ class StubOpener:
             raise outcome
         if outcome.status_code != 200:
             raise HTTPError(request.full_url, outcome.status_code, "stub", {}, None)
-        body = b"not json" if outcome.doc is None else json.dumps(outcome.doc).encode()
+        body = outcome.doc if isinstance(outcome.doc, bytes) else (
+            b"not json" if outcome.doc is None else json.dumps(outcome.doc).encode())
         return addinfourl(io.BytesIO(body), {}, request.full_url, outcome.status_code)
 
 
@@ -201,11 +202,12 @@ def test_broken_envelope_is_a_schema_violation():
     engine, _, _ = _engine(
         StubResponse(200, {"unexpected": "shape"}),
         StubResponse(200, None),
+        StubResponse(200, b"[" * 100_000 + b"]" * 100_000),  # nested too deep to parse
         chat_reply(),
     )
     result = engine.extract("a_j", "video_transcoding", make_records(6))
-    assert result.state is TrustState.TRUSTED  # third attempt succeeded
-    assert engine.retries == 2
+    assert result.state is TrustState.TRUSTED  # fourth attempt succeeded
+    assert engine.retries == 3
 
 
 def test_remote_insufficient_data_forces_normal_trends():
@@ -253,6 +255,13 @@ def test_parse_label_reply_accepts_exact_schema():
 ])
 def test_parse_label_reply_rejects_offschema(reply):
     with pytest.raises(SchemaViolationError):
+        parse_label_reply(reply)
+
+
+@pytest.mark.parametrize("reply", ['{"state": ' + "9" * 5_000 + "}", "[" * 100_000 + "]" * 100_000],
+                         ids=["int_too_long", "nesting_too_deep"])
+def test_parse_label_reply_refuses_json_too_big_to_parse(reply):
+    with pytest.raises(SchemaViolationError, match="reply is not JSON"):
         parse_label_reply(reply)
 
 

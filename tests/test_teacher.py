@@ -79,8 +79,9 @@ def test_an_engine_that_raises_leaves_the_record_unstored():
 )
 def test_extraction_window_equals_the_append_then_query_window(history, at, window_k):
     """Tied and out-of-order timestamps: the new record sits where the store puts it."""
-    records = [make_record(at=t, extra={"i": i}) for i, t in enumerate(history)]
-    new = make_record(at=at, extra={"i": "new"})
+    # Each record tagged by a distinct throughput, so the windows compare arrival order too.
+    records = [make_record(at=t, throughput_mbps=float(i)) for i, t in enumerate(history)]
+    new = make_record(at=at, throughput_mbps=float(len(history)))
     engine = _FlakyEngine()
     teacher = TeacherAgent(engine=engine, window_k=window_k)
     reference = HistoryStore()
