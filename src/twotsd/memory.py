@@ -17,12 +17,14 @@ write. :class:`MemoryModule` bundles the three and snapshots them to a single
 versioned JSON file (``load(save(state)) == state``), written atomically
 (temp file, fsync, rename).
 
-Snapshot version 5 stores history in columns: one entry per pair, in sorted
+Snapshot version 6 stores history in columns: one entry per pair, in sorted
 pair order, laid out as :data:`HISTORY_COLUMNS` (no per-file header, no
-record ids). Each column is a list in store order, and ``satisfied`` holds
-booleans. The tree is stored as the leaves' wire rows
-(``codec.semantics_to_row``) sorted by (task type, device). Loading builds
-each pair's list straight from its columns through the validating
+record ids). ``owners`` is a JSON list of ids in store order; every other
+record column is one base64 string of packed little-endian values: ``at``
+as int64, the four metrics as IEEE-754 float64 and ``satisfied`` as one
+byte per record, 0 or 1. The tree is stored as the leaves' wire rows
+(``codec.semantics_to_row``) sorted by (task type, device). Loading unpacks
+each pair's columns and builds its list through the validating
 ``PerformanceRecord`` constructor, and reads each leaf through the
 validating ``codec.semantics_from_row``. Any other version is refused: a
 snapshot is rebuilt from its scenario config and seed, not migrated.
@@ -30,16 +32,19 @@ snapshot is rebuilt from its scenario config and seed, not migrated.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import gc
 import json
 import operator
 import os
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any
 
 from . import codec
 from .domain import (
@@ -55,10 +60,10 @@ from .domain import (
 from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
-# Column order of one snapshot-v5 history entry: the pair, then its records'
-# fields as one list each, in store order.
+# Column order of one snapshot-v6 history entry: the pair, then its records'
+# fields as one column each, in store order.
 HISTORY_COLUMNS = (
     "collaborator",
     "task_type",
@@ -70,6 +75,9 @@ HISTORY_COLUMNS = (
     "accuracy",
     "satisfied",
 )
+# array type codes of the packed columns, HISTORY_COLUMNS[3:] in order.
+_PACKED_CODES = ("q", "d", "d", "d", "d", "B")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,7 @@ class HistoryStore:
             return sum(map(len, self._by_key.values()))
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v5: one entry of columns per pair, in sorted pair order."""
+        """Snapshot v6: one entry of columns per pair, in sorted pair order."""
         with self._lock:
             return {"pairs": [_pair_to_columns(key, self._by_key[key]) for key in sorted(self._by_key)]}
 
@@ -187,16 +195,23 @@ class HistoryStore:
     def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
         """Build each pair's list from its columns; every record goes through the PerformanceRecord checks.
 
-        Nothing goes through ``append``: the store is not shared yet, and a
-        traced load (``bench/tracing.py`` wraps ``append``) would otherwise
-        count each loaded record as a served append. Ids are interned through
-        one dict, so each distinct owner, collaborator and task type is one
-        string object however many records name it.
+        Each entry of ``doc["pairs"]`` is replaced by None as its records are
+        built, so the parsed document shrinks while the store grows instead
+        of both peaking together. Nothing goes through ``append``: the store
+        is not shared yet, and a traced load (``bench/tracing.py`` wraps
+        ``append``) would otherwise count each loaded record as a served
+        append. Ids are interned through one dict, so each distinct owner,
+        collaborator and task type is one string object however many records
+        name it.
         """
         store = cls()
         by_key = store._by_key
         ids: dict[str, str] = {}
-        for entry in doc["pairs"]:
+        pairs = doc["pairs"]
+        if type(pairs) is not list:
+            raise ValidationError("history pairs must be a list", field="pairs")
+        for i, entry in enumerate(pairs):
+            pairs[i] = None
             key, records = _pair_from_columns(entry, ids)
             if key in by_key:
                 raise ValidationError(f"history pair {key} listed twice", field="pairs")
@@ -204,52 +219,70 @@ class HistoryStore:
         return store
 
 
-_SATISFIED, _UNSATISFIED = Verdict.SATISFIED, Verdict.UNSATISFIED
-_FIELD_GETTERS = tuple(
-    operator.attrgetter(name)
-    for name in ("owner", "at", "throughput_mbps", "loss_rate", "proc_speed_mbps", "accuracy")
-)
+_owner = operator.attrgetter("owner")
+_COLUMN_GETTERS = tuple(operator.attrgetter(name) for name in HISTORY_COLUMNS[3:])
+_VERDICT_OF_BYTE = (Verdict.UNSATISFIED, Verdict.SATISFIED)
+
+
+def _pack(code: str, values) -> str:
+    column = array(code, values)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return base64.b64encode(column).decode("ascii")
+
+
+def _unpack(name: str, code: str, text: Any, n: int) -> array:
+    """One packed column of ``n`` values, its type and byte length checked."""
+    if type(text) is not str:
+        raise ValidationError(f"{name} must be a base64 string of packed values", field=name)
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValidationError(f"{name} is not valid base64: {exc}", field=name) from None
+    column = array(code)
+    if len(data) != n * column.itemsize:
+        raise ValidationError(
+            f"{name} must pack {n} {column.itemsize}-byte values, one per owner, not {len(data)} bytes",
+            field=name,
+        )
+    column.frombytes(data)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
 
 
 def _pair_to_columns(key: tuple[DeviceId, TaskType], records: list[PerformanceRecord]) -> list[Any]:
     return [
         *key,
-        *(list(map(get, records)) for get in _FIELD_GETTERS),
-        [r.verdict is _SATISFIED for r in records],
+        list(map(_owner, records)),
+        *(_pack(code, map(get, records)) for code, get in zip(_PACKED_CODES, _COLUMN_GETTERS)),
     ]
 
 
-def _not_a_bool(value: Any) -> NoReturn:
-    raise ValidationError(f"satisfied must hold booleans, got {value!r}", field="satisfied")
-
-
 def _pair_from_columns(entry: Any, ids: dict[str, str]):
-    """One snapshot-v5 history entry as its pair key and its records in store order."""
+    """One snapshot-v6 history entry as its pair key and its records in store order."""
     if type(entry) is not list or len(entry) != len(HISTORY_COLUMNS):
         raise ValidationError(
             f"history pair is not a list of {len(HISTORY_COLUMNS)} columns: {entry!r:.80}",
             field="pairs",
         )
-    collaborator, task_type, owners, *columns, satisfied = entry
+    collaborator, task_type, owners = entry[:3]
     _require_device_id(collaborator, "collaborator")
     _require_device_id(task_type, "task_type")
     n = len(owners) if type(owners) is list else 0
     if n == 0:
         raise ValidationError("owners must be a nonempty list", field="owners")
-    for name, column in zip(HISTORY_COLUMNS[3:], entry[3:]):
-        if type(column) is not list or len(column) != n:
-            raise ValidationError(f"{name} must be a list of {n} entries, one per owner", field=name)
-    verdicts = [_SATISFIED if s is True else _UNSATISFIED if s is False else _not_a_bool(s)
-                for s in satisfied]
+    at, *metrics, satisfied = map(_unpack, HISTORY_COLUMNS[3:], _PACKED_CODES, entry[3:], repeat(n))
+    if max(satisfied) > 1:
+        raise ValidationError(f"satisfied must hold bytes 0 or 1, got {max(satisfied)}", field="satisfied")
+    if any(map(operator.gt, at, islice(at, 1, None))):
+        raise ValidationError(f"at must not decrease within a pair: {collaborator}, {task_type}", field="at")
     intern = ids.setdefault
     collaborator = intern(collaborator, collaborator)
     task_type = intern(task_type, task_type)
     owners = [intern(o, o) if type(o) is str else o for o in owners]
     records = list(map(PerformanceRecord, owners, repeat(collaborator), repeat(task_type),
-                       *columns, verdicts))
-    at = columns[0]  # integers now: each record checked its own
-    if any(map(operator.gt, at, islice(at, 1, None))):
-        raise ValidationError(f"at must not decrease within a pair: {collaborator}, {task_type}", field="at")
+                       at, *metrics, map(_VERDICT_OF_BYTE.__getitem__, satisfied)))
     return (collaborator, task_type), records
 
 
@@ -337,6 +370,9 @@ class MemoryModule:
         The bytes go to a new temp file in the target's directory, which is
         flushed and fsynced and then renamed over the target. On any failure
         the temp file is removed and the previous snapshot stays as it was.
+        Where directories can be opened (``os.O_DIRECTORY``), the directory
+        is fsynced after the rename too, so the rename itself survives a
+        crash once ``save`` returns.
         """
         path = Path(path)
         data = codec.canonical_json_bytes(self.to_snapshot_dict()) + b"\n"
@@ -351,6 +387,12 @@ class MemoryModule:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        if hasattr(os, "O_DIRECTORY"):
+            fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     @classmethod
     def load(cls, path: str | Path) -> "MemoryModule":

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import base64
 import gc
 import itertools
 import json
 import math
 import os
 import random
+import stat
+import struct
 import tempfile
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -261,6 +265,31 @@ def test_failed_save_leaves_the_previous_snapshot_intact(tmp_path, monkeypatch, 
     assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
 
 
+@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="directories cannot be opened here")
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The rename is durable once save returns: the target's directory is fsynced after it."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    memory = MemoryModule()
+    memory.history.append(make_record())
+    memory.save(tmp_path / "snapshot.json")
+    directory = os.stat(tmp_path).st_ino
+    assert [e[0] for e in events] == ["fsync", "replace", "fsync"]
+    assert events[0][1] is False and events[2] == ("fsync", True, directory)
+
+
 def test_snapshot_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else", "version": 1}')
@@ -270,7 +299,7 @@ def test_snapshot_load_rejects_foreign_files(tmp_path):
     with pytest.raises(ValidationError):
         MemoryModule.load(path)
     doc = MemoryModule().to_snapshot_dict()
-    for version in (3, 4, "5", 5.0, True, None):
+    for version in (3, 4, 5, "6", 6.0, True, None):
         path.write_bytes(codec.canonical_json_bytes({**doc, "version": version}))
         with pytest.raises(ValidationError, match=f"unsupported snapshot version {version!r};"):
             MemoryModule.load(path)
@@ -314,69 +343,73 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
         MemoryModule.load(path)
 
 
-# The snapshot reader on hand-written v5 files. A history is written here as
-# [fields, tail] items, one per record and each in a pair of its own; tail is
-# anything past the pair's last column. The test ids keep the names they had
-# when a v1 and a v2 reader were both checked: "-1" and "-2" name the record
-# that is corrupted, the first or the one after a valid one.
+# The snapshot reader on hand-written v6 files. A pair entry is written here
+# with plain lists for its record columns, which _pack_entry packs as the
+# format stores them; a record column that is not a list (a tuple is written
+# as a JSON list) passes through unpacked, and so does anything past the
+# pair's last column. The test ids
+# keep the names they had under the JSON-number formats: "-1" and "-2" name
+# the record that is corrupted, the first or the one after a valid one, and a
+# case once written as a JSON value is now that value packed, or (bool-at,
+# float-at) that value in place of the packed column.
+
+_CODES = dict(zip(HISTORY_COLUMNS[3:], "qddddB"))
 
 
-def _history():
-    records = [make_record(), make_record(at=2_000, collaborator="a_k")]
-    return [[codec.record_to_dict(r), []] for r in records]
+def _packed(code: str, values) -> str:
+    """Values packed little-endian and base64-encoded, independently of the module's writer."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
 
-_SATISFIED_OF = {"satisfied": True, "unsatisfied": False}
+def _pack_entry(entry):
+    return [_packed(_CODES[name], column) if name in _CODES and type(column) is list else column
+            for name, column in zip(HISTORY_COLUMNS + (None,) * len(entry), entry)]
 
 
-def _pair_entry(f, tail):
-    """One record's fields as a v5 pair entry; a value no writer would emit passes through."""
-    columns = {
-        "collaborator": f["collaborator"], "task_type": f["task_type"], "owners": [f["owner"]],
-        **{c: [f[c]] for c in HISTORY_COLUMNS[3:8] if c in f},
-        "satisfied": [_SATISFIED_OF.get(f["verdict"], f["verdict"])],
-    }
-    return [*(columns[c] for c in HISTORY_COLUMNS if c in columns), *tail]
-
-
-def _write_pairs(path: Path, pairs, version=SNAPSHOT_VERSION) -> None:
+def _write_doc(path: Path, version, pairs) -> None:
     doc = {"format": "twotsd-snapshot", "version": version, "resources": {"profiles": []},
            "history": {"pairs": pairs}, "tree": {"leaves": []}}
     path.write_text(json.dumps(doc))
 
 
-def _write_history(path: Path, history) -> None:
-    _write_pairs(path, [_pair_entry(f, tail) for f, tail in history])
+def _write_pairs(path: Path, pairs) -> None:
+    _write_doc(path, SNAPSHOT_VERSION, [_pack_entry(entry) for entry in pairs])
+
+
+def _history():
+    """Two one-record pairs, unpacked."""
+    return [["a_j", "video_transcoding", ["a_i"], [1_000], [100.0], [0.01], [2.0], [0.98], [1]],
+            ["a_k", "video_transcoding", ["a_i"], [2_000], [100.0], [0.01], [2.0], [0.98], [1]]]
 
 
 def _set(name, value):
-    def fault(fields, tail):
-        fields[name] = value
+    def fault(entry):
+        entry[HISTORY_COLUMNS.index(name)] = value
     return fault
 
 
-def _drop_column(fields, tail):
-    del fields["accuracy"]
+def _drop_column(entry):
+    del entry[HISTORY_COLUMNS.index("accuracy")]
 
 
-def _add_column(fields, tail):
-    tail.append("surplus")
+def _add_column(entry):
+    entry.append("surplus")
 
 
-def _self_collaboration(fields, tail):
-    fields["collaborator"] = fields["owner"]
+def _self_collaboration(entry):
+    entry[HISTORY_COLUMNS.index("owners")] = [entry[0]]
 
 
 _CORRUPTIONS = {
-    "missing-column": _drop_column,
-    "extra-column": _add_column,
-    "bool-at": _set("at", True),
-    "float-at": _set("at", 1_000.0),
-    "negative-throughput": _set("throughput_mbps", -1.0),
-    "nan-throughput": _set("throughput_mbps", math.nan),
-    "loss-rate-150%": _set("loss_rate", "150%"),
-    "unknown-verdict": _set("verdict", "delighted"),
-    "self-collaboration": _self_collaboration,
+    "missing-column": (_drop_column, "pairs"),
+    "extra-column": (_add_column, "pairs"),
+    "bool-at": (_set("at", True), "at"),
+    "float-at": (_set("at", 1_000.0), "at"),
+    "negative-throughput": (_set("throughput_mbps", [-1.0]), "throughput_mbps"),
+    "nan-throughput": (_set("throughput_mbps", [math.nan]), "throughput_mbps"),
+    "loss-rate-150%": (_set("loss_rate", [1.5]), "loss_rate"),
+    "unknown-verdict": (_set("satisfied", [2]), "satisfied"),
+    "self-collaboration": (_self_collaboration, "collaborator"),
 }
 
 
@@ -385,31 +418,22 @@ _CORRUPTIONS = {
 def test_both_readers_reject_each_corrupt_record(tmp_path, row, corruption):
     path = tmp_path / "snapshot.json"
     history = _history()
-    _write_history(path, history)
+    _write_pairs(path, history)
     assert len(MemoryModule.load(path).history) == 2  # the uncorrupted file loads
-    _CORRUPTIONS[corruption](*history[row - 1])
-    _write_history(path, history)
+    corrupt, field = _CORRUPTIONS[corruption]
+    corrupt(history[row - 1])
+    _write_pairs(path, history)
     with pytest.raises(ValidationError, match="malformed snapshot") as err:
         MemoryModule.load(path)
+    assert err.value.field == field
     if corruption.endswith("-column"):
         assert "not a list of 9 columns" in err.value.message
 
 
-def test_both_readers_accept_the_same_lenient_forms(tmp_path):
-    """Percent strings and integers load to the record an ingest builds."""
-    lenient = {**codec.record_to_dict(make_record()), "loss_rate": "1%", "accuracy": "98%",
-               "throughput_mbps": 100, "proc_speed_mbps": 2}
-    _write_history(tmp_path / "snapshot.json", [[lenient, []]])
-    history = MemoryModule.load(tmp_path / "snapshot.json").history
-    expected = [make_record(loss_rate=0.01, accuracy=0.98)]
-    assert history.query(HistoryQuery("a_j", "video_transcoding", last_k=10)) == expected
-
-
 def _three_records_pair():
-    """A valid pair entry of three records."""
+    """A valid pair entry of three records, unpacked."""
     return ["a_j", "video_transcoding", ["a_i", "a_k", "a_i"], [1_000, 1_000, 2_000],
-            [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], [0.9, 0.9, 0.9],
-            [True, False, True]]
+            [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], [2.0, 2.0, 2.0], [0.9, 0.9, 0.9], [1, 0, 1]]
 
 
 def _column(name, value):
@@ -422,18 +446,24 @@ _MALFORMED_PAIRS = {
     "ragged-owners": (_column("owners", ["a_i", "a_k"]), "at"),
     "ragged-at": (_column("at", [1_000, 1_000]), "at"),
     "ragged-accuracy": (_column("accuracy", [0.9, 0.9, 0.9, 0.9]), "accuracy"),
-    "ragged-satisfied": (_column("satisfied", [True]), "satisfied"),
+    "ragged-satisfied": (_column("satisfied", [1]), "satisfied"),
+    "empty-at": (_column("at", ""), "at"),
     "no-records": (_column("owners", []), "owners"),
-    "satisfied-not-a-bool": (_column("satisfied", [True, 0, True]), "satisfied"),
-    "satisfied-a-label": (_column("satisfied", [True, "satisfied", True]), "satisfied"),
+    "at-not-a-string": (_column("at", (1_000, 1_000, 2_000)), "at"),  # a JSON list, unpacked
+    "loss-rate-bad-base64": (_column("loss_rate", "AAAA*AAA"), "loss_rate"),
+    "loss-rate-not-ascii": (_column("loss_rate", "AAAAé==="), "loss_rate"),
+    "proc-speed-part-of-an-item": (
+        _column("proc_speed_mbps", base64.b64encode(bytes(23)).decode()), "proc_speed_mbps"),
+    "satisfied-not-a-bool": (_column("satisfied", [1, 2, 1]), "satisfied"),
+    "satisfied-a-label": (_column("satisfied", "satisfied"), "satisfied"),
     "pair-listed-twice": (lambda pairs: pairs.append(_three_records_pair()), "pairs"),
     "owner-is-collaborator": (_column("owners", ["a_i", "a_j", "a_i"]), "collaborator"),
     "at-decreasing": (_column("at", [1_000, 3_000, 2_000]), "at"),
     "collaborator-empty": (_column("collaborator", ""), "collaborator"),
-    "at-past-int64": (_column("at", [1_000, 1_000, 2**63]), "at"),
-    "at-huge": (_column("at", [1_000, 10**400, 2_000]), "at"),
-    "throughput-huge": (_column("throughput_mbps", [1.0, 10**400, 3.0]), "throughput_mbps"),
-    "loss-rate-huge": (_column("loss_rate", [0.0, 10**400, 1.0]), "loss_rate"),
+    "throughput-huge": (_column("throughput_mbps", [1.0, math.inf, 3.0]), "throughput_mbps"),
+    "loss-rate-huge": (_column("loss_rate", [0.0, 1e300, 1.0]), "loss_rate"),
+    "accuracy-nan": (_column("accuracy", [0.9, math.nan, 0.9]), "accuracy"),
+    "proc-speed-negative": (_column("proc_speed_mbps", [2.0, -0.0001, 2.0]), "proc_speed_mbps"),
 }
 
 
@@ -479,11 +509,24 @@ def test_load_refuses_a_v3_snapshot_with_the_rebuild_hint(tmp_path):
     assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
 
 
+_V5_PAIR = ["a_j", "video_transcoding", ["a_i", "a_k"], [1_000, 2_000], [1.0, 2.0], [0.0, 0.5],
+            [2.0, 2.0], [0.9, 0.9], [True, False]]
+
+
 def test_load_refuses_a_v4_snapshot_with_the_rebuild_hint(tmp_path):
     """A v4 file, each pair with a tenth column of sparse extras, is refused by its version too."""
     path = tmp_path / "snapshot.json"
-    _write_pairs(path, [[*_three_records_pair(), [[1, {"site": "lab"}]]]], version=4)
+    _write_doc(path, 4, [[*_V5_PAIR, [[1, {"site": "lab"}]]]])
     with pytest.raises(ValidationError, match="unsupported snapshot version 4;") as err:
+        MemoryModule.load(path)
+    assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
+
+
+def test_load_refuses_a_v5_snapshot_with_the_rebuild_hint(tmp_path):
+    """A v5 file, its record columns JSON lists, is refused by its version too."""
+    path = tmp_path / "snapshot.json"
+    _write_doc(path, 5, [_V5_PAIR])
+    with pytest.raises(ValidationError, match="unsupported snapshot version 5;") as err:
         MemoryModule.load(path)
     assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
 
@@ -492,10 +535,12 @@ def test_load_refuses_an_int_too_long_or_a_document_too_deep_to_parse(tmp_path):
     path = tmp_path / "snapshot.json"
     _write_pairs(path, [_three_records_pair()])
     text = path.read_text()
-    path.write_text(text.replace("[1000, 1000, 2000]", f"[1000, 1000, {'9' * 5_000}]", 1))
+    at = json.dumps(_packed("q", [1_000, 1_000, 2_000]))
+    assert at in text
+    path.write_text(text.replace(at, "9" * 5_000, 1))
     with pytest.raises(ValidationError, match="unreadable snapshot"):
         MemoryModule.load(path)
-    path.write_text(text.replace("[1000, 1000, 2000]", "[" * 100_000 + "]" * 100_000, 1))
+    path.write_text(text.replace(at, "[" * 100_000 + "]" * 100_000, 1))
     with pytest.raises(ValidationError, match="unreadable snapshot"):
         MemoryModule.load(path)
 
@@ -530,29 +575,65 @@ def test_load_interns_ids(tmp_path):
     assert first.owner is third.owner and first.collaborator is second.collaborator
 
 
-def test_a_tiny_v5_snapshot_has_the_golden_bytes(tmp_path):
-    """Pairs in sorted pair order, each pair's columns in (at, arrival) order; leaves as rows."""
+def test_load_peak_stays_near_the_memory_it_keeps(tmp_path):
+    """Each pair's parsed entry goes as its records are built, so the two never peak together."""
+    memory = MemoryModule()
+    for i in range(20_000):
+        memory.history.append(make_record(
+            owner=f"o{i % 7}", collaborator=f"c{i % 10}", task_type=("t_a", "t_b")[i % 20 // 10],
+            at=1_000 * i, throughput_mbps=i / 3, loss_rate=i / 20_000, accuracy=0.5 + i / 40_000))
+    path = tmp_path / "snapshot.json"
+    memory.save(path)
+    del memory
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = MemoryModule.load(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.history) == 20_000
+    assert peak < 1.25 * held, (peak, held)
+
+
+def _tiny_memory() -> MemoryModule:
     memory = MemoryModule()
     memory.resources.upsert(make_profile(device="a_k", updated_at=5))
     memory.history.append(make_record(collaborator="a_k", at=2_000))
     memory.history.append(make_record(at=3_000, verdict=Verdict.UNSATISFIED))
     memory.history.append(make_record(at=1_000, loss_rate=0.5))  # late: goes first in its pair
     memory.semantics.upsert(_semantics("a_j", "video_transcoding", n=2))
+    return memory
+
+
+def test_packed_columns_are_little_endian():
+    first, _ = _tiny_memory().history.to_dict()["pairs"]
+    assert first[HISTORY_COLUMNS.index("at")] == base64.b64encode(
+        struct.pack("<qq", 1_000, 3_000)).decode()
+    assert first[HISTORY_COLUMNS.index("loss_rate")] == base64.b64encode(
+        struct.pack("<dd", 0.5, 0.01)).decode()
+
+
+def test_a_tiny_v6_snapshot_has_the_golden_bytes(tmp_path):
+    """Pairs in sorted pair order, each pair's columns in (at, arrival) order; leaves as rows."""
+    memory = _tiny_memory()
     path = tmp_path / "snapshot.json"
     memory.save(path)
-    assert path.read_bytes() == _GOLDEN_V5
+    assert path.read_bytes() == _GOLDEN_V6
     assert MemoryModule.load(path) == memory
 
 
-_GOLDEN_V5 = b"".join((
+_GOLDEN_V6 = b"".join((
     b'{"format":"twotsd-snapshot","history":{"pairs":[',
-    b'["a_j","video_transcoding",["a_i","a_i"],[1000,3000],[100.0,100.0],[0.5,0.01],',
-    b'[2.0,2.0],[0.98,0.98],[true,false]],',
-    b'["a_k","video_transcoding",["a_i"],[2000],[100.0],[0.01],[2.0],[0.98],[true]]]},',
+    b'["a_j","video_transcoding",["a_i","a_i"],"6AMAAAAAAAC4CwAAAAAAAA==",',
+    b'"AAAAAAAAWUAAAAAAAABZQA==","AAAAAAAA4D97FK5H4XqEPw==","AAAAAAAAAEAAAAAAAAAAQA==",',
+    b'"XI/C9Shc7z9cj8L1KFzvPw==","AQA="],',
+    b'["a_k","video_transcoding",["a_i"],"0AcAAAAAAAA=","AAAAAAAAWUA=","exSuR+F6hD8=",',
+    b'"AAAAAAAAAEA=","XI/C9Shc7z8=","AQ=="]]},',
     b'"resources":{"profiles":[{"bandwidth_mbps":100.0,"cpu_cps":10000000000.0,',
     b'"device":"a_k","storage_mb":200.0,"updated_at":5}]},',
     b'"tree":{"leaves":[["a_j","video_transcoding","trusted","normal","normal","normal",',
-    b'"normal",1000,2000,2000,2]]},"version":5}\n',
+    b'"normal",1000,2000,2000,2]]},"version":6}\n',
 ))
 
 
@@ -608,4 +689,4 @@ def test_v4_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
                 expected = brute_force_query(records, q)
                 assert memory.history.query(q) == expected
                 assert loaded.history.query(q) == expected
-    assert loaded.history.to_dict()["pairs"] == sorted(pairs, key=lambda p: p[:2])
+    assert loaded.history.to_dict()["pairs"] == [_pack_entry(p) for p in sorted(pairs, key=lambda p: p[:2])]
