@@ -12,6 +12,7 @@ from .domain import (
     DEFAULT_TASK_TYPES,
     FACE_RECOGNITION,
     TEXT_WORD_COUNT,
+    TREND_METRICS,
     VIDEO_TRANSCODING,
     DeviceId,
     PerformanceRecord,
@@ -61,6 +62,7 @@ __all__ = [
     "DEFAULT_TASK_TYPES",
     "FACE_RECOGNITION",
     "TEXT_WORD_COUNT",
+    "TREND_METRICS",
     "VIDEO_TRANSCODING",
     "Candidate",
     "CandidateBundle",

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import sys
 import time
 import typing
@@ -321,6 +322,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         teacher, host=args.host, port=args.port, clock=lambda: int(time.time() * 1000)
     )
     host, port = server.address
+    # A shell starts a background job with SIGINT ignored, and the child
+    # inherits that; restore KeyboardInterrupt so SIGINT still stops serving.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         print(f"listening on {host}:{port}", flush=True)
         server.serve_forever()

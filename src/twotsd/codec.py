@@ -10,9 +10,10 @@ there; memory snapshots reuse these codecs directly.
 
 Trust semantics has one encoding, a positional row of ``SEMANTICS_COLUMNS``
 in order (``semantics_to_row``), which both the wire and memory snapshots
-carry; ``semantics_row_json`` keeps its canonical bytes on the immutable
-instance. ``semantics_from_row`` maps the labels through lookup tables and
-builds the value through ``TrustSemantics``'s validating constructor.
+carry; it has the value's own shape, and ``semantics_row_json`` keeps its
+canonical bytes on the immutable instance. ``semantics_from_row`` maps the
+labels through lookup tables and passes the columns positionally to
+``TrustSemantics``'s validating constructor.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def record_from_dict(doc: Mapping[str, Any]) -> PerformanceRecord:
     return validate_record(doc)
 
 
-# A semantics row: ``SEMANTICS_COLUMNS`` in this order, each trend column
-# holding its ``Trend`` label and the window as two columns (two nulls for None).
+# A semantics row: ``TrustSemantics``'s fields in order, each enum as its label
+# and the window as two columns (two nulls for None).
 SEMANTICS_COLUMNS = (
     "device", "task_type", "state", "throughput", "loss_rate", "accuracy", "proc_speed",
     "window_from", "window_to", "extracted_at", "record_count",
@@ -107,30 +108,19 @@ SEMANTICS_COLUMNS = (
 
 
 def semantics_to_row(ts: TrustSemantics) -> list[Any]:
-    comm, comp = ts.comm_trends, ts.comp_trends
     lo, hi = ts.window or (None, None)
-    return [
-        ts.device,
-        ts.task_type,
-        ts.state.value,
-        comm["throughput"].value,
-        comm["loss_rate"].value,
-        comp["accuracy"].value,
-        comp["proc_speed"].value,
-        lo,
-        hi,
-        ts.extracted_at,
-        ts.record_count,
-    ]
+    return [ts.device, ts.task_type, ts.state.value, ts.throughput.value, ts.loss_rate.value,
+            ts.accuracy.value, ts.proc_speed.value, lo, hi, ts.extracted_at, ts.record_count]
 
 
 def semantics_row_json(ts: TrustSemantics) -> bytes:
     """``canonical_json_bytes(semantics_to_row(ts))``, encoded once per instance.
 
     The bytes are kept in the instance ``__dict__``, as ``functools.cached_property``
-    does. ``TrustSemantics`` is frozen and a re-extraction makes a new instance
-    (``SemanticsTree.upsert`` replaces the leaf), so the cached bytes cannot go
-    stale; two threads filling the same instance at once store equal bytes.
+    does. No field of a ``TrustSemantics`` can change and a re-extraction makes
+    a new instance (``SemanticsTree.upsert`` replaces the leaf), so the cached
+    bytes cannot go stale; two threads filling the same instance at once store
+    equal bytes.
     """
     cached = ts.__dict__.get("_row_json")
     if cached is None:
@@ -156,12 +146,8 @@ def semantics_from_row(row: Any) -> TrustSemantics:
         raise ValidationError(f"a semantics row must be a list of {len(SEMANTICS_COLUMNS)} values")
     device, task_type, state, throughput, loss_rate, accuracy, proc_speed, lo, hi, extracted_at, count = row
     return TrustSemantics(
-        device,
-        task_type,
-        _member(_STATE_OF, state),
-        {"throughput": _member(_TREND_OF, throughput), "loss_rate": _member(_TREND_OF, loss_rate)},
-        {"accuracy": _member(_TREND_OF, accuracy), "proc_speed": _member(_TREND_OF, proc_speed)},
-        None if lo is None and hi is None else (lo, hi),
-        extracted_at,
-        count,
+        device, task_type, _member(_STATE_OF, state),
+        _member(_TREND_OF, throughput), _member(_TREND_OF, loss_rate),
+        _member(_TREND_OF, accuracy), _member(_TREND_OF, proc_speed),
+        None if lo is None and hi is None else (lo, hi), extracted_at, count,
     )

@@ -2,9 +2,11 @@
 
 All values are immutable after construction and validate their own invariants,
 so any instance that exists is well-formed. Tasks and records carry only
-their named fields. Raw (possibly stringly-typed) input goes through
-:func:`validate_task` / :func:`validate_record`, which also accept
-percent-style fields like ``"1%"`` and ignore keys that are not fields.
+their named fields, and trust semantics carries one ``Trend`` field per
+metric, in the column order of its wire and snapshot row. Raw (possibly
+stringly-typed) input goes through :func:`validate_task` /
+:func:`validate_record`, which also accept percent-style fields like
+``"1%"`` and ignore keys that are not fields.
 
 Unit conventions: MB = 10^6 bytes, Mbps = 10^6 bits/s, so a task's size in bits
 is ``size_mb * 8e6``. Timestamps are signed 64-bit integer milliseconds on a
@@ -39,6 +41,8 @@ DEFAULT_TASK_TYPES: tuple[TaskType, ...] = (
 # Metric names used throughout semantics extraction and the student's decision.
 COMM_METRICS: tuple[str, str] = ("throughput", "loss_rate")
 COMP_METRICS: tuple[str, str] = ("accuracy", "proc_speed")
+# All four, in the order of TrustSemantics's trend fields and of a semantics row.
+TREND_METRICS: tuple[str, ...] = COMM_METRICS + COMP_METRICS
 
 BITS_PER_MB = 8_000_000  # 1 MB = 10^6 bytes
 # Timestamps are signed 64-bit, as an ``array('q')`` column holds them.
@@ -86,7 +90,9 @@ def _require_number(value: Any, field_name: str, positive: bool = False) -> floa
         raise ValidationError(f"{field_name} must be a number", field=field_name) from None
     except OverflowError:  # an int too large for a float
         raise ValidationError(f"{field_name} is too large", field=field_name) from None
-    if not math.isfinite(out) or out < 0.0 or (positive and out == 0.0):
+    if not math.isfinite(out):
+        raise ValidationError(f"{field_name} must be a finite number", field=field_name)
+    if out < 0.0 or (positive and out == 0.0):
         bound = "> 0" if positive else ">= 0"
         raise ValidationError(f"{field_name} must be {bound}", field=field_name)
     return out
@@ -244,8 +250,6 @@ class PerformanceRecord:
 )
 
 
-_COMM_KEYS = frozenset(COMM_METRICS)
-_COMP_KEYS = frozenset(COMP_METRICS)
 # Module constants: reading an Enum member off its class is several times
 # slower than a global lookup, and these are read once per constructed value.
 _NORMAL = Trend.NORMAL
@@ -256,6 +260,8 @@ _INSUFFICIENT_DATA = TrustState.INSUFFICIENT_DATA
 class TrustSemantics:
     """Per (device, task type) trust assessment: overall state plus per-metric trends.
 
+    One ``Trend`` field per metric of ``TREND_METRICS``, in the order of a
+    semantics row; every field is immutable, so instances are hashable.
     ``window`` is the [first, last] record-timestamp span the assessment was
     extracted from, or None when there were no records. When state is
     INSUFFICIENT_DATA every trend is NORMAL: a cold start carries no trend claims.
@@ -264,8 +270,10 @@ class TrustSemantics:
     device: DeviceId
     task_type: TaskType
     state: TrustState
-    comm_trends: Mapping[str, Trend]
-    comp_trends: Mapping[str, Trend]
+    throughput: Trend
+    loss_rate: Trend
+    accuracy: Trend
+    proc_speed: Trend
     window: tuple[TimestampMs, TimestampMs] | None
     extracted_at: TimestampMs
     record_count: int
@@ -275,26 +283,18 @@ class TrustSemantics:
     # decoding a bundle row. This one validates the arguments, then stores the
     # fields as instance-dict items in declaration order; ``dict.update`` would
     # be slower and would unshare the dict's keys, growing every instance.
-    def __init__(self, device, task_type, state, comm_trends, comp_trends, window, extracted_at, record_count):
+    def __init__(self, device, task_type, state, throughput, loss_rate, accuracy, proc_speed,
+                 window, extracted_at, record_count):
         _require_device_id(device, "device")
         _require_device_id(task_type, "task_type")
         if not isinstance(state, TrustState):
             raise ValidationError(f"state must be a TrustState, got {state!r}", field="state")
-        comm, comp = dict(comm_trends), dict(comp_trends)
         all_normal = True
-        for name, trends, expected in (("comm_trends", comm, _COMM_KEYS), ("comp_trends", comp, _COMP_KEYS)):
-            if trends.keys() != expected:
-                raise ValidationError(
-                    f"{name} must contain exactly {sorted(expected)}, got {sorted(trends)}",
-                    field=name,
-                )
-            for metric, trend in trends.items():
-                if trend is not _NORMAL:
-                    if not isinstance(trend, Trend):
-                        raise ValidationError(
-                            f"{name}[{metric}] must be a Trend, got {trend!r}", field=name
-                        )
-                    all_normal = False
+        for metric, trend in zip(TREND_METRICS, (throughput, loss_rate, accuracy, proc_speed)):
+            if trend is not _NORMAL:
+                if not isinstance(trend, Trend):
+                    raise ValidationError(f"{metric} must be a Trend, got {trend!r}", field=metric)
+                all_normal = False
         if window is not None:
             lo, hi = window
             _require_timestamp(lo, "window.from")
@@ -317,17 +317,17 @@ class TrustSemantics:
         attrs["device"] = device
         attrs["task_type"] = task_type
         attrs["state"] = state
-        attrs["comm_trends"] = comm
-        attrs["comp_trends"] = comp
+        attrs["throughput"] = throughput
+        attrs["loss_rate"] = loss_rate
+        attrs["accuracy"] = accuracy
+        attrs["proc_speed"] = proc_speed
         attrs["window"] = window
         attrs["extracted_at"] = extracted_at
         attrs["record_count"] = record_count
 
     def all_trends(self) -> dict[str, Trend]:
-        """Flat metric -> trend view across both trend groups."""
-        merged = dict(self.comm_trends)
-        merged.update(self.comp_trends)
-        return merged
+        """Metric -> trend, in ``TREND_METRICS`` order."""
+        return {metric: getattr(self, metric) for metric in TREND_METRICS}
 
 
 _VERDICTS = {v.value: v for v in Verdict}

@@ -96,8 +96,12 @@ def _record_payload(r: PerformanceRecord) -> dict[str, Any]:
     }
 
 
-def parse_label_reply(text: str) -> tuple[TrustState, dict[str, Trend], dict[str, Trend]]:
-    """Strict closed-vocabulary parse of the model reply."""
+def parse_label_reply(text: str) -> tuple[TrustState, dict[str, Trend]]:
+    """Strict closed-vocabulary parse of the model reply: ``(state, trends)``.
+
+    The reply's ``comm_trends`` and ``comp_trends`` sections map onto one
+    ``trends`` dict keyed by ``TrustSemantics``'s four trend field names.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
@@ -111,26 +115,19 @@ def parse_label_reply(text: str) -> tuple[TrustState, dict[str, Trend], dict[str
         state = TrustState(doc["state"])
     except (KeyError, ValueError):
         raise SchemaViolationError(f"bad state {doc.get('state')!r}") from None
-
-    def trends(key: str, metrics: tuple[str, ...]) -> dict[str, Trend]:
+    trends = {}
+    for key, metrics in (("comm_trends", COMM_METRICS), ("comp_trends", COMP_METRICS)):
         section = doc.get(key)
         if not isinstance(section, dict) or set(section) != set(metrics):
             raise SchemaViolationError(f"{key} must map exactly {sorted(metrics)}")
-        out = {}
         for m in metrics:
             try:
-                out[m] = Trend(section[m])
+                trends[m] = Trend(section[m])
             except ValueError:
                 raise SchemaViolationError(f"bad trend {section[m]!r} for {m}") from None
-        return out
-
-    comm = trends("comm_trends", COMM_METRICS)
-    comp = trends("comp_trends", COMP_METRICS)
-    if state is TrustState.INSUFFICIENT_DATA and any(
-        t is not Trend.NORMAL for t in list(comm.values()) + list(comp.values())
-    ):
+    if state is TrustState.INSUFFICIENT_DATA and any(t is not Trend.NORMAL for t in trends.values()):
         raise SchemaViolationError("insufficient_data must carry all-normal trends")
-    return state, comm, comp
+    return state, trends
 
 
 class RemoteSemanticsEngine:
@@ -172,7 +169,7 @@ class RemoteSemanticsEngine:
         if len(records) < self.state_cfg.n_min:
             return local
         try:
-            state, comm, comp = self._labels_with_retry(device, task_type, records)
+            state, trends = self._labels_with_retry(device, task_type, records)
         except SchemaViolationError as exc:
             self.fallbacks += 1
             logger.warning(
@@ -181,7 +178,7 @@ class RemoteSemanticsEngine:
                 device, task_type, exc,
             )
             return local
-        return replace(local, state=state, comm_trends=comm, comp_trends=comp)
+        return replace(local, state=state, **trends)
 
     def _labels_with_retry(self, device, task_type, records):
         delay = BACKOFF_S

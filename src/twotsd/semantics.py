@@ -21,8 +21,6 @@ from operator import attrgetter
 from typing import Protocol, Sequence
 
 from .domain import (
-    COMM_METRICS,
-    COMP_METRICS,
     DeviceId,
     PerformanceRecord,
     TaskType,
@@ -199,8 +197,10 @@ def extract_semantics(
         device=device,
         task_type=task_type,
         state=state,
-        comm_trends={m: trend(m) for m in COMM_METRICS},
-        comp_trends={m: trend(m) for m in COMP_METRICS},
+        throughput=trend("throughput"),
+        loss_rate=trend("loss_rate"),
+        accuracy=trend("accuracy"),
+        proc_speed=trend("proc_speed"),
         window=(records[0].at, records[-1].at) if records else None,
         extracted_at=records[-1].at if records else 0,
         record_count=len(records),

@@ -2,7 +2,7 @@
 
 The teacher already filtered for trust and feasibility, so the student only
 applies its one preference over the received bundle: avoid candidates whose
-metrics are moving the wrong way (``ADVERSE``; the canonical case is a
+trend fields are moving the wrong way (``ADVERSE``; the canonical case is a
 still-trusted candidate with rising packet loss), tie-break by device id for
 reproducibility. Adversity is a preference, not a veto: when every candidate
 looks adverse the least-adverse one is taken, unless ``strict_trends``
@@ -31,8 +31,8 @@ class DecisionPolicy:
 
 
 def adverse_trend_count(candidate: Candidate) -> int:
-    comm, comp = candidate.semantics.comm_trends, candidate.semantics.comp_trends
-    return sum(1 for metric, bad in ADVERSE.items() if comm.get(metric, comp.get(metric)) is bad)
+    semantics = candidate.semantics
+    return sum(1 for metric, bad in ADVERSE.items() if getattr(semantics, metric) is bad)
 
 
 def decide(bundle: CandidateBundle, policy: DecisionPolicy | None = None) -> DeviceId | None:

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from twotsd.domain import PerformanceRecord, ResourceProfile, Task, Verdict
+from twotsd.domain import (
+    PerformanceRecord,
+    ResourceProfile,
+    Task,
+    Trend,
+    TrustSemantics,
+    TrustState,
+    Verdict,
+)
 
 
 def make_record(**over) -> PerformanceRecord:
@@ -48,3 +56,20 @@ def make_task(**over) -> Task:
     )
     base.update(over)
     return Task(**base)
+
+
+def make_semantics(**over) -> TrustSemantics:
+    base = dict(
+        device="a_j",
+        task_type="video_transcoding",
+        state=TrustState.TRUSTED,
+        throughput=Trend.NORMAL,
+        loss_rate=Trend.NORMAL,
+        accuracy=Trend.NORMAL,
+        proc_speed=Trend.NORMAL,
+        window=(1_000, 20_000),
+        extracted_at=20_000,
+        record_count=20,
+    )
+    base.update(over)
+    return TrustSemantics(**base)

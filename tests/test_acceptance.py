@@ -47,7 +47,7 @@ from twotsd.simulation import (
 from twotsd.student import decide
 from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent
 
-from _builders import make_profile, make_record, make_records, make_task
+from _builders import make_profile, make_record, make_records, make_semantics, make_task
 
 TREND_CFG = TrendConfig(n_min=5, rel_slope_threshold=0.10, abs_floor=1e-6)
 STATE_CFG = StateConfig(n_min=5, trust_threshold=0.8)
@@ -125,16 +125,8 @@ def test_criterion_3_accuracy_beats_per_request_polling():
 
 
 def _leaf(device: str, task_type: str, count: int) -> TrustSemantics:
-    return TrustSemantics(
-        device=device,
-        task_type=task_type,
-        state=TrustState.TRUSTED,
-        comm_trends={"throughput": Trend.NORMAL, "loss_rate": Trend.NORMAL},
-        comp_trends={"accuracy": Trend.NORMAL, "proc_speed": Trend.NORMAL},
-        window=(1_000, 1_000 * count),
-        extracted_at=1_000 * count,
-        record_count=count,
-    )
+    return make_semantics(device=device, task_type=task_type, window=(1_000, 1_000 * count),
+                          extracted_at=1_000 * count, record_count=count)
 
 
 def test_criterion_4_tree_invariants_across_random_upserts():
@@ -295,7 +287,7 @@ def test_criterion_6_rising_loss_candidate_bundled_but_not_picked():
     assert set(bundle.devices()) == {"a_j", "a_k"}
     assert bundle.devices() == ["a_j", "a_k"]
     rising = next(c for c in bundle.candidates if c.device == "a_j")
-    assert rising.semantics.comm_trends["loss_rate"] is Trend.INCREASING
+    assert rising.semantics.loss_rate is Trend.INCREASING
     assert rising.semantics.state is TrustState.TRUSTED
     assert decide(bundle) == "a_k"
     _verdict_line(6, "walkthrough",

@@ -242,7 +242,11 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     assert text.startswith("version=6 resources=6 history=")
     assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
-    assert "loss_rate=" in text
+    # One whole leaf line: the trends print in row order, whichever way they point.
+    lines = text.splitlines()
+    assert lines[1] == "task_type=face_recognition devices=6"
+    assert lines[4] == ("  d002 state=untrusted n=14 window=1000..19900 "
+                        "throughput=decreasing loss_rate=increasing accuracy=normal proc_speed=decreasing")
 
 
 def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
@@ -362,8 +366,12 @@ def test_simulate_default_config_outputs_are_pinned(tmp_path, capsys, config_nam
     assert digests == expected
 
 
-def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint():
-    """Without -u the listening line still arrives, and SIGINT exits 0 quietly."""
+@pytest.mark.parametrize("disposition", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint(disposition):
+    """Without -u the listening line still arrives, and SIGINT exits 0 quietly.
+
+    Also when started with SIGINT ignored, as a shell starts a background job.
+    """
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     src = str(Path(twotsd.__file__).resolve().parent.parent)
@@ -371,6 +379,7 @@ def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint():
     proc = subprocess.Popen(
         [sys.executable, "-m", "twotsd.cli", "serve", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, disposition),
     )
     try:
         deadline = time.monotonic() + 30.0

@@ -17,6 +17,7 @@ from twotsd import codec
 from twotsd.domain import (
     COMM_METRICS,
     COMP_METRICS,
+    TREND_METRICS,
     PerformanceRecord,
     Trend,
     TrustSemantics,
@@ -31,7 +32,7 @@ from twotsd.domain import (
 )
 from twotsd.errors import ValidationError
 
-from _builders import make_profile, make_record, make_task
+from _builders import make_profile, make_record, make_semantics, make_task
 
 
 def test_parse_fraction_accepts_percent_strings():
@@ -257,39 +258,23 @@ def test_timestamps_must_be_integers():
 
 
 def _semantics(**over) -> TrustSemantics:
-    base = dict(
-        device="a_j",
-        task_type="video_transcoding",
-        state=TrustState.TRUSTED,
-        comm_trends={"throughput": Trend.NORMAL, "loss_rate": Trend.INCREASING},
-        comp_trends={"accuracy": Trend.NORMAL, "proc_speed": Trend.NORMAL},
-        window=(1_000, 20_000),
-        extracted_at=20_000,
-        record_count=20,
-    )
-    base.update(over)
-    return TrustSemantics(**base)
+    return make_semantics(**{"loss_rate": Trend.INCREASING, **over})
 
 
-def test_semantics_requires_exact_metric_sets():
-    with pytest.raises(ValidationError):
-        _semantics(comm_trends={"throughput": Trend.NORMAL})
-    with pytest.raises(ValidationError):
-        _semantics(comp_trends={"accuracy": Trend.NORMAL, "battery": Trend.NORMAL})
+@pytest.mark.parametrize("metric", TREND_METRICS)
+def test_each_trend_must_be_a_trend_naming_its_metric(metric):
+    for bad in ("normal", None, TrustState.TRUSTED):
+        with pytest.raises(ValidationError, match=f"^{metric} must be a Trend") as err:
+            _semantics(**{metric: bad})
+        assert err.value.field == metric
 
 
 def test_insufficient_data_forces_normal_trends():
-    with pytest.raises(ValidationError):
-        _semantics(
-            state=TrustState.INSUFFICIENT_DATA,
-            comm_trends={"throughput": Trend.NORMAL, "loss_rate": Trend.INCREASING},
-        )
-    ok = _semantics(
-        state=TrustState.INSUFFICIENT_DATA,
-        comm_trends={m: Trend.NORMAL for m in COMM_METRICS},
-        comp_trends={m: Trend.NORMAL for m in COMP_METRICS},
-        record_count=2,
-    )
+    for metric in TREND_METRICS:
+        with pytest.raises(ValidationError, match="must carry only normal trends"):
+            _semantics(**{"state": TrustState.INSUFFICIENT_DATA, "loss_rate": Trend.NORMAL,
+                          metric: Trend.DECREASING})
+    ok = _semantics(state=TrustState.INSUFFICIENT_DATA, loss_rate=Trend.NORMAL, record_count=2)
     assert ok.state is TrustState.INSUFFICIENT_DATA
 
 
@@ -299,10 +284,34 @@ def test_semantics_window_ordering():
     assert _semantics(window=None).window is None
 
 
-def test_all_trends_merges_both_groups():
-    merged = _semantics().all_trends()
-    assert set(merged) == set(COMM_METRICS) | set(COMP_METRICS)
-    assert merged["loss_rate"] is Trend.INCREASING
+def test_all_trends_lists_the_trend_fields_in_row_order():
+    trends = _semantics().all_trends()
+    assert list(trends) == list(TREND_METRICS) == list(COMM_METRICS + COMP_METRICS)
+    assert list(TREND_METRICS) == list(codec.SEMANTICS_COLUMNS[3:7])
+    assert trends == {"throughput": Trend.NORMAL, "loss_rate": Trend.INCREASING,
+                      "accuracy": Trend.NORMAL, "proc_speed": Trend.NORMAL}
+
+
+def test_semantics_is_hashable_and_equal_values_hash_equal():
+    ts = _semantics()
+    again = codec.semantics_from_row(codec.semantics_to_row(ts))
+    codec.semantics_row_json(ts)  # the cached row bytes take no part in equality
+    assert again == ts and hash(again) == hash(ts)
+    assert len({ts, again, _semantics(window=None)}) == 2
+    assert _semantics(accuracy=Trend.DECREASING) != ts
+
+
+def test_no_semantics_field_can_be_assigned():
+    ts = _semantics()
+    row = codec.semantics_row_json(ts)
+    for field in dataclasses.fields(TrustSemantics):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ts, field.name, Trend.DECREASING)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ts, field.name)
+    ts.all_trends()["throughput"] = Trend.DECREASING  # a copy, not a view
+    assert ts == _semantics() and ts.throughput is Trend.NORMAL
+    assert codec.semantics_row_json(ts) == row == codec.canonical_json_bytes(codec.semantics_to_row(ts))
 
 
 _HUGE = 10**400  # an int no float can hold
@@ -318,6 +327,15 @@ def test_a_huge_number_is_a_validation_error_naming_its_field(kind, field):
     with pytest.raises(ValidationError) as err:
         build[kind](**{field: _HUGE})
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build, field", [(make_record, "throughput_mbps"), (make_profile, "cpu_cps")])
+def test_a_non_finite_number_is_refused_as_not_finite(build, field, value):
+    with pytest.raises(ValidationError) as err:
+        build(**{field: value})
+    assert err.value.message == f"{field} must be a finite number"
+    assert (err.value.field, err.value.code) == (field, "validation")
 
 
 @pytest.mark.parametrize("at", [2**63 - 1, -(2**63)])

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotsd import codec
-from twotsd.domain import Trend, TrustSemantics, TrustState, Verdict
+from twotsd.domain import TrustSemantics, Verdict
 from twotsd.errors import StaleUpdateError, ValidationError
 from twotsd.memory import (
     HISTORY_COLUMNS,
@@ -35,7 +35,7 @@ from twotsd.memory import (
     SemanticsTree,
 )
 
-from _builders import make_profile, make_record
+from _builders import make_profile, make_record, make_semantics
 
 
 def test_resource_store_keeps_newest_and_rejects_stale():
@@ -166,16 +166,8 @@ def test_concurrent_append_query_prune_stress():
 
 
 def _semantics(device: str, task_type: str, n: int = 7) -> TrustSemantics:
-    return TrustSemantics(
-        device=device,
-        task_type=task_type,
-        state=TrustState.TRUSTED,
-        comm_trends={"throughput": Trend.NORMAL, "loss_rate": Trend.NORMAL},
-        comp_trends={"accuracy": Trend.NORMAL, "proc_speed": Trend.NORMAL},
-        window=(1_000, 1_000 * n),
-        extracted_at=1_000 * n,
-        record_count=n,
-    )
+    return make_semantics(device=device, task_type=task_type, window=(1_000, 1_000 * n),
+                          extracted_at=1_000 * n, record_count=n)
 
 
 def test_tree_shape_after_upserts():

@@ -115,8 +115,8 @@ def _semantics_doc(ts: TrustSemantics) -> dict:
     """The semantics as a keyed document, as protocol v2 carried each candidate."""
     return {
         "device": ts.device, "task_type": ts.task_type, "state": ts.state.value,
-        "comm_trends": {k: v.value for k, v in ts.comm_trends.items()},
-        "comp_trends": {k: v.value for k, v in ts.comp_trends.items()},
+        "comm_trends": {m: getattr(ts, m).value for m in COMM_METRICS},
+        "comp_trends": {m: getattr(ts, m).value for m in COMP_METRICS},
         "window": list(ts.window) if ts.window is not None else None,
         "extracted_at": ts.extracted_at, "record_count": ts.record_count,
     }
@@ -175,8 +175,7 @@ def _bundles(draw):
         device="placeholder",
         task_type=draw(_IDS),
         state=TrustState.TRUSTED,
-        comm_trends={m: draw(st.sampled_from(list(Trend))) for m in COMM_METRICS},
-        comp_trends={m: draw(st.sampled_from(list(Trend))) for m in COMP_METRICS},
+        **{m: draw(st.sampled_from(list(Trend))) for m in COMM_METRICS + COMP_METRICS},
         window=window,
         extracted_at=draw(_STAMPS),
         record_count=draw(st.integers(0, 2**64)),
@@ -483,15 +482,17 @@ def test_encode_refuses_a_body_over_the_cap(monkeypatch):
 
 
 def test_semantics_made_by_replace_encode_their_own_fields():
+    """A replace that changes one trend encodes its own row, not the cached one."""
     leaf = _sample_bundle().candidates[0].semantics
     original = codec.semantics_row_json(leaf)
     assert codec.semantics_row_json(leaf) is original  # filled once, then served from the instance
-    changed = dataclasses.replace(
-        leaf, device="a_z", comm_trends={**leaf.comm_trends, "throughput": Trend.INCREASING}
-    )
-    assert codec.semantics_row_json(changed) == codec.canonical_json_bytes(_reference_row(changed))
-    assert codec.semantics_row_json(changed) != original
-    assert codec.semantics_row_json(leaf) == codec.canonical_json_bytes(_reference_row(leaf))
+    for metric in COMM_METRICS + COMP_METRICS:
+        assert getattr(leaf, metric) is not Trend.DECREASING
+        changed = dataclasses.replace(leaf, **{metric: Trend.DECREASING})
+        row = codec.semantics_row_json(changed)
+        assert row == codec.canonical_json_bytes(_reference_row(changed)) != original
+        assert json.loads(row)[codec.SEMANTICS_COLUMNS.index(metric)] == "decreasing"
+    assert codec.semantics_row_json(leaf) is original
 
 
 def test_two_threads_encoding_one_cold_bundle_get_identical_frames():
@@ -675,13 +676,13 @@ def test_tcp_bundle_after_a_re_extraction_carries_the_new_semantics(server):
                 client.call(MessageKind.PERFORMANCE_RECORD, rec)
         bundle = client.call(MessageKind.TASK_REQUEST, make_task()).payload
         before = {c.device: c.semantics for c in bundle.candidates}
-        assert before["a_k"].comm_trends["throughput"] is Trend.NORMAL
+        assert before["a_k"].throughput is Trend.NORMAL
         for i in range(8):  # a steep throughput rise on a_k alone
             rec = make_record(collaborator="a_k", at=20_000 + i * 1_000, throughput_mbps=200.0 + 100.0 * i)
             client.call(MessageKind.PERFORMANCE_RECORD, rec)
         bundle = client.call(MessageKind.TASK_REQUEST, make_task()).payload
         after = {c.device: c.semantics for c in bundle.candidates}
-    assert after["a_k"].comm_trends["throughput"] is Trend.INCREASING
+    assert after["a_k"].throughput is Trend.INCREASING
     assert after["a_k"].state is TrustState.TRUSTED
     assert after["a_k"].record_count == 16 and after["a_k"].window == (1_000, 27_000)
     assert after["a_l"] == before["a_l"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import logging
@@ -19,7 +20,7 @@ import pytest
 
 import twotsd
 
-from twotsd.domain import Trend, TrustState
+from twotsd.domain import TREND_METRICS, Trend, TrustState
 from twotsd.errors import (
     ConfigError,
     RemoteAuthError,
@@ -106,7 +107,8 @@ def test_happy_path_uses_remote_labels_and_local_bookkeeping():
     result = engine.extract("a_j", "video_transcoding", records)
     local = extract_semantics("a_j", "video_transcoding", records)
     assert result.state is TrustState.UNTRUSTED  # remote label wins
-    assert result.comm_trends["loss_rate"] is Trend.INCREASING
+    assert result.loss_rate is Trend.INCREASING
+    assert result == dataclasses.replace(local, state=TrustState.UNTRUSTED, loss_rate=Trend.INCREASING)
     assert result.window == local.window  # bookkeeping is computed locally
     assert result.extracted_at == local.extracted_at
     assert result.record_count == 8
@@ -223,14 +225,15 @@ def test_remote_insufficient_data_forces_normal_trends():
 
 
 def test_parse_label_reply_accepts_exact_schema():
-    state, comm, comp = parse_label_reply(json.dumps({
+    state, trends = parse_label_reply(json.dumps({
         "state": "trusted",
         "comm_trends": {"throughput": "increasing", "loss_rate": "normal"},
         "comp_trends": {"accuracy": "normal", "proc_speed": "decreasing"},
     }))
     assert state is TrustState.TRUSTED
-    assert comm["throughput"] is Trend.INCREASING
-    assert comp["proc_speed"] is Trend.DECREASING
+    assert trends == {"throughput": Trend.INCREASING, "loss_rate": Trend.NORMAL,
+                      "accuracy": Trend.NORMAL, "proc_speed": Trend.DECREASING}
+    assert list(trends) == list(TREND_METRICS)
 
 
 @pytest.mark.parametrize("reply", [

@@ -197,9 +197,8 @@ def test_extract_semantics_composes_state_and_trends():
     ]
     ts = extract_semantics("a_j", "video_transcoding", records, TREND_CFG, STATE_CFG)
     assert ts.state is TrustState.TRUSTED
-    assert ts.comm_trends["loss_rate"] is Trend.INCREASING
-    assert ts.comm_trends["throughput"] is Trend.NORMAL
-    assert ts.comp_trends == {"accuracy": Trend.NORMAL, "proc_speed": Trend.NORMAL}
+    assert ts.loss_rate is Trend.INCREASING
+    assert (ts.throughput, ts.accuracy, ts.proc_speed) == (Trend.NORMAL,) * 3
     assert ts.window == (1_000, 20_000)
     assert ts.extracted_at == 20_000
     assert ts.record_count == n

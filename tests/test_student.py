@@ -5,29 +5,16 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twotsd.domain import COMM_METRICS, COMP_METRICS, Trend, TrustSemantics, TrustState
+from twotsd.domain import TREND_METRICS, Trend
 from twotsd.student import ADVERSE, DecisionPolicy, adverse_trend_count, decide
 from twotsd.teacher import Candidate, CandidateBundle
 
+from _builders import make_semantics
 
-def _candidate(device: str, **trend_over) -> Candidate:
-    trends = {
-        "throughput": Trend.NORMAL,
-        "loss_rate": Trend.NORMAL,
-        "accuracy": Trend.NORMAL,
-        "proc_speed": Trend.NORMAL,
-    }
-    trends.update(trend_over)
-    sem = TrustSemantics(
-        device=device,
-        task_type="video_transcoding",
-        state=TrustState.TRUSTED,
-        comm_trends={k: trends[k] for k in ("throughput", "loss_rate")},
-        comp_trends={k: trends[k] for k in ("accuracy", "proc_speed")},
-        window=(1_000, 9_000),
-        extracted_at=9_000,
-        record_count=9,
-    )
+
+def _candidate(device: str, **trends) -> Candidate:
+    sem = make_semantics(device=device, window=(1_000, 9_000), extracted_at=9_000, record_count=9,
+                         **trends)
     return Candidate(sem, True)
 
 
@@ -74,7 +61,7 @@ def test_empty_bundle_yields_none():
 
 
 def test_adverse_trend_count_matches_map():
-    assert set(ADVERSE) == set(COMM_METRICS) | set(COMP_METRICS)
+    assert set(ADVERSE) == set(TREND_METRICS)
     c = _candidate("a_j", loss_rate=Trend.INCREASING, proc_speed=Trend.DECREASING)
     assert adverse_trend_count(c) == 2
     assert adverse_trend_count(_candidate("a_k")) == 0
@@ -104,7 +91,7 @@ def _trend_bundles(draw):
     policy = DecisionPolicy(strict_trends=draw(st.booleans()))
     candidates = []
     for device in devices:
-        trends = {m: draw(_TRENDS) for m in COMM_METRICS + COMP_METRICS}
+        trends = {m: draw(_TRENDS) for m in TREND_METRICS}
         if all_adverse:  # at least one adverse trend on every candidate
             metric = draw(st.sampled_from(sorted(trends)))
             trends[metric] = ADVERSE[metric]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +55,38 @@ class _FlakyEngine(DeterministicEngine):
             self.failures -= 1
             raise RemoteTimeoutError("no answer in time")
         return super().extract(device, task_type, records)
+
+
+class _SlowEngine(DeterministicEngine):
+    """Sleeps 1 ms in each extraction, so ingests that are not serialized interleave."""
+
+    def extract(self, device, task_type, records):
+        time.sleep(0.001)
+        return super().extract(device, task_type, records)
+
+
+def test_concurrent_ingests_into_one_pair_leave_the_leaf_of_the_final_window():
+    """The per-pair lock keeps query, extract, append and upsert of one ingest together."""
+    teacher = TeacherAgent(engine=_SlowEngine(), window_k=5)
+    threads, per_thread = 8, 10
+    barrier = threading.Barrier(threads)
+
+    def ingest(thread):
+        barrier.wait(timeout=10)
+        for i in range(per_thread):  # later records are newer, whichever thread sends them
+            at = 1_000 * (i * threads + thread + 1)
+            teacher.handle_performance_record(make_record(at=at, throughput_mbps=100.0 + i))
+
+    workers = [threading.Thread(target=ingest, args=(t,)) for t in range(threads)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+    assert not any(w.is_alive() for w in workers)
+    assert len(teacher.memory.history) == threads * per_thread
+    final = teacher.memory.history.query(HistoryQuery("a_j", "video_transcoding", last_k=5))
+    (leaf,) = teacher.memory.semantics.get_by_task_type("video_transcoding")
+    assert leaf == DeterministicEngine().extract("a_j", "video_transcoding", final)
 
 
 def test_an_engine_that_raises_leaves_the_record_unstored():
