@@ -16,6 +16,7 @@ from .domain import (
     VIDEO_TRANSCODING,
     DeviceId,
     PerformanceRecord,
+    RecordWindow,
     ResourceProfile,
     Task,
     TaskType,
@@ -79,6 +80,7 @@ __all__ = [
     "MatchVerdict",
     "MemoryModule",
     "PerformanceRecord",
+    "RecordWindow",
     "ProtocolError",
     "RemoteEngineError",
     "ResourceProfile",

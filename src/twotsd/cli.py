@@ -9,7 +9,8 @@ Subcommands:
 * ``serve``: run the teacher behind the TCP protocol until interrupted.
 * ``inspect``: pretty-print a memory snapshot file.
 
-Exit codes: 0 success, 1 runtime failure, 2 bad usage or configuration.
+Exit codes: 0 success, 1 runtime failure, 2 bad usage or configuration,
+141 when the reader of standard output went away (as SIGPIPE would end it).
 Output files for a given config and seed are byte-identical across reruns;
 the manifest deliberately carries no timestamps.
 """
@@ -428,7 +429,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a reader that went away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout stopped early (`twotsd inspect ... | head -1`).
+        # Point stdout at devnull so the flush at exit does not fail again,
+        # and exit quietly with 141 (128 + SIGPIPE), as a shell reports a
+        # process that SIGPIPE ended.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
 """Core value types: tasks, resource profiles, performance records, trust semantics.
 
 All values are immutable after construction and validate their own invariants,
-so any instance that exists is well-formed. Tasks and records carry only
-their named fields, and trust semantics carries one ``Trend`` field per
-metric, in the column order of its wire and snapshot row. Raw (possibly
+so any instance that exists is well-formed. The exception is
+``RecordWindow``, a view of stored history whose values were checked on the
+way into the store. Tasks and records carry only their named fields, and
+trust semantics carries one ``Trend`` field per metric, in the column order
+of its wire and snapshot row. Raw (possibly
 stringly-typed) input goes through :func:`validate_task` /
 :func:`validate_record`, which also accept percent-style fields like
 ``"1%"`` and ignore keys that are not fields.
@@ -16,11 +18,14 @@ scenario-local clock (simulation) or the wall clock (service mode).
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Mapping
+from itertools import repeat
+from typing import Any, Iterable, Mapping, NoReturn
 
-from .errors import ValidationError
+from .errors import HeterogeneousInputError, UnsortedInputError, ValidationError
 
 # Device and task-type identifiers are plain strings: nonempty, totally
 # ordered (lexicographic), used verbatim for deterministic tie-breaks.
@@ -96,6 +101,14 @@ def _require_number(value: Any, field_name: str, positive: bool = False) -> floa
         bound = "> 0" if positive else ">= 0"
         raise ValidationError(f"{field_name} must be {bound}", field=field_name)
     return out
+
+
+def _refuse_self_collaboration(owner: DeviceId) -> NoReturn:
+    raise ValidationError(
+        f"owner and collaborator must differ (both {owner!r})",
+        field="collaborator",
+        code="self_collaboration",
+    )
 
 
 def _require_timestamp(value: Any, field_name: str) -> int:
@@ -203,11 +216,7 @@ class PerformanceRecord:
         if type(task_type) is not str or not task_type:
             _require_device_id(task_type, "task_type")
         if owner == collaborator:
-            raise ValidationError(
-                f"owner and collaborator must differ (both {owner!r})",
-                field="collaborator",
-                code="self_collaboration",
-            )
+            _refuse_self_collaboration(owner)
         if type(at) is not int or not _INT64_MIN <= at <= _INT64_MAX:
             _require_timestamp(at, "at")
         if type(throughput_mbps) is not float or not 0.0 <= throughput_mbps < _INF:
@@ -248,6 +257,150 @@ class PerformanceRecord:
  _set_proc_speed, _set_accuracy, _set_verdict) = (
     getattr(PerformanceRecord, f.name).__set__ for f in fields(PerformanceRecord)
 )
+
+
+# The columns of one pair's history, one value per record: in HistoryStore, in
+# a RecordWindow and, packed, in a snapshot. ``satisfied`` is 1 or 0.
+RECORD_COLUMNS = (
+    "owners", "at", "throughput_mbps", "loss_rate", "proc_speed_mbps", "accuracy", "satisfied",
+)
+# array type codes of RECORD_COLUMNS[1:]; the owners column is a list.
+COLUMN_CODES = ("q", "d", "d", "d", "d", "B")
+_VERDICT_OF_BYTE = (Verdict.UNSATISFIED, Verdict.SATISFIED)
+_SATISFIED = Verdict.SATISFIED
+
+
+def _empty_columns() -> list:
+    return [[], *map(array, COLUMN_CODES)]
+
+
+def _place(columns: list, record: PerformanceRecord) -> None:
+    """Put ``record``'s values into ``columns`` after every record at the same or an earlier time."""
+    # Written out column by column: a loop over the seven columns took
+    # twice as long, and every append to the store comes through here.
+    owners, ats, throughput, loss, proc_speed, accuracy, satisfied = columns
+    at = record.at
+    if not ats or ats[-1] <= at:
+        owners.append(record.owner)
+        ats.append(at)
+        throughput.append(record.throughput_mbps)
+        loss.append(record.loss_rate)
+        proc_speed.append(record.proc_speed_mbps)
+        accuracy.append(record.accuracy)
+        satisfied.append(record.verdict is _SATISFIED)
+    else:
+        i = bisect_right(ats, at)
+        owners.insert(i, record.owner)
+        ats.insert(i, at)
+        throughput.insert(i, record.throughput_mbps)
+        loss.insert(i, record.loss_rate)
+        proc_speed.insert(i, record.proc_speed_mbps)
+        accuracy.insert(i, record.accuracy)
+        satisfied.insert(i, record.verdict is _SATISFIED)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class RecordWindow:
+    """Consecutive records of one (collaborator, task type), as columns in (at, arrival) order.
+
+    ``HistoryStore.query`` returns one: the pair plus a slice of each of its
+    history columns (``RECORD_COLUMNS``), copied out under the store's lock.
+    Extraction reads the columns directly. As a sequence the window holds
+    ``PerformanceRecord`` values, built only when an item is read: ``len``,
+    indexing, iteration, and slicing, which gives a window again. Two windows
+    are equal when their pairs and columns are. The columns are the window's
+    own copies and are never written after construction.
+    """
+
+    collaborator: DeviceId
+    task_type: TaskType
+    owners: list
+    at: array
+    throughput_mbps: array
+    loss_rate: array
+    proc_speed_mbps: array
+    accuracy: array
+    satisfied: array
+
+    # Not checked: the columns come from HistoryStore, whose values were
+    # checked on the way in, or from ``of`` or ``with_record``, which check
+    # what they add. The fields are stored as instance-dict items, as
+    # TrustSemantics stores its own: a window is built three times per
+    # ingest, and setting slots through their descriptors took twice as long.
+    def __init__(self, collaborator, task_type, owners, at, throughput_mbps, loss_rate,
+                 proc_speed_mbps, accuracy, satisfied):
+        attrs = self.__dict__
+        attrs["collaborator"] = collaborator
+        attrs["task_type"] = task_type
+        attrs["owners"] = owners
+        attrs["at"] = at
+        attrs["throughput_mbps"] = throughput_mbps
+        attrs["loss_rate"] = loss_rate
+        attrs["proc_speed_mbps"] = proc_speed_mbps
+        attrs["accuracy"] = accuracy
+        attrs["satisfied"] = satisfied
+
+    @classmethod
+    def of(cls, collaborator: DeviceId, task_type: TaskType,
+           records: Iterable[PerformanceRecord]) -> "RecordWindow":
+        """The window of ``records``, which must be of this pair and ascending by timestamp."""
+        columns = _empty_columns()
+        for r in records:
+            if r.collaborator != collaborator or r.task_type != task_type:
+                raise HeterogeneousInputError(
+                    f"record for ({r.collaborator}, {r.task_type}) in a window of "
+                    f"({collaborator}, {task_type})"
+                )
+            if columns[1] and r.at < columns[1][-1]:
+                raise UnsortedInputError("records must be ascending by timestamp")
+            _place(columns, r)
+        return cls(collaborator, task_type, *columns)
+
+    def with_record(self, record: PerformanceRecord) -> "RecordWindow":
+        """This window with ``record`` placed where ``HistoryStore.append`` puts it.
+
+        That is after every record at the same or an earlier time.
+        """
+        if record.collaborator != self.collaborator or record.task_type != self.task_type:
+            raise HeterogeneousInputError(
+                f"record for ({record.collaborator}, {record.task_type}) added to the window "
+                f"of ({self.collaborator}, {self.task_type})"
+            )
+        columns = [self.owners[:], self.at[:], self.throughput_mbps[:], self.loss_rate[:],
+                   self.proc_speed_mbps[:], self.accuracy[:], self.satisfied[:]]
+        _place(columns, record)
+        return RecordWindow(self.collaborator, self.task_type, *columns)
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            if index.step is not None and index.step < 0:
+                raise ValueError("a window keeps its (at, arrival) order: the slice step must be positive")
+            return RecordWindow(
+                self.collaborator, self.task_type, self.owners[index], self.at[index],
+                self.throughput_mbps[index], self.loss_rate[index], self.proc_speed_mbps[index],
+                self.accuracy[index], self.satisfied[index],
+            )
+        return PerformanceRecord(
+            self.owners[index], self.collaborator, self.task_type, self.at[index],
+            self.throughput_mbps[index], self.loss_rate[index], self.proc_speed_mbps[index],
+            self.accuracy[index], _VERDICT_OF_BYTE[self.satisfied[index]],
+        )
+
+    def __iter__(self):
+        return map(PerformanceRecord, self.owners, repeat(self.collaborator), repeat(self.task_type),
+                   self.at, self.throughput_mbps, self.loss_rate, self.proc_speed_mbps, self.accuracy,
+                   map(_VERDICT_OF_BYTE.__getitem__, self.satisfied))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RecordWindow:
+            return NotImplemented
+        return self.__dict__ == other.__dict__  # the pair and every column
+
+    def __repr__(self) -> str:
+        return f"RecordWindow({self.collaborator!r}, {self.task_type!r}, {list(self)!r})"
 
 
 # Module constants: reading an Enum member off its class is several times

@@ -4,10 +4,11 @@ Three components back the server-side agent:
 
 * :class:`ResourceStore` -- key-value map device -> newest ResourceProfile,
   rejecting stale writes.
-* :class:`HistoryStore` -- append-only performance records, one list per
-  (collaborator, task_type) in (timestamp, arrival) order; the "relational
-  database" of the design, realized as the query contract rather than a SQL
-  engine.
+* :class:`HistoryStore` -- append-only performance records, kept as
+  columns per (collaborator, task_type) in (timestamp, arrival) order (ids
+  in a list, numbers in ``array`` columns); the "relational database" of the
+  design, realized as the query contract rather than a SQL engine. A query
+  returns a :class:`~twotsd.domain.RecordWindow` of column slices.
 * :class:`SemanticsTree` -- the 4-level tree root -> task type -> device ->
   semantics leaf, one leaf per (task type, device), stored as a keyed map.
 
@@ -23,11 +24,13 @@ record ids). ``owners`` is a JSON list of ids in store order; every other
 record column is one base64 string of packed little-endian values: ``at``
 as int64, the four metrics as IEEE-754 float64 and ``satisfied`` as one
 byte per record, 0 or 1. The tree is stored as the leaves' wire rows
-(``codec.semantics_to_row``) sorted by (task type, device). Loading unpacks
-each pair's columns and builds its list through the validating
-``PerformanceRecord`` constructor, and reads each leaf through the
-validating ``codec.semantics_from_row``. Any other version is refused: a
-snapshot is rebuilt from its scenario config and seed, not migrated.
+(``codec.semantics_to_row``) sorted by (task type, device), and saving
+writes the store's arrays' bytes. Loading decodes each pair's packed
+columns straight into the store, checking each whole column as the
+``PerformanceRecord`` constructor checks one value, and reads each leaf
+through the validating ``codec.semantics_from_row``. Any other version is
+refused: a snapshot is rebuilt from its scenario config and seed, not
+migrated.
 """
 
 from __future__ import annotations
@@ -36,47 +39,43 @@ import base64
 import bisect
 import gc
 import json
+import math
 import operator
 import os
 import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
 from pathlib import Path
 from typing import Any
 
 from . import codec
 from .domain import (
+    COLUMN_CODES,
+    RECORD_COLUMNS,
     DeviceId,
     PerformanceRecord,
+    RecordWindow,
     ResourceProfile,
     TaskType,
     TimestampMs,
     TrustSemantics,
-    Verdict,
+    _empty_columns,
+    _place,
+    _refuse_self_collaboration,
     _require_device_id,
+    _require_number,
+    _require_timestamp,
+    parse_fraction,
 )
 from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
 SNAPSHOT_VERSION = 6
 
-# Column order of one snapshot-v6 history entry: the pair, then its records'
-# fields as one column each, in store order.
-HISTORY_COLUMNS = (
-    "collaborator",
-    "task_type",
-    "owners",
-    "at",
-    "throughput_mbps",
-    "loss_rate",
-    "proc_speed_mbps",
-    "accuracy",
-    "satisfied",
-)
-# array type codes of the packed columns, HISTORY_COLUMNS[3:] in order.
-_PACKED_CODES = ("q", "d", "d", "d", "d", "B")
+# Column order of one snapshot-v6 history entry: the pair, then its history
+# columns in store order.
+HISTORY_COLUMNS = ("collaborator", "task_type") + RECORD_COLUMNS
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -96,10 +95,19 @@ class HistoryQuery:
     def __post_init__(self):
         if (self.last_k is None) == (self.interval is None):
             raise ValidationError("exactly one of last_k / interval must be set", field="window")
-        if self.last_k is not None and self.last_k < 1:
-            raise ValidationError("last_k must be >= 1", field="last_k")
-        if self.interval is not None and self.interval[0] > self.interval[1]:
-            raise ValidationError("interval start must be <= end", field="interval")
+        if self.last_k is not None:
+            if type(self.last_k) is not int:
+                raise ValidationError(f"last_k must be an integer, got {self.last_k!r}", field="last_k")
+            if self.last_k < 1:
+                raise ValidationError("last_k must be >= 1", field="last_k")
+        if self.interval is not None:
+            if type(self.interval) is not tuple or len(self.interval) != 2:
+                raise ValidationError("interval must be a (start, end) tuple", field="interval")
+            lo, hi = self.interval
+            _require_timestamp(lo, "interval")
+            _require_timestamp(hi, "interval")
+            if lo > hi:
+                raise ValidationError("interval start must be <= end", field="interval")
 
 
 class ResourceStore:
@@ -141,50 +149,55 @@ class ResourceStore:
         return store
 
 
-_at = operator.attrgetter("at")
-
-
 class HistoryStore:
-    """Append-only performance records, one list per (collaborator, task_type).
+    """Append-only performance records, kept as columns per (collaborator, task_type).
 
-    Each list is kept in (timestamp, arrival) order as records arrive: a record
-    goes after every stored record of its pair with the same or an earlier
-    timestamp, which for in-order arrivals is a plain append. A newest-K query
+    Each pair's history is one value per record in each of
+    ``RECORD_COLUMNS``: owner ids in a list, ``at`` in an ``array('q')``, the
+    four metrics in ``array('d')``s and ``satisfied`` in an ``array('B')``.
+    The columns are kept in (timestamp, arrival) order as records arrive: a
+    record goes after every stored record of its pair with the same or an
+    earlier timestamp, which for in-order arrivals is a plain append. A
+    query returns a :class:`RecordWindow` of column slices; a newest-K query
     is a slice and a time-interval query two bisects, so either costs
-    O(log n + window) whatever the history depth. Records are immutable and
-    never removed, so ``count_for`` counts every record appended for a pair.
+    O(log n + window) whatever the history depth, and builds no record.
+    Records are never removed, so ``count_for`` counts every record appended
+    for a pair.
     """
 
     def __init__(self):
-        self._by_key: dict[tuple[DeviceId, TaskType], list[PerformanceRecord]] = {}
+        self._by_key: dict[tuple[DeviceId, TaskType], list] = {}
         self._lock = threading.Lock()
 
     def append(self, record: PerformanceRecord) -> None:
         key = (record.collaborator, record.task_type)
         with self._lock:
-            records = self._by_key.get(key)
-            if records is None:
-                self._by_key[key] = [record]
-            elif records[-1].at <= record.at:
-                records.append(record)
-            else:
-                bisect.insort_right(records, record, key=_at)
+            columns = self._by_key.get(key)
+            if columns is None:
+                columns = self._by_key[key] = _empty_columns()
+            _place(columns, record)
 
-    def query(self, q: HistoryQuery) -> list[PerformanceRecord]:
+    def query(self, q: HistoryQuery) -> RecordWindow:
         with self._lock:
-            records = self._by_key.get((q.collaborator, q.task_type), [])
+            columns = self._by_key.get((q.collaborator, q.task_type))
+            if columns is None:
+                return RecordWindow(q.collaborator, q.task_type, *_empty_columns())
+            owners, at, throughput, loss, proc_speed, accuracy, satisfied = columns
             if q.interval is not None:
                 lo, hi = q.interval
-                return records[bisect.bisect_left(records, lo, key=_at) :
-                               bisect.bisect_right(records, hi, key=_at)]
-            return records[-q.last_k :]
+                s = slice(bisect.bisect_left(at, lo), bisect.bisect_right(at, hi))
+            else:
+                s = slice(max(len(at) - q.last_k, 0), None)
+            return RecordWindow(q.collaborator, q.task_type, owners[s], at[s], throughput[s], loss[s],
+                                proc_speed[s], accuracy[s], satisfied[s])
 
     def count_for(self, collaborator: DeviceId, task_type: TaskType) -> int:
-        return len(self._by_key.get((collaborator, task_type), ()))
+        columns = self._by_key.get((collaborator, task_type))
+        return 0 if columns is None else len(columns[1])
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(map(len, self._by_key.values()))
+            return sum(len(columns[1]) for columns in self._by_key.values())
 
     def to_dict(self) -> dict[str, Any]:
         """Snapshot v6: one entry of columns per pair, in sorted pair order."""
@@ -193,16 +206,18 @@ class HistoryStore:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
-        """Build each pair's list from its columns; every record goes through the PerformanceRecord checks.
+        """Decode each pair's packed columns straight into the store, checking whole columns.
 
-        Each entry of ``doc["pairs"]`` is replaced by None as its records are
-        built, so the parsed document shrinks while the store grows instead
-        of both peaking together. Nothing goes through ``append``: the store
-        is not shared yet, and a traced load (``bench/tracing.py`` wraps
-        ``append``) would otherwise count each loaded record as a served
-        append. Ids are interned through one dict, so each distinct owner,
-        collaborator and task type is one string object however many records
-        name it.
+        Every column is checked as the ``PerformanceRecord`` constructor
+        checks each of its values, and a refusal goes through the same
+        helpers, so it names the same field and code. Each entry of
+        ``doc["pairs"]`` is replaced by None as its columns are decoded, so
+        the parsed document shrinks while the store grows instead of both
+        peaking together. Nothing goes through ``append``: the store is not
+        shared yet, and a traced load (``bench/tracing.py`` wraps ``append``)
+        would otherwise count each loaded record as a served append. Ids are
+        interned through one dict, so each distinct owner, collaborator and
+        task type is one string object however many records name it.
         """
         store = cls()
         by_key = store._by_key
@@ -212,21 +227,16 @@ class HistoryStore:
             raise ValidationError("history pairs must be a list", field="pairs")
         for i, entry in enumerate(pairs):
             pairs[i] = None
-            key, records = _pair_from_columns(entry, ids)
+            key, columns = _pair_from_columns(entry, ids)
             if key in by_key:
                 raise ValidationError(f"history pair {key} listed twice", field="pairs")
-            by_key[key] = records
+            by_key[key] = columns
         return store
 
 
-_owner = operator.attrgetter("owner")
-_COLUMN_GETTERS = tuple(operator.attrgetter(name) for name in HISTORY_COLUMNS[3:])
-_VERDICT_OF_BYTE = (Verdict.UNSATISFIED, Verdict.SATISFIED)
-
-
-def _pack(code: str, values) -> str:
-    column = array(code, values)
+def _pack(column: array) -> str:
     if _BIG_ENDIAN:
+        column = column[:]
         column.byteswap()
     return base64.b64encode(column).decode("ascii")
 
@@ -251,16 +261,39 @@ def _unpack(name: str, code: str, text: Any, n: int) -> array:
     return column
 
 
-def _pair_to_columns(key: tuple[DeviceId, TaskType], records: list[PerformanceRecord]) -> list[Any]:
-    return [
-        *key,
-        list(map(_owner, records)),
-        *(_pack(code, map(get, records)) for code, get in zip(_PACKED_CODES, _COLUMN_GETTERS)),
-    ]
+def _pair_to_columns(key: tuple[DeviceId, TaskType], columns: list) -> list[Any]:
+    owners, *packed = columns
+    return [*key, list(owners), *map(_pack, packed)]
+
+
+def _check_owners(owners: list, collaborator: DeviceId) -> None:
+    """Refuse the first owner that is not a nonempty id or is the collaborator itself."""
+    for owner in owners:
+        _require_device_id(owner, "owner")
+        if owner == collaborator:
+            _refuse_self_collaboration(owner)
+
+
+def _check_numbers(name: str, column: array) -> None:
+    """Refuse the first value that is not a finite number >= 0, as the record constructor would."""
+    # A NaN or an infinity makes the sum NaN or infinite, whatever min makes
+    # of it; a sum that overflows sends the column to the exact scan.
+    if not (min(column) >= 0.0 and math.isfinite(sum(column))):
+        for value in column:
+            if not 0.0 <= value < math.inf:
+                _require_number(value, name)
+
+
+def _check_fractions(name: str, column: array) -> None:
+    """Refuse the first value outside [0, 1], as the record constructor would."""
+    if not (min(column) >= 0.0 and max(column) <= 1.0 and math.isfinite(sum(column))):
+        for value in column:
+            if not 0.0 <= value <= 1.0:
+                parse_fraction(value, name)
 
 
 def _pair_from_columns(entry: Any, ids: dict[str, str]):
-    """One snapshot-v6 history entry as its pair key and its records in store order."""
+    """One snapshot-v6 history entry as its pair key and its checked columns."""
     if type(entry) is not list or len(entry) != len(HISTORY_COLUMNS):
         raise ValidationError(
             f"history pair is not a list of {len(HISTORY_COLUMNS)} columns: {entry!r:.80}",
@@ -272,18 +305,25 @@ def _pair_from_columns(entry: Any, ids: dict[str, str]):
     n = len(owners) if type(owners) is list else 0
     if n == 0:
         raise ValidationError("owners must be a nonempty list", field="owners")
-    at, *metrics, satisfied = map(_unpack, HISTORY_COLUMNS[3:], _PACKED_CODES, entry[3:], repeat(n))
+    at, throughput, loss, proc_speed, accuracy, satisfied = (
+        _unpack(name, code, text, n)
+        for name, code, text in zip(HISTORY_COLUMNS[3:], COLUMN_CODES, entry[3:])
+    )
     if max(satisfied) > 1:
         raise ValidationError(f"satisfied must hold bytes 0 or 1, got {max(satisfied)}", field="satisfied")
-    if any(map(operator.gt, at, islice(at, 1, None))):
+    if any(map(operator.gt, at, at[1:])):
         raise ValidationError(f"at must not decrease within a pair: {collaborator}, {task_type}", field="at")
+    if set(map(type, owners)) != {str} or not {"", collaborator}.isdisjoint(owners):
+        _check_owners(owners, collaborator)
+    _check_numbers("throughput_mbps", throughput)
+    _check_fractions("loss_rate", loss)
+    _check_numbers("proc_speed_mbps", proc_speed)
+    _check_fractions("accuracy", accuracy)
     intern = ids.setdefault
     collaborator = intern(collaborator, collaborator)
     task_type = intern(task_type, task_type)
-    owners = [intern(o, o) if type(o) is str else o for o in owners]
-    records = list(map(PerformanceRecord, owners, repeat(collaborator), repeat(task_type),
-                       at, *metrics, map(_VERDICT_OF_BYTE.__getitem__, satisfied)))
-    return (collaborator, task_type), records
+    owners = list(map(intern, owners, owners))
+    return (collaborator, task_type), [owners, at, throughput, loss, proc_speed, accuracy, satisfied]
 
 
 class SemanticsTree:

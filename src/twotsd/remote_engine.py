@@ -34,6 +34,7 @@ from .domain import (
     COMP_METRICS,
     DeviceId,
     PerformanceRecord,
+    RecordWindow,
     TaskType,
     Trend,
     TrustSemantics,
@@ -161,7 +162,7 @@ class RemoteSemanticsEngine:
         self,
         device: DeviceId,
         task_type: TaskType,
-        records: Sequence[PerformanceRecord],
+        records: RecordWindow | Sequence[PerformanceRecord],
     ) -> TrustSemantics:
         # Local extraction first: validates the window and supplies the
         # fallback answer. Cold starts stop here.

@@ -23,6 +23,7 @@ from typing import Protocol, Sequence
 from .domain import (
     DeviceId,
     PerformanceRecord,
+    RecordWindow,
     TaskType,
     TimestampMs,
     Trend,
@@ -81,14 +82,18 @@ class StateConfig:
 class SemanticsEngine(Protocol):
     """The single capability every engine provides.
 
-    Deterministic engines must be pure functions of inputs + config.
+    The teacher hands ``extract`` a :class:`RecordWindow`: the newest records
+    of (device, task_type) in (timestamp, arrival) order, as read-only
+    columns that ``extract_semantics`` reads directly; reading its items
+    builds ``PerformanceRecord``s. A plain sequence of records is accepted
+    too. Deterministic engines must be pure functions of inputs + config.
     """
 
     def extract(
         self,
         device: DeviceId,
         task_type: TaskType,
-        records: Sequence[PerformanceRecord],
+        records: RecordWindow | Sequence[PerformanceRecord],
     ) -> TrustSemantics: ...
 
 
@@ -115,7 +120,7 @@ def aggregate_state(
         raise HeterogeneousInputError(
             f"records mix collaborators/task types: {sorted(keys)}"
         )
-    return _state(records, cfg or StateConfig())
+    return _state(len(records), sum(1 for r in records if r.satisfied), cfg or StateConfig())
 
 
 def _classify(values: Sequence[float], floor: float, cfg: TrendConfig) -> Trend:
@@ -142,15 +147,15 @@ def _classify(values: Sequence[float], floor: float, cfg: TrendConfig) -> Trend:
     return Trend.NORMAL
 
 
-def _state(records: Sequence[PerformanceRecord], cfg: StateConfig) -> TrustState:
-    if len(records) < cfg.n_min:
+def _state(n: int, satisfied: int, cfg: StateConfig) -> TrustState:
+    """State of a window of ``n`` records, ``satisfied`` of them satisfied."""
+    if n < cfg.n_min:
         return TrustState.INSUFFICIENT_DATA
-    satisfied = sum(1 for r in records if r.satisfied)
-    fraction = satisfied / len(records)
-    return TrustState.TRUSTED if fraction >= cfg.trust_threshold else TrustState.UNTRUSTED
+    return TrustState.TRUSTED if satisfied / n >= cfg.trust_threshold else TrustState.UNTRUSTED
 
 
-_METRIC_VALUES = {
+# The window column each trend metric is read from.
+_METRIC_COLUMNS = {
     "throughput": attrgetter("throughput_mbps"),
     "loss_rate": attrgetter("loss_rate"),
     "accuracy": attrgetter("accuracy"),
@@ -161,37 +166,38 @@ _METRIC_VALUES = {
 def extract_semantics(
     device: DeviceId,
     task_type: TaskType,
-    records: Sequence[PerformanceRecord],
+    records: RecordWindow | Sequence[PerformanceRecord],
     trend_cfg: TrendConfig | None = None,
     state_cfg: StateConfig | None = None,
 ) -> TrustSemantics:
     """Compose state aggregation and per-metric trend detection into TrustSemantics.
 
-    ``records`` must already be filtered to (device, task_type) and sorted
-    ascending by timestamp. ``extracted_at`` is derived from the last record so
-    the extraction stays a pure function of its inputs.
+    ``records`` is a :class:`RecordWindow` of (device, task_type), whose
+    columns are read directly, or a sequence of records, which must already
+    be filtered to (device, task_type) and sorted ascending by timestamp and
+    is turned into a window first (``RecordWindow.of``). ``extracted_at`` is
+    derived from the last record so the extraction stays a pure function of
+    its inputs.
     """
     trend_cfg = trend_cfg or TrendConfig()
     state_cfg = state_cfg or StateConfig()
-    records = list(records)
-    last_at = None
-    for r in records:
-        if r.collaborator != device or r.task_type != task_type:
-            raise HeterogeneousInputError(
-                f"record for ({r.collaborator}, {r.task_type}) passed to "
-                f"extraction for ({device}, {task_type})"
-            )
-        if last_at is not None and r.at < last_at:
-            raise UnsortedInputError("records must be ascending by timestamp")
-        last_at = r.at
-
-    state = _state(records, state_cfg)
+    if type(records) is not RecordWindow:
+        window = RecordWindow.of(device, task_type, records)
+    elif records.collaborator != device or records.task_type != task_type:
+        raise HeterogeneousInputError(
+            f"window of ({records.collaborator}, {records.task_type}) passed to "
+            f"extraction for ({device}, {task_type})"
+        )
+    else:
+        window = records
+    at = window.at
+    n = len(at)
+    state = _state(n, sum(window.satisfied), state_cfg)
 
     def trend(metric: str) -> Trend:
         if state is TrustState.INSUFFICIENT_DATA:
             return Trend.NORMAL  # cold start: no trend claims
-        values = list(map(_METRIC_VALUES[metric], records))
-        return _classify(values, trend_cfg.floor_for(metric), trend_cfg)
+        return _classify(_METRIC_COLUMNS[metric](window), trend_cfg.floor_for(metric), trend_cfg)
 
     return TrustSemantics(
         device=device,
@@ -201,9 +207,9 @@ def extract_semantics(
         loss_rate=trend("loss_rate"),
         accuracy=trend("accuracy"),
         proc_speed=trend("proc_speed"),
-        window=(records[0].at, records[-1].at) if records else None,
-        extracted_at=records[-1].at if records else 0,
-        record_count=len(records),
+        window=(at[0], at[-1]) if n else None,
+        extracted_at=at[-1] if n else 0,
+        record_count=n,
     )
 
 
@@ -218,6 +224,6 @@ class DeterministicEngine:
         self,
         device: DeviceId,
         task_type: TaskType,
-        records: Sequence[PerformanceRecord],
+        records: RecordWindow | Sequence[PerformanceRecord],
     ) -> TrustSemantics:
         return extract_semantics(device, task_type, records, self.trend_cfg, self.state_cfg)

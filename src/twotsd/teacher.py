@@ -19,8 +19,6 @@ whole point of the architecture, and the simulation asserts it with counters.
 
 from __future__ import annotations
 
-import bisect
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -43,7 +41,6 @@ from .semantics import DeterministicEngine, SemanticsEngine
 
 
 _TRUSTED = TrustState.TRUSTED  # read once per candidate; a global is faster than the Enum class
-_at = operator.attrgetter("at")
 
 
 class Candidate(NamedTuple):
@@ -136,9 +133,7 @@ class TeacherAgent:
         with self._lock_for((device, task_type)):
             window = self.memory.history.query(
                 HistoryQuery(device, task_type, last_k=self.window_k)
-            )
-            # Where HistoryStore.append puts it: after every record at the same or an earlier time.
-            bisect.insort_right(window, record, key=_at)
+            ).with_record(record)
             semantics = self.engine.extract(device, task_type, window[-self.window_k :])
             self.memory.history.append(record)
             self.memory.semantics.upsert(semantics)

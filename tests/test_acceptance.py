@@ -252,7 +252,7 @@ def test_criterion_5_oracle_equivalences():
             expected = [rec for at, _, rec in hits if lo <= at <= hi]
         else:
             expected = [rec for _, _, rec in hits][-query.last_k:]
-        assert store.query(query) == expected
+        assert list(store.query(query)) == expected
 
     _verdict_line(5, "oracle equivalences", "trend=1000 chain=1000 query=1000 cases")
 

@@ -400,3 +400,23 @@ def test_serve_announces_through_a_pipe_and_stops_cleanly_on_sigint(disposition)
             proc.communicate()
     assert proc.returncode == 0
     assert b"Traceback" not in stderr, stderr.decode(errors="replace")
+
+
+def test_inspect_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    """A reader that stops early (`twotsd inspect | head -1`) ends inspect as SIGPIPE would."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
+    env = dict(os.environ)
+    src = str(Path(twotsd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twotsd.cli", "inspect", "--snapshot", str(out / "snapshot.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

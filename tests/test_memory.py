@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotsd import codec
-from twotsd.domain import TrustSemantics, Verdict
+from twotsd.domain import RecordWindow, TrustSemantics, Verdict
 from twotsd.errors import StaleUpdateError, ValidationError
 from twotsd.memory import (
     HISTORY_COLUMNS,
@@ -34,6 +34,7 @@ from twotsd.memory import (
     ResourceStore,
     SemanticsTree,
 )
+from twotsd.semantics import StateConfig, TrendConfig, extract_semantics
 
 from _builders import make_profile, make_record, make_semantics
 
@@ -57,6 +58,27 @@ def test_history_query_validates_exactly_one_selector():
         HistoryQuery("a_j", "video_transcoding", last_k=3, interval=(0, 10))
     HistoryQuery("a_j", "video_transcoding", last_k=3)
     HistoryQuery("a_j", "video_transcoding", interval=(0, 10))
+
+
+@pytest.mark.parametrize("window, field", [
+    ({"last_k": True}, "last_k"),
+    ({"last_k": 2.0}, "last_k"),
+    ({"last_k": "3"}, "last_k"),
+    ({"last_k": 0}, "last_k"),
+    ({"interval": (1.5, "x")}, "interval"),
+    ({"interval": (0, 10.0)}, "interval"),
+    ({"interval": (False, 10)}, "interval"),
+    ({"interval": (0, 2**63)}, "interval"),
+    ({"interval": (-(2**63) - 1, 0)}, "interval"),
+    ({"interval": (0,)}, "interval"),
+    ({"interval": [0, 10]}, "interval"),
+    ({"interval": (10, 0)}, "interval"),
+], ids=repr)
+def test_history_query_refuses_a_window_of_the_wrong_type_naming_its_field(window, field):
+    """A bool or float last_k, or a bound that is not a 64-bit int timestamp, is a ValidationError."""
+    with pytest.raises(ValidationError) as err:
+        HistoryQuery("a_j", "video_transcoding", **window)
+    assert err.value.field == field
 
 
 def _random_records(rng: random.Random, n: int):
@@ -110,7 +132,7 @@ def test_query_equals_brute_force_on_random_logs():
                 else {"interval": tuple(sorted((rng.randrange(0, 5_000), rng.randrange(0, 5_000))))}
             ),
         )
-        assert store.query(q) == brute_force_query(mirror, q)
+        assert list(store.query(q)) == brute_force_query(mirror, q)
 
 
 def test_concurrent_append_query_prune_stress():
@@ -450,6 +472,8 @@ _MALFORMED_PAIRS = {
     "satisfied-a-label": (_column("satisfied", "satisfied"), "satisfied"),
     "pair-listed-twice": (lambda pairs: pairs.append(_three_records_pair()), "pairs"),
     "owner-is-collaborator": (_column("owners", ["a_i", "a_j", "a_i"]), "collaborator"),
+    "owner-empty": (_column("owners", ["a_i", "", "a_i"]), "owner"),
+    "owner-not-a-string": (_column("owners", ["a_i", "a_k", 7]), "owner"),
     "at-decreasing": (_column("at", [1_000, 3_000, 2_000]), "at"),
     "collaborator-empty": (_column("collaborator", ""), "collaborator"),
     "throughput-huge": (_column("throughput_mbps", [1.0, math.inf, 3.0]), "throughput_mbps"),
@@ -568,9 +592,15 @@ def test_load_interns_ids(tmp_path):
 
 
 def test_load_peak_stays_near_the_memory_it_keeps(tmp_path):
-    """Each pair's parsed entry goes as its records are built, so the two never peak together."""
+    """History is held as columns, and each pair's parsed entry goes as its columns are decoded.
+
+    The bounds are per record, on a file of 20 000: packed columns plus an
+    interned owner reference are about 50 bytes, where one PerformanceRecord
+    object was about 240; the peak adds the file's bytes and parsed text.
+    """
+    n = 20_000
     memory = MemoryModule()
-    for i in range(20_000):
+    for i in range(n):
         memory.history.append(make_record(
             owner=f"o{i % 7}", collaborator=f"c{i % 10}", task_type=("t_a", "t_b")[i % 20 // 10],
             at=1_000 * i, throughput_mbps=i / 3, loss_rate=i / 20_000, accuracy=0.5 + i / 40_000))
@@ -584,8 +614,9 @@ def test_load_peak_stays_near_the_memory_it_keeps(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(loaded.history) == 20_000
-    assert peak < 1.25 * held, (peak, held)
+    assert len(loaded.history) == n
+    assert held < 64 * n, held / n
+    assert peak < 200 * n, peak / n
 
 
 def _tiny_memory() -> MemoryModule:
@@ -679,6 +710,64 @@ def test_v4_round_trip_and_per_pair_queries_match_a_brute_force_model(records):
                 HistoryQuery(collaborator, task_type, interval=(7, 7)),
             ):
                 expected = brute_force_query(records, q)
-                assert memory.history.query(q) == expected
-                assert loaded.history.query(q) == expected
+                assert list(memory.history.query(q)) == expected
+                assert list(loaded.history.query(q)) == expected
     assert loaded.history.to_dict()["pairs"] == [_pack_entry(p) for p in sorted(pairs, key=lambda p: p[:2])]
+
+
+_WINDOW_PAIRS = [("a_j", "face_recognition"), ("a_j", "video_transcoding"), ("a_k", "video_transcoding")]
+_window_queries = st.one_of(
+    st.builds(lambda pair, k: HistoryQuery(*pair, last_k=k), st.sampled_from(_WINDOW_PAIRS),
+              st.integers(1, 12)),
+    st.builds(lambda pair, a, b: HistoryQuery(*pair, interval=(min(a, b), max(a, b))),
+              st.sampled_from(_WINDOW_PAIRS), st.integers(-1, 21), st.integers(-1, 21)),
+)
+_slice_bounds = st.none() | st.integers(-14, 14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    appends=st.lists(
+        st.tuples(st.sampled_from(_WINDOW_PAIRS), st.integers(0, 20), _fractions, st.booleans()),
+        max_size=40,
+    ),
+    queries=st.lists(
+        st.tuples(_window_queries, _slice_bounds, _slice_bounds, st.sampled_from([None, 1, 2, 3])),
+        min_size=1, max_size=6,
+    ),
+)
+def test_a_window_reads_as_the_brute_force_records(appends, queries):
+    """Tied and out-of-order timestamps: a window reads as the brute-force records, also to extraction."""
+    # Each record tagged by a distinct throughput, so the windows compare arrival order too.
+    records = [
+        make_record(collaborator=pair[0], task_type=pair[1], at=at, throughput_mbps=float(i),
+                    loss_rate=loss, verdict=Verdict.SATISFIED if satisfied else Verdict.UNSATISFIED)
+        for i, (pair, at, loss, satisfied) in enumerate(appends)
+    ]
+    memory = MemoryModule()
+    for record in records:
+        memory.history.append(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.json"
+        memory.save(path)
+        loaded = MemoryModule.load(path)
+    trend_cfg, state_cfg = TrendConfig(n_min=2), StateConfig(n_min=2)
+    for q, start, stop, step in queries:
+        window = memory.history.query(q)
+        expected = brute_force_query(records, q)
+        assert type(window) is RecordWindow
+        assert list(window) == expected
+        assert len(window) == len(expected)
+        for i in range(1, len(expected) + 1):
+            assert window[-i] == expected[-i]
+        with pytest.raises(IndexError):
+            window[-len(expected) - 1]
+        part = window[start:stop:step]
+        assert type(part) is RecordWindow and list(part) == expected[start:stop:step]
+        by_window = extract_semantics(q.collaborator, q.task_type, window, trend_cfg, state_cfg)
+        by_records = extract_semantics(q.collaborator, q.task_type, list(window), trend_cfg, state_cfg)
+        for name in TrustSemantics.__dataclass_fields__:
+            assert getattr(by_window, name) == getattr(by_records, name), name
+        assert loaded.history.query(q) == window
+    with pytest.raises(ValueError, match="step must be positive"):
+        window[::-1]

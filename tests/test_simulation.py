@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twotsd.domain import ResourceProfile, Verdict
+from twotsd.domain import PerformanceRecord, ResourceProfile, Verdict
 from twotsd.errors import ConfigError
 from twotsd.matching import MatchConfig
 from twotsd.simulation import (
@@ -20,10 +20,12 @@ from twotsd.simulation import (
     STORAGE_MB_RANGE,
     TASK_CLASSES,
     DeviceTruth,
+    DirectPollingBaseline,
     LatencyModel,
     MethodSummary,
     Role,
     ScenarioConfig,
+    ServedWorld,
     accuracy_of,
     run_scenario,
     stable_u01,
@@ -134,6 +136,29 @@ def test_warmup_covers_every_pair_at_every_tick():
     for ats in per_pair.values():
         assert ats == sorted(ats) and len(ats) == 7
     assert all(r.owner != r.collaborator for r in records)
+
+
+def test_ingest_and_selection_build_no_record_in_either_world(monkeypatch):
+    """Extraction reads history columns: no ingest or baseline poll builds a record."""
+    truths = synthesize_truths(SMALL)
+    warmup = synthesize_warmup(SMALL, truths)
+    task = synthesize_tasks(SMALL)[0]
+    worlds = (ServedWorld(SMALL, truths), DirectPollingBaseline(SMALL, truths))
+    built = []
+    init = PerformanceRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PerformanceRecord, "__init__", counting_init)
+    for world in worlds:
+        for record in warmup:
+            world.ingest(record)
+        world.select(task, warmup[-1].at)
+    monkeypatch.undo()
+    assert built == []
+    assert [len(world.history) for world in worlds] == [len(warmup)] * 2
 
 
 def test_tasks_respect_class_shapes():

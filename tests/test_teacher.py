@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twotsd.domain import Trend, TrustState, Verdict
+from twotsd.domain import RecordWindow, Trend, TrustState, Verdict
 from twotsd.errors import RemoteTimeoutError, StaleUpdateError, ValidationError
 from twotsd.memory import HistoryQuery, HistoryStore
 from twotsd.semantics import DeterministicEngine
@@ -89,6 +89,24 @@ def test_concurrent_ingests_into_one_pair_leave_the_leaf_of_the_final_window():
     assert leaf == DeterministicEngine().extract("a_j", "video_transcoding", final)
 
 
+def test_ingest_hands_the_engine_a_window_of_history_columns():
+    """The extraction window is built from column slices, not from records."""
+    given = []
+
+    class _Engine(DeterministicEngine):
+        def extract(self, device, task_type, records):
+            given.append(records)
+            return super().extract(device, task_type, records)
+
+    teacher = TeacherAgent(engine=_Engine(), window_k=5)
+    records = make_records(8)
+    for rec in records:
+        teacher.handle_performance_record(rec)
+    assert [type(window) for window in given] == [RecordWindow] * 8
+    assert list(given[-1]) == records[-5:]
+    assert given[-1] == teacher.memory.history.query(HistoryQuery("a_j", "video_transcoding", last_k=5))
+
+
 def test_an_engine_that_raises_leaves_the_record_unstored():
     teacher = TeacherAgent(engine=_FlakyEngine())
     for rec in make_records(3):
@@ -126,7 +144,7 @@ def test_extraction_window_equals_the_append_then_query_window(history, at, wind
     reference.append(new)
     teacher.handle_performance_record(new)
     query = HistoryQuery("a_j", "video_transcoding", last_k=window_k)
-    assert engine.windows == [reference.query(query)]
+    assert engine.windows == [list(reference.query(query))]
     assert teacher.memory.history.query(query) == reference.query(query)
 
 
