@@ -36,7 +36,6 @@ from .errors import (
     StaleUpdateError,
     TwoTsdError,
     UnknownKindError,
-    UnsortedInputError,
     ValidationError,
     VersionMismatchError,
 )
@@ -47,8 +46,6 @@ from .semantics import (
     SemanticsEngine,
     StateConfig,
     TrendConfig,
-    aggregate_state,
-    detect_trend,
     extract_semantics,
 )
 from .simulation import LatencyModel, RunResult, ScenarioConfig, run_scenario
@@ -103,13 +100,10 @@ __all__ = [
     "TrustState",
     "TwoTsdError",
     "UnknownKindError",
-    "UnsortedInputError",
     "ValidationError",
     "Verdict",
     "VersionMismatchError",
-    "aggregate_state",
     "decide",
-    "detect_trend",
     "evaluate_chain",
     "extract_semantics",
     "run_scenario",

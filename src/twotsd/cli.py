@@ -315,6 +315,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .protocol import TrustServer
     from .teacher import TeacherAgent
 
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in 0..65535, got {args.port}")
     cfg = load_scenario(args.config, args.override, args.seed)
     memory = MemoryModule.load(args.snapshot) if args.snapshot else MemoryModule()
     engine = _build_engine(args, cfg)

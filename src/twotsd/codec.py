@@ -29,7 +29,6 @@ from .domain import (
     TrustSemantics,
     TrustState,
     validate_record,
-    validate_task,
 )
 from .errors import ValidationError
 
@@ -52,10 +51,6 @@ def task_to_dict(task: Task) -> dict[str, Any]:
         "density_cpb": task.density_cpb,
         "deadline_s": task.deadline_s,
     }
-
-
-def task_from_dict(doc: Mapping[str, Any]) -> Task:
-    return validate_task(doc)
 
 
 def profile_to_dict(profile: ResourceProfile) -> dict[str, Any]:

@@ -23,9 +23,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
-from typing import Any, Iterable, Mapping, NoReturn
+from typing import Any, Mapping, NoReturn
 
-from .errors import HeterogeneousInputError, UnsortedInputError, ValidationError
+from .errors import HeterogeneousInputError, ValidationError
 
 # Device and task-type identifiers are plain strings: nonempty, totally
 # ordered (lexicographic), used verbatim for deterministic tie-breaks.
@@ -305,7 +305,8 @@ class RecordWindow:
 
     ``HistoryStore.query`` returns one: the pair plus a slice of each of its
     history columns (``RECORD_COLUMNS``), copied out under the store's lock.
-    Extraction reads the columns directly. As a sequence the window holds
+    Extraction takes no other input: it reads the columns directly and
+    relies on the store for their order. As a sequence the window holds
     ``PerformanceRecord`` values, built only when an item is read: ``len``,
     indexing, iteration, and slicing, which gives a window again. Two windows
     are equal when their pairs and columns are. The columns are the window's
@@ -323,8 +324,8 @@ class RecordWindow:
     satisfied: array
 
     # Not checked: the columns come from HistoryStore, whose values were
-    # checked on the way in, or from ``of`` or ``with_record``, which check
-    # what they add. The fields are stored as instance-dict items, as
+    # checked on the way in, or from ``with_record``, which checks what it
+    # adds. The fields are stored as instance-dict items, as
     # TrustSemantics stores its own: a window is built three times per
     # ingest, and setting slots through their descriptors took twice as long.
     def __init__(self, collaborator, task_type, owners, at, throughput_mbps, loss_rate,
@@ -339,22 +340,6 @@ class RecordWindow:
         attrs["proc_speed_mbps"] = proc_speed_mbps
         attrs["accuracy"] = accuracy
         attrs["satisfied"] = satisfied
-
-    @classmethod
-    def of(cls, collaborator: DeviceId, task_type: TaskType,
-           records: Iterable[PerformanceRecord]) -> "RecordWindow":
-        """The window of ``records``, which must be of this pair and ascending by timestamp."""
-        columns = _empty_columns()
-        for r in records:
-            if r.collaborator != collaborator or r.task_type != task_type:
-                raise HeterogeneousInputError(
-                    f"record for ({r.collaborator}, {r.task_type}) in a window of "
-                    f"({collaborator}, {task_type})"
-                )
-            if columns[1] and r.at < columns[1][-1]:
-                raise UnsortedInputError("records must be ascending by timestamp")
-            _place(columns, r)
-        return cls(collaborator, task_type, *columns)
 
     def with_record(self, record: PerformanceRecord) -> "RecordWindow":
         """This window with ``record`` placed where ``HistoryStore.append`` puts it.

@@ -39,10 +39,6 @@ class StaleUpdateError(TwoTsdError):
     code = "stale_update"
 
 
-class UnsortedInputError(TwoTsdError):
-    code = "unsorted_input"
-
-
 class HeterogeneousInputError(TwoTsdError):
     code = "heterogeneous_input"
 

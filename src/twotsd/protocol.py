@@ -60,6 +60,7 @@ from .domain import (
     TimestampMs,
     _require_device_id,
     _require_timestamp,
+    validate_task,
 )
 from .errors import (
     MalformedFrameError,
@@ -162,7 +163,7 @@ _PAYLOADS: dict[MessageKind, tuple[type, Callable, Callable]] = {
     MessageKind.PERFORMANCE_RECORD: (
         PerformanceRecord, _json_of(codec.record_to_dict), codec.record_from_dict
     ),
-    MessageKind.TASK_REQUEST: (Task, _json_of(codec.task_to_dict), codec.task_from_dict),
+    MessageKind.TASK_REQUEST: (Task, _json_of(codec.task_to_dict), validate_task),
     MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, _bundle_json, bundle_from_dict),
     MessageKind.ACK: (
         Ack, _json_of(lambda a: {"detail": a.detail}), lambda doc: Ack(detail=doc.get("detail"))

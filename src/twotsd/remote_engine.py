@@ -27,7 +27,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .domain import (
     COMM_METRICS,
@@ -82,8 +82,9 @@ class RemoteEngineConfig:
             and self.endpoint.lower().startswith(("http://", "https://"))
         ):
             raise ConfigError("remote endpoint must be an http:// or https:// URL")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout_s must be > 0")
+        # A socket refuses a NaN timeout and overflows on one much above TIMEOUT_MAX.
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout_s must be in (0, {threading.TIMEOUT_MAX}], got {self.timeout_s}")
 
 
 def _record_payload(r: PerformanceRecord) -> dict[str, Any]:
@@ -162,7 +163,7 @@ class RemoteSemanticsEngine:
         self,
         device: DeviceId,
         task_type: TaskType,
-        records: RecordWindow | Sequence[PerformanceRecord],
+        records: RecordWindow,
     ) -> TrustSemantics:
         # Local extraction first: validates the window and supplies the
         # fallback answer. Cold starts stop here.

@@ -21,16 +21,15 @@ from operator import attrgetter
 from typing import Protocol, Sequence
 
 from .domain import (
+    TREND_METRICS,
     DeviceId,
-    PerformanceRecord,
     RecordWindow,
     TaskType,
-    TimestampMs,
     Trend,
     TrustSemantics,
     TrustState,
 )
-from .errors import HeterogeneousInputError, UnsortedInputError, ValidationError
+from .errors import HeterogeneousInputError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,12 @@ class TrendConfig:
         # Each `not x > 0` refuses NaN as well.
         if not self.rel_slope_threshold > 0:
             raise ValidationError("rel_slope_threshold must be > 0", field="rel_slope_threshold")
+        for metric in self.metric_floors:
+            if metric not in TREND_METRICS:
+                raise ValidationError(
+                    f"metric_floors key {metric!r} is not a trend metric {TREND_METRICS}",
+                    field=f"metric_floors.{metric}",
+                )
         # Each floor divides a slope in _classify.
         floors = {"abs_floor": self.abs_floor}
         floors.update((f"metric_floors.{m}", f) for m, f in self.metric_floors.items())
@@ -85,42 +90,16 @@ class SemanticsEngine(Protocol):
     The teacher hands ``extract`` a :class:`RecordWindow`: the newest records
     of (device, task_type) in (timestamp, arrival) order, as read-only
     columns that ``extract_semantics`` reads directly; reading its items
-    builds ``PerformanceRecord``s. A plain sequence of records is accepted
-    too. Deterministic engines must be pure functions of inputs + config.
+    builds ``PerformanceRecord``s. Deterministic engines must be pure
+    functions of inputs + config.
     """
 
     def extract(
         self,
         device: DeviceId,
         task_type: TaskType,
-        records: RecordWindow | Sequence[PerformanceRecord],
+        records: RecordWindow,
     ) -> TrustSemantics: ...
-
-
-def detect_trend(
-    series: Sequence[tuple[TimestampMs, float]], cfg: TrendConfig | None = None
-) -> Trend:
-    """Classify a (timestamp, value) series as increasing / decreasing / normal.
-
-    The series must be sorted ascending by timestamp. Below ``n_min`` points
-    the answer is always NORMAL: too little data to claim a direction.
-    """
-    cfg = cfg or TrendConfig()
-    if any(series[i][0] > series[i + 1][0] for i in range(len(series) - 1)):
-        raise UnsortedInputError("series timestamps must be ascending")
-    return _classify([v for _, v in series], cfg.abs_floor, cfg)
-
-
-def aggregate_state(
-    records: Sequence[PerformanceRecord], cfg: StateConfig | None = None
-) -> TrustState:
-    """Overall trust state from a window of records sharing (collaborator, task_type)."""
-    keys = {(r.collaborator, r.task_type) for r in records}
-    if len(keys) > 1:
-        raise HeterogeneousInputError(
-            f"records mix collaborators/task types: {sorted(keys)}"
-        )
-    return _state(len(records), sum(1 for r in records if r.satisfied), cfg or StateConfig())
 
 
 def _classify(values: Sequence[float], floor: float, cfg: TrendConfig) -> Trend:
@@ -166,38 +145,33 @@ _METRIC_COLUMNS = {
 def extract_semantics(
     device: DeviceId,
     task_type: TaskType,
-    records: RecordWindow | Sequence[PerformanceRecord],
+    records: RecordWindow,
     trend_cfg: TrendConfig | None = None,
     state_cfg: StateConfig | None = None,
 ) -> TrustSemantics:
     """Compose state aggregation and per-metric trend detection into TrustSemantics.
 
-    ``records`` is a :class:`RecordWindow` of (device, task_type), whose
-    columns are read directly, or a sequence of records, which must already
-    be filtered to (device, task_type) and sorted ascending by timestamp and
-    is turned into a window first (``RecordWindow.of``). ``extracted_at`` is
-    derived from the last record so the extraction stays a pure function of
-    its inputs.
+    ``records`` is a :class:`RecordWindow` of (device, task_type), as
+    ``HistoryStore.query`` returns one; its columns are read directly, and
+    their (timestamp, arrival) order is the store's invariant. ``extracted_at``
+    is derived from the last record so the extraction stays a pure function
+    of its inputs.
     """
     trend_cfg = trend_cfg or TrendConfig()
     state_cfg = state_cfg or StateConfig()
-    if type(records) is not RecordWindow:
-        window = RecordWindow.of(device, task_type, records)
-    elif records.collaborator != device or records.task_type != task_type:
+    if records.collaborator != device or records.task_type != task_type:
         raise HeterogeneousInputError(
             f"window of ({records.collaborator}, {records.task_type}) passed to "
             f"extraction for ({device}, {task_type})"
         )
-    else:
-        window = records
-    at = window.at
+    at = records.at
     n = len(at)
-    state = _state(n, sum(window.satisfied), state_cfg)
+    state = _state(n, sum(records.satisfied), state_cfg)
 
     def trend(metric: str) -> Trend:
         if state is TrustState.INSUFFICIENT_DATA:
             return Trend.NORMAL  # cold start: no trend claims
-        return _classify(_METRIC_COLUMNS[metric](window), trend_cfg.floor_for(metric), trend_cfg)
+        return _classify(_METRIC_COLUMNS[metric](records), trend_cfg.floor_for(metric), trend_cfg)
 
     return TrustSemantics(
         device=device,
@@ -224,6 +198,6 @@ class DeterministicEngine:
         self,
         device: DeviceId,
         task_type: TaskType,
-        records: RecordWindow | Sequence[PerformanceRecord],
+        records: RecordWindow,
     ) -> TrustSemantics:
         return extract_semantics(device, task_type, records, self.trend_cfg, self.state_cfg)

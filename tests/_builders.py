@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from twotsd.domain import (
     PerformanceRecord,
+    RecordWindow,
     ResourceProfile,
     Task,
     Trend,
@@ -11,6 +12,7 @@ from twotsd.domain import (
     TrustState,
     Verdict,
 )
+from twotsd.memory import HistoryQuery, HistoryStore
 
 
 def make_record(**over) -> PerformanceRecord:
@@ -31,6 +33,16 @@ def make_record(**over) -> PerformanceRecord:
 
 def make_records(n: int, *, start_at: int = 1_000, step_ms: int = 1_000, **over):
     return [make_record(at=start_at + i * step_ms, **over) for i in range(n)]
+
+
+def window_of(records, collaborator: str = "a_j", task_type: str = "video_transcoding") -> RecordWindow:
+    """The window a fresh ``HistoryStore`` returns for ``records``, all of the given pair."""
+    store = HistoryStore()
+    for record in records:
+        store.append(record)
+    window = store.query(HistoryQuery(collaborator, task_type, last_k=max(len(records), 1)))
+    assert len(window) == len(records), "records of another pair"
+    return window
 
 
 def make_profile(**over) -> ResourceProfile:

@@ -35,7 +35,7 @@ from twotsd.protocol import (
     decode,
     encode,
 )
-from twotsd.semantics import StateConfig, TrendConfig, detect_trend
+from twotsd.semantics import StateConfig, TrendConfig, extract_semantics
 from twotsd.simulation import (
     METHOD_2TSD,
     METHOD_BASELINE,
@@ -47,7 +47,7 @@ from twotsd.simulation import (
 from twotsd.student import decide
 from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent
 
-from _builders import make_profile, make_record, make_records, make_semantics, make_task
+from _builders import make_profile, make_record, make_records, make_semantics, make_task, window_of
 
 TREND_CFG = TrendConfig(n_min=5, rel_slope_threshold=0.10, abs_floor=1e-6)
 STATE_CFG = StateConfig(n_min=5, trust_threshold=0.8)
@@ -179,7 +179,8 @@ def _oracle_trend(values: list[float]) -> Trend:
 def test_criterion_5_oracle_equivalences():
     rng = random.Random(55_155)
 
-    # Trend classification vs the closed-form least-squares oracle.
+    # Trend classification vs the closed-form least-squares oracle, read off
+    # an all-satisfied window (trusted from n_min records, as trends need).
     for _ in range(1_000):
         n = rng.randrange(2, 40)
         scale = 10.0 ** rng.randrange(-3, 6)
@@ -190,8 +191,9 @@ def test_criterion_5_oracle_equivalences():
             max(base + step * i + rng.uniform(-noise, noise), scale * 1e-3)
             for i in range(n)
         ]
-        series = [(1_000 * (i + 1), v) for i, v in enumerate(values)]
-        assert detect_trend(series, TREND_CFG) is _oracle_trend(values)
+        window = window_of([make_record(at=1_000 * (i + 1), throughput_mbps=v) for i, v in enumerate(values)])
+        ts = extract_semantics("a_j", "video_transcoding", window, TREND_CFG, STATE_CFG)
+        assert ts.throughput is _oracle_trend(values)
 
     # Deadline carry vs the analytic transfer + compute time formula.
     match_cfg = MatchConfig(staleness_s=1e9)

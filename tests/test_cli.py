@@ -162,6 +162,7 @@ def test_simulate_exit_code_2_on_bad_config(tmp_path, capsys):
         "warmup_records=2.5",
         "trend.metric_floors=5",
         "trend.metric_floors={loss_rate: abc}",
+        "trend.metric_floors.los_rate=0.5",  # not a trend metric
         "seed=abc",
         "policy.strict_trends=maybe",
         "state.n_min=2.5",  # a float is not an int
@@ -320,6 +321,25 @@ def test_inspect_and_serve_refuse_an_older_snapshot(capsys, version):
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith(f"error: unsupported snapshot version {version};"), err
         assert "twotsd simulate --snapshot" in err
+
+
+def test_serve_refuses_a_port_out_of_range(capsys):
+    """Exit 2 with one error line, before the snapshot is read or a socket bound."""
+    for port in ("70000", "-1"):
+        assert main(["serve", "--port", port]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --port must be in 0..65535, got {port}\n", err
+
+
+def test_serve_refuses_a_remote_timeout_out_of_range(capsys):
+    """A NaN, infinite or non-positive --remote-timeout exits 2 before a socket is bound."""
+    for timeout in ("nan", "inf", "1e300", "0"):
+        argv = ["serve", "--port", "0", "--engine", "remote",
+                "--remote-endpoint", "http://127.0.0.1:9", "--remote-timeout", timeout]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "", out
+        assert err.startswith("error: timeout_s must be in (0, ") and err.count("\n") == 1, err
 
 
 def test_serve_refuses_a_v1_leaf_off_its_device_node(tmp_path, capsys):

@@ -379,4 +379,4 @@ def test_record_dict_round_trip(owner, collaborator, at, throughput, loss, proc,
 @given(size=_floats, density=_floats, deadline=_floats)
 def test_task_dict_round_trip(size, density, deadline):
     task = make_task(size_mb=size, density_cpb=density, deadline_s=deadline)
-    assert codec.task_from_dict(codec.task_to_dict(task)) == task
+    assert validate_task(codec.task_to_dict(task)) == task

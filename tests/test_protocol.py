@@ -50,7 +50,7 @@ from twotsd.protocol import (
 from twotsd.semantics import DeterministicEngine
 from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, assemble_bundle
 
-from _builders import make_profile, make_record, make_records, make_task
+from _builders import make_profile, make_record, make_records, make_task, window_of
 
 
 def _sample_bundle():
@@ -249,7 +249,7 @@ _V2_WIDE_FRAME_BYTES = 244_143
 
 def _wide_bundle(n: int = 1_000):
     """A fixed ``n``-candidate bundle: one trusted leaf copied across devices."""
-    records = make_records(8, collaborator="d0000")
+    records = window_of(make_records(8, collaborator="d0000"), "d0000")
     leaf = DeterministicEngine().extract("d0000", "video_transcoding", records)
     leaves = [dataclasses.replace(leaf, device=f"d{i:04d}") for i in range(n)]
     profiles = {ts.device: make_profile(device=ts.device, updated_at=50_000) for ts in leaves}

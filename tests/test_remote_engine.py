@@ -36,7 +36,7 @@ from twotsd.remote_engine import (
 )
 from twotsd.semantics import extract_semantics
 
-from _builders import make_records
+from _builders import make_records, window_of
 
 SECRET = "sekret-test-credential-123"
 
@@ -103,7 +103,7 @@ def credential(monkeypatch):
 
 def test_happy_path_uses_remote_labels_and_local_bookkeeping():
     engine, opener, _ = _engine(chat_reply(state="untrusted", loss_rate="increasing"))
-    records = make_records(8)
+    records = window_of(make_records(8))
     result = engine.extract("a_j", "video_transcoding", records)
     local = extract_semantics("a_j", "video_transcoding", records)
     assert result.state is TrustState.UNTRUSTED  # remote label wins
@@ -117,7 +117,7 @@ def test_happy_path_uses_remote_labels_and_local_bookkeeping():
 
 def test_request_shape_and_credential_header():
     engine, opener, _ = _engine(chat_reply())
-    engine.extract("a_j", "video_transcoding", make_records(6))
+    engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     (post,) = opener.posts
     assert post["url"] == "https://example.test/v1/chat"
     assert post["method"] == "POST"
@@ -140,7 +140,7 @@ def test_request_shape_and_credential_header():
 
 def test_cold_start_never_touches_network():
     engine, opener, _ = _engine()
-    records = make_records(4)  # below the state n_min of 5
+    records = window_of(make_records(4))  # below the state n_min of 5
     result = engine.extract("a_j", "video_transcoding", records)
     assert result == extract_semantics("a_j", "video_transcoding", records)
     assert result.state is TrustState.INSUFFICIENT_DATA
@@ -150,7 +150,7 @@ def test_cold_start_never_touches_network():
 def test_auth_failure_propagates_without_retry():
     engine, opener, slept = _engine(StubResponse(401))
     with pytest.raises(RemoteAuthError) as exc_info:
-        engine.extract("a_j", "video_transcoding", make_records(6))
+        engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     assert len(opener.posts) == 1
     assert slept == []
     assert SECRET not in str(exc_info.value)
@@ -160,13 +160,13 @@ def test_missing_credential_is_auth_error_before_any_call(monkeypatch):
     monkeypatch.delenv("TWOTSD_REMOTE_KEY")
     engine, opener, _ = _engine(chat_reply())
     with pytest.raises(RemoteAuthError):
-        engine.extract("a_j", "video_transcoding", make_records(6))
+        engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     assert opener.posts == []
 
 
 def test_rate_limit_retries_with_backoff_then_succeeds():
     engine, opener, slept = _engine(StubResponse(429), chat_reply())
-    result = engine.extract("a_j", "video_transcoding", make_records(6))
+    result = engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     assert result.state is TrustState.TRUSTED
     assert len(opener.posts) == 2
     assert engine.retries == 1
@@ -180,7 +180,7 @@ def test_persistent_server_errors_exhaust_retries_and_propagate():
         StubResponse(500), TimeoutError(), URLError(TimeoutError()), StubResponse(503)
     )
     with pytest.raises(RemoteEngineError) as exc_info:
-        engine.extract("a_j", "video_transcoding", make_records(6))
+        engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     assert not isinstance(exc_info.value, SchemaViolationError)
     assert "4 attempts" in str(exc_info.value)
     assert len(opener.posts) == 4
@@ -190,7 +190,7 @@ def test_persistent_server_errors_exhaust_retries_and_propagate():
 def test_schema_violations_fall_back_to_deterministic_labels(caplog):
     bad = StubResponse(200, {"choices": [{"message": {"content": "not json at all"}}]})
     engine, opener, _ = _engine(bad, bad, bad, bad)
-    records = make_records(8)
+    records = window_of(make_records(8))
     with caplog.at_level(logging.WARNING, logger="twotsd.remote_engine"):
         result = engine.extract("a_j", "video_transcoding", records)
     assert result == extract_semantics("a_j", "video_transcoding", records)
@@ -207,7 +207,7 @@ def test_broken_envelope_is_a_schema_violation():
         StubResponse(200, b"[" * 100_000 + b"]" * 100_000),  # nested too deep to parse
         chat_reply(),
     )
-    result = engine.extract("a_j", "video_transcoding", make_records(6))
+    result = engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     assert result.state is TrustState.TRUSTED  # fourth attempt succeeded
     assert engine.retries == 3
 
@@ -219,7 +219,7 @@ def test_remote_insufficient_data_forces_normal_trends():
         "comp_trends": {"accuracy": "normal", "proc_speed": "normal"},
     })
     engine, _, _ = _engine(StubResponse(200, {"choices": [{"message": {"content": content}}]}))
-    result = engine.extract("a_j", "video_transcoding", make_records(6))
+    result = engine.extract("a_j", "video_transcoding", window_of(make_records(6)))
     assert result.state is TrustState.INSUFFICIENT_DATA
     assert set(result.all_trends().values()) == {Trend.NORMAL}
 
@@ -276,8 +276,11 @@ def test_engine_config_validation():
     with pytest.raises(ConfigError):
         RemoteEngineConfig(endpoint=None)
     assert RemoteEngineConfig(endpoint="HTTPS://example.test/v1/chat").endpoint.startswith("HTTPS")
-    with pytest.raises(ConfigError):
-        RemoteEngineConfig(endpoint="https://x", timeout_s=0)
+    # A socket refuses a NaN timeout and overflows on one far above TIMEOUT_MAX.
+    for timeout_s in (0, -1.0, float("nan"), float("inf"), 1e300):
+        with pytest.raises(ConfigError):
+            RemoteEngineConfig(endpoint="https://x", timeout_s=timeout_s)
+    assert RemoteEngineConfig(endpoint="https://x", timeout_s=threading.TIMEOUT_MAX).timeout_s == threading.TIMEOUT_MAX
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -307,7 +310,7 @@ def test_real_http_round_trip():
         host, port = server.server_address
         cfg = RemoteEngineConfig(endpoint=f"http://{host}:{port}/v1/chat")
         engine = RemoteSemanticsEngine(cfg)
-        result = engine.extract("a_j", "video_transcoding", make_records(8))
+        result = engine.extract("a_j", "video_transcoding", window_of(make_records(8)))
         assert result.state is TrustState.TRUSTED
         assert result.record_count == 8
     finally:
@@ -357,7 +360,7 @@ def test_redirect_never_carries_the_credential():
         cfg = RemoteEngineConfig(endpoint=f"http://{o_host}:{o_port}/v1/chat", timeout_s=5)
         engine = RemoteSemanticsEngine(cfg, sleep=lambda s: None)
         with pytest.raises(RemoteAuthError):
-            engine.extract("a_j", "video_transcoding", make_records(8))
+            engine.extract("a_j", "video_transcoding", window_of(make_records(8)))
         ((o_method, o_headers),) = origin.seen
         assert o_method == "POST" and o_headers["Authorization"] == f"Bearer {SECRET}"
         ((t_method, t_headers),) = target.seen
@@ -391,7 +394,7 @@ def test_stalled_endpoint_times_out_on_every_attempt():
         slept = []
         engine = RemoteSemanticsEngine(cfg, sleep=slept.append)
         with pytest.raises(RemoteEngineError) as exc_info:
-            engine.extract("a_j", "video_transcoding", make_records(8))
+            engine.extract("a_j", "video_transcoding", window_of(make_records(8)))
         assert str(exc_info.value) == (
             "remote extraction failed after 4 attempts: no reply within 0.2s"
         )
@@ -412,7 +415,7 @@ def test_refused_connection_is_a_transport_failure_without_retry():
     slept = []
     engine = RemoteSemanticsEngine(cfg, sleep=slept.append)
     with pytest.raises(RemoteEngineError) as exc_info:
-        engine.extract("a_j", "video_transcoding", make_records(8))
+        engine.extract("a_j", "video_transcoding", window_of(make_records(8)))
     assert str(exc_info.value).startswith("transport failure: ")
     assert engine.calls == 1 and engine.retries == 0
     assert slept == []

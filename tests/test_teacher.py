@@ -15,7 +15,7 @@ from twotsd.memory import HistoryQuery, HistoryStore
 from twotsd.semantics import DeterministicEngine
 from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent
 
-from _builders import make_profile, make_record, make_records, make_task
+from _builders import make_profile, make_record, make_records, make_task, window_of
 
 
 def test_ingest_updates_tree_incrementally():
@@ -222,7 +222,7 @@ def _candidate(device: str, state=TrustState.TRUSTED, matched=True) -> Candidate
     records = make_records(8, collaborator=device)
     if state is not TrustState.TRUSTED:
         records = make_records(8, collaborator=device, verdict=Verdict.UNSATISFIED)
-    return Candidate(engine.extract(device, "video_transcoding", records), matched)
+    return Candidate(engine.extract(device, "video_transcoding", window_of(records, device)), matched)
 
 
 def test_bundle_constructor_rejects_disorder_and_disqualified():
