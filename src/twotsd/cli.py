@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import signal
 import sys
@@ -32,7 +31,7 @@ from typing import Any, Sequence
 import yaml
 
 from . import __version__
-from .codec import canonical_json_bytes
+from .codec import canonical_json_bytes, to_jsonable
 from .errors import ConfigError, TwoTsdError, ValidationError
 from .memory import SNAPSHOT_VERSION, MemoryModule
 from .semantics import DeterministicEngine
@@ -104,20 +103,6 @@ def _build(tp: Any, value: Any, path: str, default: Any = dataclasses.MISSING) -
 def scenario_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     """Build a scenario from a plain mapping (YAML shape), checking every value."""
     return _build(ScenarioConfig, doc, "")
-
-
-def to_jsonable(value: Any) -> Any:
-    """Dataclasses and tuples down to plain JSON types."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
 
 
 def apply_override(doc: dict[str, Any], expr: str) -> None:

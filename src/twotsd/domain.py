@@ -5,10 +5,11 @@ so any instance that exists is well-formed. The exception is
 ``RecordWindow``, a view of stored history whose values were checked on the
 way into the store. Tasks and records carry only their named fields, and
 trust semantics carries one ``Trend`` field per metric, in the column order
-of its wire and snapshot row. Raw (possibly
-stringly-typed) input goes through :func:`validate_task` /
-:func:`validate_record`, which also accept percent-style fields like
-``"1%"`` and ignore keys that are not fields.
+of its wire and snapshot row. Raw (possibly stringly-typed) input goes
+through :func:`from_fields`, which takes a value's fields by name and ignores
+other keys; :func:`validate_task` and :func:`validate_record` are its task
+and record forms, and records also accept percent-style fields like ``"1%"``
+and verdict labels.
 
 Unit conventions: MB = 10^6 bytes, Mbps = 10^6 bits/s, so a task's size in bits
 is ``size_mb * 8e6``. Timestamps are signed 64-bit integer milliseconds on a
@@ -20,8 +21,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import cache
 from itertools import repeat
 from typing import Any, Mapping, NoReturn
 
@@ -243,10 +245,7 @@ class PerformanceRecord:
         # Through the constructor. The default protocol restores slot state
         # with setattr, which a frozen class refuses on Python 3.10 (3.11's
         # dataclasses add a __setstate__ that avoids it).
-        return PerformanceRecord, (
-            self.owner, self.collaborator, self.task_type, self.at, self.throughput_mbps,
-            self.loss_rate, self.proc_speed_mbps, self.accuracy, self.verdict,
-        )
+        return PerformanceRecord, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def satisfied(self) -> bool:
@@ -484,30 +483,30 @@ def parse_verdict(value: Any) -> Verdict:
     raise ValidationError(f"verdict must be 'satisfied' or 'unsatisfied', got {value!r}", field="verdict")
 
 
-_TASK_FIELDS = {"task_id", "owner", "task_type", "size_mb", "density_cpb", "deadline_s"}
-_RECORD_FIELDS = {
-    "owner",
-    "collaborator",
-    "task_type",
-    "at",
-    "throughput_mbps",
-    "loss_rate",
-    "proc_speed_mbps",
-    "accuracy",
-    "verdict",
-}
+@cache
+def _field_spec(cls: type) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Dataclass ``cls``'s field names in order, and those of its fields without a default."""
+    return tuple(f.name for f in fields(cls)), frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+
+
+def from_fields(cls: type, raw: Mapping[str, Any], kind: str) -> Any:
+    """Build dataclass ``cls`` from the items of ``raw`` named after its fields.
+
+    Keys that are not fields are ignored, and the constructor validates the
+    values. A field without a default that ``raw`` lacks is refused, all of
+    them in one ``missing <kind> fields: a, b`` error naming the first.
+    """
+    names, required = _field_spec(cls)
+    if not raw.keys() >= required:
+        missing = sorted(required - raw.keys())
+        raise ValidationError(f"missing {kind} fields: {', '.join(missing)}", field=missing[0])
+    return cls(**{name: raw[name] for name in names if name in raw})
 
 
 def validate_task(raw: Mapping[str, Any]) -> Task:
-    """Build a Task from raw task-shaped fields, validating every invariant.
-
-    Keys other than the task's fields are ignored. Diagnostics name the field
-    that failed.
-    """
-    missing = sorted(_TASK_FIELDS - set(raw))
-    if missing:
-        raise ValidationError(f"missing task fields: {', '.join(missing)}", field=missing[0])
-    return Task(**{name: raw[name] for name in _TASK_FIELDS})
+    """Build a Task from raw task-shaped fields, validating every invariant."""
+    return from_fields(Task, raw, "task")
 
 
 def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
@@ -515,20 +514,7 @@ def validate_record(raw: Mapping[str, Any]) -> PerformanceRecord:
 
     Accepts percent strings for loss_rate and accuracy ("1%" == 0.01) and
     verdicts as strings; rejects self-collaboration and out-of-range bounds.
-    Keys other than the record's fields are ignored.
     """
-    keys = raw.keys()
-    if not keys >= _RECORD_FIELDS:
-        missing = sorted(_RECORD_FIELDS - keys)
-        raise ValidationError(f"missing record fields: {', '.join(missing)}", field=missing[0])
-    return PerformanceRecord(
-        owner=raw["owner"],
-        collaborator=raw["collaborator"],
-        task_type=raw["task_type"],
-        at=raw["at"],
-        throughput_mbps=raw["throughput_mbps"],
-        loss_rate=raw["loss_rate"],
-        proc_speed_mbps=raw["proc_speed_mbps"],
-        accuracy=raw["accuracy"],
-        verdict=parse_verdict(raw["verdict"]),
-    )
+    if "verdict" in raw:
+        raw = {**raw, "verdict": parse_verdict(raw["verdict"])}
+    return from_fields(PerformanceRecord, raw, "record")

@@ -66,6 +66,7 @@ from .domain import (
     _require_device_id,
     _require_number,
     _require_timestamp,
+    from_fields,
     parse_fraction,
 )
 from .errors import StaleUpdateError, ValidationError
@@ -135,14 +136,14 @@ class ResourceStore:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "profiles": [codec.profile_to_dict(self._profiles[d]) for d in sorted(self._profiles)]
+            "profiles": [codec.to_jsonable(self._profiles[d]) for d in sorted(self._profiles)]
         }
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ResourceStore":
         store = cls()
         for item in doc["profiles"]:
-            profile = codec.profile_from_dict(item)
+            profile = from_fields(ResourceProfile, item, "profile")
             if profile.device in store._profiles:
                 raise ValidationError(f"profile for {profile.device} listed twice", field="profiles")
             store._profiles[profile.device] = profile
@@ -370,7 +371,7 @@ class SemanticsTree:
         return 1 + len(self._devices) + 2 * len(self._leaves)
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v3: each leaf as its wire row, sorted by (task type, device)."""
+        """Each leaf as its semantics row, sorted by (task type, device)."""
         with self._lock:
             leaves = [self._leaves[k] for k in sorted(self._leaves)]
         return {"leaves": [codec.semantics_to_row(ts) for ts in leaves]}

@@ -15,7 +15,9 @@ Corrupt input raises malformed, never yields a partial message. A body longer
 than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
 than emit a frame every peer would reject.
 
-A ``candidate_bundle`` payload is ``{"candidates": [...], "generated_at": ...,
+Each payload but the bundle is its value's fields by name
+(``codec.to_jsonable``), decoded through ``domain.from_fields``. A
+``candidate_bundle`` payload is ``{"candidates": [...], "generated_at": ...,
 "task_id": ...}``, where each candidate is one positional row of its trust
 semantics, the columns of ``codec.SEMANTICS_COLUMNS`` in order:
 
@@ -50,6 +52,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Callable
 
 from . import codec
@@ -60,6 +63,7 @@ from .domain import (
     TimestampMs,
     _require_device_id,
     _require_timestamp,
+    from_fields,
     validate_task,
 )
 from .errors import (
@@ -145,34 +149,23 @@ def _bundle_json(bundle: CandidateBundle) -> bytes:
     ))
 
 
-def _json_of(to_dict: Callable[[Any], Any]) -> Callable[[Any], bytes]:
-    return lambda payload: codec.canonical_json_bytes(to_dict(payload))
-
-
 def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
     """Every bundled candidate is matched, so the wire carries only its semantics row."""
     candidates = tuple([Candidate(codec.semantics_from_row(row), True) for row in doc["candidates"]])
     return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
 
 
-# kind -> (payload type, payload to canonical JSON bytes, dict to payload). The
-# record entry is codec.record_from_dict rather than domain.validate_record
-# itself, so the validator is looked up at call time, not bound here at import.
-_PAYLOADS: dict[MessageKind, tuple[type, Callable, Callable]] = {
-    MessageKind.RESOURCE_REPORT: (ResourceProfile, _json_of(codec.profile_to_dict), codec.profile_from_dict),
-    MessageKind.PERFORMANCE_RECORD: (
-        PerformanceRecord, _json_of(codec.record_to_dict), codec.record_from_dict
-    ),
-    MessageKind.TASK_REQUEST: (Task, _json_of(codec.task_to_dict), validate_task),
-    MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, _bundle_json, bundle_from_dict),
-    MessageKind.ACK: (
-        Ack, _json_of(lambda a: {"detail": a.detail}), lambda doc: Ack(detail=doc.get("detail"))
-    ),
-    MessageKind.ERROR: (
-        ErrorInfo,
-        _json_of(lambda e: {"code": e.code, "detail": e.detail}),
-        lambda doc: ErrorInfo(code=doc["code"], detail=doc["detail"]),
-    ),
+# kind -> (payload type, payload document to payload). Every payload but the
+# bundle is encoded as ``codec.to_jsonable`` gives it. The record entry is
+# codec.record_from_dict rather than domain.validate_record itself, so the
+# validator is looked up at call time, not bound here at import.
+_PAYLOADS: dict[MessageKind, tuple[type, Callable[[Any], Any]]] = {
+    MessageKind.RESOURCE_REPORT: (ResourceProfile, partial(from_fields, ResourceProfile, kind="profile")),
+    MessageKind.PERFORMANCE_RECORD: (PerformanceRecord, codec.record_from_dict),
+    MessageKind.TASK_REQUEST: (Task, validate_task),
+    MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, bundle_from_dict),
+    MessageKind.ACK: (Ack, partial(from_fields, Ack, kind="ack")),
+    MessageKind.ERROR: (ErrorInfo, partial(from_fields, ErrorInfo, kind="error")),
 }
 
 
@@ -184,11 +177,15 @@ def encode(msg: Message) -> bytes:
     for the whole document without building it as one dict.
     """
     dumps = codec.canonical_json_bytes
+    if msg.kind is MessageKind.CANDIDATE_BUNDLE:
+        payload = _bundle_json(msg.payload)
+    else:
+        payload = dumps(codec.to_jsonable(msg.payload))
     body = b"".join((
         _VERSION_BYTE,
         b'{"kind":', dumps(msg.kind.value),
         b',"msg_id":', dumps(msg.msg_id),
-        b',"payload":', _PAYLOADS[msg.kind][1](msg.payload),
+        b',"payload":', payload,
         b',"sender":', dumps(msg.sender),
         b',"sent_at":', dumps(msg.sent_at),
         b"}",
@@ -222,7 +219,7 @@ def _decode_body(body: bytes) -> Message:
         return Message(
             kind=kind,
             sender=doc["sender"],
-            payload=_PAYLOADS[kind][2](doc["payload"]),
+            payload=_PAYLOADS[kind][1](doc["payload"]),
             msg_id=doc["msg_id"],
             sent_at=doc["sent_at"],
         )

@@ -49,7 +49,7 @@ import csv
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -551,16 +551,8 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-# Column names are the field names of TaskRow and MethodSummary, in order.
-TASKS_CSV_HEADER = [
-    "task_id", "task_type", "owner", "method", "selected", "correct",
-    "eval_time_s", "collections", "candidates_polled", "bundle_size",
-]
-
-SUMMARY_CSV_HEADER = [
-    "method", "tasks", "decided", "correct", "accuracy",
-    "mean_eval_time_s", "total_collections",
-]
+TASKS_CSV_HEADER = [f.name for f in fields(TaskRow)]
+SUMMARY_CSV_HEADER = [f.name for f in fields(MethodSummary)]
 
 
 def write_csv(

@@ -42,6 +42,8 @@ from .semantics import DeterministicEngine, SemanticsEngine
 
 _TRUSTED = TrustState.TRUSTED  # read once per candidate; a global is faster than the Enum class
 
+_INGEST_LOCKS = 64  # per teacher; each (device, task type) pair takes one by its hash
+
 
 class Candidate(NamedTuple):
     """One qualified collaborator: its trust semantics and the match outcome.
@@ -100,21 +102,13 @@ class TeacherAgent:
         match_cfg: MatchConfig | None = None,
         window_k: int = 20,  # how many newest records feed each extraction
     ):
-        if window_k < 1:
-            raise ValidationError("window_k must be >= 1", field="window_k")
+        if type(window_k) is not int or window_k < 1:
+            raise ValidationError(f"window_k must be an integer >= 1, got {window_k!r}", field="window_k")
         self.memory = memory or MemoryModule()
         self.engine = engine or DeterministicEngine()
         self.match_cfg = match_cfg or MatchConfig()
         self.window_k = window_k
-        self._extraction_locks: dict[tuple[DeviceId, str], threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-
-    def _lock_for(self, key: tuple[DeviceId, str]) -> threading.Lock:
-        with self._locks_guard:
-            lock = self._extraction_locks.get(key)
-            if lock is None:
-                lock = self._extraction_locks[key] = threading.Lock()
-            return lock
+        self._ingest_locks = tuple(threading.Lock() for _ in range(_INGEST_LOCKS))
 
     def handle_resource_report(self, profile: ResourceProfile) -> None:
         """Ingest an idle-state resource report. Raises StaleUpdateError on old reports."""
@@ -130,7 +124,7 @@ class TeacherAgent:
         device, task_type = record.collaborator, record.task_type
         # Per-(device, task type) serialization so concurrent ingests for the
         # same pair cannot interleave query, append and upsert (lost updates).
-        with self._lock_for((device, task_type)):
+        with self._ingest_locks[hash((device, task_type)) % _INGEST_LOCKS]:
             window = self.memory.history.query(
                 HistoryQuery(device, task_type, last_k=self.window_k)
             ).with_record(record)

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import twotsd
-from twotsd.cli import apply_override, load_scenario, main, parse_int_list, to_jsonable
+from twotsd.cli import apply_override, load_scenario, main, parse_int_list
+from twotsd.codec import to_jsonable
 from twotsd.errors import ConfigError
 from twotsd.simulation import ScenarioConfig
 

@@ -124,8 +124,9 @@ def test_validate_record_parses_percent_and_verdict_strings():
 
 
 def test_validate_record_ignores_unknown_keys_and_names_missing_fields():
-    raw = codec.record_to_dict(make_record())
+    raw = codec.to_jsonable(make_record())
     assert set(raw) == {f.name for f in dataclasses.fields(PerformanceRecord)}
+    assert raw["verdict"] == "satisfied"
     for extra in ({"site": "b"}, [["site", "b"]], None, "site"):
         assert validate_record({**raw, "battery": 0.8, "extra": extra}) == make_record()
     with pytest.raises(ValidationError) as err:
@@ -369,14 +370,14 @@ def test_record_dict_round_trip(owner, collaborator, at, throughput, loss, proc,
         owner=owner, collaborator=collaborator, at=at, throughput_mbps=throughput,
         loss_rate=loss, proc_speed_mbps=proc, accuracy=acc, verdict=verdict,
     )
-    again = codec.record_from_dict(codec.record_to_dict(rec))
+    again = codec.record_from_dict(codec.to_jsonable(rec))
     assert again == rec
-    assert codec.canonical_json_bytes(codec.record_to_dict(again)) == codec.canonical_json_bytes(
-        codec.record_to_dict(rec)
+    assert codec.canonical_json_bytes(codec.to_jsonable(again)) == codec.canonical_json_bytes(
+        codec.to_jsonable(rec)
     )
 
 
 @given(size=_floats, density=_floats, deadline=_floats)
 def test_task_dict_round_trip(size, density, deadline):
     task = make_task(size_mb=size, density_cpb=density, deadline_s=deadline)
-    assert validate_task(codec.task_to_dict(task)) == task
+    assert validate_task(codec.to_jsonable(task)) == task

@@ -132,12 +132,12 @@ def _reference_row(ts: TrustSemantics) -> list:
 
 
 def _reference_frame(msg: Message) -> bytes:
-    """The frame as one whole document: the codec dicts, then one canonical dump."""
+    """The frame as one whole document, built without ``codec``, then one canonical dump."""
     p = msg.payload
     payload = {
-        MessageKind.RESOURCE_REPORT: lambda: codec.profile_to_dict(p),
-        MessageKind.PERFORMANCE_RECORD: lambda: codec.record_to_dict(p),
-        MessageKind.TASK_REQUEST: lambda: codec.task_to_dict(p),
+        MessageKind.RESOURCE_REPORT: lambda: dataclasses.asdict(p),
+        MessageKind.PERFORMANCE_RECORD: lambda: {**dataclasses.asdict(p), "verdict": p.verdict.value},
+        MessageKind.TASK_REQUEST: lambda: dataclasses.asdict(p),
         MessageKind.CANDIDATE_BUNDLE: lambda: {
             "task_id": p.task_id,
             "generated_at": p.generated_at,
@@ -282,22 +282,62 @@ def test_bundle_with_an_unknown_semantics_label_is_malformed(label, bad):
         decode(tampered)
 
 
-# The ``_messages()`` bundle frame, byte for byte: any change to it is a wire change.
-_GOLDEN_BUNDLE_FRAME = bytes.fromhex(
-    "000000e6037b226b696e64223a2263616e6469646174655f62756e646c65222c226d7367"
-    "5f6964223a22615f692d32222c227061796c6f6164223a7b2263616e6469646174657322"
-    "3a5b5b22615f6b222c22766964656f5f7472616e73636f64696e67222c22747275737465"
-    "64222c226e6f726d616c222c226e6f726d616c222c226e6f726d616c222c226e6f726d61"
-    "6c222c313030302c383030302c383030302c385d5d2c2267656e6572617465645f617422"
-    "3a35303030302c227461736b5f6964223a226332227d2c2273656e646572223a22736572"
-    "766572222c2273656e745f6174223a31337d"
-)
+# Each ``_messages()`` frame, byte for byte: any change to one is a wire change,
+# a renamed payload field included.
+_GOLDEN_FRAMES = {
+    MessageKind.RESOURCE_REPORT: bytes.fromhex(
+        "000000b4037b226b696e64223a227265736f757263655f7265706f7274222c226d73675f"
+        "6964223a22615f6b2d31222c227061796c6f6164223a7b2262616e6477696474685f6d62"
+        "7073223a3130302e302c226370755f637073223a31303030303030303030302e302c2264"
+        "6576696365223a22615f6b222c2273746f726167655f6d62223a3230302e302c22757064"
+        "617465645f6174223a307d2c2273656e646572223a22615f6b222c2273656e745f617422"
+        "3a31307d"
+    ),
+    MessageKind.PERFORMANCE_RECORD: bytes.fromhex(
+        "00000109037b226b696e64223a22706572666f726d616e63655f7265636f7264222c226d"
+        "73675f6964223a22615f692d31222c227061796c6f6164223a7b22616363757261637922"
+        "3a302e39382c226174223a313030302c22636f6c6c61626f7261746f72223a22615f6a22"
+        "2c226c6f73735f72617465223a302e30312c226f776e6572223a22615f69222c2270726f"
+        "635f73706565645f6d627073223a322e302c227461736b5f74797065223a22766964656f"
+        "5f7472616e73636f64696e67222c227468726f7567687075745f6d627073223a3130302e"
+        "302c2276657264696374223a22736174697366696564227d2c2273656e646572223a2261"
+        "5f69222c2273656e745f6174223a31317d"
+    ),
+    MessageKind.TASK_REQUEST: bytes.fromhex(
+        "000000c4037b226b696e64223a227461736b5f72657175657374222c226d73675f696422"
+        "3a22615f692d32222c227061796c6f6164223a7b22646561646c696e655f73223a35302e"
+        "302c2264656e736974795f637062223a313030302e302c226f776e6572223a22615f6922"
+        "2c2273697a655f6d62223a35302e302c227461736b5f6964223a226332222c227461736b"
+        "5f74797065223a22766964656f5f7472616e73636f64696e67227d2c2273656e64657222"
+        "3a22615f69222c2273656e745f6174223a31327d"
+    ),
+    MessageKind.CANDIDATE_BUNDLE: bytes.fromhex(
+        "000000e6037b226b696e64223a2263616e6469646174655f62756e646c65222c226d7367"
+        "5f6964223a22615f692d32222c227061796c6f6164223a7b2263616e6469646174657322"
+        "3a5b5b22615f6b222c22766964656f5f7472616e73636f64696e67222c22747275737465"
+        "64222c226e6f726d616c222c226e6f726d616c222c226e6f726d616c222c226e6f726d61"
+        "6c222c313030302c383030302c383030302c385d5d2c2267656e6572617465645f617422"
+        "3a35303030302c227461736b5f6964223a226332227d2c2273656e646572223a22736572"
+        "766572222c2273656e745f6174223a31337d"
+    ),
+    MessageKind.ACK: bytes.fromhex(
+        "0000005d037b226b696e64223a2261636b222c226d73675f6964223a22615f6b2d31222c"
+        "227061796c6f6164223a7b2264657461696c223a2273746f726564227d2c2273656e6465"
+        "72223a22736572766572222c2273656e745f6174223a31347d"
+    ),
+    MessageKind.ERROR: bytes.fromhex(
+        "00000079037b226b696e64223a226572726f72222c226d73675f6964223a22615f6b2d32"
+        "222c227061796c6f6164223a7b22636f6465223a227374616c655f757064617465222c22"
+        "64657461696c223a226f6c64207265706f7274227d2c2273656e646572223a2273657276"
+        "6572222c2273656e745f6174223a31357d"
+    ),
+}
 
 
-def test_bundle_frame_matches_the_golden_bytes():
-    msg = _messages()[3]
-    assert encode(msg) == _GOLDEN_BUNDLE_FRAME
-    assert decode(_GOLDEN_BUNDLE_FRAME) == msg
+@pytest.mark.parametrize("msg", _messages(), ids=lambda m: m.kind.value)
+def test_every_frame_matches_the_golden_bytes(msg):
+    assert encode(msg) == _GOLDEN_FRAMES[msg.kind]
+    assert decode(_GOLDEN_FRAMES[msg.kind]) == msg
 
 
 def _frame_of(doc: dict, version: int = PROTOCOL_VERSION) -> bytes:
@@ -406,16 +446,34 @@ def test_an_ack_or_error_payload_of_the_wrong_type_is_malformed(kind, payload, f
     assert decode(_frame_of(ack)).payload == Ack()
 
 
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [("resource_report", {"device": "a_k", "cpu_cps": 1e9},
+      "missing profile fields: bandwidth_mbps, storage_mb, updated_at"),
+     ("performance_record", {"owner": "a_i", "collaborator": "a_k", "task_type": "t", "verdict": "satisfied"},
+      "missing record fields: accuracy, at, loss_rate, proc_speed_mbps, throughput_mbps"),
+     ("task_request", {"task_id": "c2", "owner": "a_i"},
+      "missing task fields: deadline_s, density_cpb, size_mb, task_type"),
+     ("error", {"detail": "x"}, "missing error fields: code")],
+    ids=["profile", "record", "task", "error"],
+)
+def test_a_payload_missing_fields_names_every_one(kind, payload, message):
+    doc = {"kind": kind, "msg_id": "m1", "sender": "a_i", "sent_at": 0, "payload": payload}
+    with pytest.raises(MalformedFrameError, match=re.escape(f"bad {kind} payload: {message}")):
+        decode(_frame_of(doc))
+    ack = {**doc, "kind": "ack", "payload": {}}  # an ack's detail has a default
+    assert decode(_frame_of(ack)).payload == Ack()
+
+
 def _request_doc(kind: str, payload: dict, **header) -> dict:
     return {"kind": kind, "msg_id": "a_i-1", "sender": "a_i", "sent_at": 0, "payload": payload, **header}
 
 
 def test_a_record_or_task_frame_with_extra_and_unknown_keys_decodes_to_the_plain_value():
-    for kind, value, to_dict in (("performance_record", make_record(), codec.record_to_dict),
-                                 ("task_request", make_task(), codec.task_to_dict)):
-        assert "extra" not in to_dict(value)
+    for kind, value in (("performance_record", make_record()), ("task_request", make_task())):
+        assert "extra" not in codec.to_jsonable(value)
         for extra in ({"site": "lab"}, 7):  # a frame from an older peer; a non-mapping too
-            doc = _request_doc(kind, {**to_dict(value), "extra": extra, "battery": 0.8})
+            doc = _request_doc(kind, {**codec.to_jsonable(value), "extra": extra, "battery": 0.8})
             assert decode(_frame_of(doc)).payload == value
 
 
@@ -429,18 +487,18 @@ _HUGE = 10**400  # an int no float can hold
     ("task_request", "size_mb"), ("task_request", "deadline_s"),
 ])
 def test_a_request_carrying_a_huge_number_is_malformed(kind, field):
-    payload = {
-        "resource_report": codec.profile_to_dict(make_profile()),
-        "performance_record": codec.record_to_dict(make_record()),
-        "task_request": codec.task_to_dict(make_task()),
-    }[kind]
+    payload = codec.to_jsonable({
+        "resource_report": make_profile(),
+        "performance_record": make_record(),
+        "task_request": make_task(),
+    }[kind])
     payload[field] = _HUGE
     with pytest.raises(MalformedFrameError, match=f"bad {kind} payload: {field} "):
         decode(_frame_of(_request_doc(kind, payload)))
 
 
 def test_a_huge_or_unparsable_header_value_is_malformed():
-    doc = _request_doc("task_request", codec.task_to_dict(make_task()), sent_at=2**63)
+    doc = _request_doc("task_request", codec.to_jsonable(make_task()), sent_at=2**63)
     with pytest.raises(MalformedFrameError, match="sent_at must fit in 64 bits"):
         decode(_frame_of(doc))
     frame = _frame_of({**doc, "sent_at": 0})
@@ -739,7 +797,7 @@ def test_tcp_msg_id_too_long_to_echo_closes_quietly(server, monkeypatch, quiet_f
     msg_id = "\u00e9" * 1_500  # 3 000 bytes raw, 9 000 once escaped in any reply
     doc = {
         "kind": "resource_report", "msg_id": msg_id, "sender": "a_k", "sent_at": 0,
-        "payload": codec.profile_to_dict(make_profile()),
+        "payload": codec.to_jsonable(make_profile()),
     }
     body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
     assert len(body) <= _SMALL_CAP
@@ -809,7 +867,7 @@ def test_tcp_a_poisoned_profile_is_refused_and_requests_still_get_bundles(server
     with DeviceClient(host, port, "a_i") as owner:
         for rec in make_records(8, collaborator="a_k"):
             owner.call(MessageKind.PERFORMANCE_RECORD, rec)
-    poisoned = {**codec.profile_to_dict(make_profile(device="a_k")), "updated_at": _HUGE}
+    poisoned = {**codec.to_jsonable(make_profile(device="a_k")), "updated_at": _HUGE}
     with socket.create_connection((host, port)) as sock:
         sock.sendall(_frame_of(_request_doc("resource_report", poisoned, sender="a_k")))
         reply = read_frame(sock)
@@ -825,7 +883,7 @@ def test_tcp_a_poisoned_profile_is_refused_and_requests_still_get_bundles(server
 
 def test_tcp_an_ingest_with_a_large_extra_stores_what_the_plain_ingest_stores(server):
     """A 1 MiB ``extra`` and an unknown key are acked and leave no trace in memory."""
-    doc = {**codec.record_to_dict(make_record()), "extra": {"blob": "x" * 2**20}, "site": "lab"}
+    doc = {**codec.to_jsonable(make_record()), "extra": {"blob": "x" * 2**20}, "site": "lab"}
     with socket.create_connection(server.address) as sock:
         sock.sendall(_frame_of(_request_doc("performance_record", doc)))
         assert read_frame(sock).kind is MessageKind.ACK

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twotsd.domain import RecordWindow, Trend, TrustState, Verdict
+from twotsd.domain import RecordWindow, TrustState, Verdict
 from twotsd.errors import RemoteTimeoutError, StaleUpdateError, ValidationError
 from twotsd.memory import HistoryQuery, HistoryStore
 from twotsd.semantics import DeterministicEngine
@@ -250,6 +250,8 @@ def test_bundle_constructor_type_checks_its_header(task_id, generated_at, field)
         CandidateBundle(task_id, (_candidate("d1"),), generated_at)
 
 
-def test_teacher_validates_window_k():
-    with pytest.raises(ValidationError, match="window_k"):
-        TeacherAgent(window_k=0)
+@pytest.mark.parametrize("window_k", [0, 2.5, True, "5"])
+def test_teacher_validates_window_k(window_k):
+    with pytest.raises(ValidationError, match="window_k") as err:
+        TeacherAgent(window_k=window_k)
+    assert err.value.field == "window_k"
