@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``simulate``: one scenario, both methods, writes tasks.csv / summary.csv /
-  manifest.json (and optionally a memory snapshot) into --out.
+  manifest.json (and optionally the memory snapshot, snapshot.bin) into --out.
 * ``compare``: fleet-size sweep plus seed sweep, writes evaluation_time.csv,
   data_collections.csv and accuracy.csv.
 * ``serve``: run the teacher behind the TCP protocol until interrupted.
@@ -231,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_summary_csv(stage.path("summary.csv"), result.summaries)
         _write_manifest(stage, cfg, "simulate")
         if args.snapshot:
-            result.teacher_memory.save(stage.path("snapshot.json"))
+            result.teacher_memory.save(stage.path("snapshot.bin"))
     except Exception:
         stage.discard()
         raise

@@ -15,39 +15,44 @@ Three components back the server-side agent:
 Every store serializes its mutations under a per-store lock; history
 queries and tree reads hold the same lock, so they never see a half-done
 write. :class:`MemoryModule` bundles the three and snapshots them to a single
-versioned JSON file (``load(save(state)) == state``), written atomically
-(temp file, fsync, rename).
+versioned file (``load(save(state)) == state``), written atomically (temp
+file, fsync, rename).
 
-Snapshot version 6 stores history in columns: one entry per pair, in sorted
-pair order, laid out as :data:`HISTORY_COLUMNS` (no per-file header, no
-record ids). ``owners`` is a JSON list of ids in store order; every other
-record column is one base64 string of packed little-endian values: ``at``
-as int64, the four metrics as IEEE-754 float64 and ``satisfied`` as one
-byte per record, 0 or 1. The tree is stored as the leaves' wire rows
-(``codec.semantics_to_row``) sorted by (task type, device), and saving
-writes the store's arrays' bytes. Loading decodes each pair's packed
-columns straight into the store, checking each whole column as the
-``PerformanceRecord`` constructor checks one value, and reads each leaf
-through the validating ``codec.semantics_from_row``. Any other version is
-refused: a snapshot is rebuilt from its scenario config and seed, not
-migrated.
+A version-7 snapshot is a binary column file. It starts with
+:data:`SNAPSHOT_MAGIC`, then the byte length of a canonical-JSON header as a
+little-endian uint64, then the header: format, version, the resource
+profiles, the tree's leaves as their wire rows (``codec.semantics_to_row``)
+sorted by (task type, device), and one entry per history pair in sorted pair
+order, laid out as :data:`PAIR_FIELDS`: the pair, its distinct owner ids and
+its record count. The header is followed by each pair's columns in pair
+order, as raw little-endian bytes: an owner-index column into the pair's
+owner ids as uint32, ``at`` as int64, the four metrics as IEEE-754 float64
+and ``satisfied`` as one byte per record, 0 or 1. The columns end the file.
+Saving writes the store's arrays' bytes; loading reads each column into a
+pre-sized array, so no parsed document or text copy of the columns is ever
+built, and checks each whole column as the ``PerformanceRecord`` constructor
+checks one value. Leaves go through the validating
+``codec.semantics_from_row``. A file is recognised by its magic, never by
+its name. An older, JSON snapshot (it starts with ``{``) is parsed only to
+name its version in the refusal: a snapshot is rebuilt from its scenario
+config and seed, not migrated.
 """
 
 from __future__ import annotations
 
-import base64
 import bisect
 import gc
 import json
 import math
 import operator
 import os
+import struct
 import sys
 import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from . import codec
 from .domain import (
@@ -72,11 +77,16 @@ from .domain import (
 from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
+# The first bytes of a version-7 file. The high first byte marks it binary;
+# no JSON document starts with it.
+SNAPSHOT_MAGIC = b"\x89twotsd\n"
+_HEADER_LENGTH = struct.Struct("<Q")
 
-# Column order of one snapshot-v6 history entry: the pair, then its history
-# columns in store order.
-HISTORY_COLUMNS = ("collaborator", "task_type") + RECORD_COLUMNS
+# Fields of one history pair's header entry; the pair's columns follow the
+# header in RECORD_COLUMNS order, owners as indexes into the entry's owners.
+PAIR_FIELDS = ("collaborator", "task_type", "owners", "count")
+_OWNER_INDEX = "I"  # uint32, four bytes on every platform CPython supports
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -201,24 +211,40 @@ class HistoryStore:
             return sum(len(columns[1]) for columns in self._by_key.values())
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v6: one entry of columns per pair, in sorted pair order."""
+        """Snapshot v7's history: header entries and the column arrays that follow the header.
+
+        ``pairs`` holds one :data:`PAIR_FIELDS` entry per pair in sorted pair
+        order, its owners the pair's distinct ids in first-use order.
+        ``columns`` holds, pair after pair, the owner-index column and copies
+        of the pair's other columns, taken under the lock so a concurrent
+        append cannot part them from the entries.
+        """
+        pairs, columns = [], []
         with self._lock:
-            return {"pairs": [_pair_to_columns(key, self._by_key[key]) for key in sorted(self._by_key)]}
+            for key in sorted(self._by_key):
+                owners, *numbers = self._by_key[key]
+                distinct = list(dict.fromkeys(owners))
+                position = {owner: i for i, owner in enumerate(distinct)}
+                pairs.append([*key, distinct, len(owners)])
+                columns.append(array(_OWNER_INDEX, map(position.__getitem__, owners)))
+                columns.extend(column[:] for column in numbers)
+        return {"pairs": pairs, "columns": columns}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "HistoryStore":
-        """Decode each pair's packed columns straight into the store, checking whole columns.
+    def from_dict(cls, doc: dict[str, Any], file: BinaryIO) -> "HistoryStore":
+        """Read each pair's columns from ``file`` straight into the store, checking whole columns.
 
-        Every column is checked as the ``PerformanceRecord`` constructor
-        checks each of its values, and a refusal goes through the same
-        helpers, so it names the same field and code. Each entry of
-        ``doc["pairs"]`` is replaced by None as its columns are decoded, so
-        the parsed document shrinks while the store grows instead of both
-        peaking together. Nothing goes through ``append``: the store is not
-        shared yet, and a traced load (``bench/tracing.py`` wraps ``append``)
-        would otherwise count each loaded record as a served append. Ids are
-        interned through one dict, so each distinct owner, collaborator and
-        task type is one string object however many records name it.
+        ``doc`` is the header's history and ``file`` stands at the first
+        column; the columns must end the file. Each column is read into an
+        array sized from the entry's count, once the file is known to hold
+        that many bytes. Every column is checked as the ``PerformanceRecord``
+        constructor checks each of its values, and a refusal goes through
+        the same helpers, so it names the same field and code. Nothing goes
+        through ``append``: the store is not shared yet, and a traced load
+        (``bench/tracing.py`` wraps ``append``) would otherwise count each
+        loaded record as a served append. Ids are interned through one dict,
+        so each distinct owner, collaborator and task type is one string
+        object however many records name it.
         """
         store = cls()
         by_key = store._by_key
@@ -226,45 +252,41 @@ class HistoryStore:
         pairs = doc["pairs"]
         if type(pairs) is not list:
             raise ValidationError("history pairs must be a list", field="pairs")
-        for i, entry in enumerate(pairs):
-            pairs[i] = None
-            key, columns = _pair_from_columns(entry, ids)
+        reader = _ColumnReader(file)
+        for entry in pairs:
+            key, columns = _read_pair(entry, reader, ids)
             if key in by_key:
                 raise ValidationError(f"history pair {key} listed twice", field="pairs")
             by_key[key] = columns
+        if reader.left:
+            raise ValidationError(f"{reader.left} bytes follow the last pair's columns", field="pairs")
         return store
 
 
-def _pack(column: array) -> str:
-    if _BIG_ENDIAN:
-        column = column[:]
-        column.byteswap()
-    return base64.b64encode(column).decode("ascii")
+class _ColumnReader:
+    """The column bytes of an open snapshot, read one pre-sized array at a time."""
 
+    def __init__(self, file: BinaryIO):
+        self.file = file
+        self.left = os.fstat(file.fileno()).st_size - file.tell()
 
-def _unpack(name: str, code: str, text: Any, n: int) -> array:
-    """One packed column of ``n`` values, its type and byte length checked."""
-    if type(text) is not str:
-        raise ValidationError(f"{name} must be a base64 string of packed values", field=name)
-    try:
-        data = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ValidationError(f"{name} is not valid base64: {exc}", field=name) from None
-    column = array(code)
-    if len(data) != n * column.itemsize:
-        raise ValidationError(
-            f"{name} must pack {n} {column.itemsize}-byte values, one per owner, not {len(data)} bytes",
-            field=name,
-        )
-    column.frombytes(data)
-    if _BIG_ENDIAN:
-        column.byteswap()
-    return column
-
-
-def _pair_to_columns(key: tuple[DeviceId, TaskType], columns: list) -> list[Any]:
-    owners, *packed = columns
-    return [*key, list(owners), *map(_pack, packed)]
+    def read(self, name: str, code: str, n: int) -> array:
+        """``n`` values of type ``code``, refused before allocating if the file holds fewer."""
+        itemsize = array(code).itemsize
+        size = n * itemsize
+        if size > self.left:
+            raise ValidationError(
+                f"{name} is cut short: {n} {itemsize}-byte values need {size} bytes, "
+                f"the file holds {self.left} more",
+                field=name,
+            )
+        column = array(code, bytes(itemsize)) * n
+        if self.file.readinto(column) != size:
+            raise ValidationError(f"{name} is cut short: the file ended while reading it", field=name)
+        self.left -= size
+        if _BIG_ENDIAN:
+            column.byteswap()
+        return column
 
 
 def _check_owners(owners: list, collaborator: DeviceId) -> None:
@@ -293,29 +315,34 @@ def _check_fractions(name: str, column: array) -> None:
                 parse_fraction(value, name)
 
 
-def _pair_from_columns(entry: Any, ids: dict[str, str]):
-    """One snapshot-v6 history entry as its pair key and its checked columns."""
-    if type(entry) is not list or len(entry) != len(HISTORY_COLUMNS):
+def _read_pair(entry: Any, reader: _ColumnReader, ids: dict[str, str]):
+    """One snapshot-v7 header entry and its columns, as the pair key and its checked columns."""
+    if type(entry) is not list or len(entry) != len(PAIR_FIELDS):
         raise ValidationError(
-            f"history pair is not a list of {len(HISTORY_COLUMNS)} columns: {entry!r:.80}",
-            field="pairs",
+            f"history pair is not a list of {len(PAIR_FIELDS)} fields: {entry!r:.80}", field="pairs"
         )
-    collaborator, task_type, owners = entry[:3]
+    collaborator, task_type, owners, n = entry
     _require_device_id(collaborator, "collaborator")
     _require_device_id(task_type, "task_type")
-    n = len(owners) if type(owners) is list else 0
-    if n == 0:
-        raise ValidationError("owners must be a nonempty list", field="owners")
+    if type(owners) is not list or not owners:
+        raise ValidationError("owners must be a nonempty list of ids", field="owners")
+    _check_owners(owners, collaborator)
+    if len(set(owners)) != len(owners):
+        raise ValidationError("owners must list each id once", field="owners")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"count must be an integer >= 1, got {n!r:.40}", field="count")
+    index = reader.read("owners", _OWNER_INDEX, n)
     at, throughput, loss, proc_speed, accuracy, satisfied = (
-        _unpack(name, code, text, n)
-        for name, code, text in zip(HISTORY_COLUMNS[3:], COLUMN_CODES, entry[3:])
+        reader.read(name, code, n) for name, code in zip(RECORD_COLUMNS[1:], COLUMN_CODES)
     )
+    if max(index) >= len(owners):
+        raise ValidationError(
+            f"owner index {max(index)} is outside the pair's {len(owners)} owners", field="owners"
+        )
     if max(satisfied) > 1:
         raise ValidationError(f"satisfied must hold bytes 0 or 1, got {max(satisfied)}", field="satisfied")
     if any(map(operator.gt, at, at[1:])):
         raise ValidationError(f"at must not decrease within a pair: {collaborator}, {task_type}", field="at")
-    if set(map(type, owners)) != {str} or not {"", collaborator}.isdisjoint(owners):
-        _check_owners(owners, collaborator)
     _check_numbers("throughput_mbps", throughput)
     _check_fractions("loss_rate", loss)
     _check_numbers("proc_speed_mbps", proc_speed)
@@ -323,7 +350,8 @@ def _pair_from_columns(entry: Any, ids: dict[str, str]):
     intern = ids.setdefault
     collaborator = intern(collaborator, collaborator)
     task_type = intern(task_type, task_type)
-    owners = list(map(intern, owners, owners))
+    distinct = list(map(intern, owners, owners))
+    owners = list(map(distinct.__getitem__, index))
     return (collaborator, task_type), [owners, at, throughput, loss, proc_speed, accuracy, satisfied]
 
 
@@ -406,22 +434,30 @@ class MemoryModule:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the snapshot atomically.
+        """Write the snapshot atomically: magic, header length, header, then the columns.
 
-        The bytes go to a new temp file in the target's directory, which is
-        flushed and fsynced and then renamed over the target. On any failure
-        the temp file is removed and the previous snapshot stays as it was.
-        Where directories can be opened (``os.O_DIRECTORY``), the directory
-        is fsynced after the rename too, so the rename itself survives a
-        crash once ``save`` returns.
+        The header goes out as one canonical-JSON document and each column
+        as its array's bytes, straight to a new temp file in the target's
+        directory, which is flushed and fsynced and then renamed over the
+        target. On any failure the temp file is removed and the previous
+        snapshot stays as it was. Where directories can be opened
+        (``os.O_DIRECTORY``), the directory is fsynced after the rename too,
+        so the rename itself survives a crash once ``save`` returns.
         """
         path = Path(path)
-        data = codec.canonical_json_bytes(self.to_snapshot_dict()) + b"\n"
+        doc = self.to_snapshot_dict()
+        columns = doc["history"].pop("columns")
+        header = codec.canonical_json_bytes(doc)
         tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
         fh = open(tmp, "xb")
         try:
             with fh:
-                fh.write(data)
+                fh.write(SNAPSHOT_MAGIC + _HEADER_LENGTH.pack(len(header)))
+                fh.write(header)
+                for column in columns:
+                    if _BIG_ENDIAN:
+                        column.byteswap()  # a copy: to_dict hands out no live column
+                    fh.write(column)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -439,35 +475,31 @@ class MemoryModule:
     def load(cls, path: str | Path) -> "MemoryModule":
         """Read a snapshot, checking every value as an ingest would.
 
-        The cyclic GC is paused across the parse and the build, then restored
-        to the caller's setting: every object they allocate is kept, so each
-        collection would walk the growing heap again for nothing.
+        Only the header is parsed; the columns are read from the file into
+        their arrays. The cyclic GC is paused across the read and the build,
+        then restored to the caller's setting: every object they allocate is
+        kept, so each collection would walk the growing heap again for
+        nothing.
         """
         enabled = gc.isenabled()
         gc.disable()
         try:
             try:
-                doc = json.loads(Path(path).read_bytes())
-            except (OSError, ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
+                fh = open(path, "rb")
+            except OSError as exc:
                 raise ValidationError(f"unreadable snapshot: {exc}") from None
-            if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
-                raise ValidationError("not a twotsd snapshot file")
-            version = doc.get("version")
-            if type(version) is not int or version != SNAPSHOT_VERSION:
-                raise ValidationError(
-                    f"unsupported snapshot version {version!r}; this build reads version "
-                    f"{SNAPSHOT_VERSION} only, so rebuild the file with `twotsd simulate --snapshot`"
-                )
-            module = cls()
-            try:
-                module.resources = ResourceStore.from_dict(doc["resources"])
-                module.history = HistoryStore.from_dict(doc["history"])
-                module.semantics = SemanticsTree.from_dict(doc["tree"])
-            except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
-                field, code = (exc.field, exc.code) if isinstance(exc, ValidationError) else (None, None)
-                raise ValidationError(
-                    f"malformed snapshot: {type(exc).__name__} {exc}", field=field, code=code
-                ) from None
+            with fh:
+                doc = _read_header(fh)
+                module = cls()
+                try:
+                    module.resources = ResourceStore.from_dict(doc["resources"])
+                    module.history = HistoryStore.from_dict(doc["history"], fh)
+                    module.semantics = SemanticsTree.from_dict(doc["tree"])
+                except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
+                    field, code = (exc.field, exc.code) if isinstance(exc, ValidationError) else (None, None)
+                    raise ValidationError(
+                        f"malformed snapshot: {type(exc).__name__} {exc}", field=field, code=code
+                    ) from None
             return module
         finally:
             if enabled:
@@ -477,3 +509,46 @@ class MemoryModule:
         if not isinstance(other, MemoryModule):
             return NotImplemented
         return self.to_snapshot_dict() == other.to_snapshot_dict()
+
+
+def _parse_json(data: bytes) -> Any:
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
+        raise ValidationError(f"unreadable snapshot: {exc}") from None
+
+
+def _read_header(fh: BinaryIO) -> dict[str, Any]:
+    """The parsed v7 header of an open snapshot, leaving ``fh`` at the first column.
+
+    A file that starts with ``{`` is an older, JSON snapshot: it is parsed
+    only to name its version in the refusal. A header length is checked
+    against the file's size before anything that long is read.
+    """
+    start = fh.read(len(SNAPSHOT_MAGIC) + _HEADER_LENGTH.size)
+    older = start[:1] == b"{"
+    if older:
+        doc = _parse_json(start + fh.read())
+    elif not start.startswith(SNAPSHOT_MAGIC):
+        raise ValidationError(f"not a twotsd snapshot file: it starts {start[:8]!r}", field="magic")
+    else:
+        if len(start) < len(SNAPSHOT_MAGIC) + _HEADER_LENGTH.size:
+            raise ValidationError("malformed snapshot: the file ends inside the header length", field="header")
+        (length,) = _HEADER_LENGTH.unpack_from(start, len(SNAPSHOT_MAGIC))
+        left = os.fstat(fh.fileno()).st_size - len(start)
+        if length > left:
+            raise ValidationError(
+                f"malformed snapshot: a header of {length} bytes runs past the end of the file, "
+                f"which holds {left} more",
+                field="header",
+            )
+        doc = _parse_json(fh.read(length))
+    if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
+        raise ValidationError("not a twotsd snapshot file")
+    version = doc.get("version")
+    if older or type(version) is not int or version != SNAPSHOT_VERSION:
+        raise ValidationError(
+            f"unsupported snapshot version {version!r}; this build reads binary version-"
+            f"{SNAPSHOT_VERSION} files only, so rebuild the file with `twotsd simulate --snapshot`"
+        )
+    return doc

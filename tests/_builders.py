@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 from twotsd.domain import (
     PerformanceRecord,
     RecordWindow,
@@ -12,7 +15,7 @@ from twotsd.domain import (
     TrustState,
     Verdict,
 )
-from twotsd.memory import HistoryQuery, HistoryStore
+from twotsd.memory import SNAPSHOT_MAGIC, HistoryQuery, HistoryStore
 
 
 def make_record(**over) -> PerformanceRecord:
@@ -85,3 +88,15 @@ def make_semantics(**over) -> TrustSemantics:
     )
     base.update(over)
     return TrustSemantics(**base)
+
+
+def frame_snapshot(header: bytes, body: bytes = b"") -> bytes:
+    """A v7 snapshot file: the magic, the header's length as a little-endian uint64, the header, the columns."""
+    return SNAPSHOT_MAGIC + struct.pack("<Q", len(header)) + header + body
+
+
+def split_snapshot(data: bytes) -> tuple[dict, bytes]:
+    """A v7 snapshot file's parsed header and the column bytes after it."""
+    start = len(SNAPSHOT_MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", data, len(SNAPSHOT_MAGIC))
+    return json.loads(data[start:start + length]), data[start + length:]

@@ -364,7 +364,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
     ]
     for sub in ("a", "b"):
         assert main(["simulate", "--out", str(tmp_path / sub), *args]) == 0
-    files = ["tasks.csv", "summary.csv", "manifest.json", "snapshot.json"]
+    files = ["tasks.csv", "summary.csv", "manifest.json", "snapshot.bin"]
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     _verdict_line(8, "deterministic outputs", f"{', '.join(files)} byte-identical")

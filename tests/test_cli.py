@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -18,9 +17,11 @@ import pytest
 
 import twotsd
 from twotsd.cli import apply_override, load_scenario, main, parse_int_list
-from twotsd.codec import to_jsonable
+from twotsd.codec import canonical_json_bytes, to_jsonable
 from twotsd.errors import ConfigError
 from twotsd.simulation import ScenarioConfig
+
+from _builders import frame_snapshot, split_snapshot
 
 
 def test_parse_int_list_forms():
@@ -135,7 +136,7 @@ def test_simulate_writes_outputs_and_reruns_identically(tmp_path, capsys):
         assert code == 0
     stdout = capsys.readouterr().out
     assert "2tsd:" in stdout and "baseline:" in stdout
-    for name in ["tasks.csv", "summary.csv", "manifest.json", "snapshot.json"]:
+    for name in ["tasks.csv", "summary.csv", "manifest.json", "snapshot.bin"]:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["format"] == "twotsd-run"
@@ -239,9 +240,9 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
     capsys.readouterr()
-    assert main(["inspect", "--snapshot", str(out / "snapshot.json")]) == 0
+    assert main(["inspect", "--snapshot", str(out / "snapshot.bin")]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("version=6 resources=6 history=")
+    assert text.startswith("version=7 resources=6 history=")
     assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
     # One whole leaf line: the trends print in row order, whichever way they point.
@@ -259,31 +260,30 @@ def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _malformed_v6(doc):
-    """No history, a repeated profile or leaf, and a short history column."""
-    no_history = {k: v for k, v in doc.items() if k != "history"}
-    profiles = doc["resources"]["profiles"]
+def _malformed_v7(header, body):
+    """No history, a repeated profile or leaf, and the last column cut short, each as file bytes."""
+    no_history = {k: v for k, v in header.items() if k != "history"}
+    profiles = header["resources"]["profiles"]
     repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
-    duplicate_profile = {**doc, "resources": {"profiles": repeated_profile + profiles[2:]}}
-    leaves = doc["tree"]["leaves"]
+    duplicate_profile = {**header, "resources": {"profiles": repeated_profile + profiles[2:]}}
+    leaves = header["tree"]["leaves"]
     repeated_leaf = [leaves[0], leaves[0][:2] + leaves[1][2:], *leaves[2:]]
-    duplicate_leaf = {**doc, "tree": {"leaves": repeated_leaf}}
-    first, *pairs = doc["history"]["pairs"]
-    short_at = base64.b64encode(base64.b64decode(first[3])[:-8]).decode()
-    short_column = [*first[:3], short_at, *first[4:]]
-    short_pair = {**doc, "history": {"pairs": [short_column, *pairs]}}
-    return [no_history, duplicate_profile, duplicate_leaf, short_pair]
+    duplicate_leaf = {**header, "tree": {"leaves": repeated_leaf}}
+    return [frame_snapshot(canonical_json_bytes(no_history), body),
+            frame_snapshot(canonical_json_bytes(duplicate_profile), body),
+            frame_snapshot(canonical_json_bytes(duplicate_leaf), body),
+            frame_snapshot(canonical_json_bytes(header), body[:-1])]
 
 
 def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
-    v6 = json.loads((out / "snapshot.json").read_text())
-    assert v6["version"] == 6
-    broken = tmp_path / "broken.json"
+    header, body = split_snapshot((out / "snapshot.bin").read_bytes())
+    assert header["version"] == 7
+    broken = tmp_path / "broken.bin"
     capsys.readouterr()
-    for bad in _malformed_v6(v6):
-        broken.write_text(json.dumps(bad))
+    for bad in _malformed_v7(header, body):
+        broken.write_bytes(bad)
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed snapshot") and err.count("\n") == 1, err
@@ -293,26 +293,26 @@ def test_inspect_refuses_a_snapshot_holding_a_huge_number(tmp_path, capsys):
     """A profile number no float or int64 can hold, or an int too long to parse, exits 2 with one line."""
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
-    doc = json.loads((out / "snapshot.json").read_text())
-    profile = doc["resources"]["profiles"][0]
+    header, body = split_snapshot((out / "snapshot.bin").read_bytes())
+    profile = header["resources"]["profiles"][0]
     huge = 10**400
-    broken = tmp_path / "broken.json"
+    broken = tmp_path / "broken.bin"
     capsys.readouterr()
     for key, expected in (("cpu_cps", "malformed"), ("updated_at", "malformed"),
                           ("storage_mb", "unreadable")):
         was, profile[key] = profile[key], huge
-        text = json.dumps(doc)
+        text = json.dumps(header).encode()
         profile[key] = was
         if expected == "unreadable":
-            text = text.replace(str(huge), "9" * 5_000)
-        broken.write_text(text)
+            text = text.replace(str(huge).encode(), b"9" * 5_000)
+        broken.write_bytes(frame_snapshot(text, body))
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.count("\n") == 1, err
         assert err.startswith(f"error: {expected} snapshot"), err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 6])
 def test_inspect_and_serve_refuse_an_older_snapshot(capsys, version):
     """Both exit 2 with one error line that names the version and how to rebuild the file."""
     path = FIXTURES / f"snapshot_v{version}.json"
@@ -363,12 +363,12 @@ _PINNED_SIMULATE_SHA256 = {
     "default.yaml": (["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-        "snapshot.json": "49e72320a8e2004d607b255381a600d4454cfefa09ebdec10005c82c5d2e7d9f",
+        "snapshot.bin": "1cd61bd60edb0fd6214d0e3230e16f5db3325cbb1b75d03394ac6d7e7ec1e44f",
     }),
     "large_fleet.yaml": ([], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
-        "snapshot.json": "bbd83c6228ca6530db42948b86ddd8ee83e21433f071daa9354d08c675caa9ea",
+        "snapshot.bin": "d740b5b03c39f05a341657829fec66ffa5473c5c074c9ff5cd394ed11f9bfdbc",
     }),
 }
 
@@ -434,7 +434,7 @@ def test_inspect_into_a_closed_pipe_exits_141_quietly(tmp_path):
     os.close(read_end)  # before the child starts, so its first write fails
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "twotsd.cli", "inspect", "--snapshot", str(out / "snapshot.json")],
+            [sys.executable, "-m", "twotsd.cli", "inspect", "--snapshot", str(out / "snapshot.bin")],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     finally:
