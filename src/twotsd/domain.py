@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 from itertools import repeat
-from typing import Any, Mapping, NoReturn
+from typing import Any, Iterable, Mapping, NoReturn
 
 from .errors import HeterogeneousInputError, ValidationError
 
@@ -323,7 +323,7 @@ class RecordWindow:
     satisfied: array
 
     # Not checked: the columns come from HistoryStore, whose values were
-    # checked on the way in, or from ``with_record``, which checks what it
+    # checked on the way in, or from ``with_records``, which checks what it
     # adds. The fields are stored as instance-dict items, as
     # TrustSemantics stores its own: a window is built three times per
     # ingest, and setting slots through their descriptors took twice as long.
@@ -340,19 +340,21 @@ class RecordWindow:
         attrs["accuracy"] = accuracy
         attrs["satisfied"] = satisfied
 
-    def with_record(self, record: PerformanceRecord) -> "RecordWindow":
-        """This window with ``record`` placed where ``HistoryStore.append`` puts it.
+    def with_records(self, records: Iterable[PerformanceRecord]) -> "RecordWindow":
+        """This window with each of ``records`` placed, in turn, where ``HistoryStore.append`` puts it.
 
-        That is after every record at the same or an earlier time.
+        That is after every record at the same or an earlier time. The
+        columns are copied once, whatever the number of records.
         """
-        if record.collaborator != self.collaborator or record.task_type != self.task_type:
-            raise HeterogeneousInputError(
-                f"record for ({record.collaborator}, {record.task_type}) added to the window "
-                f"of ({self.collaborator}, {self.task_type})"
-            )
         columns = [self.owners[:], self.at[:], self.throughput_mbps[:], self.loss_rate[:],
                    self.proc_speed_mbps[:], self.accuracy[:], self.satisfied[:]]
-        _place(columns, record)
+        for record in records:
+            if record.collaborator != self.collaborator or record.task_type != self.task_type:
+                raise HeterogeneousInputError(
+                    f"record for ({record.collaborator}, {record.task_type}) added to the window "
+                    f"of ({self.collaborator}, {self.task_type})"
+                )
+            _place(columns, record)
         return RecordWindow(self.collaborator, self.task_type, *columns)
 
     def __len__(self) -> int:

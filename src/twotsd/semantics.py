@@ -16,6 +16,7 @@ capability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import fsum
 from operator import attrgetter
 from typing import Protocol, Sequence
@@ -102,6 +103,13 @@ class SemanticsEngine(Protocol):
     ) -> TrustSemantics: ...
 
 
+@lru_cache(maxsize=64)  # window sizes come from config: a handful per run
+def _centred(n: int) -> tuple[float, ...]:
+    """The indexes 0..n-1 less their mean (n-1)/2."""
+    centre = (n - 1) / 2
+    return tuple([i - centre for i in range(n)])
+
+
 def _classify(values: Sequence[float], floor: float, cfg: TrendConfig) -> Trend:
     """Trend of a series already in index order.
 
@@ -115,8 +123,7 @@ def _classify(values: Sequence[float], floor: float, cfg: TrendConfig) -> Trend:
     if n < cfg.n_min:
         return Trend.NORMAL
     mean = fsum(values) / n
-    centre = (n - 1) / 2
-    products = [(i - centre) * (v - mean) for i, v in enumerate(values)]
+    products = [c * (v - mean) for c, v in zip(_centred(n), values)]
     slope = fsum(products) / (n * (n * n - 1) / 12)
     normalized = slope * (n - 1) / max(mean, floor)
     if normalized > cfg.rel_slope_threshold:

@@ -1,8 +1,8 @@
 """Discrete-event comparison of serverized trust against direct polling.
 
 Two worlds run the same task stream over the same synthetic fleet. Each
-world is one method behind the same small interface: ``ingest(record)``
-takes a collaboration outcome, ``history`` is the record log whose per-pair
+world is one method behind the same small interface: ``ingest(records)``
+takes collaboration outcomes, ``history`` is the record log whose per-pair
 counts give each device's next record index, and ``select(task, now)``
 returns the pick with its analytic cost. Each task runs in one world and
 then the other; the worlds share no mutable state.
@@ -409,7 +409,12 @@ def accuracy_of(
 
 
 class ServedWorld:
-    """The 2tsd method: devices report to the teacher, which answers from memory."""
+    """The 2tsd method: devices report to the teacher, which answers from memory.
+
+    ``ingest`` hands its records to the teacher as one batch, so each
+    (device, task type) pair it touches is extracted once: the warm-up
+    costs one extraction per pair, not one per record.
+    """
 
     method = METHOD_2TSD
 
@@ -425,8 +430,8 @@ class ServedWorld:
         for truth in truths:
             self.teacher.handle_resource_report(truth.profile)
 
-    def ingest(self, record: PerformanceRecord) -> None:
-        self.teacher.handle_performance_record(record)
+    def ingest(self, records: Iterable[PerformanceRecord]) -> None:
+        self.teacher.handle_performance_records(records)
 
     def select(self, task: Task, now: TimestampMs) -> tuple[DeviceId | None, float, int, int]:
         """Returns (selected, eval_time_s, polled, bundle_size); nothing is polled."""
@@ -447,8 +452,9 @@ class DirectPollingBaseline:
         self.truths_by_id = {t.device: t for t in truths}
         self.history = HistoryStore()
 
-    def ingest(self, record: PerformanceRecord) -> None:
-        self.history.append(record)
+    def ingest(self, records: Iterable[PerformanceRecord]) -> None:
+        for record in records:
+            self.history.append(record)
 
     def select(self, task: Task, now: TimestampMs) -> tuple[DeviceId | None, float, int, int]:
         """Returns (selected, eval_time_s, polled, bundle_size); no bundle is sent."""
@@ -477,6 +483,11 @@ class DirectPollingBaseline:
 
 
 def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
+    """Run the task stream through both worlds and score each pick against ground truth.
+
+    Each world takes the whole warm-up in one ``ingest`` call; every later
+    record, ambient or from a selection, is fed to it on its own.
+    """
     truths = synthesize_truths(cfg)
     truths_by_id = {t.device: t for t in truths}
     warmup = synthesize_warmup(cfg, truths)
@@ -484,8 +495,7 @@ def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
     served = ServedWorld(cfg, truths, engine)
     worlds = (served, DirectPollingBaseline(cfg, truths))
     for world in worlds:
-        for record in warmup:
-            world.ingest(record)
+        world.ingest(warmup)
 
     def feed(
         world: ServedWorld | DirectPollingBaseline,
@@ -493,7 +503,7 @@ def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
     ) -> None:
         """Push the device's next collaboration outcome into one world."""
         index = world.history.count_for(truth.device, tt)
-        world.ingest(synth_record(cfg, truth, owner, tt, at, index))
+        world.ingest((synth_record(cfg, truth, owner, tt, at, index),))
 
     rows: list[TaskRow] = []
     for k, task in enumerate(tasks):

@@ -6,7 +6,9 @@ chain:
 * ingestion -- resource reports upsert the key-value store; a performance
   record joins its (collaborator, task type) window, the semantics is
   extracted from that window, and only then is the record appended to
-  history and the refreshed semantics upserted into the tree.
+  history and the refreshed semantics upserted into the tree. A batch of
+  records extracts each pair it touches once, from the window with all of
+  that pair's records placed, before storing them.
 * task request -- semantics retrieval for the task type, owner dropped,
   resource retrieval, chain matching per candidate, then only devices that are
   both trusted and matched go into the candidate bundle. That assembly is
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .domain import (
     DeviceId,
     PerformanceRecord,
     ResourceProfile,
     Task,
+    TaskType,
     TimestampMs,
     TrustSemantics,
     TrustState,
@@ -121,15 +124,40 @@ class TeacherAgent:
         that raises leaves history and tree as they were, and a resend stores
         the record once.
         """
-        device, task_type = record.collaborator, record.task_type
+        return self._ingest_pair((record,))
+
+    def handle_performance_records(self, records: Iterable[PerformanceRecord]) -> list[TrustSemantics]:
+        """Ingest a batch of outcomes with one extraction per (device, task type) pair.
+
+        The records are grouped by pair in first-seen order. Each pair's
+        leaf is extracted from its newest ``window_k`` records with the
+        whole batch placed: the leaf that ingesting the records one at a
+        time would leave, since each ingest overwrites the last one's.
+        Returns the refreshed semantics of each pair, in first-seen order.
+
+        Each pair is stored all or nothing, in turn: an engine that raises
+        for a pair leaves that pair's history and leaf as they were, the
+        pairs before it stay stored, the pairs after it are not ingested,
+        and the exception propagates.
+        """
+        by_pair: dict[tuple[DeviceId, TaskType], list[PerformanceRecord]] = {}
+        for record in records:
+            by_pair.setdefault((record.collaborator, record.task_type), []).append(record)
+        return [self._ingest_pair(batch) for batch in by_pair.values()]
+
+    def _ingest_pair(self, records: Sequence[PerformanceRecord]) -> TrustSemantics:
+        """Extract once from ``records`` (all of one pair) placed in its window, then store them."""
+        device, task_type = records[0].collaborator, records[0].task_type
+        history = self.memory.history
         # Per-(device, task type) serialization so concurrent ingests for the
         # same pair cannot interleave query, append and upsert (lost updates).
         with self._ingest_locks[hash((device, task_type)) % _INGEST_LOCKS]:
-            window = self.memory.history.query(
+            window = history.query(
                 HistoryQuery(device, task_type, last_k=self.window_k)
-            ).with_record(record)
+            ).with_records(records)
             semantics = self.engine.extract(device, task_type, window[-self.window_k :])
-            self.memory.history.append(record)
+            for record in records:
+                history.append(record)
             self.memory.semantics.upsert(semantics)
             return semantics
 

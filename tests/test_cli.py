@@ -359,23 +359,33 @@ def test_serve_refuses_a_v1_leaf_off_its_device_node(tmp_path, capsys):
 # default.yaml at seed 0 (10 devices), and large_fleet.yaml at its own seed
 # (40 devices, 400 tasks, the strict_trends policy). A change to trend
 # extraction, bundle assembly, selection or the output formats shows up here.
+# Each entry: config file, extra arguments, and the digests of what simulate writes.
+# The deep warm-up is the benchmark's ingest-deep simulate run: 300 records per
+# pair before the first task, where the served world's batch ingest acts most.
 _PINNED_SIMULATE_SHA256 = {
-    "default.yaml": (["--seed", "0"], {
+    "default.yaml": ("default.yaml", ["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
         "snapshot.bin": "1cd61bd60edb0fd6214d0e3230e16f5db3325cbb1b75d03394ac6d7e7ec1e44f",
     }),
-    "large_fleet.yaml": ([], {
+    "large_fleet.yaml": ("large_fleet.yaml", [], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
         "snapshot.bin": "d740b5b03c39f05a341657829fec66ffa5473c5c074c9ff5cd394ed11f9bfdbc",
     }),
+    "default.yaml-deep-warmup": ("default.yaml", [
+        "--seed", "0", "--override", "warmup_records=300", "--override", "task_count=100",
+    ], {
+        "tasks.csv": "504cd6e244d1eac16e59c58a28e2b8fad39fcbcea02b02088f611617f85bcae9",
+        "summary.csv": "2fe5ed34fac07ec9e703d3074bc9b238ac66be6ca2ba631cd9c3df64fb7c051c",
+        "snapshot.bin": "299252fa1d2037cbbc797d964f3d839a523ad5ed270b93ffb6478d9da27c95f2",
+    }),
 }
 
 
-@pytest.mark.parametrize("config_name", sorted(_PINNED_SIMULATE_SHA256))
-def test_simulate_default_config_outputs_are_pinned(tmp_path, capsys, config_name):
-    extra, expected = _PINNED_SIMULATE_SHA256[config_name]
+@pytest.mark.parametrize("pin", sorted(_PINNED_SIMULATE_SHA256))
+def test_simulate_default_config_outputs_are_pinned(tmp_path, capsys, pin):
+    config_name, extra, expected = _PINNED_SIMULATE_SHA256[pin]
     config = Path(__file__).resolve().parent.parent / "configs" / config_name
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config), *extra, "--out", str(out),

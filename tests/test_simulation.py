@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from twotsd.domain import PerformanceRecord, ResourceProfile, Verdict
 from twotsd.errors import ConfigError
 from twotsd.matching import MatchConfig
+from twotsd.semantics import DeterministicEngine
 from twotsd.simulation import (
     BANDWIDTH_MBPS_RANGE,
     CPU_CPS_RANGE,
@@ -138,6 +139,24 @@ def test_warmup_covers_every_pair_at_every_tick():
     assert all(r.owner != r.collaborator for r in records)
 
 
+def test_served_warmup_extracts_once_per_pair():
+    """The served world takes the warm-up as one batch: one extraction per (device, task type)."""
+
+    class _Counting(DeterministicEngine):
+        calls = 0
+
+        def extract(self, device, task_type, records):
+            self.calls += 1
+            return super().extract(device, task_type, records)
+
+    truths = synthesize_truths(SMALL)
+    engine = _Counting(SMALL.trend, SMALL.state)
+    world = ServedWorld(SMALL, truths, engine)
+    world.ingest(synthesize_warmup(SMALL, truths))
+    assert engine.calls == SMALL.device_count * len(SMALL.task_types)
+    assert len(world.history) == SMALL.warmup_records * engine.calls
+
+
 def test_ingest_and_selection_build_no_record_in_either_world(monkeypatch):
     """Extraction reads history columns: no ingest or baseline poll builds a record."""
     truths = synthesize_truths(SMALL)
@@ -153,8 +172,7 @@ def test_ingest_and_selection_build_no_record_in_either_world(monkeypatch):
 
     monkeypatch.setattr(PerformanceRecord, "__init__", counting_init)
     for world in worlds:
-        for record in warmup:
-            world.ingest(record)
+        world.ingest(warmup)
         world.select(task, warmup[-1].at)
     monkeypatch.undo()
     assert built == []

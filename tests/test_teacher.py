@@ -148,6 +148,69 @@ def test_extraction_window_equals_the_append_then_query_window(history, at, wind
     assert teacher.memory.history.query(query) == reference.query(query)
 
 
+_PAIRS = (("a_j", "video_transcoding"), ("a_k", "video_transcoding"), ("a_j", "face_recognition"))
+
+
+def _pair_records(spec):
+    """One record per (pair index, at), each tagged by a distinct throughput."""
+    return [
+        make_record(collaborator=_PAIRS[p][0], task_type=_PAIRS[p][1], at=at, throughput_mbps=float(i),
+                    verdict=Verdict.SATISFIED if i % 3 else Verdict.UNSATISFIED)
+        for i, (p, at) in enumerate(spec)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 12)), min_size=1, max_size=40),
+    stored=st.integers(0, 40),
+    window_k=st.integers(1, 8),
+)
+def test_a_batch_stores_what_one_at_a_time_ingest_stores(spec, stored, window_k):
+    """Two or three pairs interleaved, tied and out-of-order ``at``: equal memories either way."""
+    records = _pair_records(spec)
+    stored = min(stored, len(records) - 1)  # the first records are stored before the batch
+    one, batch = TeacherAgent(window_k=window_k), TeacherAgent(window_k=window_k)
+    for teacher in (one, batch):
+        for rec in records[:stored]:
+            teacher.handle_performance_record(rec)
+    singles = [one.handle_performance_record(rec) for rec in records[stored:]]
+    leaves = batch.handle_performance_records(iter(records[stored:]))
+    assert batch.memory == one.memory
+    for device, task_type in _PAIRS:
+        assert batch.memory.history.count_for(device, task_type) == one.memory.history.count_for(
+            device, task_type
+        )
+    last = {(sem.device, sem.task_type): sem for sem in singles}
+    assert leaves == list(last.values())  # one per pair, in first-seen order
+
+
+def test_a_batch_stores_each_pair_all_or_nothing():
+    """An engine that raises for one pair: pairs seen before it stay stored, it keeps its
+    history and leaf, pairs after it are not ingested, and the exception propagates."""
+
+    class _RaisesFor(DeterministicEngine):
+        def extract(self, device, task_type, records):
+            if (device, task_type) == _PAIRS[1]:
+                raise RemoteTimeoutError("no answer in time")
+            return super().extract(device, task_type, records)
+
+    teacher = TeacherAgent()
+    for rec in make_records(3, collaborator="a_k"):
+        teacher.handle_performance_record(rec)
+    (leaf,) = teacher.memory.semantics.get_by_task_type("video_transcoding")
+    teacher.engine = _RaisesFor()
+    records = _pair_records([(0, 5_000), (1, 5_000), (0, 6_000), (2, 5_000), (1, 6_000)])
+    with pytest.raises(RemoteTimeoutError):
+        teacher.handle_performance_records(records)
+    history = teacher.memory.history
+    assert [history.count_for(*pair) for pair in _PAIRS] == [2, 3, 0]
+    stored, unchanged = teacher.memory.semantics.get_by_task_type("video_transcoding")
+    assert (stored.device, stored.record_count, stored.window) == ("a_j", 2, (5_000, 6_000))
+    assert unchanged == leaf
+    assert teacher.memory.semantics.get_by_task_type("face_recognition") == []
+
+
 def test_resource_report_stale_rejection_propagates():
     teacher = TeacherAgent()
     teacher.handle_resource_report(make_profile(updated_at=2_000))
