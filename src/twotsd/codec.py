@@ -17,6 +17,10 @@ Trust semantics alone has another form, the positional row of
 carry; ``semantics_row_json`` keeps its canonical bytes on the immutable
 instance, and ``semantics_from_row`` passes the columns, labels mapped to
 their members, to ``TrustSemantics``'s validating constructor.
+``semantics_from_rows`` decodes a list of rows a column at a time: it checks
+each whole column as the constructor checks one value and builds the values
+without the row-by-row checks, or, if any column fails, decodes row by row
+so the first bad row is refused as ``semantics_from_row`` refuses it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from enum import Enum
+from itertools import compress, repeat
+from operator import gt, is_not
 from typing import Any, Mapping
 
 from .domain import (
@@ -31,7 +37,12 @@ from .domain import (
     Trend,
     TrustSemantics,
     TrustState,
+    _INSUFFICIENT_DATA,
+    _INT64_MAX,
+    _INT64_MIN,
+    _NORMAL,
     _field_spec,
+    _semantics_of_checked_columns,
     validate_record,
 )
 from .errors import ValidationError
@@ -131,3 +142,65 @@ def semantics_from_row(row: Any) -> TrustSemantics:
         _member(_TREND_OF, accuracy), _member(_TREND_OF, proc_speed),
         None if lo is None and hi is None else (lo, hi), extracted_at, count,
     )
+
+
+def semantics_from_rows(rows: Any) -> list[TrustSemantics]:
+    """``[semantics_from_row(row) for row in rows]``, checked a column at a time.
+
+    When every column holds only values the constructor accepts, the
+    instances are built without running its checks again row by row.
+    Otherwise the rows go through ``semantics_from_row`` one at a time, which
+    refuses the first bad row with the message, field and code it always
+    gives.
+    """
+    columns = _checked_columns(rows)
+    if columns is None:
+        return [semantics_from_row(row) for row in rows]
+    return _semantics_of_checked_columns(*columns)
+
+
+def _checked_columns(rows: Any) -> tuple | None:
+    """The field columns of ``rows``, labels mapped and windows paired, or None if any value is bad.
+
+    Each column is checked whole, as ``TrustSemantics`` checks one value:
+    ids are nonempty ``str``; labels are known; timestamps and counts are
+    ``int`` but not ``bool``, timestamps within 64 bits and counts >= 0;
+    each window has two ints in order or two nulls; an insufficient_data row
+    has only normal trends. Exact types are asked for, so a subclass the
+    constructor would accept goes the row-by-row way.
+    """
+    if type(rows) is not list or {*map(type, rows)} != {list}:
+        return None
+    if {*map(len, rows)} != {len(SEMANTICS_COLUMNS)}:
+        return None
+    devices, task_types, states, *trends, los, his, extracted_ats, counts = zip(*rows)
+    if {*map(type, devices), *map(type, task_types)} != {str} or not (all(devices) and all(task_types)):
+        return None
+    if {*map(type, extracted_ats), *map(type, counts)} != {int}:
+        return None
+    if min(extracted_ats) < _INT64_MIN or max(extracted_ats) > _INT64_MAX or min(counts) < 0:
+        return None
+    try:
+        states = [*map(_STATE_OF.__getitem__, states)]
+        trends = [[*map(_TREND_OF.__getitem__, column)] for column in trends]
+    except (KeyError, TypeError):  # an unknown or an unhashable label
+        return None
+    present = [*map(is_not, los, repeat(None))]
+    if present != [*map(is_not, his, repeat(None))]:
+        return None
+    windows = [*zip(los, his)]
+    if not all(present):
+        los, his = [*compress(los, present)], [*compress(his, present)]
+        windows = [window if keep else None for window, keep in zip(windows, present)]
+    if los:
+        if {*map(type, los), *map(type, his)} != {int}:
+            return None
+        # With lo <= hi in every window, these two bounds keep both ends within 64 bits.
+        if min(los) < _INT64_MIN or max(his) > _INT64_MAX or any(map(gt, los, his)):
+            return None
+    if _INSUFFICIENT_DATA in states:
+        for state, throughput, loss_rate, accuracy, proc_speed in zip(states, *trends):
+            if state is _INSUFFICIENT_DATA and not (
+                    throughput is loss_rate is accuracy is proc_speed is _NORMAL):
+                return None
+    return devices, task_types, states, *trends, windows, extracted_ats, counts

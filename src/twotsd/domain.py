@@ -469,6 +469,38 @@ class TrustSemantics:
         return {metric: getattr(self, metric) for metric in TREND_METRICS}
 
 
+def _semantics_of_checked_columns(devices, task_types, states, throughputs, loss_rates, accuracies,
+                                  proc_speeds, windows, extracted_ats, record_counts) -> list[TrustSemantics]:
+    """One ``TrustSemantics`` per position of columns that already hold valid field values.
+
+    The caller has checked every column as the constructor checks one value
+    (``codec.semantics_from_rows``), so the constructor is not run again:
+    each instance gets its fields stored as ``__init__`` stores them, in
+    declaration order, so the instance dicts keep sharing their keys. Each
+    window is a tuple or None.
+    """
+    new = object.__new__
+    out = []
+    append = out.append
+    for (device, task_type, state, throughput, loss_rate, accuracy, proc_speed, window, extracted_at,
+         record_count) in zip(devices, task_types, states, throughputs, loss_rates, accuracies,
+                              proc_speeds, windows, extracted_ats, record_counts):
+        ts = new(TrustSemantics)
+        attrs = ts.__dict__
+        attrs["device"] = device
+        attrs["task_type"] = task_type
+        attrs["state"] = state
+        attrs["throughput"] = throughput
+        attrs["loss_rate"] = loss_rate
+        attrs["accuracy"] = accuracy
+        attrs["proc_speed"] = proc_speed
+        attrs["window"] = window
+        attrs["extracted_at"] = extracted_at
+        attrs["record_count"] = record_count
+        append(ts)
+    return out
+
+
 _VERDICTS = {v.value: v for v in Verdict}
 
 

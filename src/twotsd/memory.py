@@ -10,7 +10,8 @@ Three components back the server-side agent:
   design, realized as the query contract rather than a SQL engine. A query
   returns a :class:`~twotsd.domain.RecordWindow` of column slices.
 * :class:`SemanticsTree` -- the 4-level tree root -> task type -> device ->
-  semantics leaf, one leaf per (task type, device), stored as a keyed map.
+  semantics leaf, one leaf per (task type, device), stored per task type as
+  its ordered device ids and their leaves, two parallel lists.
 
 Every store serializes its mutations under a per-store lock; history
 queries and tree reads hold the same lock, so they never see a half-done
@@ -31,11 +32,11 @@ and ``satisfied`` as one byte per record, 0 or 1. The columns end the file.
 Saving writes the store's arrays' bytes; loading reads each column into a
 pre-sized array, so no parsed document or text copy of the columns is ever
 built, and checks each whole column as the ``PerformanceRecord`` constructor
-checks one value. Leaves go through the validating
-``codec.semantics_from_row``. A file is recognised by its magic, never by
-its name. An older, JSON snapshot (it starts with ``{``) is parsed only to
-name its version in the refusal: a snapshot is rebuilt from its scenario
-config and seed, not migrated.
+checks one value. Leaves go through ``codec.semantics_from_rows``, the
+wire's column-at-a-time row decoder. A file is recognised by its magic,
+never by its name. An older, JSON snapshot (it starts with ``{``) is parsed
+only to name its version in the refusal: a snapshot is rebuilt from its
+scenario config and seed, not migrated.
 """
 
 from __future__ import annotations
@@ -358,61 +359,82 @@ def _read_pair(entry: Any, reader: _ColumnReader, ids: dict[str, str]):
 class SemanticsTree:
     """Tree-structured trust-semantics store: root -> task type -> device -> leaf.
 
-    Only the leaves are stored, one per (task type, device), in a dict keyed
-    by that pair; updates replace the leaf in place. A sorted device list per
-    task type gives ordered retrieval. The root, task-type and device levels
-    are implied by the keys, so a snapshot holds just the leaves, sorted by
-    (task type, device).
+    Only the leaves are stored, one per (task type, device): per task type,
+    its device ids in ascending order and their leaves at the same
+    positions, as two parallel lists. An update finds its device by bisection
+    and replaces the leaf in place or inserts both; a read of a task type
+    copies its leaf list. The root, task-type and device levels are implied
+    by the keys, so a snapshot holds just the leaves, sorted by (task type,
+    device).
     """
 
     def __init__(self):
-        self._leaves: dict[tuple[TaskType, DeviceId], TrustSemantics] = {}
-        self._devices: dict[TaskType, list[DeviceId]] = {}
+        self._by_task_type: dict[TaskType, tuple[list[DeviceId], list[TrustSemantics]]] = {}
         self._lock = threading.Lock()
+
+    def _place(self, ts: TrustSemantics) -> bool:
+        """Put ``ts`` at its device's position under its task type; True if it replaced a leaf."""
+        lists = self._by_task_type.get(ts.task_type)
+        if lists is None:
+            lists = self._by_task_type[ts.task_type] = ([], [])
+        devices, leaves = lists
+        device = ts.device
+        i = bisect.bisect_left(devices, device)
+        if i < len(devices) and devices[i] == device:
+            leaves[i] = ts
+            return True
+        devices.insert(i, device)
+        leaves.insert(i, ts)
+        return False
 
     def upsert(self, ts: TrustSemantics) -> None:
         """Insert or update the semantics leaf for (ts.task_type, ts.device)."""
         with self._lock:
-            key = (ts.task_type, ts.device)
-            if key not in self._leaves:
-                bisect.insort(self._devices.setdefault(ts.task_type, []), ts.device)
-            self._leaves[key] = ts
+            self._place(ts)
 
     def get_by_task_type(self, task_type: TaskType) -> list[TrustSemantics]:
         """All semantics under one task type, ordered by device id."""
         with self._lock:
-            return [self._leaves[(task_type, d)] for d in self._devices.get(task_type, ())]
+            lists = self._by_task_type.get(task_type)
+            return [] if lists is None else lists[1][:]
 
     def task_types(self) -> list[TaskType]:
         with self._lock:
-            return sorted(self._devices)
+            return sorted(self._by_task_type)
 
     def devices_for(self, task_type: TaskType) -> list[DeviceId]:
         with self._lock:
-            return list(self._devices.get(task_type, ()))
+            lists = self._by_task_type.get(task_type)
+            return [] if lists is None else lists[0][:]
 
     def leaf_count(self) -> int:
-        return len(self._leaves)
+        with self._lock:
+            return sum(len(devices) for devices, _ in self._by_task_type.values())
 
     def node_count(self) -> int:
         """Root, one node per task type, and a device node plus a leaf per pair."""
-        return 1 + len(self._devices) + 2 * len(self._leaves)
+        return 1 + len(self._by_task_type) + 2 * self.leaf_count()
 
     def to_dict(self) -> dict[str, Any]:
         """Each leaf as its semantics row, sorted by (task type, device)."""
         with self._lock:
-            leaves = [self._leaves[k] for k in sorted(self._leaves)]
+            leaves = [ts for _, (_, of_type) in sorted(self._by_task_type.items()) for ts in of_type]
         return {"leaves": [codec.semantics_to_row(ts) for ts in leaves]}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SemanticsTree":
+        """The tree of a snapshot's leaf rows, decoded a column at a time.
+
+        Leaves are placed directly, not through ``upsert``: the tree is not
+        shared yet, and a traced load (``bench/tracing.py`` wraps
+        ``upsert``) would otherwise count each loaded leaf as a served update.
+        """
         tree = cls()
-        for ts in map(codec.semantics_from_row, doc["leaves"]):
-            if (ts.task_type, ts.device) in tree._leaves:
+        for ts in codec.semantics_from_rows(doc["leaves"]):
+            if tree._place(ts):
                 raise ValidationError(
                     f"semantics for ({ts.task_type}, {ts.device}) listed twice", field="tree"
                 )
-            tree.upsert(ts)
         return tree
 
 

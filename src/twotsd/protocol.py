@@ -31,8 +31,10 @@ server. Each row's bytes come from ``codec.semantics_row_json``, which fills
 once per extraction: the canonical bytes are cached on the immutable
 ``TrustSemantics`` the first time it is shipped, and re-extraction replaces
 the instance, so a request joins cached rows instead of re-encoding every
-leaf. The decoder builds each row through the validating ``TrustSemantics``
-constructor, so a bad row fails the whole frame as malformed.
+leaf. The decoder (``codec.semantics_from_rows``) checks the rows a column
+at a time, as the ``TrustSemantics`` constructor checks one value, and only
+when a column fails does it run the rows through that constructor one by
+one to name the first bad row; a bad row fails the whole frame as malformed.
 
 An error reply echoes at most ``_MAX_DETAIL_CHARS`` of its detail; when even
 that frame is over the cap, the server closes the connection without one.
@@ -74,7 +76,7 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .teacher import Candidate, CandidateBundle, TeacherAgent
+from .teacher import CandidateBundle, TeacherAgent, matched_candidates
 
 PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -151,7 +153,7 @@ def _bundle_json(bundle: CandidateBundle) -> bytes:
 
 def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
     """Every bundled candidate is matched, so the wire carries only its semantics row."""
-    candidates = tuple([Candidate(codec.semantics_from_row(row), True) for row in doc["candidates"]])
+    candidates = matched_candidates(codec.semantics_from_rows(doc["candidates"]))
     return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .domain import (
@@ -60,6 +61,15 @@ class Candidate(NamedTuple):
     @property
     def device(self) -> DeviceId:
         return self.semantics.device
+
+
+def matched_candidates(semantics: Iterable[TrustSemantics]) -> tuple[Candidate, ...]:
+    """Each of ``semantics`` as a matched ``Candidate``.
+
+    The tuples are built by ``tuple.__new__``, as the named tuple's own
+    ``__new__`` would build them, without a Python-level call per candidate.
+    """
+    return tuple(map(tuple.__new__, repeat(Candidate), zip(semantics, repeat(True))))
 
 
 @dataclass(frozen=True)
@@ -191,11 +201,11 @@ def assemble_bundle(
     a device without a profile drops out too. Matched devices are kept, in
     the order given.
     """
-    candidates: list[Candidate] = []
+    matched: list[TrustSemantics] = []
     for sem in semantics:
         if sem.device == task.owner or sem.state is not _TRUSTED:
             continue
         profile = profile_of(sem.device)
         if profile is not None and evaluate_chain(task, profile, now, match_cfg).matched:
-            candidates.append(Candidate(sem, True))
-    return CandidateBundle(task.task_id, tuple(candidates), now)
+            matched.append(sem)
+    return CandidateBundle(task.task_id, matched_candidates(matched), now)

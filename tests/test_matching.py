@@ -7,11 +7,13 @@ t_tx + t_cp <= deadline.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from twotsd.matching import MatchConfig, Stage, evaluate_chain
+from twotsd.errors import ValidationError
+from twotsd.matching import MatchConfig, MatchVerdict, Stage, evaluate_chain
 
 from _builders import make_profile, make_task
 
@@ -59,6 +61,24 @@ def test_storage_short_circuits_before_timing():
     assert verdict.carry == 0.0  # no timing ran
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "must be a number"), (False, "must be a number"), ("5", "must be a number"),
+     (None, "must be a number"), ([300], "must be a number"), (0, "must be > 0"),
+     (-1.0, "must be > 0"), (math.nan, "must be > 0")],
+    ids=["true", "false", "string", "none", "list", "zero", "negative", "nan"],
+)
+def test_match_config_refuses_a_bound_that_is_not_a_positive_number(value, message):
+    with pytest.raises(ValidationError, match=f"staleness_s {message}") as info:
+        MatchConfig(staleness_s=value)
+    assert info.value.field == "staleness_s"
+
+
+@pytest.mark.parametrize("value", [1, 0.5, 300.0, math.inf])
+def test_match_config_accepts_any_positive_bound(value):
+    assert MatchConfig(staleness_s=value).staleness_s == value
+
+
 def test_thousand_case_formula_oracle():
     """Random (task, profile) pairs: the chain agrees with direct formulas and
     the deadline carry equals t_tx + t_cp to within 1e-9 s."""
@@ -77,6 +97,7 @@ def test_thousand_case_formula_oracle():
         )
         now = rng.randrange(0, 10_000_000)
         verdict = evaluate_chain(task, profile, now, CFG)
+        assert type(verdict) is MatchVerdict
 
         fresh = (now - profile.updated_at) / 1000.0 <= CFG.staleness_s
         fits = profile.storage_mb >= task.size_mb

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotsd import codec
-from twotsd.domain import RECORD_COLUMNS, RecordWindow, TrustSemantics, Verdict
+from twotsd.domain import RECORD_COLUMNS, RecordWindow, TrustSemantics, TrustState, Verdict
 from twotsd.errors import StaleUpdateError, ValidationError
 from twotsd.memory import (
     PAIR_FIELDS,
@@ -239,6 +239,34 @@ def test_tree_round_trip_preserves_ids_and_payloads():
     assert again.node_count() == tree.node_count()
 
 
+_TREE_TASK_TYPES = ["tt_a", "tt_b", "tt_c"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TREE_TASK_TYPES), st.text("abz", min_size=1, max_size=3),
+                          st.integers(1, 40)), max_size=40))
+def test_tree_matches_a_dict_model_after_every_upsert(steps):
+    """New devices and replaced leaves, in any order: the tree reads as a dict sorted by device."""
+    tree = SemanticsTree()
+    model: dict[tuple[str, str], TrustSemantics] = {}
+    for task_type, device, n in steps:
+        leaf = _semantics(device, task_type, n)
+        tree.upsert(leaf)
+        model[(task_type, device)] = leaf
+        for tt in _TREE_TASK_TYPES:
+            keys = sorted(k for k in model if k[0] == tt)
+            got = tree.get_by_task_type(tt)
+            assert len(got) == len(keys) and all(a is model[k] for a, k in zip(got, keys))
+            assert tree.devices_for(tt) == [device for _, device in keys]
+        assert tree.task_types() == sorted({tt for tt, _ in model})
+        assert tree.leaf_count() == len(model)
+        assert tree.node_count() == 1 + len(tree.task_types()) + 2 * len(model)
+        again = SemanticsTree.from_dict(tree.to_dict())
+        assert again.to_dict() == tree.to_dict()
+        assert [again.get_by_task_type(tt) for tt in _TREE_TASK_TYPES] == [
+            [model[k] for k in sorted(model) if k[0] == tt] for tt in _TREE_TASK_TYPES]
+
+
 def test_memory_snapshot_round_trip(tmp_path):
     memory = MemoryModule()
     memory.resources.upsert(make_profile(device="a_k"))
@@ -364,6 +392,30 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
     path.write_bytes(frame_snapshot(codec.canonical_json_bytes(header), body))
     with pytest.raises(ValidationError, match="malformed snapshot.*listed twice"):
         MemoryModule.load(path)
+
+
+@pytest.mark.parametrize(
+    "column, value, message, field",
+    [("extracted_at", 2**63, "extracted_at must fit in 64 bits", "extracted_at"),
+     ("window_from", 5, "window.to must be an integer", "window.to"),  # beside a null window_to
+     ("record_count", True, "record_count must be an integer", "record_count"),
+     ("device", "", "device must be a nonempty string", "device"),
+     ("throughput", "increasing", "insufficient_data semantics must carry only normal trends", "state")],
+)
+def test_snapshot_load_refuses_the_first_bad_leaf_by_its_field(tmp_path, column, value, message, field):
+    """A bad leaf last among many is refused as the row decoder refuses it alone."""
+    memory = MemoryModule()
+    for i in range(300):
+        memory.semantics.upsert(_semantics(f"d{i:03d}", "video_transcoding"))
+    memory.semantics.upsert(make_semantics(device="d999", state=TrustState.INSUFFICIENT_DATA, window=None,
+                                           record_count=0))
+    path = tmp_path / "snapshot.bin"
+    header, body = _saved(memory, path)
+    header["tree"]["leaves"][-1][codec.SEMANTICS_COLUMNS.index(column)] = value
+    path.write_bytes(frame_snapshot(codec.canonical_json_bytes(header), body))
+    with pytest.raises(ValidationError, match=f"malformed snapshot: ValidationError {message}") as err:
+        MemoryModule.load(path)
+    assert err.value.field == field
 
 
 # The snapshot reader on hand-written v7 files. A pair is written here as

@@ -352,6 +352,8 @@ def _bundle_doc(rows: list, **payload) -> dict:
     }
 
 
+_STATE_LABELS = [s.value for s in TrustState]
+_TREND_LABELS = [t.value for t in Trend]
 _ROW = ["a_k", "video_transcoding", "trusted", "normal", "normal", "normal", "normal", 1000, 8000, 8000, 8]
 
 
@@ -372,38 +374,111 @@ def test_a_valid_row_decodes_to_its_semantics():
 _ARITY = "a semantics row must be a list of 11 values"
 
 
-@pytest.mark.parametrize(
-    "row, error",
-    [
-        pytest.param(_ROW[:-1], _ARITY, id="short"),
-        pytest.param(_ROW + [0], _ARITY, id="long"),
-        pytest.param([], _ARITY, id="empty"),
-        pytest.param(dict(zip(codec.SEMANTICS_COLUMNS, _row())), _ARITY, id="object"),
-        pytest.param("a_l", _ARITY, id="string"),
-        pytest.param(None, _ARITY, id="null"),
-        pytest.param(_row(state="trustee"), "bad semantics enum value: 'trustee'", id="unknown_state"),
-        pytest.param(_row(loss_rate="upward"), "bad semantics enum value: 'upward'", id="unknown_trend"),
-        pytest.param(_row(accuracy=["normal"]), "bad semantics enum value", id="unhashable_label"),
-        pytest.param(_row(window_from=None), "window.from must be an integer", id="half_null_window_from"),
-        pytest.param(_row(window_to=None), "window.to must be an integer", id="half_null_window_to"),
-        pytest.param(_row(record_count=True), "record_count must be an integer", id="bool_count"),
-        pytest.param(_row(record_count=8.0), "record_count must be an integer", id="float_count"),
-        pytest.param(_row(record_count=-1), "record_count must be >= 0", id="negative_count"),
-        pytest.param(_row(window_from=9000, window_to=1000), "window.from must be <= window.to",
-                     id="reversed_window"),
-        pytest.param(_row(extracted_at=8000.5), "extracted_at must be an integer", id="float_extracted_at"),
-        pytest.param(_row(device=""), "device must be a nonempty string", id="empty_device"),
-        pytest.param(_row(task_type=5), "task_type must be a nonempty string", id="int_task_type"),
-        pytest.param(_row(state="untrusted"), "non-trusted candidate a_l", id="untrusted"),
-        pytest.param(_row(state="insufficient_data", throughput="increasing"),
-                     "insufficient_data semantics must carry only normal trends",
-                     id="insufficient_data_with_a_trend"),
-    ],
-)
+# Each bad row with the refusal that names it. A whole-column check could
+# let through a value that is in range for one column's type but not the
+# field's: a timestamp past 64 bits, a bool where an int belongs, an id or
+# label of the wrong type.
+_MALFORMED_ROWS = [
+    pytest.param(_ROW[:-1], _ARITY, id="short"),
+    pytest.param(_ROW + [0], _ARITY, id="long"),
+    pytest.param([], _ARITY, id="empty"),
+    pytest.param(dict(zip(codec.SEMANTICS_COLUMNS, _row())), _ARITY, id="object"),
+    pytest.param("a_l", _ARITY, id="string"),
+    pytest.param(None, _ARITY, id="null"),
+    pytest.param(_row(state="trustee"), "bad semantics enum value: 'trustee'", id="unknown_state"),
+    pytest.param(_row(loss_rate="upward"), "bad semantics enum value: 'upward'", id="unknown_trend"),
+    pytest.param(_row(accuracy=["normal"]), "bad semantics enum value", id="unhashable_label"),
+    pytest.param(_row(window_from=None), "window.from must be an integer", id="half_null_window_from"),
+    pytest.param(_row(window_to=None), "window.to must be an integer", id="half_null_window_to"),
+    pytest.param(_row(record_count=True), "record_count must be an integer", id="bool_count"),
+    pytest.param(_row(record_count=8.0), "record_count must be an integer", id="float_count"),
+    pytest.param(_row(record_count=-1), "record_count must be >= 0", id="negative_count"),
+    pytest.param(_row(window_from=9000, window_to=1000), "window.from must be <= window.to",
+                 id="reversed_window"),
+    pytest.param(_row(extracted_at=8000.5), "extracted_at must be an integer", id="float_extracted_at"),
+    pytest.param(_row(device=""), "device must be a nonempty string", id="empty_device"),
+    pytest.param(_row(task_type=5), "task_type must be a nonempty string", id="int_task_type"),
+    pytest.param(_row(state="untrusted"), "non-trusted candidate a_l", id="untrusted"),
+    pytest.param(_row(state="insufficient_data", throughput="increasing"),
+                 "insufficient_data semantics must carry only normal trends",
+                 id="insufficient_data_with_a_trend"),
+    pytest.param(_row(extracted_at=2**63), "extracted_at must fit in 64 bits", id="extracted_at_past_int64"),
+    pytest.param(_row(window_to=-(2**63) - 1), "window.to must fit in 64 bits", id="window_to_below_int64"),
+    pytest.param(_row(window_to=2**63), "window.to must fit in 64 bits", id="window_to_past_int64"),
+    pytest.param(_row(window_from=-(2**63) - 1), "window.from must fit in 64 bits", id="window_from_below_int64"),
+    pytest.param(_row(window_from=True), "window.from must be an integer", id="bool_window_from"),
+    pytest.param(_row(device=7), "device must be a nonempty string", id="int_device"),
+    pytest.param(_row(state=None), "bad semantics enum value: None", id="null_state"),
+]
+
+
+@pytest.mark.parametrize("row, error", _MALFORMED_ROWS)
 def test_a_malformed_row_fails_the_whole_frame(row, error):
     frame = _frame_of(_bundle_doc([_ROW, row]))  # a valid row first: no partial bundle
     with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {error}")):
         decode(frame)
+
+
+@pytest.mark.parametrize("row, error", _MALFORMED_ROWS)
+def test_a_malformed_row_last_in_a_wide_bundle_fails_the_whole_frame(row, error):
+    """One bad row after 399 good ones is refused as it is alone, not lost among the columns."""
+    rows = [_row(device=f"a_a{i:03d}") for i in range(398)] + [_ROW, row]
+    with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {error}")):
+        decode(_frame_of(_bundle_doc(rows)))
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+# Any JSON value a peer could put in a cell, near the edges of each column's range.
+_CELLS = (st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.floats(allow_nan=False)
+          | st.sampled_from([*_STATE_LABELS, *_TREND_LABELS, "", 2**63, -(2**63) - 1, -1, 0])
+          | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def _valid_row(draw):
+    state = draw(st.sampled_from(TrustState))
+    trends = (["normal"] * 4 if state is TrustState.INSUFFICIENT_DATA
+              else draw(st.lists(st.sampled_from(_TREND_LABELS), min_size=4, max_size=4)))
+    lo, hi = draw(st.just((None, None)) | st.tuples(_INT64, _INT64).map(sorted))
+    return [draw(_IDS), draw(_IDS), state.value, *trends, lo, hi, draw(_INT64), draw(st.integers(0, 2**70))]
+
+
+@st.composite
+def _rows(draw):
+    """0, 1 or many valid rows, one cell of which is sometimes replaced by any JSON value."""
+    rows = draw(st.just([]) | st.lists(_valid_row(), min_size=1, max_size=1)
+                | st.lists(_valid_row(), min_size=2, max_size=60))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows())
+def test_decoding_rows_a_column_at_a_time_equals_decoding_each_row(rows):
+    """Same values, or the same refusal, as ``semantics_from_row`` on each row in turn."""
+    try:
+        expected = [codec.semantics_from_row(row) for row in rows]
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as refused:
+            codec.semantics_from_rows(rows)
+        assert (refused.value.message, refused.value.field, refused.value.code) == (
+            exc.message, exc.field, exc.code)
+        return
+    assert not rows or codec._checked_columns(rows) is not None  # valid rows take the column path
+    decoded = codec.semantics_from_rows(rows)
+    assert len(decoded) == len(expected)
+    names = [f.name for f in dataclasses.fields(TrustSemantics)]
+    for got, want, row in zip(decoded, expected, rows):
+        assert type(got) is TrustSemantics
+        assert list(got.__dict__) == list(want.__dict__) == names
+        assert sys.getsizeof(got.__dict__) == sys.getsizeof(want.__dict__)  # keys shared alike
+        for name in names:
+            assert type(getattr(got, name)) is type(getattr(want, name))
+            assert getattr(got, name) == getattr(want, name)
+        assert got == want and hash(got) == hash(want)
+        assert codec.semantics_row_json(got) == codec.canonical_json_bytes(row)
 
 
 @pytest.mark.parametrize("devices", [["a_k", "a_k"], ["a_l", "a_k"]], ids=["twice", "descending"])
