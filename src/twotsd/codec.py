@@ -7,15 +7,11 @@ run manifest all take this form.
 
 Encoding is canonical (sorted keys, compact separators) so equal values always
 produce identical bytes; floats round-trip exactly through JSON's shortest
-repr. Canonical encoding has no indentation, so a value's bytes do not depend
-on where it sits in a document: a document's bytes are the bytes of its parts
-joined with the keys and punctuation around them, which is how
-:mod:`twotsd.protocol` builds frames.
+repr.
 
 Trust semantics alone has another form, the positional row of
-``SEMANTICS_COLUMNS`` (``semantics_to_row``) that the wire and snapshots
-carry; ``semantics_row_json`` keeps its canonical bytes on the immutable
-instance, and ``semantics_from_row`` passes the columns, labels mapped to
+``SEMANTICS_COLUMNS`` (``semantics_to_row``) that snapshots carry for the
+tree's leaves; ``semantics_from_row`` passes the columns, labels mapped to
 their members, to ``TrustSemantics``'s validating constructor.
 ``semantics_from_rows`` decodes a list of rows a column at a time: it checks
 each whole column as the constructor checks one value and builds the values
@@ -104,21 +100,6 @@ def semantics_to_row(ts: TrustSemantics) -> list[Any]:
             ts.accuracy.value, ts.proc_speed.value, lo, hi, ts.extracted_at, ts.record_count]
 
 
-def semantics_row_json(ts: TrustSemantics) -> bytes:
-    """``canonical_json_bytes(semantics_to_row(ts))``, encoded once per instance.
-
-    The bytes are kept in the instance ``__dict__``, as ``functools.cached_property``
-    does. No field of a ``TrustSemantics`` can change and a re-extraction makes
-    a new instance (``SemanticsTree.upsert`` replaces the leaf), so the cached
-    bytes cannot go stale; two threads filling the same instance at once store
-    equal bytes.
-    """
-    cached = ts.__dict__.get("_row_json")
-    if cached is None:
-        cached = ts.__dict__["_row_json"] = canonical_json_bytes(semantics_to_row(ts))
-    return cached
-
-
 # label -> member: a dict lookup per decoded label instead of ``Enum.__call__``.
 _TREND_OF = {t.value: t for t in Trend}
 _STATE_OF = {s.value: s for s in TrustState}
@@ -164,7 +145,7 @@ def _checked_columns(rows: Any) -> tuple | None:
 
     Each column is checked whole, as ``TrustSemantics`` checks one value:
     ids are nonempty ``str``; labels are known; timestamps and counts are
-    ``int`` but not ``bool``, timestamps within 64 bits and counts >= 0;
+    ``int`` but not ``bool``, timestamps and counts within 64 bits and counts >= 0;
     each window has two ints in order or two nulls; an insufficient_data row
     has only normal trends. Exact types are asked for, so a subclass the
     constructor would accept goes the row-by-row way.
@@ -178,7 +159,8 @@ def _checked_columns(rows: Any) -> tuple | None:
         return None
     if {*map(type, extracted_ats), *map(type, counts)} != {int}:
         return None
-    if min(extracted_ats) < _INT64_MIN or max(extracted_ats) > _INT64_MAX or min(counts) < 0:
+    if (min(extracted_ats) < _INT64_MIN or max(extracted_ats) > _INT64_MAX
+            or min(counts) < 0 or max(counts) > _INT64_MAX):
         return None
     try:
         states = [*map(_STATE_OF.__getitem__, states)]

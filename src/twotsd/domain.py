@@ -404,6 +404,7 @@ class TrustSemantics:
     ``window`` is the [first, last] record-timestamp span the assessment was
     extracted from, or None when there were no records. When state is
     INSUFFICIENT_DATA every trend is NORMAL: a cold start carries no trend claims.
+    ``record_count`` is bounded like a timestamp, so it fits an int64 column.
     """
 
     device: DeviceId
@@ -447,6 +448,8 @@ class TrustSemantics:
             raise ValidationError("record_count must be an integer", field="record_count")
         if record_count < 0:
             raise ValidationError("record_count must be >= 0", field="record_count")
+        if record_count > _INT64_MAX:
+            raise ValidationError("record_count must fit in 64 bits", field="record_count", code="out_of_range")
         if not all_normal and state is _INSUFFICIENT_DATA:
             raise ValidationError(
                 "insufficient_data semantics must carry only normal trends",
@@ -474,7 +477,8 @@ def _semantics_of_checked_columns(devices, task_types, states, throughputs, loss
     """One ``TrustSemantics`` per position of columns that already hold valid field values.
 
     The caller has checked every column as the constructor checks one value
-    (``codec.semantics_from_rows``), so the constructor is not run again:
+    (``codec.semantics_from_rows`` for snapshot leaves, ``protocol`` for
+    bundle records), so the constructor is not run again:
     each instance gets its fields stored as ``__init__`` stores them, in
     declaration order, so the instance dicts keep sharing their keys. Each
     window is a tuple or None.

@@ -22,7 +22,7 @@ file, fsync, rename).
 A version-7 snapshot is a binary column file. It starts with
 :data:`SNAPSHOT_MAGIC`, then the byte length of a canonical-JSON header as a
 little-endian uint64, then the header: format, version, the resource
-profiles, the tree's leaves as their wire rows (``codec.semantics_to_row``)
+profiles, the tree's leaves as their semantics rows (``codec.semantics_to_row``)
 sorted by (task type, device), and one entry per history pair in sorted pair
 order, laid out as :data:`PAIR_FIELDS`: the pair, its distinct owner ids and
 its record count. The header is followed by each pair's columns in pair
@@ -33,7 +33,7 @@ Saving writes the store's arrays' bytes; loading reads each column into a
 pre-sized array, so no parsed document or text copy of the columns is ever
 built, and checks each whole column as the ``PerformanceRecord`` constructor
 checks one value. Leaves go through ``codec.semantics_from_rows``, the
-wire's column-at-a-time row decoder. A file is recognised by its magic,
+column-at-a-time row decoder. A file is recognised by its magic,
 never by its name. An older, JSON snapshot (it starts with ``{``) is parsed
 only to name its version in the refusal: a snapshot is rebuilt from its
 scenario config and seed, not migrated.

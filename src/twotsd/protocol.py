@@ -2,42 +2,52 @@
 
 Wire format, bit-exact:
 
-    frame := length(4 bytes, big-endian, unsigned) || body
-    body  := version(1 byte) || document(UTF-8 JSON, canonical)
+    frame  := length(4 bytes, big-endian, unsigned) || body
+    body   := version(1 byte, 0x04) || kind(1 byte) || rest
+    rest   := document                                       (every other kind)
+            | header_length(uint32) || header || record * n  (candidate_bundle)
 
-``length`` counts the body (version byte + document). The document is a JSON
-object with sorted keys and compact separators, so encoding is deterministic:
-``{"kind": ..., "msg_id": ..., "payload": {...}, "sender": ..., "sent_at": ...}``.
-The current schema version byte is 0x03; any other version raises
-version_mismatch. Canonical form is what ``encode`` guarantees; ``decode``
-accepts any JSON object with the right fields, in any key order or layout.
+``length`` counts the body. The kind byte is the message kind's position in
+``MessageKind``, from 1: ``resource_report`` 1, ``performance_record`` 2,
+``task_request`` 3, ``candidate_bundle`` 4, ``ack`` 5, ``error`` 6. A version
+byte other than 0x04 raises version_mismatch and an unknown kind byte
+unknown_kind. All multi-byte integers after the kind byte are little-endian.
+
+A ``document`` is a canonical JSON object (UTF-8, sorted keys, compact
+separators, ASCII) ``{"msg_id": ..., "payload": {...}, "sender": ...,
+"sent_at": ...}``. Each payload is its value's fields by name
+(``codec.to_jsonable``), decoded through ``domain.from_fields``. Canonical
+form is what ``encode`` guarantees; ``decode`` accepts any JSON object with
+the right fields, in any key order or layout, and ignores other keys.
+
+A candidate bundle is binary after a short canonical-JSON header, one
+object with ``devices`` (the candidates' device ids, one JSON list),
+``generated_at``, ``msg_id``, ``sender``, ``sent_at``, ``task_id`` and
+``task_type`` (the candidates' one task type, null when there are none).
+Each id is any string ``_require_device_id`` accepts, escaped as JSON. Then
+one fixed-width ``_RECORD`` per device, in the same order:
+
+    record := throughput, loss_rate, accuracy, proc_speed   (uint8 Trend codes)
+              window_present                               (uint8, 0 or 1)
+              window_from, window_to, extracted_at, record_count  (int64)
+
+A trend code is the trend's position in ``Trend`` (increasing 0, decreasing
+1, normal 2). Without a window the flag is 0 and both bounds are 0. A bundle
+holds only matched, trusted devices, in strictly ascending device order, so
+the wire has no state column; the per-stage chain results stay on the
+server. Each leaf's record is packed once per extraction and kept on the
+immutable ``TrustSemantics`` (re-extraction replaces the instance), so a
+request joins cached records. The decoder checks the record block a column
+at a time: its length, codes below the table size, flags, empty and ordered
+windows, counts, and nonempty string ids; the bundle then checks their
+order. A bad value fails the whole frame as malformed, naming its field and
+the first candidate that carries it.
+
 Corrupt input raises malformed, never yields a partial message. A body longer
 than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
-than emit a frame every peer would reject.
-
-Each payload but the bundle is its value's fields by name
-(``codec.to_jsonable``), decoded through ``domain.from_fields``. A
-``candidate_bundle`` payload is ``{"candidates": [...], "generated_at": ...,
-"task_id": ...}``, where each candidate is one positional row of its trust
-semantics, the columns of ``codec.SEMANTICS_COLUMNS`` in order:
-
-    [device, task_type, state, throughput, loss_rate, accuracy, proc_speed,
-     window_from, window_to, extracted_at, record_count]
-
-The four trend columns hold ``Trend`` labels, and a semantics without a
-window has two nulls there. A bundle holds only matched, trusted devices, in
-strictly ascending device order; the per-stage chain results stay on the
-server. Each row's bytes come from ``codec.semantics_row_json``, which fills
-once per extraction: the canonical bytes are cached on the immutable
-``TrustSemantics`` the first time it is shipped, and re-extraction replaces
-the instance, so a request joins cached rows instead of re-encoding every
-leaf. The decoder (``codec.semantics_from_rows``) checks the rows a column
-at a time, as the ``TrustSemantics`` constructor checks one value, and only
-when a column fails does it run the rows through that constructor one by
-one to name the first bad row; a bad row fails the whole frame as malformed.
-
-An error reply echoes at most ``_MAX_DETAIL_CHARS`` of its detail; when even
-that frame is over the cap, the server closes the connection without one.
+than emit a frame every peer would reject. An error reply echoes at most
+``_MAX_DETAIL_CHARS`` of its detail; when even that frame is over the cap,
+the server closes the connection without one.
 
 Service mode runs a threaded TCP listener, one connection per device,
 pipelined requests; every response reuses the request's msg_id as its
@@ -48,23 +58,32 @@ messages (see :mod:`twotsd.simulation`).
 from __future__ import annotations
 
 import json
+import re
 import socket
 import socketserver
 import struct
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Any, Callable
+from itertools import compress, count, repeat
+from operator import attrgetter, ge, gt, not_
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from . import codec
 from .domain import (
+    TREND_METRICS,
     PerformanceRecord,
     ResourceProfile,
     Task,
     TimestampMs,
+    Trend,
+    TrustSemantics,
     _require_device_id,
     _require_timestamp,
+    _semantics_of_checked_columns,
     from_fields,
     validate_task,
 )
@@ -76,14 +95,22 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .teacher import CandidateBundle, TeacherAgent, matched_candidates
+from .teacher import _DEVICE, _SEMANTICS, _TRUSTED, CandidateBundle, TeacherAgent, matched_candidates
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 SERVER_SENDER = "server"
 
 _LEN = struct.Struct(">I")
-_VERSION_BYTE = bytes([PROTOCOL_VERSION])
+_HEADER_LEN = struct.Struct("<I")
+# One bundle candidate: four trend codes and the window flag, then the
+# window's two bounds, extracted_at and record_count.
+_RECORD = struct.Struct("<5B4q")
+_INT64_FIELDS = re.compile(rb"(?s).{5}(.{32})")  # a record's int64 fields: the 32 bytes after its uint8 ones
+_TREND_OF_CODE = dict(enumerate(Trend))
+_TREND_CODE = {trend: code for code, trend in _TREND_OF_CODE.items()}
+_BIG_ENDIAN = sys.byteorder == "big"
+_TASK_TYPE = attrgetter("task_type")
 
 
 class MessageKind(Enum):
@@ -93,6 +120,10 @@ class MessageKind(Enum):
     CANDIDATE_BUNDLE = "candidate_bundle"
     ACK = "ack"
     ERROR = "error"
+
+
+_KIND_OF = dict(enumerate(MessageKind, 1))  # kind byte -> kind
+_PREFIX = {kind: bytes((PROTOCOL_VERSION, code)) for code, kind in _KIND_OF.items()}
 
 
 @dataclass(frozen=True)
@@ -126,7 +157,7 @@ class Message:
     sent_at: TimestampMs
 
     def __post_init__(self):
-        expected = _PAYLOADS[self.kind][0]
+        expected = _PAYLOAD_TYPES[self.kind]
         if not isinstance(self.payload, expected):
             raise ValidationError(
                 f"{self.kind.value} payload must be {expected.__name__}, "
@@ -138,65 +169,90 @@ class Message:
         _require_timestamp(self.sent_at, "sent_at")
 
 
-def _bundle_json(bundle: CandidateBundle) -> bytes:
-    """The bundle payload, joined from each candidate's cached semantics row bytes."""
-    return b"".join((
-        b'{"candidates":[',
-        b",".join([codec.semantics_row_json(c.semantics) for c in bundle.candidates]),
-        b'],"generated_at":',
-        codec.canonical_json_bytes(bundle.generated_at),
-        b',"task_id":',
-        codec.canonical_json_bytes(bundle.task_id),
-        b"}",
-    ))
+_PAYLOAD_TYPES: dict[MessageKind, type] = {
+    MessageKind.RESOURCE_REPORT: ResourceProfile,
+    MessageKind.PERFORMANCE_RECORD: PerformanceRecord,
+    MessageKind.TASK_REQUEST: Task,
+    MessageKind.CANDIDATE_BUNDLE: CandidateBundle,
+    MessageKind.ACK: Ack,
+    MessageKind.ERROR: ErrorInfo,
+}
 
-
-def bundle_from_dict(doc: dict[str, Any]) -> CandidateBundle:
-    """Every bundled candidate is matched, so the wire carries only its semantics row."""
-    candidates = matched_candidates(codec.semantics_from_rows(doc["candidates"]))
-    return CandidateBundle(doc["task_id"], candidates, doc["generated_at"])
-
-
-# kind -> (payload type, payload document to payload). Every payload but the
-# bundle is encoded as ``codec.to_jsonable`` gives it. The record entry is
-# codec.record_from_dict rather than domain.validate_record itself, so the
-# validator is looked up at call time, not bound here at import.
-_PAYLOADS: dict[MessageKind, tuple[type, Callable[[Any], Any]]] = {
-    MessageKind.RESOURCE_REPORT: (ResourceProfile, partial(from_fields, ResourceProfile, kind="profile")),
-    MessageKind.PERFORMANCE_RECORD: (PerformanceRecord, codec.record_from_dict),
-    MessageKind.TASK_REQUEST: (Task, validate_task),
-    MessageKind.CANDIDATE_BUNDLE: (CandidateBundle, bundle_from_dict),
-    MessageKind.ACK: (Ack, partial(from_fields, Ack, kind="ack")),
-    MessageKind.ERROR: (ErrorInfo, partial(from_fields, ErrorInfo, kind="error")),
+# kind -> payload document to payload, for every kind whose body is a JSON
+# document. The record entry is codec.record_from_dict rather than
+# domain.validate_record itself, so the validator is looked up at call time,
+# not bound here at import.
+_FROM_DOCUMENT: dict[MessageKind, Callable[[Any], Any]] = {
+    MessageKind.RESOURCE_REPORT: partial(from_fields, ResourceProfile, kind="profile"),
+    MessageKind.PERFORMANCE_RECORD: codec.record_from_dict,
+    MessageKind.TASK_REQUEST: validate_task,
+    MessageKind.ACK: partial(from_fields, Ack, kind="ack"),
+    MessageKind.ERROR: partial(from_fields, ErrorInfo, kind="error"),
 }
 
 
-def encode(msg: Message) -> bytes:
-    """Canonical, self-delimiting frame for one message.
+def _pack_record(ts: TrustSemantics) -> bytes:
+    """``ts``'s bundle record, kept on the instance for every later bundle that lists it.
 
-    The document is written key by key in sorted order, each value through
-    ``codec.canonical_json_bytes``, so its bytes equal that function's output
-    for the whole document without building it as one dict.
+    The bytes are kept in the instance ``__dict__`` under ``_record``, as
+    ``functools.cached_property`` does. No field of a ``TrustSemantics`` can
+    change and a re-extraction makes a new instance (``SemanticsTree.upsert``
+    replaces the leaf), so the cached bytes cannot go stale; two threads
+    filling the same instance at once store equal bytes.
     """
-    dumps = codec.canonical_json_bytes
+    lo, hi = ts.window or (0, 0)
+    packed = ts.__dict__["_record"] = _RECORD.pack(
+        _TREND_CODE[ts.throughput], _TREND_CODE[ts.loss_rate], _TREND_CODE[ts.accuracy],
+        _TREND_CODE[ts.proc_speed], ts.window is not None, lo, hi, ts.extracted_at, ts.record_count,
+    )
+    return packed
+
+
+def _bundle_rest(msg: Message) -> bytes:
+    """The bundle body after its kind byte: the JSON header, then each candidate's record."""
+    bundle = msg.payload
+    leaves = [*map(_SEMANTICS, bundle.candidates)]
+    task_types = {*map(_TASK_TYPE, leaves)}
+    if len(task_types) > 1:
+        raise ProtocolError(f"bundle candidates of {len(task_types)} task types; a bundle frame carries one")
+    header = codec.canonical_json_bytes({
+        "devices": [*map(_DEVICE, leaves)],
+        "generated_at": bundle.generated_at,
+        "msg_id": msg.msg_id,
+        "sender": msg.sender,
+        "sent_at": msg.sent_at,
+        "task_id": bundle.task_id,
+        "task_type": task_types.pop() if task_types else None,
+    })
+    records = [ts.__dict__.get("_record") or _pack_record(ts) for ts in leaves]
+    return b"".join([_HEADER_LEN.pack(len(header)), header, *records])
+
+
+def encode(msg: Message) -> bytes:
+    """Canonical, self-delimiting frame for one message."""
     if msg.kind is MessageKind.CANDIDATE_BUNDLE:
-        payload = _bundle_json(msg.payload)
+        rest = _bundle_rest(msg)
     else:
-        payload = dumps(codec.to_jsonable(msg.payload))
-    body = b"".join((
-        _VERSION_BYTE,
-        b'{"kind":', dumps(msg.kind.value),
-        b',"msg_id":', dumps(msg.msg_id),
-        b',"payload":', payload,
-        b',"sender":', dumps(msg.sender),
-        b',"sent_at":', dumps(msg.sent_at),
-        b"}",
-    ))
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"{msg.kind.value} frame body of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}"
-        )
-    return _LEN.pack(len(body)) + body
+        rest = codec.canonical_json_bytes({
+            "msg_id": msg.msg_id,
+            "payload": codec.to_jsonable(msg.payload),
+            "sender": msg.sender,
+            "sent_at": msg.sent_at,
+        })
+    size = 2 + len(rest)
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(f"{msg.kind.value} frame body of {size} bytes exceeds cap {MAX_FRAME_BYTES}")
+    return b"".join((_LEN.pack(size), _PREFIX[msg.kind], rest))
+
+
+def _json_object(data: bytes, what: str) -> dict:
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
+        raise MalformedFrameError(f"bad {what}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedFrameError(f"{what} must be an object")
+    return doc
 
 
 def _decode_body(body: bytes) -> Message:
@@ -205,28 +261,99 @@ def _decode_body(body: bytes) -> Message:
     version = body[0]
     if version != PROTOCOL_VERSION:
         raise VersionMismatchError(f"schema version {version}, supported {PROTOCOL_VERSION}")
+    if len(body) < 2:
+        raise MalformedFrameError("frame body has no kind byte")
+    kind = _KIND_OF.get(body[1])
+    if kind is None:
+        raise UnknownKindError(f"unknown message kind byte {body[1]}")
+    if kind is MessageKind.CANDIDATE_BUNDLE:
+        doc, block = _split_bundle(body)
+    else:
+        doc, block = _json_object(body[2:], "message document"), None
     try:
-        doc = json.loads(body[1:].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also an overlong int or too deep nesting
-        raise MalformedFrameError(f"bad message document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedFrameError("message document must be an object")
-    try:
-        kind = MessageKind(doc["kind"])
-    except KeyError:
-        raise MalformedFrameError("message document missing kind") from None
-    except ValueError:
-        raise UnknownKindError(f"unknown message kind {doc.get('kind')!r}") from None
-    try:
-        return Message(
-            kind=kind,
-            sender=doc["sender"],
-            payload=_PAYLOADS[kind][1](doc["payload"]),
-            msg_id=doc["msg_id"],
-            sent_at=doc["sent_at"],
-        )
+        payload = _FROM_DOCUMENT[kind](doc["payload"]) if block is None else _bundle_of(doc, block)
+        return Message(kind, doc["sender"], payload, doc["msg_id"], doc["sent_at"])
     except (TwoTsdError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedFrameError(f"bad {kind.value} payload: {exc}") from None
+
+
+def _split_bundle(body: bytes) -> tuple[dict, bytes]:
+    """A bundle body's parsed header and its record block."""
+    start = 2 + _HEADER_LEN.size
+    if len(body) < start:
+        raise MalformedFrameError("bundle body has no header length")
+    (size,) = _HEADER_LEN.unpack_from(body, 2)
+    if len(body) < start + size:
+        raise MalformedFrameError(f"bundle header of {size} bytes overruns the frame body")
+    return _json_object(body[start : start + size], "bundle header"), body[start + size :]
+
+
+def _bundle_of(header: dict, block: bytes) -> CandidateBundle:
+    """The bundle that ``header`` and its record ``block`` describe, checked a column at a time.
+
+    Each column is checked whole, as ``TrustSemantics`` checks one value, so
+    the values are built without its checks; only a failing column is
+    searched, to name its first bad candidate.
+    """
+    devices = header["devices"]
+    if type(devices) is not list:
+        raise ValidationError("devices must be a list", field="devices")
+    if len(block) != len(devices) * _RECORD.size:
+        raise ValidationError(
+            f"record block of {len(block)} bytes, not {len(devices)} records of {_RECORD.size}",
+            field="candidates",
+        )
+    semantics: Sequence[TrustSemantics] = ()
+    if devices:
+        task_type = _require_device_id(header["task_type"], "task_type")
+        if {*map(type, devices)} != {str} or not all(devices):
+            for device in devices:
+                _require_device_id(device, "device")
+        (*codes, flags), (los, his, extracted_ats, counts) = _record_columns(block)
+        for metric, column in zip(TREND_METRICS, codes):
+            if max(column) >= len(_TREND_OF_CODE):
+                _refuse(metric, f"a Trend code below {len(_TREND_OF_CODE)}", column, devices,
+                        map(ge, column, repeat(len(_TREND_OF_CODE))))
+        if max(flags) > 1:
+            _refuse("window", "flagged 0 or 1", flags, devices, map(gt, flags, repeat(1)))
+        windows = [*zip(los, his)]
+        if not all(flags):
+            if any(map(any, compress(windows, map(not_, flags)))):
+                _refuse("window", "(0, 0) when flagged absent", windows, devices,
+                        (not flag and any(window) for flag, window in zip(flags, windows)))
+            windows = [window if flag else None for window, flag in zip(windows, flags)]
+        if any(map(gt, los, his)):  # an absent window's (0, 0) is in order
+            _refuse("window", "ordered, from <= to", windows, devices, map(gt, los, his))
+        if min(counts) < 0:
+            _refuse("record_count", ">= 0", counts, devices, map(gt, repeat(0), counts))
+        semantics = _semantics_of_checked_columns(
+            devices, repeat(task_type), repeat(_TRUSTED),
+            *(map(_TREND_OF_CODE.__getitem__, column) for column in codes),
+            windows, extracted_ats, counts,
+        )
+    return CandidateBundle(header["task_id"], matched_candidates(semantics), header["generated_at"])
+
+
+def _record_columns(block: bytes) -> tuple[list[bytes], list[array]]:
+    """The five uint8 columns and the four int64 columns of a record block.
+
+    A uint8 column is one strided slice of the block. Each record's int64
+    fields, cut out and joined, read as one ``array('q')`` of four values per
+    record, and each int64 column is a strided slice of that. No object is
+    made per record but a bytes piece, which the cyclic GC does not track.
+    """
+    size = _RECORD.size
+    ints = array("q", b"".join(_INT64_FIELDS.findall(block)))
+    if _BIG_ENDIAN:
+        ints.byteswap()
+    return [block[offset::size] for offset in range(5)], [ints[field::4] for field in range(4)]
+
+
+def _refuse(field: str, requirement: str, column: Sequence, devices: list[str], bad: Iterable[bool]) -> NoReturn:
+    """Refuse the frame at the first candidate where ``bad`` is true, naming its value."""
+    i = next(compress(count(), bad))
+    raise ValidationError(f"{field} must be {requirement}, got {column[i]!r} for candidate {devices[i]!r}",
+                          field=field)
 
 
 def decode(data: bytes) -> Message:
@@ -274,7 +401,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 # An error reply echoes at most this many characters of its detail, which can
-# repeat client input (an unknown kind, a rejected field value). Escaped as
+# repeat client input (a rejected field value). Escaped as
 # ASCII, a character takes at most 12 bytes, so the reply to a framing error
 # stays a few KiB however long the offending input was.
 _MAX_DETAIL_CHARS = 200

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter, itemgetter, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .domain import (
@@ -45,6 +46,8 @@ from .semantics import DeterministicEngine, SemanticsEngine
 
 
 _TRUSTED = TrustState.TRUSTED  # read once per candidate; a global is faster than the Enum class
+_SEMANTICS, _MATCHED = itemgetter(0), itemgetter(1)  # a Candidate's fields
+_DEVICE, _STATE = attrgetter("device"), attrgetter("state")
 
 _INGEST_LOCKS = 64  # per teacher; each (device, task type) pair takes one by its hash
 
@@ -87,6 +90,12 @@ class CandidateBundle:
     def __post_init__(self):
         _require_device_id(self.task_id, "task_id")
         _require_timestamp(self.generated_at, "generated_at")
+        # Checked a column at a time; the loop below runs only to name the first offender.
+        leaves = [*map(_SEMANTICS, self.candidates)]
+        devices = [*map(_DEVICE, leaves)]
+        if (all(map(lt, devices, devices[1:])) and all(map(_MATCHED, self.candidates))
+                and [*map(_STATE, leaves)].count(_TRUSTED) == len(leaves)):
+            return
         previous = None
         for semantics, matched in self.candidates:
             device = semantics.device

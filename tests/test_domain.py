@@ -13,7 +13,7 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotsd import codec
+from twotsd import codec, protocol
 from twotsd.domain import (
     COMM_METRICS,
     COMP_METRICS,
@@ -296,7 +296,7 @@ def test_all_trends_lists_the_trend_fields_in_row_order():
 def test_semantics_is_hashable_and_equal_values_hash_equal():
     ts = _semantics()
     again = codec.semantics_from_row(codec.semantics_to_row(ts))
-    codec.semantics_row_json(ts)  # the cached row bytes take no part in equality
+    protocol._pack_record(ts)  # the cached wire record takes no part in equality
     assert again == ts and hash(again) == hash(ts)
     assert len({ts, again, _semantics(window=None)}) == 2
     assert _semantics(accuracy=Trend.DECREASING) != ts
@@ -304,7 +304,7 @@ def test_semantics_is_hashable_and_equal_values_hash_equal():
 
 def test_no_semantics_field_can_be_assigned():
     ts = _semantics()
-    row = codec.semantics_row_json(ts)
+    record = protocol._pack_record(ts)
     for field in dataclasses.fields(TrustSemantics):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ts, field.name, Trend.DECREASING)
@@ -312,7 +312,7 @@ def test_no_semantics_field_can_be_assigned():
             delattr(ts, field.name)
     ts.all_trends()["throughput"] = Trend.DECREASING  # a copy, not a view
     assert ts == _semantics() and ts.throughput is Trend.NORMAL
-    assert codec.semantics_row_json(ts) == row == codec.canonical_json_bytes(codec.semantics_to_row(ts))
+    assert protocol._pack_record(ts) == record == protocol._pack_record(_semantics())
 
 
 _HUGE = 10**400  # an int no float can hold
@@ -349,6 +349,18 @@ def test_timestamps_span_the_signed_64_bit_range(at):
             with pytest.raises(ValidationError, match=f"{field} must fit in 64 bits") as err:
                 build(**{field: outside})
             assert err.value.code == "out_of_range"
+
+
+@pytest.mark.parametrize("count, error, code", [
+    (-1, "record_count must be >= 0", "validation"),
+    (2**63, "record_count must fit in 64 bits", "out_of_range"),
+    (2**70, "record_count must fit in 64 bits", "out_of_range"),
+])
+def test_record_count_spans_the_non_negative_int64_range(count, error, code):
+    assert _semantics(record_count=2**63 - 1).record_count == 2**63 - 1
+    with pytest.raises(ValidationError, match=f"^{error}$") as err:
+        _semantics(record_count=count)
+    assert (err.value.field, err.value.code) == ("record_count", code)
 
 
 # Codec round-trips: canonical bytes are stable and dict codecs invert.

@@ -399,6 +399,7 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
     [("extracted_at", 2**63, "extracted_at must fit in 64 bits", "extracted_at"),
      ("window_from", 5, "window.to must be an integer", "window.to"),  # beside a null window_to
      ("record_count", True, "record_count must be an integer", "record_count"),
+     ("record_count", 2**63, "record_count must fit in 64 bits", "record_count"),
      ("device", "", "device must be a nonempty string", "device"),
      ("throughput", "increasing", "insufficient_data semantics must carry only normal trends", "state")],
 )

@@ -48,7 +48,7 @@ from twotsd.protocol import (
     read_frame,
 )
 from twotsd.semantics import DeterministicEngine
-from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, assemble_bundle
+from twotsd.teacher import CandidateBundle, TeacherAgent, assemble_bundle, matched_candidates
 
 from _builders import make_profile, make_record, make_records, make_task, window_of
 
@@ -77,16 +77,28 @@ def test_round_trip_every_kind(msg):
     assert decode(encode(msg)) == msg
 
 
+# The wire's kind bytes and trend codes, and its bundle record layout, spelled
+# out here independently of the protocol module.
+_KIND_BYTES = {"resource_report": 1, "performance_record": 2, "task_request": 3,
+               "candidate_bundle": 4, "ack": 5, "error": 6}
+_TREND_CODES = {"increasing": 0, "decreasing": 1, "normal": 2}
+_RECORD = struct.Struct("<BBBBBqqqq")
+_RECORD_FIELDS = ("throughput", "loss_rate", "accuracy", "proc_speed", "window_present",
+                  "window_from", "window_to", "extracted_at", "record_count")
+
+
 def test_encode_is_deterministic_and_framed():
     msg = _messages()[0]
     frame = encode(msg)
     assert frame == encode(msg)
     length = int.from_bytes(frame[:4], "big")
     assert length == len(frame) - 4
-    assert frame[4] == PROTOCOL_VERSION
-    body = frame[5:].decode("ascii")  # raises if the document is not pure ascii
+    assert frame[4] == PROTOCOL_VERSION == 4
+    assert frame[5] == _KIND_BYTES["resource_report"]
+    body = frame[6:].decode("ascii")  # raises if the document is not pure ascii
+    assert '"kind"' not in body  # the kind travels in its byte only
     # top-level keys appear in sorted order in the canonical document
-    keys = ["kind", "msg_id", "payload", "sender", "sent_at"]
+    keys = ["msg_id", "payload", "sender", "sent_at"]
     positions = [body.index(f'"{k}"') for k in keys]
     assert positions == sorted(positions)
 
@@ -111,57 +123,60 @@ def test_round_trip_survives_value_ranges(sender, msg_id, sent_at, at, throughpu
     assert decode(encode(msg)) == msg
 
 
-def _semantics_doc(ts: TrustSemantics) -> dict:
-    """The semantics as a keyed document, as protocol v2 carried each candidate."""
-    return {
-        "device": ts.device, "task_type": ts.task_type, "state": ts.state.value,
-        "comm_trends": {m: getattr(ts, m).value for m in COMM_METRICS},
-        "comp_trends": {m: getattr(ts, m).value for m in COMP_METRICS},
-        "window": list(ts.window) if ts.window is not None else None,
-        "extracted_at": ts.extracted_at, "record_count": ts.record_count,
-    }
+def _canonical(doc) -> bytes:
+    """The canonical arguments spelled out, independent of codec's shared encoder."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
-def _reference_row(ts: TrustSemantics) -> list:
-    """The semantics document's fields, picked by name in ``SEMANTICS_COLUMNS`` order."""
-    doc = _semantics_doc(ts)
-    window_from, window_to = doc["window"] or (None, None)
-    fields = {**doc, **doc["comm_trends"], **doc["comp_trends"],
-              "window_from": window_from, "window_to": window_to}
-    return [fields[column] for column in codec.SEMANTICS_COLUMNS]
+def _framed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def _record_bytes(ts: TrustSemantics) -> bytes:
+    lo, hi = ts.window or (0, 0)
+    codes = [_TREND_CODES[getattr(ts, metric).value] for metric in COMM_METRICS + COMP_METRICS]
+    return _RECORD.pack(*codes, int(ts.window is not None), lo, hi, ts.extracted_at, ts.record_count)
+
+
+def _bundle_body(header: dict, records: bytes, version: int = PROTOCOL_VERSION) -> bytes:
+    head = _canonical(header)
+    return bytes([version, _KIND_BYTES["candidate_bundle"]]) + len(head).to_bytes(4, "little") + head + records
 
 
 def _reference_frame(msg: Message) -> bytes:
-    """The frame as one whole document, built without ``codec``, then one canonical dump."""
+    """The frame built from the grammar alone: a JSON document, or a bundle's header and records."""
     p = msg.payload
+    if msg.kind is MessageKind.CANDIDATE_BUNDLE:
+        header = {
+            "devices": [c.semantics.device for c in p.candidates],
+            "generated_at": p.generated_at,
+            "msg_id": msg.msg_id,
+            "sender": msg.sender,
+            "sent_at": msg.sent_at,
+            "task_id": p.task_id,
+            "task_type": p.candidates[0].semantics.task_type if p.candidates else None,
+        }
+        return _framed(_bundle_body(header, b"".join(_record_bytes(c.semantics) for c in p.candidates)))
     payload = {
         MessageKind.RESOURCE_REPORT: lambda: dataclasses.asdict(p),
         MessageKind.PERFORMANCE_RECORD: lambda: {**dataclasses.asdict(p), "verdict": p.verdict.value},
         MessageKind.TASK_REQUEST: lambda: dataclasses.asdict(p),
-        MessageKind.CANDIDATE_BUNDLE: lambda: {
-            "task_id": p.task_id,
-            "generated_at": p.generated_at,
-            "candidates": [_reference_row(c.semantics) for c in p.candidates],
-        },
         MessageKind.ACK: lambda: {"detail": p.detail},
         MessageKind.ERROR: lambda: {"code": p.code, "detail": p.detail},
     }[msg.kind]()
-    doc = {
-        "kind": msg.kind.value,
-        "sender": msg.sender,
-        "msg_id": msg.msg_id,
-        "sent_at": msg.sent_at,
-        "payload": payload,
-    }
-    # The canonical arguments spelled out, independent of codec's shared encoder.
-    document = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    body = bytes([PROTOCOL_VERSION]) + document.encode("ascii")
-    return len(body).to_bytes(4, "big") + body
+    doc = {"sender": msg.sender, "msg_id": msg.msg_id, "sent_at": msg.sent_at, "payload": payload}
+    return _framed(bytes([PROTOCOL_VERSION, _KIND_BYTES[msg.kind.value]]) + _canonical(doc))
 
 
 # Any code point: non-ASCII, astral (a surrogate pair when escaped) and control.
 _IDS = st.text(min_size=1, max_size=12)
-_STAMPS = st.integers(-(2**63), 2**63 - 1)  # timestamps are signed 64-bit
+# Device ids as a bundle header carries them: also lone surrogates, which only
+# JSON's escapes can carry.
+_WIRE_IDS = st.text(st.characters(categories=["L", "N", "P", "S", "Z", "Cc", "Cs"]), min_size=1, max_size=12)
+_INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+_STAMPS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(_INT64_EDGES)  # timestamps are signed 64-bit
+_COUNTS = st.integers(0, 2**63 - 1) | st.sampled_from([0, 1, 2**63 - 1])
+_WINDOWS = st.none() | st.tuples(_STAMPS, _STAMPS).map(sorted).map(tuple)
 _MAX = sys.float_info.max
 _POSITIVE = st.floats(min_value=5e-324, max_value=_MAX) | st.sampled_from([5e-324, _MAX])
 _NONNEG = st.floats(min_value=0.0, max_value=_MAX) | st.sampled_from([-0.0, 0.0, 5e-324, _MAX])
@@ -169,25 +184,34 @@ _FRACTION = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0])
 
 
 @st.composite
-def _bundles(draw):
-    window = draw(st.none() | st.tuples(_STAMPS, _STAMPS).map(sorted).map(tuple))
-    leaf = TrustSemantics(
-        device="placeholder",
-        task_type=draw(_IDS),
+def _leaves(draw, device: str, task_type: str) -> TrustSemantics:
+    return TrustSemantics(
+        device=device,
+        task_type=task_type,
         state=TrustState.TRUSTED,
         **{m: draw(st.sampled_from(list(Trend))) for m in COMM_METRICS + COMP_METRICS},
-        window=window,
+        window=draw(_WINDOWS),
         extracted_at=draw(_STAMPS),
-        record_count=draw(st.integers(0, 2**64)),
+        record_count=draw(_COUNTS),
     )
-    n = draw(st.sampled_from([0, 1, 3, 1_000]))
+
+
+@st.composite
+def _bundles(draw):
+    """0, 1 or many candidates of one task type, each with its own semantics.
+
+    The 1 000-candidate bundles copy one leaf across devices, so they stay quick to draw.
+    """
+    task_type = draw(_WIRE_IDS)
+    n = draw(st.sampled_from([0, 1, 3, 40, 1_000]))
     if n == 1_000:
-        prefix = draw(_IDS)
-        devices = [f"{prefix}{i:04d}" for i in range(n)]
+        prefix = draw(_WIRE_IDS)
+        leaf = draw(_leaves("placeholder", task_type))
+        leaves = [dataclasses.replace(leaf, device=f"{prefix}{i:04d}") for i in range(n)]
     else:
-        devices = sorted(draw(st.lists(_IDS, min_size=n, max_size=n, unique=True)))
-    candidates = tuple(Candidate(dataclasses.replace(leaf, device=d), True) for d in devices)
-    return CandidateBundle(draw(_IDS), candidates, draw(_STAMPS))
+        devices = sorted(draw(st.lists(_WIRE_IDS, min_size=n, max_size=n, unique=True)))
+        leaves = [draw(_leaves(device, task_type)) for device in devices]
+    return CandidateBundle(draw(_WIRE_IDS), matched_candidates(leaves), draw(_STAMPS))
 
 
 @st.composite
@@ -231,8 +255,23 @@ def test_every_frame_equals_the_whole_document_encoding(kind, data):
     payload = data.draw(_PAYLOAD_STRATEGIES[kind])
     msg = Message(kind, data.draw(_IDS), payload, data.draw(_IDS), data.draw(_STAMPS))
     reference = _reference_frame(msg)
-    assert encode(msg) == reference  # cold: bundle semantics encoded now
-    assert encode(msg) == reference  # warm: bundle semantics from the cache
+    assert encode(msg) == reference  # cold: bundle records packed now
+    assert encode(msg) == reference  # warm: bundle records from the cache
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bundle=_bundles(), sender=_WIRE_IDS, msg_id=_WIRE_IDS, sent_at=_STAMPS)
+def test_a_bundle_round_trips_with_every_field_of_every_candidate(bundle, sender, msg_id, sent_at):
+    msg = Message(MessageKind.CANDIDATE_BUNDLE, sender, bundle, msg_id, sent_at)
+    decoded = decode(encode(msg))
+    assert decoded == msg
+    names = [f.name for f in dataclasses.fields(TrustSemantics)]
+    for got, want in zip(decoded.payload.candidates, bundle.candidates, strict=True):
+        assert got.matched is True
+        assert list(got.semantics.__dict__) == names  # fields in declaration order, no cache yet
+        for name in names:
+            assert type(getattr(got.semantics, name)) is type(getattr(want.semantics, name))
+        assert got.semantics == want.semantics and hash(got.semantics) == hash(want.semantics)
 
 
 def test_version_byte_is_checked():
@@ -240,11 +279,6 @@ def test_version_byte_is_checked():
     frame[4] = 1  # a protocol v1 peer
     with pytest.raises(VersionMismatchError):
         decode(bytes(frame))
-
-
-# Frame size of ``_wide_bundle()`` under protocol v2, where each candidate was
-# its keyed semantics document (``_semantics_doc``).
-_V2_WIDE_FRAME_BYTES = 244_143
 
 
 def _wide_bundle(n: int = 1_000):
@@ -256,100 +290,218 @@ def _wide_bundle(n: int = 1_000):
     return assemble_bundle(make_task(), leaves, profiles.get, 50_000, MatchConfig())
 
 
-def test_bundle_payload_is_semantics_only_and_within_the_size_bound():
-    bundle = _wide_bundle()
-    assert len(bundle.candidates) == 1_000
+def test_a_wide_bundle_frame_is_at_most_half_its_v3_rows():
+    """10 000 candidates: the v4 frame against only the rows a v3 frame carried for them."""
+    bundle = _wide_bundle(10_000)
+    assert len(bundle.candidates) == 10_000
     frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
-    payload = json.loads(frame[5:])["payload"]
-    assert set(payload) == {"candidates", "generated_at", "task_id"}
-    assert len(codec.SEMANTICS_COLUMNS) == 11
-    for row, candidate in zip(payload["candidates"], bundle.candidates, strict=True):
-        assert row == _reference_row(candidate.semantics)
-        assert len(row) == 11
-    assert b'"stages"' not in frame and b'"comm_trends"' not in frame
-    assert len(frame) <= 0.4 * _V2_WIDE_FRAME_BYTES
-    decoded = decode(frame).payload
-    assert decoded == bundle
-    assert all(c.matched for c in decoded.candidates)
-
-
-@pytest.mark.parametrize("label, bad", [(b'"normal"', b'"upward"'), (b'"trusted"', b'"trustee"')])
-def test_bundle_with_an_unknown_semantics_label_is_malformed(label, bad):
-    frame = encode(_messages()[3])
-    assert label in frame
-    tampered = frame.replace(label, bad, 1)  # same length, frame stays valid
-    with pytest.raises(MalformedFrameError, match="bad semantics enum value"):
-        decode(tampered)
+    v3_rows = sum(len(codec.canonical_json_bytes(codec.semantics_to_row(c.semantics))) for c in bundle.candidates)
+    assert len(frame) <= v3_rows / 2
+    assert decode(frame).payload == bundle
 
 
 # Each ``_messages()`` frame, byte for byte: any change to one is a wire change,
 # a renamed payload field included.
 _GOLDEN_FRAMES = {
     MessageKind.RESOURCE_REPORT: bytes.fromhex(
-        "000000b4037b226b696e64223a227265736f757263655f7265706f7274222c226d73675f"
-        "6964223a22615f6b2d31222c227061796c6f6164223a7b2262616e6477696474685f6d62"
-        "7073223a3130302e302c226370755f637073223a31303030303030303030302e302c2264"
-        "6576696365223a22615f6b222c2273746f726167655f6d62223a3230302e302c22757064"
-        "617465645f6174223a307d2c2273656e646572223a22615f6b222c2273656e745f617422"
-        "3a31307d"
+        "0000009c04017b226d73675f6964223a22615f6b2d31222c227061796c6f6164223a7b22"
+        "62616e6477696474685f6d627073223a3130302e302c226370755f637073223a31303030"
+        "303030303030302e302c22646576696365223a22615f6b222c2273746f726167655f6d62"
+        "223a3230302e302c22757064617465645f6174223a307d2c2273656e646572223a22615f"
+        "6b222c2273656e745f6174223a31307d"
     ),
     MessageKind.PERFORMANCE_RECORD: bytes.fromhex(
-        "00000109037b226b696e64223a22706572666f726d616e63655f7265636f7264222c226d"
-        "73675f6964223a22615f692d31222c227061796c6f6164223a7b22616363757261637922"
-        "3a302e39382c226174223a313030302c22636f6c6c61626f7261746f72223a22615f6a22"
-        "2c226c6f73735f72617465223a302e30312c226f776e6572223a22615f69222c2270726f"
-        "635f73706565645f6d627073223a322e302c227461736b5f74797065223a22766964656f"
-        "5f7472616e73636f64696e67222c227468726f7567687075745f6d627073223a3130302e"
-        "302c2276657264696374223a22736174697366696564227d2c2273656e646572223a2261"
-        "5f69222c2273656e745f6174223a31317d"
+        "000000ee04027b226d73675f6964223a22615f692d31222c227061796c6f6164223a7b22"
+        "6163637572616379223a302e39382c226174223a313030302c22636f6c6c61626f726174"
+        "6f72223a22615f6a222c226c6f73735f72617465223a302e30312c226f776e6572223a22"
+        "615f69222c2270726f635f73706565645f6d627073223a322e302c227461736b5f747970"
+        "65223a22766964656f5f7472616e73636f64696e67222c227468726f7567687075745f6d"
+        "627073223a3130302e302c2276657264696374223a22736174697366696564227d2c2273"
+        "656e646572223a22615f69222c2273656e745f6174223a31317d"
     ),
     MessageKind.TASK_REQUEST: bytes.fromhex(
-        "000000c4037b226b696e64223a227461736b5f72657175657374222c226d73675f696422"
-        "3a22615f692d32222c227061796c6f6164223a7b22646561646c696e655f73223a35302e"
-        "302c2264656e736974795f637062223a313030302e302c226f776e6572223a22615f6922"
-        "2c2273697a655f6d62223a35302e302c227461736b5f6964223a226332222c227461736b"
-        "5f74797065223a22766964656f5f7472616e73636f64696e67227d2c2273656e64657222"
-        "3a22615f69222c2273656e745f6174223a31327d"
+        "000000af04037b226d73675f6964223a22615f692d32222c227061796c6f6164223a7b22"
+        "646561646c696e655f73223a35302e302c2264656e736974795f637062223a313030302e"
+        "302c226f776e6572223a22615f69222c2273697a655f6d62223a35302e302c227461736b"
+        "5f6964223a226332222c227461736b5f74797065223a22766964656f5f7472616e73636f"
+        "64696e67227d2c2273656e646572223a22615f69222c2273656e745f6174223a31327d"
     ),
     MessageKind.CANDIDATE_BUNDLE: bytes.fromhex(
-        "000000e6037b226b696e64223a2263616e6469646174655f62756e646c65222c226d7367"
-        "5f6964223a22615f692d32222c227061796c6f6164223a7b2263616e6469646174657322"
-        "3a5b5b22615f6b222c22766964656f5f7472616e73636f64696e67222c22747275737465"
-        "64222c226e6f726d616c222c226e6f726d616c222c226e6f726d616c222c226e6f726d61"
-        "6c222c313030302c383030302c383030302c385d5d2c2267656e6572617465645f617422"
-        "3a35303030302c227461736b5f6964223a226332227d2c2273656e646572223a22736572"
-        "766572222c2273656e745f6174223a31337d"
+        "000000b20404870000007b2264657669636573223a5b22615f6b225d2c2267656e657261"
+        "7465645f6174223a35303030302c226d73675f6964223a22615f692d32222c2273656e64"
+        "6572223a22736572766572222c2273656e745f6174223a31332c227461736b5f6964223a"
+        "226332222c227461736b5f74797065223a22766964656f5f7472616e73636f64696e6722"
+        "7d0202020201e803000000000000401f000000000000401f000000000000080000000000"
+        "0000"
     ),
     MessageKind.ACK: bytes.fromhex(
-        "0000005d037b226b696e64223a2261636b222c226d73675f6964223a22615f6b2d31222c"
-        "227061796c6f6164223a7b2264657461696c223a2273746f726564227d2c2273656e6465"
-        "72223a22736572766572222c2273656e745f6174223a31347d"
+        "0000005104057b226d73675f6964223a22615f6b2d31222c227061796c6f6164223a7b22"
+        "64657461696c223a2273746f726564227d2c2273656e646572223a22736572766572222c"
+        "2273656e745f6174223a31347d"
     ),
     MessageKind.ERROR: bytes.fromhex(
-        "00000079037b226b696e64223a226572726f72222c226d73675f6964223a22615f6b2d32"
-        "222c227061796c6f6164223a7b22636f6465223a227374616c655f757064617465222c22"
-        "64657461696c223a226f6c64207265706f7274227d2c2273656e646572223a2273657276"
-        "6572222c2273656e745f6174223a31357d"
+        "0000006b04067b226d73675f6964223a22615f6b2d32222c227061796c6f6164223a7b22"
+        "636f6465223a227374616c655f757064617465222c2264657461696c223a226f6c642072"
+        "65706f7274227d2c2273656e646572223a22736572766572222c2273656e745f6174223a"
+        "31357d"
     ),
 }
 
 
 @pytest.mark.parametrize("msg", _messages(), ids=lambda m: m.kind.value)
 def test_every_frame_matches_the_golden_bytes(msg):
-    assert encode(msg) == _GOLDEN_FRAMES[msg.kind]
+    assert encode(msg) == _GOLDEN_FRAMES[msg.kind] == _reference_frame(msg)
     assert decode(_GOLDEN_FRAMES[msg.kind]) == msg
 
 
 def _frame_of(doc: dict, version: int = PROTOCOL_VERSION) -> bytes:
-    body = bytes([version]) + json.dumps(doc).encode("utf-8")
-    return len(body).to_bytes(4, "big") + body
+    """A JSON-kind frame of ``doc``: its ``kind`` key goes into the kind byte."""
+    doc = dict(doc)
+    kind = _KIND_BYTES[doc.pop("kind")]
+    return _framed(bytes([version, kind]) + json.dumps(doc).encode("utf-8"))
 
 
-def _bundle_doc(rows: list, **payload) -> dict:
-    return {
-        "kind": "candidate_bundle", "msg_id": "a_i-2", "sender": "server", "sent_at": 13,
-        "payload": {"candidates": rows, "generated_at": 50_000, "task_id": "c2", **payload},
-    }
+# The sample bundle's a_k leaf, field by field of ``_RECORD_FIELDS``.
+_GOOD_RECORD = (2, 2, 2, 2, 1, 1000, 8000, 8000, 8)
+_BUNDLE_HEADER = {"generated_at": 50_000, "msg_id": "a_i-2", "sender": "server", "sent_at": 13,
+                  "task_id": "c2", "task_type": "video_transcoding"}
+
+
+def _record(**fields) -> bytes:
+    """``_GOOD_RECORD`` with the named fields replaced."""
+    values = dict(zip(_RECORD_FIELDS, _GOOD_RECORD))
+    values.update(fields)
+    return _RECORD.pack(*values.values())
+
+
+def _bundle_frame(records: list[bytes], **header) -> bytes:
+    """A bundle frame of ``records`` for devices a_a000, a_a001, ..., unless ``header`` says otherwise."""
+    doc = {**_BUNDLE_HEADER, "devices": [f"a_a{i:03d}" for i in range(len(records))], **header}
+    return _framed(_bundle_body(doc, b"".join(records)))
+
+
+def test_a_valid_record_decodes_to_its_semantics():
+    absent = _record(window_present=0, window_from=0, window_to=0)
+    frame = _bundle_frame([_record(), absent], devices=["a_k", "a_l"])
+    bundle = decode(frame).payload
+    assert bundle.devices() == ["a_k", "a_l"]
+    assert bundle.candidates[0] == _sample_bundle().candidates[0]
+    assert bundle.candidates[1].semantics.window is None  # flag 0 is no window
+    assert bundle.candidates[1].semantics.task_type == "video_transcoding"
+
+
+def test_an_empty_bundle_carries_no_task_type_and_no_records():
+    msg = Message(MessageKind.CANDIDATE_BUNDLE, "server", CandidateBundle("c2", (), 50_000), "a_i-2", 13)
+    frame = encode(msg)
+    assert frame == _bundle_frame([], task_type=None)
+    assert decode(frame) == msg
+    assert decode(_bundle_frame([], task_type="ignored")) == msg  # nothing carries it
+
+
+def test_a_bundle_of_candidates_of_two_task_types_cannot_be_framed():
+    first, second = _sample_bundle().candidates[0].semantics, _wide_bundle(1).candidates[0].semantics
+    mixed = dataclasses.replace(second, device="a_l", task_type="face_recognition")
+    bundle = CandidateBundle("c2", matched_candidates([first, mixed]), 50_000)
+    with pytest.raises(ProtocolError, match="2 task types"):
+        encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
+
+
+# Each bad record or header value with the refusal that names it: the binary
+# analogue of every row refusal of the row decoder that the record layout can
+# still express. A count, timestamp or window bound is an int64 whatever its
+# bytes, a trend a code and the state implied, so a label of the wrong type or
+# value, a float, a bool or a number past 64 bits has no bytes that say it.
+_MALFORMED_RECORDS = [
+    pytest.param({"loss_rate": 3}, "loss_rate must be a Trend code below 3, got 3", id="unknown_trend"),
+    pytest.param({"throughput": 255}, "throughput must be a Trend code below 3, got 255", id="unknown_trend_high"),
+    pytest.param({"proc_speed": 7}, "proc_speed must be a Trend code below 3, got 7", id="unknown_trend_last"),
+    pytest.param({"window_present": 2}, "window must be flagged 0 or 1, got 2", id="window_flag_2"),
+    pytest.param({"window_present": 0}, "window must be (0, 0) when flagged absent, got (1000, 8000)",
+                 id="absent_window_with_bounds"),
+    pytest.param({"window_present": 0, "window_from": 0}, "window must be (0, 0) when flagged absent, got (0, 8000)",
+                 id="absent_window_with_window_to"),
+    pytest.param({"window_present": 0, "window_to": 0}, "window must be (0, 0) when flagged absent, got (1000, 0)",
+                 id="absent_window_with_window_from"),
+    pytest.param({"record_count": -1}, "record_count must be >= 0, got -1", id="negative_count"),
+    pytest.param({"record_count": -(2**63)}, f"record_count must be >= 0, got {-(2**63)}", id="int64_min_count"),
+    pytest.param({"window_from": 9000, "window_to": 1000}, "window must be ordered, from <= to, got (9000, 1000)",
+                 id="reversed_window"),
+    pytest.param({"window_from": 2**63 - 1, "window_to": -(2**63)},
+                 f"window must be ordered, from <= to, got ({2**63 - 1}, {-(2**63)})",
+                 id="reversed_window_int64_edges"),
+]
+_MALFORMED_HEADERS = [
+    pytest.param({"devices": ""}, "device must be a nonempty string", id="empty_device"),
+    pytest.param({"devices": 7}, "device must be a nonempty string", id="int_device"),
+    pytest.param({"devices": None}, "device must be a nonempty string", id="null_device"),
+    pytest.param({"task_type": 5}, "task_type must be a nonempty string", id="int_task_type"),
+    pytest.param({"task_type": ""}, "task_type must be a nonempty string", id="empty_task_type"),
+    pytest.param({"task_type": None}, "task_type must be a nonempty string", id="null_task_type"),
+]
+
+
+def _wide_frame(last: bytes, n: int, **header) -> bytes:
+    """``n - 1`` good records, then ``last``."""
+    return _bundle_frame([_record()] * (n - 1) + [last], **header)
+
+
+@pytest.mark.parametrize("n", [2, 400])
+@pytest.mark.parametrize("fields, error", _MALFORMED_RECORDS)
+def test_a_malformed_record_fails_the_whole_frame(fields, error, n):
+    """One bad record after good ones is refused as it is alone, naming its candidate."""
+    expected = f"bad candidate_bundle payload: {error} for candidate 'a_a{n - 1:03d}'"
+    with pytest.raises(MalformedFrameError, match=re.escape(expected)):
+        decode(_wide_frame(_record(**fields), n))
+
+
+@pytest.mark.parametrize("n", [2, 400])
+@pytest.mark.parametrize("header, error", _MALFORMED_HEADERS)
+def test_a_malformed_device_id_or_task_type_fails_the_whole_frame(header, error, n):
+    if "devices" in header:  # the bad id comes last
+        header = {"devices": [f"a_a{i:03d}" for i in range(n - 1)] + [header["devices"]]}
+    with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {error}")):
+        decode(_wide_frame(_record(), n, **header))
+
+
+@pytest.mark.parametrize("cut", [-1, -36, -37, 1, 36, 37], ids=lambda c: f"{c:+d}_bytes")
+def test_a_record_block_cut_short_or_overlong_fails_the_whole_frame(cut):
+    records = [_record(), _record()]
+    block = b"".join(records)
+    block = block[:cut] if cut < 0 else block + bytes(range(cut))
+    frame = _framed(_bundle_body({**_BUNDLE_HEADER, "devices": ["a_a000", "a_a001"]}, block))
+    with pytest.raises(MalformedFrameError, match=re.escape(
+            f"bad candidate_bundle payload: record block of {len(block)} bytes, not 2 records of 37")):
+        decode(frame)
+
+
+@pytest.mark.parametrize(
+    "devices, records", [(["a_a000"], 2), (["a_a000", "a_a001"], 1), ([], 1)],
+    ids=["fewer_ids", "fewer_records", "no_ids"],
+)
+def test_a_device_list_that_does_not_match_the_records_fails_the_whole_frame(devices, records):
+    with pytest.raises(MalformedFrameError, match="record block of"):
+        decode(_bundle_frame([_record()] * records, devices=devices))
+
+
+@pytest.mark.parametrize("body, error", [
+    (b"\x04\x04", "bundle body has no header length"),
+    (b"\x04\x04\x05\x00\x00", "bundle body has no header length"),
+    (b"\x04\x04\x05\x00\x00\x00{}", "bundle header of 5 bytes overruns the frame body"),
+    (b"\x04\x04\x02\x00\x00\x00[]", "bundle header must be an object"),
+    (b"\x04\x04\x02\x00\x00\x00{]", "bad bundle header"),
+    (b"\x04\x04\x02\x00\x00\x00\xff\xfe", "bad bundle header"),
+])
+def test_a_bundle_header_cut_short_or_unparsable_is_malformed(body, error):
+    with pytest.raises(MalformedFrameError, match=re.escape(error)):
+        decode(_framed(body))
+
+
+def test_a_bundle_header_missing_a_field_is_malformed():
+    for field in ["devices", "generated_at", "msg_id", "sender", "sent_at", "task_id", "task_type"]:
+        header = {**_BUNDLE_HEADER, "devices": ["a_a000"]}
+        del header[field]
+        with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: '{field}'")):
+            decode(_framed(_bundle_body(header, _record())))
 
 
 _STATE_LABELS = [s.value for s in TrustState]
@@ -364,20 +516,13 @@ def _row(**columns) -> list:
     return list(row.values())
 
 
-def test_a_valid_row_decodes_to_its_semantics():
-    bundle = decode(_frame_of(_bundle_doc([_ROW, _row(window_from=None, window_to=None)]))).payload
-    assert bundle.devices() == ["a_k", "a_l"]
-    assert bundle.candidates[0] == _sample_bundle().candidates[0]
-    assert bundle.candidates[1].semantics.window is None  # two nulls are no window
-
-
 _ARITY = "a semantics row must be a list of 11 values"
 
 
-# Each bad row with the refusal that names it. A whole-column check could
-# let through a value that is in range for one column's type but not the
-# field's: a timestamp past 64 bits, a bool where an int belongs, an id or
-# label of the wrong type.
+# Each bad semantics row, as a snapshot leaf may hold it, with the refusal
+# that names it. A whole-column check could let through a value that is in
+# range for one column's type but not the field's: a timestamp or count past
+# 64 bits, a bool where an int belongs, an id or label of the wrong type.
 _MALFORMED_ROWS = [
     pytest.param(_ROW[:-1], _ARITY, id="short"),
     pytest.param(_ROW + [0], _ARITY, id="long"),
@@ -393,12 +538,12 @@ _MALFORMED_ROWS = [
     pytest.param(_row(record_count=True), "record_count must be an integer", id="bool_count"),
     pytest.param(_row(record_count=8.0), "record_count must be an integer", id="float_count"),
     pytest.param(_row(record_count=-1), "record_count must be >= 0", id="negative_count"),
+    pytest.param(_row(record_count=2**63), "record_count must fit in 64 bits", id="count_past_int64"),
     pytest.param(_row(window_from=9000, window_to=1000), "window.from must be <= window.to",
                  id="reversed_window"),
     pytest.param(_row(extracted_at=8000.5), "extracted_at must be an integer", id="float_extracted_at"),
     pytest.param(_row(device=""), "device must be a nonempty string", id="empty_device"),
     pytest.param(_row(task_type=5), "task_type must be a nonempty string", id="int_task_type"),
-    pytest.param(_row(state="untrusted"), "non-trusted candidate a_l", id="untrusted"),
     pytest.param(_row(state="insufficient_data", throughput="increasing"),
                  "insufficient_data semantics must carry only normal trends",
                  id="insufficient_data_with_a_trend"),
@@ -412,23 +557,17 @@ _MALFORMED_ROWS = [
 ]
 
 
+@pytest.mark.parametrize("n", [2, 400])
 @pytest.mark.parametrize("row, error", _MALFORMED_ROWS)
-def test_a_malformed_row_fails_the_whole_frame(row, error):
-    frame = _frame_of(_bundle_doc([_ROW, row]))  # a valid row first: no partial bundle
-    with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {error}")):
-        decode(frame)
-
-
-@pytest.mark.parametrize("row, error", _MALFORMED_ROWS)
-def test_a_malformed_row_last_in_a_wide_bundle_fails_the_whole_frame(row, error):
-    """One bad row after 399 good ones is refused as it is alone, not lost among the columns."""
-    rows = [_row(device=f"a_a{i:03d}") for i in range(398)] + [_ROW, row]
-    with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {error}")):
-        decode(_frame_of(_bundle_doc(rows)))
+def test_the_row_decoder_refuses_a_malformed_row_among_good_ones(row, error, n):
+    """One bad row after good ones is refused as it is alone, not lost among the columns."""
+    rows = [_row(device=f"a_a{i:03d}") for i in range(n - 2)] + [_ROW, row]
+    with pytest.raises(ValidationError, match=re.escape(error)):
+        codec.semantics_from_rows(rows)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
-# Any JSON value a peer could put in a cell, near the edges of each column's range.
+# Any JSON value a snapshot could put in a cell, near the edges of each column's range.
 _CELLS = (st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.floats(allow_nan=False)
           | st.sampled_from([*_STATE_LABELS, *_TREND_LABELS, "", 2**63, -(2**63) - 1, -1, 0])
           | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
@@ -478,26 +617,25 @@ def test_decoding_rows_a_column_at_a_time_equals_decoding_each_row(rows):
             assert type(getattr(got, name)) is type(getattr(want, name))
             assert getattr(got, name) == getattr(want, name)
         assert got == want and hash(got) == hash(want)
-        assert codec.semantics_row_json(got) == codec.canonical_json_bytes(row)
+        assert codec.semantics_to_row(got) == row
 
 
 @pytest.mark.parametrize("devices", [["a_k", "a_k"], ["a_l", "a_k"]], ids=["twice", "descending"])
 def test_a_bundle_frame_listing_devices_out_of_order_is_malformed(devices):
-    frame = _frame_of(_bundle_doc([_row(device=d) for d in devices]))
+    frame = _bundle_frame([_record(), _record()], devices=devices)
     with pytest.raises(MalformedFrameError, match="ordered by device id"):
         decode(frame)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("sender", 7), ("msg_id", 5), ("sent_at", "13"), ("sent_at", True), ("task_id", ["c2"]),
-     ("generated_at", "50000")],
+    [("sender", 7), ("msg_id", 5), ("sent_at", "13"), ("sent_at", True), ("sent_at", 2**63),
+     ("task_id", ["c2"]), ("generated_at", "50000"), ("generated_at", -(2**63) - 1), ("devices", "a_a000"),
+     ("devices", {"a_a000": 1})],
 )
 def test_a_header_field_of_the_wrong_type_is_malformed(field, value):
-    doc = _bundle_doc([_ROW])
-    (doc["payload"] if field in doc["payload"] else doc)[field] = value
     with pytest.raises(MalformedFrameError, match=field):
-        decode(_frame_of(doc))
+        decode(_bundle_frame([_record()], **{field: value}))
 
 
 @pytest.mark.parametrize("field, value", [("sender", 7), ("msg_id", ""), ("sent_at", 1.5)])
@@ -585,18 +723,34 @@ def test_a_huge_or_unparsable_header_value_is_malformed():
         decode(len(nested).to_bytes(4, "big") + nested)
 
 
-def test_a_v2_peer_gets_version_mismatch(server):
-    msg = _messages()[3]
-    v2_doc = _bundle_doc([_semantics_doc(c.semantics) for c in msg.payload.candidates])
-    with pytest.raises(VersionMismatchError, match="schema version 2, supported 3"):
-        decode(_frame_of(v2_doc, version=2))
-    request = bytearray(encode(_messages()[2]))
-    request[4] = 2
+def _v3_frame(msg: Message) -> bytes:
+    """``msg`` as a protocol v3 peer framed it: version 3, then one JSON document with its kind.
+
+    A bundle's candidates were positional semantics rows.
+    """
+    payload = codec.to_jsonable(msg.payload)
+    if msg.kind is MessageKind.CANDIDATE_BUNDLE:
+        payload = {"candidates": [codec.semantics_to_row(c.semantics) for c in msg.payload.candidates],
+                   "generated_at": msg.payload.generated_at, "task_id": msg.payload.task_id}
+    doc = {"kind": msg.kind.value, "msg_id": msg.msg_id, "payload": payload, "sender": msg.sender,
+           "sent_at": msg.sent_at}
+    return _framed(bytes([3]) + _canonical(doc))
+
+
+@pytest.mark.parametrize("msg", _messages(), ids=lambda m: m.kind.value)
+def test_a_v3_frame_gets_version_mismatch(msg):
+    with pytest.raises(VersionMismatchError, match="schema version 3, supported 4"):
+        decode(_v3_frame(msg))
+
+
+def test_a_v3_peer_gets_version_mismatch_over_tcp(server):
     with socket.create_connection(server.address) as sock:
-        sock.sendall(bytes(request))
+        sock.sendall(_v3_frame(_messages()[2]))
         reply = read_frame(sock)
-    assert reply.kind is MessageKind.ERROR
-    assert reply.payload.code == "version_mismatch"
+        assert reply.kind is MessageKind.ERROR
+        assert reply.payload.code == "version_mismatch"
+        assert reply.payload.detail == "schema version 3, supported 4"
+        assert read_frame(sock) is None  # a framing error ends the connection
 
 
 def test_unhashable_semantics_label_is_a_validation_error():
@@ -615,17 +769,26 @@ def test_encode_refuses_a_body_over_the_cap(monkeypatch):
 
 
 def test_semantics_made_by_replace_encode_their_own_fields():
-    """A replace that changes one trend encodes its own row, not the cached one."""
+    """A replace that changes one trend packs its own record, not the cached one."""
+
+    def frame_of(ts: TrustSemantics) -> bytes:
+        bundle = CandidateBundle("c2", matched_candidates([ts]), 0)
+        return encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
+
     leaf = _sample_bundle().candidates[0].semantics
-    original = codec.semantics_row_json(leaf)
-    assert codec.semantics_row_json(leaf) is original  # filled once, then served from the instance
-    for metric in COMM_METRICS + COMP_METRICS:
+    frame = frame_of(leaf)
+    original = leaf.__dict__["_record"]
+    assert frame.endswith(original) and original == _record_bytes(leaf)
+    assert frame_of(leaf) == frame
+    assert leaf.__dict__["_record"] is original  # filled once, then served from the instance
+    for i, metric in enumerate(COMM_METRICS + COMP_METRICS):
         assert getattr(leaf, metric) is not Trend.DECREASING
         changed = dataclasses.replace(leaf, **{metric: Trend.DECREASING})
-        row = codec.semantics_row_json(changed)
-        assert row == codec.canonical_json_bytes(_reference_row(changed)) != original
-        assert json.loads(row)[codec.SEMANTICS_COLUMNS.index(metric)] == "decreasing"
-    assert codec.semantics_row_json(leaf) is original
+        assert "_record" not in changed.__dict__
+        assert frame_of(changed).endswith(_record_bytes(changed))
+        assert changed.__dict__["_record"] == _record_bytes(changed) != original
+        assert changed.__dict__["_record"][i] == _TREND_CODES["decreasing"]
+    assert leaf.__dict__["_record"] is original
 
 
 def test_two_threads_encoding_one_cold_bundle_get_identical_frames():
@@ -654,17 +817,30 @@ def test_two_threads_encoding_one_cold_bundle_get_identical_frames():
 
 def test_decoder_accepts_a_non_canonical_document():
     doc = {"sent_at": 5, "sender": "server", "payload": {"detail": "ok"}, "msg_id": "m1", "kind": "ack"}
-    body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, indent=2).encode("utf-8")
+    body = bytes([PROTOCOL_VERSION, _KIND_BYTES["ack"]]) + json.dumps(doc, indent=2).encode("utf-8")
     msg = decode(len(body).to_bytes(4, "big") + body)
     assert msg == Message(MessageKind.ACK, "server", Ack(detail="ok"), "m1", 5)
     assert encode(msg) != len(body).to_bytes(4, "big") + body  # re-encoding is canonical
 
 
-def test_unknown_kind_is_distinguished_from_malformed():
-    frame = encode(_messages()[4])
-    tampered = frame.replace(b'"kind":"ack"', b'"kind":"abc"')  # same length, frame stays valid
-    with pytest.raises(UnknownKindError):
-        decode(tampered)
+@pytest.mark.parametrize("kind_byte", [0, 7, 255])
+def test_unknown_kind_is_distinguished_from_malformed(kind_byte):
+    frame = bytearray(encode(_messages()[4]))
+    frame[5] = kind_byte  # same length, frame stays valid
+    with pytest.raises(UnknownKindError, match=f"unknown message kind byte {kind_byte}$"):
+        decode(bytes(frame))
+
+
+def test_an_unknown_kind_byte_gets_unknown_kind_over_tcp(server):
+    frame = bytearray(encode(_messages()[2]))
+    frame[5] = 7
+    with socket.create_connection(server.address) as sock:
+        sock.sendall(bytes(frame))
+        reply = read_frame(sock)
+        assert reply.kind is MessageKind.ERROR
+        assert reply.payload.code == "unknown_kind"
+        assert reply.payload.detail == "unknown message kind byte 7"
+        assert read_frame(sock) is None
 
 
 def test_truncation_trailing_and_cap_are_malformed():
@@ -677,6 +853,10 @@ def test_truncation_trailing_and_cap_are_malformed():
         decode(frame + b"x")  # trailing bytes
     with pytest.raises(MalformedFrameError):
         decode((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"\x01{}")
+    with pytest.raises(MalformedFrameError, match="empty frame body"):
+        decode(_framed(b""))
+    with pytest.raises(MalformedFrameError, match="frame body has no kind byte"):
+        decode(_framed(bytes([PROTOCOL_VERSION])))
 
 
 @given(st.binary(max_size=200))
@@ -696,6 +876,19 @@ def test_decode_never_crashes_on_corrupted_frames(data):
         decode(bytes(frame))
     except ProtocolError:
         pass
+
+
+@given(st.data())
+def test_decode_never_crashes_on_corrupted_bundle_frames(data):
+    frame = bytearray(encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", _wide_bundle(3), "m1", 0)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        index = data.draw(st.integers(0, len(frame) - 1))
+        frame[index] = data.draw(st.integers(0, 255))
+    try:
+        decode(bytes(frame))
+    except ProtocolError:
+        pass
+
 
 
 @pytest.fixture()
@@ -787,7 +980,7 @@ def test_tcp_reply_over_the_cap_gets_error_and_connection_stays_usable(server, m
             client.call(MessageKind.RESOURCE_REPORT, make_profile(device=device, updated_at=70_000))
             for rec in make_records(8, collaborator=device):
                 client.call(MessageKind.PERFORMANCE_RECORD, rec)
-        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 500)  # the bundle body is 598 bytes
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 300)  # the bundle body is 354 bytes
         reply = client.call(MessageKind.TASK_REQUEST, make_task())
         assert reply.kind is MessageKind.ERROR
         assert reply.payload.code == "protocol"
@@ -821,13 +1014,6 @@ def test_tcp_bundle_after_a_re_extraction_carries_the_new_semantics(server):
     assert after["a_l"] == before["a_l"]
 
 
-def _raw_request(kind: str, msg_id: str = "x-1") -> bytes:
-    """A frame whose document is raw UTF-8, as a peer may send it."""
-    doc = {"kind": kind, "msg_id": msg_id, "payload": {}, "sender": "a_i", "sent_at": 0}
-    body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
-    return len(body).to_bytes(4, "big") + body
-
-
 @pytest.fixture()
 def quiet_failures(server, monkeypatch):
     """Exceptions that escape a connection handler, however they surface."""
@@ -840,26 +1026,23 @@ def quiet_failures(server, monkeypatch):
 _SMALL_CAP = 4_096
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["k" * (_SMALL_CAP - 100), "\u00e9" * 1_000, "\U0001f600" * 500],
-    ids=["ascii", "two_byte", "astral"],
-)
-def test_tcp_error_reply_echoing_a_long_kind_fits_the_cap(server, monkeypatch, quiet_failures, kind):
+@pytest.mark.parametrize("verdict", ["\u00e9" * 1_000, "\U0001f600" * 500], ids=["two_byte", "astral"])
+def test_tcp_error_reply_echoing_a_long_value_fits_the_cap(server, monkeypatch, quiet_failures, verdict):
+    """A refused verdict is echoed in the detail; escaped, the echo would not fit the cap."""
     monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", _SMALL_CAP)
-    request = _raw_request(kind)
-    assert len(request) - 4 <= _SMALL_CAP
-    unbounded = Message(
-        MessageKind.ERROR, "server", ErrorInfo("unknown_kind", f"unknown message kind {kind!r}"), "unknown", 0
-    )
+    doc = _request_doc("performance_record", {**codec.to_jsonable(make_record()), "verdict": verdict})
+    body = bytes([PROTOCOL_VERSION, _KIND_BYTES[doc.pop("kind")]]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    assert len(body) <= _SMALL_CAP
+    detail = f"bad performance_record payload: verdict must be 'satisfied' or 'unsatisfied', got {verdict!r}"
+    unbounded = Message(MessageKind.ERROR, "server", ErrorInfo("malformed", detail), "unknown", 0)
     assert len(_reference_frame(unbounded)) - 4 > _SMALL_CAP  # the reply would not fit unbounded
     host, port = server.address
     with socket.create_connection((host, port)) as sock:
-        sock.sendall(request)
+        sock.sendall(_framed(body))
         reply = read_frame(sock)
         assert reply.kind is MessageKind.ERROR
-        assert reply.payload.code == "unknown_kind"
-        assert reply.payload.detail.startswith("unknown message kind ")
+        assert reply.payload.code == "malformed"
+        assert reply.payload.detail.startswith("bad performance_record payload: verdict must be ")
         assert reply.payload.detail.endswith("...")
         assert read_frame(sock) is None  # a framing error still ends the connection
     with DeviceClient(host, port, "a_k") as client:
@@ -874,7 +1057,7 @@ def test_tcp_msg_id_too_long_to_echo_closes_quietly(server, monkeypatch, quiet_f
         "kind": "resource_report", "msg_id": msg_id, "sender": "a_k", "sent_at": 0,
         "payload": codec.to_jsonable(make_profile()),
     }
-    body = bytes([PROTOCOL_VERSION]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    body = bytes([PROTOCOL_VERSION, _KIND_BYTES[doc.pop("kind")]]) + json.dumps(doc, ensure_ascii=False).encode("utf-8")
     assert len(body) <= _SMALL_CAP
     host, port = server.address
     with socket.create_connection((host, port)) as sock:
