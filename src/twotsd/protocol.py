@@ -35,13 +35,13 @@ A trend code is the trend's position in ``Trend`` (increasing 0, decreasing
 1, normal 2). Without a window the flag is 0 and both bounds are 0. A bundle
 holds only matched, trusted devices, in strictly ascending device order, so
 the wire has no state column; the per-stage chain results stay on the
-server. Each leaf's record is packed once per extraction and kept on the
-immutable ``TrustSemantics`` (re-extraction replaces the instance), so a
-request joins cached records. The decoder checks the record block a column
-at a time: its length, codes below the table size, flags, empty and ordered
-windows, counts, and nonempty string ids; the bundle then checks their
-order. A bad value fails the whole frame as malformed, naming its field and
-the first candidate that carries it.
+server. Each leaf's id as a JSON string and its record are made once per
+extraction and kept on the immutable ``TrustSemantics`` (re-extraction
+replaces the instance), so a request joins cached bytes. The decoder checks
+the record block a column at a time: its length, codes below the table size,
+flags, empty and ordered windows, counts, and nonempty string ids; the
+bundle then checks their order. A bad value fails the whole frame as
+malformed, naming its field and the first candidate that carries it.
 
 Corrupt input raises malformed, never yields a partial message. A body longer
 than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import compress, count, repeat
-from operator import attrgetter, ge, gt, not_
+from operator import attrgetter, ge, gt, itemgetter, not_
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from . import codec
@@ -95,7 +95,7 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .teacher import _DEVICE, _SEMANTICS, _TRUSTED, CandidateBundle, TeacherAgent, matched_candidates
+from .teacher import _TRUSTED, CandidateBundle, TeacherAgent, matched_candidates
 
 PROTOCOL_VERSION = 4
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -110,7 +110,10 @@ _INT64_FIELDS = re.compile(rb"(?s).{5}(.{32})")  # a record's int64 fields: the 
 _TREND_OF_CODE = dict(enumerate(Trend))
 _TREND_CODE = {trend: code for code, trend in _TREND_OF_CODE.items()}
 _BIG_ENDIAN = sys.byteorder == "big"
-_TASK_TYPE = attrgetter("task_type")
+# A bundle candidate's semantics fields and cached wire bytes, read per request.
+_LEAF_ATTRS = attrgetter("semantics.__dict__")
+_LEAF_TASK_TYPE = itemgetter("task_type")
+_ID_JSON, _PACKED_RECORD = itemgetter(0), itemgetter(1)  # the two halves of a cached wire
 
 
 class MessageKind(Enum):
@@ -191,41 +194,56 @@ _FROM_DOCUMENT: dict[MessageKind, Callable[[Any], Any]] = {
 }
 
 
-def _pack_record(ts: TrustSemantics) -> bytes:
-    """``ts``'s bundle record, kept on the instance for every later bundle that lists it.
+def _pack_wire(ts: TrustSemantics) -> tuple[bytes, bytes]:
+    """``ts``'s id as a JSON string and its bundle record, kept on the instance for every later bundle.
 
-    The bytes are kept in the instance ``__dict__`` under ``_record``, as
-    ``functools.cached_property`` does. No field of a ``TrustSemantics`` can
-    change and a re-extraction makes a new instance (``SemanticsTree.upsert``
-    replaces the leaf), so the cached bytes cannot go stale; two threads
-    filling the same instance at once store equal bytes.
+    The pair is kept in the instance ``__dict__`` under ``_wire``, as
+    ``functools.cached_property`` does: one key, because a twelfth key would
+    unshare the instance dict's keys and grow every cached leaf about
+    fivefold. No field of a ``TrustSemantics`` can change and a
+    re-extraction makes a new instance (``SemanticsTree.upsert`` replaces the
+    leaf), so the cached bytes cannot go stale; two threads filling the same
+    instance at once store equal bytes.
     """
     lo, hi = ts.window or (0, 0)
-    packed = ts.__dict__["_record"] = _RECORD.pack(
-        _TREND_CODE[ts.throughput], _TREND_CODE[ts.loss_rate], _TREND_CODE[ts.accuracy],
-        _TREND_CODE[ts.proc_speed], ts.window is not None, lo, hi, ts.extracted_at, ts.record_count,
+    wire = ts.__dict__["_wire"] = (
+        codec.canonical_json_bytes(ts.device),
+        _RECORD.pack(
+            _TREND_CODE[ts.throughput], _TREND_CODE[ts.loss_rate], _TREND_CODE[ts.accuracy],
+            _TREND_CODE[ts.proc_speed], ts.window is not None, lo, hi, ts.extracted_at, ts.record_count,
+        ),
     )
-    return packed
+    return wire
 
 
 def _bundle_rest(msg: Message) -> bytes:
-    """The bundle body after its kind byte: the JSON header, then each candidate's record."""
+    """The bundle body after its kind byte: the JSON header, then each candidate's record.
+
+    ``devices`` sorts first among the header's keys, so the header is the
+    leaves' cached id strings joined as a JSON list, then the canonical JSON
+    of the other keys.
+    """
     bundle = msg.payload
-    leaves = [*map(_SEMANTICS, bundle.candidates)]
-    task_types = {*map(_TASK_TYPE, leaves)}
-    if len(task_types) > 1:
-        raise ProtocolError(f"bundle candidates of {len(task_types)} task types; a bundle frame carries one")
-    header = codec.canonical_json_bytes({
-        "devices": [*map(_DEVICE, leaves)],
+    attrs = [*map(_LEAF_ATTRS, bundle.candidates)]
+    wires = [*map(dict.get, attrs, repeat("_wire"))]
+    if not all(wires):  # leaves in their first bundle
+        for i in compress(count(), map(not_, wires)):
+            wires[i] = _pack_wire(bundle.candidates[i].semantics)
+    task_types = [*map(_LEAF_TASK_TYPE, attrs)]
+    task_type = task_types[0] if task_types else None
+    if task_types.count(task_type) != len(task_types):
+        raise ProtocolError(
+            f"bundle candidates of {len({*task_types})} task types; a bundle frame carries one")
+    rest = codec.canonical_json_bytes({
         "generated_at": bundle.generated_at,
         "msg_id": msg.msg_id,
         "sender": msg.sender,
         "sent_at": msg.sent_at,
         "task_id": bundle.task_id,
-        "task_type": task_types.pop() if task_types else None,
+        "task_type": task_type,
     })
-    records = [ts.__dict__.get("_record") or _pack_record(ts) for ts in leaves]
-    return b"".join([_HEADER_LEN.pack(len(header)), header, *records])
+    header = b"".join([b'{"devices":[', b",".join(map(_ID_JSON, wires)), b"],", rest[1:]])
+    return b"".join([_HEADER_LEN.pack(len(header)), header, *map(_PACKED_RECORD, wires)])
 
 
 def encode(msg: Message) -> bytes:

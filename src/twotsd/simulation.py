@@ -34,7 +34,12 @@ the warmup tail happened to look like.
 Randomness is replayable: every draw is a pure function of (seed, stream
 labels, per-device record index), so both worlds observe identical record
 sequences for a device until their selection histories diverge, and the
-whole run is reproducible from the config alone.
+whole run is reproducible from the config alone. A draw is ``stable_u01`` of
+its labels, taken from a sha256 of the label prefix (seed, stream, device,
+task type) that is built once per run and copied for each index. Within a
+task, a record is made once for both worlds: the second world to feed the
+same (device, task type, index, owner, at) receives the first one's
+immutable record. The worlds still share no mutable state.
 
 Costs are charged from an analytic latency model rather than wall time:
 
@@ -292,6 +297,35 @@ def synthesize_truths(cfg: ScenarioConfig) -> tuple[DeviceTruth, ...]:
     return tuple(truths)
 
 
+# The streams of a record's five draws, in the order ``synth_record`` takes them.
+_STREAMS = ("sat", "loss", "thr", "proc", "acc")
+
+
+def _draws(prefixes: dict, seed: object, device: object, task_type: object, index: int) -> list[float]:
+    """``stable_u01(seed, stream, device, task_type, index)`` for each of ``_STREAMS``.
+
+    Each stream's label prefix ``seed, stream, device, task_type`` is hashed
+    once, into ``prefixes``; a draw copies that sha256 and feeds it the
+    index. ``prefixes`` is keyed by the labels' text, never their values:
+    seeds ``1``, ``1.0`` and ``True`` compare equal but label different draws.
+    """
+    key = (str(seed), str(device), str(task_type))
+    hashes = prefixes.get(key)
+    if hashes is None:
+        seed_text, device_text, task_type_text = key
+        hashes = prefixes[key] = [
+            hashlib.sha256(f"{seed_text}\x1f{stream}\x1f{device_text}\x1f{task_type_text}\x1f".encode("utf-8"))
+            for stream in _STREAMS
+        ]
+    index_text = str(index).encode("utf-8")
+    out = []
+    for prefix in hashes:
+        digest = prefix.copy()
+        digest.update(index_text)
+        out.append(int.from_bytes(digest.digest()[:8], "big") / 2**64)
+    return out
+
+
 def synth_record(
     cfg: ScenarioConfig,
     truth: DeviceTruth,
@@ -299,25 +333,28 @@ def synth_record(
     task_type: TaskType,
     at: TimestampMs,
     index: int,
+    *,
+    prefixes: dict | None = None,
 ) -> PerformanceRecord:
     """The index-th collaboration outcome of this device for this task type.
 
     Pure in (cfg.seed, device, task_type, index): the same index yields the
     same record in either world, which is what makes the two methods a
-    paired comparison.
+    paired comparison. Its five draws come from ``_draws``, which keeps the
+    label-prefix hashes in ``prefixes``: pass one dict for a whole run.
     """
     device = truth.device
-    satisfied = stable_u01(cfg.seed, "sat", device, task_type, index) < truth.reliability
+    sat, loss_u, thr_u, proc_u, acc_u = _draws(
+        {} if prefixes is None else prefixes, cfg.seed, device, task_type, index
+    )
+    # Each uniform is stable_uniform's lo + (hi - lo) * u, the same float operations.
+    satisfied = sat < truth.reliability
     base_loss = cfg.drifter_base_loss if truth.drifts else cfg.base_loss
     drift = cfg.drift_loss_per_record * index if truth.drifts else 0.0
-    loss = base_loss + drift + stable_uniform(
-        -0.002, 0.002, cfg.seed, "loss", device, task_type, index
-    )
-    throughput = truth.profile.bandwidth_mbps * stable_uniform(
-        0.9, 1.1, cfg.seed, "thr", device, task_type, index
-    )
-    proc_speed = 2.0 * stable_uniform(0.9, 1.1, cfg.seed, "proc", device, task_type, index)
-    accuracy = stable_uniform(0.97, 0.99, cfg.seed, "acc", device, task_type, index)
+    loss = base_loss + drift + (-0.002 + (0.002 - -0.002) * loss_u)
+    throughput = truth.profile.bandwidth_mbps * (0.9 + (1.1 - 0.9) * thr_u)
+    proc_speed = 2.0 * (0.9 + (1.1 - 0.9) * proc_u)
+    accuracy = 0.97 + (0.99 - 0.97) * acc_u
     if not satisfied:
         # Mild degradation: strong enough to justify the verdict, weak enough
         # that a handful of failures does not read as a metric trend.
@@ -342,6 +379,7 @@ def synthesize_warmup(
     cfg: ScenarioConfig, truths: Sequence[DeviceTruth]
 ) -> list[PerformanceRecord]:
     """Pre-task history, identical for both worlds, record index 0..warmup-1."""
+    prefixes: dict = {}
     records = []
     n = len(truths)
     for i in range(cfg.warmup_records):
@@ -349,7 +387,7 @@ def synthesize_warmup(
         for j, truth in enumerate(truths):
             owner = truths[(j + 1) % n].device
             for tt in cfg.task_types:
-                records.append(synth_record(cfg, truth, owner, tt, at, i))
+                records.append(synth_record(cfg, truth, owner, tt, at, i, prefixes=prefixes))
     return records
 
 
@@ -485,8 +523,13 @@ class DirectPollingBaseline:
 def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
     """Run the task stream through both worlds and score each pick against ground truth.
 
-    Each world takes the whole warm-up in one ``ingest`` call; every later
-    record, ambient or from a selection, is fed to it on its own.
+    Each world takes the whole warm-up in one ``ingest`` call and each
+    ambient round in another; a selection's record is fed to it on its own.
+    Records are made once per task for both worlds: a memo maps each
+    (device, task type, index, owner, at) fed during the task to its record,
+    so the second world to feed a key gets the first one's immutable record,
+    and an index where the worlds' histories have diverged simply misses.
+    The memo is dropped when the task ends.
     """
     truths = synthesize_truths(cfg)
     truths_by_id = {t.device: t for t in truths}
@@ -496,27 +539,40 @@ def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
     worlds = (served, DirectPollingBaseline(cfg, truths))
     for world in worlds:
         world.ingest(warmup)
+    prefixes: dict = {}  # the run's label-prefix hashes, for synth_record
+    ambient_pairs = [
+        (truth, truths[(j + 1) % len(truths)].device, tt)
+        for j, truth in enumerate(truths)
+        for tt in cfg.task_types
+    ]
 
-    def feed(
-        world: ServedWorld | DirectPollingBaseline,
+    def next_record(
+        made: dict, world: ServedWorld | DirectPollingBaseline,
         truth: DeviceTruth, owner: DeviceId, tt: TaskType, at: TimestampMs,
-    ) -> None:
-        """Push the device's next collaboration outcome into one world."""
+    ) -> PerformanceRecord:
+        """The device's next collaboration outcome in this world, from ``made`` if the other world made it."""
         index = world.history.count_for(truth.device, tt)
-        world.ingest((synth_record(cfg, truth, owner, tt, at, index),))
+        key = (truth.device, tt, index, owner, at)
+        record = made.get(key)
+        if record is None:
+            record = made[key] = synth_record(cfg, truth, owner, tt, at, index, prefixes=prefixes)
+        return record
 
     rows: list[TaskRow] = []
     for k, task in enumerate(tasks):
         now = _task_at(cfg, k)
         ambient = cfg.ambient_every_n_tasks and k % cfg.ambient_every_n_tasks == 0
+        made: dict = {}
         for world in worlds:
             if ambient:
                 # Background collaborations, pushed to the teacher as they
                 # happen and sitting in device logs until the baseline polls.
-                for j, truth in enumerate(truths):
-                    owner = truths[(j + 1) % len(truths)].device
-                    for tt in cfg.task_types:
-                        feed(world, truth, owner, tt, now - 100)
+                # Each pair appears once, so every index is read before any
+                # of the round's records lands.
+                world.ingest([
+                    next_record(made, world, truth, owner, tt, now - 100)
+                    for truth, owner, tt in ambient_pairs
+                ])
             selected, eval_time, polled, bundle_size = world.select(task, now)
             correct = accuracy_of(
                 selected, task, truths_by_id, cfg.state.trust_threshold, cfg.match, now
@@ -528,8 +584,8 @@ def run_scenario(cfg: ScenarioConfig, engine=None) -> RunResult:
                 bundle_size=bundle_size,
             ))
             if selected is not None:
-                feed(world, truths_by_id[selected], task.owner, task.task_type,
-                     now + _TICK_MS // 2)
+                world.ingest((next_record(made, world, truths_by_id[selected], task.owner,
+                                          task.task_type, now + _TICK_MS // 2),))
 
     summaries = {
         w.method: MethodSummary.from_rows(w.method, [r for r in rows if r.method == w.method])

@@ -296,7 +296,7 @@ def test_all_trends_lists_the_trend_fields_in_row_order():
 def test_semantics_is_hashable_and_equal_values_hash_equal():
     ts = _semantics()
     again = codec.semantics_from_row(codec.semantics_to_row(ts))
-    protocol._pack_record(ts)  # the cached wire record takes no part in equality
+    protocol._pack_wire(ts)  # the cached wire bytes take no part in equality
     assert again == ts and hash(again) == hash(ts)
     assert len({ts, again, _semantics(window=None)}) == 2
     assert _semantics(accuracy=Trend.DECREASING) != ts
@@ -304,7 +304,7 @@ def test_semantics_is_hashable_and_equal_values_hash_equal():
 
 def test_no_semantics_field_can_be_assigned():
     ts = _semantics()
-    record = protocol._pack_record(ts)
+    wire = protocol._pack_wire(ts)
     for field in dataclasses.fields(TrustSemantics):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ts, field.name, Trend.DECREASING)
@@ -312,7 +312,7 @@ def test_no_semantics_field_can_be_assigned():
             delattr(ts, field.name)
     ts.all_trends()["throughput"] = Trend.DECREASING  # a copy, not a view
     assert ts == _semantics() and ts.throughput is Trend.NORMAL
-    assert protocol._pack_record(ts) == record == protocol._pack_record(_semantics())
+    assert protocol._pack_wire(ts) == wire == protocol._pack_wire(_semantics())
 
 
 _HUGE = 10**400  # an int no float can hold

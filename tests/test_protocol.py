@@ -777,18 +777,26 @@ def test_semantics_made_by_replace_encode_their_own_fields():
 
     leaf = _sample_bundle().candidates[0].semantics
     frame = frame_of(leaf)
-    original = leaf.__dict__["_record"]
-    assert frame.endswith(original) and original == _record_bytes(leaf)
+    original = leaf.__dict__["_wire"]
+    assert original == (_canonical(leaf.device), _record_bytes(leaf)) and frame.endswith(original[1])
     assert frame_of(leaf) == frame
-    assert leaf.__dict__["_record"] is original  # filled once, then served from the instance
+    assert leaf.__dict__["_wire"] is original  # filled once, then served from the instance
     for i, metric in enumerate(COMM_METRICS + COMP_METRICS):
         assert getattr(leaf, metric) is not Trend.DECREASING
         changed = dataclasses.replace(leaf, **{metric: Trend.DECREASING})
-        assert "_record" not in changed.__dict__
+        assert "_wire" not in changed.__dict__
         assert frame_of(changed).endswith(_record_bytes(changed))
-        assert changed.__dict__["_record"] == _record_bytes(changed) != original
-        assert changed.__dict__["_record"][i] == _TREND_CODES["decreasing"]
-    assert leaf.__dict__["_record"] is original
+        assert changed.__dict__["_wire"][1] == _record_bytes(changed) != original[1]
+        assert changed.__dict__["_wire"][1][i] == _TREND_CODES["decreasing"]
+    assert leaf.__dict__["_wire"] is original
+
+
+def test_caching_a_leaf_wire_bytes_keeps_its_dict_keys_shared():
+    """One cached entry per leaf: a second one would unshare the instance dict and grow every leaf."""
+    bundle = _wide_bundle(20)
+    fresh = [sys.getsizeof(c.semantics.__dict__) for c in bundle.candidates]
+    encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
+    assert [sys.getsizeof(c.semantics.__dict__) for c in bundle.candidates] == fresh
 
 
 def test_two_threads_encoding_one_cold_bundle_get_identical_frames():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from twotsd.domain import PerformanceRecord, ResourceProfile, Verdict
 from twotsd.errors import ConfigError
 from twotsd.matching import MatchConfig
+from twotsd import simulation
 from twotsd.semantics import DeterministicEngine
 from twotsd.simulation import (
     BANDWIDTH_MBPS_RANGE,
@@ -26,6 +27,7 @@ from twotsd.simulation import (
     MethodSummary,
     Role,
     ScenarioConfig,
+    _task_at,
     ServedWorld,
     accuracy_of,
     run_scenario,
@@ -61,6 +63,42 @@ def test_stable_uniform_stays_in_bounds(label):
     assert 5.0 <= value < 9.0
 
 
+_STREAMS = ("sat", "loss", "thr", "proc", "acc")
+_EQUAL_SEEDS = (1, 1.0, True)  # equal and hash-equal, but each prints its own label
+
+
+@given(
+    seeds=st.permutations(_EQUAL_SEEDS)
+    | st.lists(st.integers(-(2**70), 2**70) | st.floats(allow_nan=False) | st.text(), min_size=1, max_size=3),
+    device=st.text(max_size=8),
+    task_type=st.sampled_from(sorted(TASK_CLASSES)) | st.text(max_size=8),
+    indexes=st.lists(st.integers(0, 10**12), min_size=1, max_size=4),
+)
+def test_draws_from_cached_prefixes_equal_stable_u01_for_every_stream(seeds, device, task_type, indexes):
+    """One prefix cache across seeds that compare equal but print differently, in any order."""
+    prefixes: dict = {}
+    for seed in seeds:
+        for index in indexes:
+            want = [stable_u01(seed, stream, device, task_type, index) for stream in _STREAMS]
+            assert simulation._draws(prefixes, seed, device, task_type, index) == want
+
+
+def test_records_of_equal_seeds_follow_each_seed_label_with_one_cache():
+    """Seeds 1, 1.0 and True make three different records, whichever is drawn first."""
+    truth = _truth(reliability=0.5)
+    for order in ([1, 1.0, True], [True, 1.0, 1], [1.0, True, 1]):
+        prefixes: dict = {}
+        records = {
+            str(seed): synth_record(ScenarioConfig(seed=seed), truth, "o", "video_transcoding", 0, 3,
+                                    prefixes=prefixes)
+            for seed in order
+        }
+        for seed in order:
+            assert records[str(seed)] == _reference_record(ScenarioConfig(seed=seed), truth, "o",
+                                                           "video_transcoding", 0, 3)
+        assert len({(r.throughput_mbps, r.accuracy) for r in records.values()}) == 3
+
+
 def test_fleet_role_counts_follow_fractions():
     truths = synthesize_truths(ScenarioConfig(device_count=10))
     roles = [t.role for t in truths]
@@ -89,6 +127,47 @@ def _truth(device="d000", role=Role.RELIABLE, reliability=1.0, **profile_over) -
                   bandwidth_mbps=100.0, updated_at=0)
     fields.update(profile_over)
     return DeviceTruth(device, role, ResourceProfile(**fields), reliability)
+
+
+def _reference_record(cfg, truth, owner, task_type, at, index) -> PerformanceRecord:
+    """A record drawn label by label through ``stable_u01`` and ``stable_uniform``."""
+    device = truth.device
+    satisfied = stable_u01(cfg.seed, "sat", device, task_type, index) < truth.reliability
+    base_loss = cfg.drifter_base_loss if truth.drifts else cfg.base_loss
+    drift = cfg.drift_loss_per_record * index if truth.drifts else 0.0
+    loss = base_loss + drift + stable_uniform(-0.002, 0.002, cfg.seed, "loss", device, task_type, index)
+    throughput = truth.profile.bandwidth_mbps * stable_uniform(0.9, 1.1, cfg.seed, "thr", device, task_type, index)
+    proc_speed = 2.0 * stable_uniform(0.9, 1.1, cfg.seed, "proc", device, task_type, index)
+    accuracy = stable_uniform(0.97, 0.99, cfg.seed, "acc", device, task_type, index)
+    if not satisfied:
+        loss += 0.01
+        throughput *= 0.9
+        proc_speed *= 0.9
+        accuracy -= 0.10
+    return PerformanceRecord(
+        owner=owner, collaborator=device, task_type=task_type, at=at, throughput_mbps=throughput,
+        loss_rate=min(max(loss, 0.0), 1.0), proc_speed_mbps=proc_speed,
+        accuracy=min(max(accuracy, 0.0), 1.0),
+        verdict=Verdict.SATISFIED if satisfied else Verdict.UNSATISFIED,
+    )
+
+
+@given(
+    seed=st.integers(0, 2**40),
+    role=st.sampled_from(Role),
+    reliability=st.floats(0.0, 1.0),
+    task_type=st.sampled_from(sorted(TASK_CLASSES)),
+    indexes=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+)
+def test_synth_record_equals_the_record_drawn_label_by_label(seed, role, reliability, task_type, indexes):
+    """Every field, bit for bit, with and without a prefix cache shared across calls."""
+    cfg = ScenarioConfig(seed=seed)
+    truth = _truth(device="d007", role=role, reliability=reliability, bandwidth_mbps=123.456)
+    prefixes: dict = {}
+    for index in indexes:
+        want = _reference_record(cfg, truth, "d001", task_type, 5_000, index)
+        assert synth_record(cfg, truth, "d001", task_type, 5_000, index, prefixes=prefixes) == want
+        assert synth_record(cfg, truth, "d001", task_type, 5_000, index) == want
 
 
 def test_synth_record_metrics_ignore_owner_and_time():
@@ -155,6 +234,54 @@ def test_served_warmup_extracts_once_per_pair():
     world.ingest(synthesize_warmup(SMALL, truths))
     assert engine.calls == SMALL.device_count * len(SMALL.task_types)
     assert len(world.history) == SMALL.warmup_records * engine.calls
+
+
+def test_each_task_synthesizes_a_fed_record_once_for_both_worlds(monkeypatch):
+    """Warm-up records are made once; within a task each fed (device, task type, index, owner, at) is made once."""
+    made, fed = [], {METHOD_2TSD: [], METHOD_BASELINE: []}
+    synth = simulation.synth_record
+
+    def counting_synth(cfg, truth, owner, task_type, at, index, **kwargs):
+        made.append((truth.device, task_type, index, owner, at))
+        return synth(cfg, truth, owner, task_type, at, index, **kwargs)
+
+    def feeding(world_cls):
+        ingest = world_cls.ingest
+
+        def counted(self, records):
+            records = list(records)
+            seen: dict = {}
+            for r in records:  # each record's index: its pair's count, plus earlier ones in this batch
+                pair = (r.collaborator, r.task_type)
+                index = self.history.count_for(*pair) + seen.get(pair, 0)
+                seen[pair] = seen.get(pair, 0) + 1
+                fed[self.method].append((r.collaborator, r.task_type, index, r.owner, r.at))
+            ingest(self, records)
+
+        return counted
+
+    monkeypatch.setattr(simulation, "synth_record", counting_synth)
+    monkeypatch.setattr(ServedWorld, "ingest", feeding(ServedWorld))
+    monkeypatch.setattr(DirectPollingBaseline, "ingest", feeding(DirectPollingBaseline))
+    run_scenario(SMALL)
+    monkeypatch.undo()
+
+    def task_of(key) -> int:  # ambient records land 100 ms before the task, picks 500 ms after
+        return (key[4] + 100) // 1000 - (SMALL.warmup_records + 1)
+
+    warmup_size = SMALL.warmup_records * SMALL.device_count * len(SMALL.task_types)
+    assert SMALL.ambient_every_n_tasks and _task_at(SMALL, 0) - 100 > SMALL.warmup_records * 1000
+    warm = [key for key in made if task_of(key) < 0]
+    assert len(warm) == len(set(warm)) == warmup_size
+    for method in fed:
+        assert fed[method][:warmup_size] == warm
+    later = [key for key in made if task_of(key) >= 0]
+    both = fed[METHOD_2TSD][warmup_size:] + fed[METHOD_BASELINE][warmup_size:]
+    assert len(later) == len(set(later))  # no key made twice, not even in two tasks
+    for k in range(SMALL.task_count):
+        assert {key for key in later if task_of(key) == k} == {key for key in both if task_of(key) == k}
+    assert len(later) < len(both)
+    assert len(made) < 2 * warmup_size + len(both)
 
 
 def test_ingest_and_selection_build_no_record_in_either_world(monkeypatch):
