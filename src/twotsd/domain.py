@@ -48,7 +48,8 @@ DEFAULT_TASK_TYPES: tuple[TaskType, ...] = (
 # Metric names used throughout semantics extraction and the student's decision.
 COMM_METRICS: tuple[str, str] = ("throughput", "loss_rate")
 COMP_METRICS: tuple[str, str] = ("accuracy", "proc_speed")
-# All four, in the order of TrustSemantics's trend fields and of a semantics row.
+# All four, in the order of TrustSemantics's trend fields and of a semantics
+# record's trend codes.
 TREND_METRICS: tuple[str, ...] = COMM_METRICS + COMP_METRICS
 
 BITS_PER_MB = 8_000_000  # 1 MB = 10^6 bytes
@@ -400,7 +401,7 @@ class TrustSemantics:
     """Per (device, task type) trust assessment: overall state plus per-metric trends.
 
     One ``Trend`` field per metric of ``TREND_METRICS``, in the order of a
-    semantics row; every field is immutable, so instances are hashable.
+    semantics record's trend codes; every field is immutable, so instances are hashable.
     ``window`` is the [first, last] record-timestamp span the assessment was
     extracted from, or None when there were no records. When state is
     INSUFFICIENT_DATA every trend is NORMAL: a cold start carries no trend claims.
@@ -472,16 +473,15 @@ class TrustSemantics:
         return {metric: getattr(self, metric) for metric in TREND_METRICS}
 
 
-def _semantics_of_checked_columns(devices, task_types, states, throughputs, loss_rates, accuracies,
-                                  proc_speeds, windows, extracted_ats, record_counts) -> list[TrustSemantics]:
+def _semantics_of_valid_columns(devices, task_types, states, throughputs, loss_rates, accuracies,
+                                proc_speeds, windows, extracted_ats, record_counts) -> list[TrustSemantics]:
     """One ``TrustSemantics`` per position of columns that already hold valid field values.
 
     The caller has checked every column as the constructor checks one value
-    (``codec.semantics_from_rows`` for snapshot leaves, ``protocol`` for
-    bundle records), so the constructor is not run again:
-    each instance gets its fields stored as ``__init__`` stores them, in
-    declaration order, so the instance dicts keep sharing their keys. Each
-    window is a tuple or None.
+    (``codec.semantics_of_records``, for bundle records and snapshot
+    leaves), so the constructor is not run again: each instance gets its
+    fields stored as ``__init__`` stores them, in declaration order, so the
+    instance dicts keep sharing their keys. Each window is a tuple or None.
     """
     new = object.__new__
     out = []

@@ -19,24 +19,27 @@ write. :class:`MemoryModule` bundles the three and snapshots them to a single
 versioned file (``load(save(state)) == state``), written atomically (temp
 file, fsync, rename).
 
-A version-7 snapshot is a binary column file. It starts with
+A version-8 snapshot is a binary column file. It starts with
 :data:`SNAPSHOT_MAGIC`, then the byte length of a canonical-JSON header as a
 little-endian uint64, then the header: format, version, the resource
-profiles, the tree's leaves as their semantics rows (``codec.semantics_to_row``)
-sorted by (task type, device), and one entry per history pair in sorted pair
-order, laid out as :data:`PAIR_FIELDS`: the pair, its distinct owner ids and
-its record count. The header is followed by each pair's columns in pair
-order, as raw little-endian bytes: an owner-index column into the pair's
-owner ids as uint32, ``at`` as int64, the four metrics as IEEE-754 float64
-and ``satisfied`` as one byte per record, 0 or 1. The columns end the file.
-Saving writes the store's arrays' bytes; loading reads each column into a
-pre-sized array, so no parsed document or text copy of the columns is ever
-built, and checks each whole column as the ``PerformanceRecord`` constructor
-checks one value. Leaves go through ``codec.semantics_from_rows``, the
-column-at-a-time row decoder. A file is recognised by its magic,
-never by its name. An older, JSON snapshot (it starts with ``{``) is parsed
-only to name its version in the refusal: a snapshot is rebuilt from its
-scenario config and seed, not migrated.
+profiles, one entry per history pair in sorted pair order, laid out as
+:data:`PAIR_FIELDS` (the pair, its distinct owner ids and its record count),
+and one ``[task_type, device ids]`` entry per task type of the tree, task
+types and device ids ascending. The header is followed by each pair's
+columns in pair order, as raw little-endian bytes: an owner-index column
+into the pair's owner ids as uint32, ``at`` as int64, the four metrics as
+IEEE-754 float64 and ``satisfied`` as one byte per record, 0 or 1. Then
+comes each task type's leaf block, in header order: one ``TrustState`` code
+byte per device, then one semantics record per device, the record a
+candidate bundle carries (``codec``). The leaf blocks end the file. Saving
+writes the store's arrays' bytes and each leaf's cached record; loading
+reads each column into a pre-sized array, so no parsed document or text
+copy of the columns is ever built, and checks each whole column as the
+``PerformanceRecord`` constructor checks one value. Leaves go through
+``codec.semantics_of_records``, the decoder bundles use too. A file is
+recognised by its magic, never by its name. An older snapshot (a JSON one
+starts with ``{``) is read only to name its version in the refusal: a
+snapshot is rebuilt from its scenario config and seed, not migrated.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ from .domain import (
 from .errors import StaleUpdateError, ValidationError
 
 SNAPSHOT_FORMAT = "twotsd-snapshot"
-SNAPSHOT_VERSION = 7
-# The first bytes of a version-7 file. The high first byte marks it binary;
-# no JSON document starts with it.
+SNAPSHOT_VERSION = 8
+# The first bytes of a binary file (version 7 and later). The high first byte
+# marks it binary; no JSON document starts with it.
 SNAPSHOT_MAGIC = b"\x89twotsd\n"
 _HEADER_LENGTH = struct.Struct("<Q")
 
@@ -212,7 +215,7 @@ class HistoryStore:
             return sum(len(columns[1]) for columns in self._by_key.values())
 
     def to_dict(self) -> dict[str, Any]:
-        """Snapshot v7's history: header entries and the column arrays that follow the header.
+        """Snapshot v8's history: header entries and the column arrays that follow the header.
 
         ``pairs`` holds one :data:`PAIR_FIELDS` entry per pair in sorted pair
         order, its owners the pair's distinct ids in first-use order.
@@ -232,14 +235,14 @@ class HistoryStore:
         return {"pairs": pairs, "columns": columns}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], file: BinaryIO) -> "HistoryStore":
-        """Read each pair's columns from ``file`` straight into the store, checking whole columns.
+    def from_dict(cls, doc: dict[str, Any], reader: "_ColumnReader") -> "HistoryStore":
+        """Read each pair's columns from ``reader`` straight into the store, checking whole columns.
 
-        ``doc`` is the header's history and ``file`` stands at the first
-        column; the columns must end the file. Each column is read into an
-        array sized from the entry's count, once the file is known to hold
-        that many bytes. Every column is checked as the ``PerformanceRecord``
-        constructor checks each of its values, and a refusal goes through
+        ``doc`` is the header's history and ``reader`` stands at the first
+        column. Each column is read into an array sized from the entry's
+        count, once the file is known to hold that many bytes. Every column
+        is checked as the ``PerformanceRecord`` constructor checks each of
+        its values, and a refusal goes through
         the same helpers, so it names the same field and code. Nothing goes
         through ``append``: the store is not shared yet, and a traced load
         (``bench/tracing.py`` wraps ``append``) would otherwise count each
@@ -253,14 +256,11 @@ class HistoryStore:
         pairs = doc["pairs"]
         if type(pairs) is not list:
             raise ValidationError("history pairs must be a list", field="pairs")
-        reader = _ColumnReader(file)
         for entry in pairs:
             key, columns = _read_pair(entry, reader, ids)
             if key in by_key:
                 raise ValidationError(f"history pair {key} listed twice", field="pairs")
             by_key[key] = columns
-        if reader.left:
-            raise ValidationError(f"{reader.left} bytes follow the last pair's columns", field="pairs")
         return store
 
 
@@ -269,7 +269,9 @@ class _ColumnReader:
 
     def __init__(self, file: BinaryIO):
         self.file = file
-        self.left = os.fstat(file.fileno()).st_size - file.tell()
+        start = file.tell()
+        self.left = file.seek(0, os.SEEK_END) - start
+        file.seek(start)
 
     def read(self, name: str, code: str, n: int) -> array:
         """``n`` values of type ``code``, refused before allocating if the file holds fewer."""
@@ -317,7 +319,7 @@ def _check_fractions(name: str, column: array) -> None:
 
 
 def _read_pair(entry: Any, reader: _ColumnReader, ids: dict[str, str]):
-    """One snapshot-v7 header entry and its columns, as the pair key and its checked columns."""
+    """One snapshot history entry and its columns, as the pair key and its checked columns."""
     if type(entry) is not list or len(entry) != len(PAIR_FIELDS):
         raise ValidationError(
             f"history pair is not a list of {len(PAIR_FIELDS)} fields: {entry!r:.80}", field="pairs"
@@ -364,33 +366,28 @@ class SemanticsTree:
     positions, as two parallel lists. An update finds its device by bisection
     and replaces the leaf in place or inserts both; a read of a task type
     copies its leaf list. The root, task-type and device levels are implied
-    by the keys, so a snapshot holds just the leaves, sorted by (task type,
-    device).
+    by the keys, so a snapshot holds each task type's device ids and then
+    their leaves as one block.
     """
 
     def __init__(self):
         self._by_task_type: dict[TaskType, tuple[list[DeviceId], list[TrustSemantics]]] = {}
         self._lock = threading.Lock()
 
-    def _place(self, ts: TrustSemantics) -> bool:
-        """Put ``ts`` at its device's position under its task type; True if it replaced a leaf."""
-        lists = self._by_task_type.get(ts.task_type)
-        if lists is None:
-            lists = self._by_task_type[ts.task_type] = ([], [])
-        devices, leaves = lists
-        device = ts.device
-        i = bisect.bisect_left(devices, device)
-        if i < len(devices) and devices[i] == device:
-            leaves[i] = ts
-            return True
-        devices.insert(i, device)
-        leaves.insert(i, ts)
-        return False
-
     def upsert(self, ts: TrustSemantics) -> None:
         """Insert or update the semantics leaf for (ts.task_type, ts.device)."""
         with self._lock:
-            self._place(ts)
+            lists = self._by_task_type.get(ts.task_type)
+            if lists is None:
+                lists = self._by_task_type[ts.task_type] = ([], [])
+            devices, leaves = lists
+            device = ts.device
+            i = bisect.bisect_left(devices, device)
+            if i < len(devices) and devices[i] == device:
+                leaves[i] = ts
+            else:
+                devices.insert(i, device)
+                leaves.insert(i, ts)
 
     def get_by_task_type(self, task_type: TaskType) -> list[TrustSemantics]:
         """All semantics under one task type, ordered by device id."""
@@ -416,25 +413,53 @@ class SemanticsTree:
         return 1 + len(self._by_task_type) + 2 * self.leaf_count()
 
     def to_dict(self) -> dict[str, Any]:
-        """Each leaf as its semantics row, sorted by (task type, device)."""
+        """Snapshot v8's tree: header entries and the leaf blocks that follow the history's columns.
+
+        ``task_types`` holds one ``[task_type, device ids]`` entry per task
+        type, in ascending order. ``columns`` holds, task type after task
+        type, its leaves' state codes and then their records
+        (``codec.records_of``), from lists copied under the lock.
+        """
         with self._lock:
-            leaves = [ts for _, (_, of_type) in sorted(self._by_task_type.items()) for ts in of_type]
-        return {"leaves": [codec.semantics_to_row(ts) for ts in leaves]}
+            lists = [(task_type, devices[:], leaves[:])
+                     for task_type, (devices, leaves) in sorted(self._by_task_type.items())]
+        task_types, columns = [], []
+        for task_type, devices, leaves in lists:
+            task_types.append([task_type, devices])
+            columns.extend(codec.records_of(leaves))
+        return {"task_types": task_types, "columns": columns}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "SemanticsTree":
-        """The tree of a snapshot's leaf rows, decoded a column at a time.
+    def from_dict(cls, doc: dict[str, Any], reader: _ColumnReader) -> "SemanticsTree":
+        """The tree of a snapshot's task-type entries, each leaf block read from ``reader``.
 
-        Leaves are placed directly, not through ``upsert``: the tree is not
-        shared yet, and a traced load (``bench/tracing.py`` wraps
-        ``upsert``) would otherwise count each loaded leaf as a served update.
+        Each block is read whole into a pre-sized array and decoded by
+        ``codec.semantics_of_records``. A task type's lists are installed
+        directly, not through ``upsert``: the tree is not shared yet, and a
+        traced load (``bench/tracing.py`` wraps ``upsert``) would otherwise
+        count each loaded leaf as a served update.
         """
         tree = cls()
-        for ts in codec.semantics_from_rows(doc["leaves"]):
-            if tree._place(ts):
-                raise ValidationError(
-                    f"semantics for ({ts.task_type}, {ts.device}) listed twice", field="tree"
-                )
+        by_task_type = tree._by_task_type
+        entries = doc["task_types"]
+        if type(entries) is not list:
+            raise ValidationError("tree task types must be a list", field="tree")
+        for entry in entries:
+            if type(entry) is not list or len(entry) != 2:
+                raise ValidationError(f"tree entry is not a [task_type, devices] pair: {entry!r:.80}",
+                                      field="tree")
+            task_type, devices = entry
+            if type(devices) is not list or not devices:
+                raise ValidationError(f"devices of a tree entry must be a nonempty list: {devices!r:.80}",
+                                      field="tree")
+            states = reader.read("state", "B", len(devices))
+            block = reader.read("leaves", "B", len(devices) * codec._RECORD.size)
+            leaves = codec.semantics_of_records(task_type, devices, states, block)
+            if any(map(operator.ge, devices, devices[1:])):
+                raise ValidationError(f"devices of {task_type} must ascend, each listed once", field="tree")
+            if task_type in by_task_type:
+                raise ValidationError(f"task type {task_type} listed twice", field="tree")
+            by_task_type[task_type] = (devices, leaves)
         return tree
 
 
@@ -456,19 +481,21 @@ class MemoryModule:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the snapshot atomically: magic, header length, header, then the columns.
+        """Write the snapshot atomically: magic, header length, header, the columns, then the leaf blocks.
 
-        The header goes out as one canonical-JSON document and each column
-        as its array's bytes, straight to a new temp file in the target's
-        directory, which is flushed and fsynced and then renamed over the
-        target. On any failure the temp file is removed and the previous
-        snapshot stays as it was. Where directories can be opened
-        (``os.O_DIRECTORY``), the directory is fsynced after the rename too,
-        so the rename itself survives a crash once ``save`` returns.
+        The header goes out as one canonical-JSON document, each column as
+        its array's bytes and each leaf block as its joined records,
+        straight to a new temp file in the target's directory, which is
+        flushed and fsynced and then renamed over the target. On any failure
+        the temp file is removed and the previous snapshot stays as it was.
+        Where directories can be opened (``os.O_DIRECTORY``), the directory
+        is fsynced after the rename too, so the rename itself survives a
+        crash once ``save`` returns.
         """
         path = Path(path)
         doc = self.to_snapshot_dict()
         columns = doc["history"].pop("columns")
+        blocks = doc["tree"].pop("columns")
         header = codec.canonical_json_bytes(doc)
         tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
         fh = open(tmp, "xb")
@@ -480,6 +507,7 @@ class MemoryModule:
                     if _BIG_ENDIAN:
                         column.byteswap()  # a copy: to_dict hands out no live column
                     fh.write(column)
+                fh.writelines(blocks)  # little-endian already
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -497,11 +525,11 @@ class MemoryModule:
     def load(cls, path: str | Path) -> "MemoryModule":
         """Read a snapshot, checking every value as an ingest would.
 
-        Only the header is parsed; the columns are read from the file into
-        their arrays. The cyclic GC is paused across the read and the build,
-        then restored to the caller's setting: every object they allocate is
-        kept, so each collection would walk the growing heap again for
-        nothing.
+        Only the header is parsed; the columns and leaf blocks are read from
+        the file into their arrays, and must end it. The cyclic GC is paused
+        across the read and the build, then restored to the caller's
+        setting: every object they allocate is kept, so each collection
+        would walk the growing heap again for nothing.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -515,8 +543,11 @@ class MemoryModule:
                 module = cls()
                 try:
                     module.resources = ResourceStore.from_dict(doc["resources"])
-                    module.history = HistoryStore.from_dict(doc["history"], fh)
-                    module.semantics = SemanticsTree.from_dict(doc["tree"])
+                    reader = _ColumnReader(fh)
+                    module.history = HistoryStore.from_dict(doc["history"], reader)
+                    module.semantics = SemanticsTree.from_dict(doc["tree"], reader)
+                    if reader.left:
+                        raise ValidationError(f"{reader.left} bytes follow the last leaf block", field="tree")
                 except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:
                     field, code = (exc.field, exc.code) if isinstance(exc, ValidationError) else (None, None)
                     raise ValidationError(
@@ -541,7 +572,7 @@ def _parse_json(data: bytes) -> Any:
 
 
 def _read_header(fh: BinaryIO) -> dict[str, Any]:
-    """The parsed v7 header of an open snapshot, leaving ``fh`` at the first column.
+    """The parsed header of an open snapshot, leaving ``fh`` at the first column.
 
     A file that starts with ``{`` is an older, JSON snapshot: it is parsed
     only to name its version in the refusal. A header length is checked

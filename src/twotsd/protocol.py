@@ -25,23 +25,16 @@ object with ``devices`` (the candidates' device ids, one JSON list),
 ``generated_at``, ``msg_id``, ``sender``, ``sent_at``, ``task_id`` and
 ``task_type`` (the candidates' one task type, null when there are none).
 Each id is any string ``_require_device_id`` accepts, escaped as JSON. Then
-one fixed-width ``_RECORD`` per device, in the same order:
-
-    record := throughput, loss_rate, accuracy, proc_speed   (uint8 Trend codes)
-              window_present                               (uint8, 0 or 1)
-              window_from, window_to, extracted_at, record_count  (int64)
-
-A trend code is the trend's position in ``Trend`` (increasing 0, decreasing
-1, normal 2). Without a window the flag is 0 and both bounds are 0. A bundle
-holds only matched, trusted devices, in strictly ascending device order, so
-the wire has no state column; the per-stage chain results stay on the
-server. Each leaf's id as a JSON string and its record are made once per
-extraction and kept on the immutable ``TrustSemantics`` (re-extraction
-replaces the instance), so a request joins cached bytes. The decoder checks
-the record block a column at a time: its length, codes below the table size,
-flags, empty and ordered windows, counts, and nonempty string ids; the
-bundle then checks their order. A bad value fails the whole frame as
-malformed, naming its field and the first candidate that carries it.
+one semantics record per device, in the same order: the record that
+``codec`` defines and a snapshot's leaf blocks hold too. A bundle holds only
+matched, trusted devices, in strictly ascending device order, so the wire
+has no state column; the per-stage chain results stay on the server. Each
+leaf's id and record are made once per extraction and kept on the immutable
+``TrustSemantics`` (re-extraction replaces the instance), so a request joins
+cached bytes. The decoder checks the block's length, then decodes it through
+``codec.semantics_of_records`` with every device trusted; the bundle then
+checks their order. A bad value fails the whole frame as malformed, naming
+its field and the first device that carries it.
 
 Corrupt input raises malformed, never yields a partial message. A body longer
 than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
@@ -58,32 +51,25 @@ messages (see :mod:`twotsd.simulation`).
 from __future__ import annotations
 
 import json
-import re
 import socket
 import socketserver
 import struct
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress, count, repeat
-from operator import attrgetter, ge, gt, itemgetter, not_
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Sequence
 
 from . import codec
 from .domain import (
-    TREND_METRICS,
     PerformanceRecord,
     ResourceProfile,
     Task,
     TimestampMs,
-    Trend,
     TrustSemantics,
     _require_device_id,
     _require_timestamp,
-    _semantics_of_checked_columns,
     from_fields,
     validate_task,
 )
@@ -103,16 +89,9 @@ SERVER_SENDER = "server"
 
 _LEN = struct.Struct(">I")
 _HEADER_LEN = struct.Struct("<I")
-# One bundle candidate: four trend codes and the window flag, then the
-# window's two bounds, extracted_at and record_count.
-_RECORD = struct.Struct("<5B4q")
-_INT64_FIELDS = re.compile(rb"(?s).{5}(.{32})")  # a record's int64 fields: the 32 bytes after its uint8 ones
-_TREND_OF_CODE = dict(enumerate(Trend))
-_TREND_CODE = {trend: code for code, trend in _TREND_OF_CODE.items()}
-_BIG_ENDIAN = sys.byteorder == "big"
-# A bundle candidate's semantics fields and cached wire bytes, read per request.
-_LEAF_ATTRS = attrgetter("semantics.__dict__")
-_LEAF_TASK_TYPE = itemgetter("task_type")
+_RECORD_SIZE = codec._RECORD.size
+_TRUSTED_CODE = bytes([codec._STATE_CODE[_TRUSTED]])
+_LEAF, _TASK_TYPE = itemgetter(0), attrgetter("task_type")  # a candidate's semantics, and a leaf's task type
 _ID_JSON, _PACKED_RECORD = itemgetter(0), itemgetter(1)  # the two halves of a cached wire
 
 
@@ -194,28 +173,6 @@ _FROM_DOCUMENT: dict[MessageKind, Callable[[Any], Any]] = {
 }
 
 
-def _pack_wire(ts: TrustSemantics) -> tuple[bytes, bytes]:
-    """``ts``'s id as a JSON string and its bundle record, kept on the instance for every later bundle.
-
-    The pair is kept in the instance ``__dict__`` under ``_wire``, as
-    ``functools.cached_property`` does: one key, because a twelfth key would
-    unshare the instance dict's keys and grow every cached leaf about
-    fivefold. No field of a ``TrustSemantics`` can change and a
-    re-extraction makes a new instance (``SemanticsTree.upsert`` replaces the
-    leaf), so the cached bytes cannot go stale; two threads filling the same
-    instance at once store equal bytes.
-    """
-    lo, hi = ts.window or (0, 0)
-    wire = ts.__dict__["_wire"] = (
-        codec.canonical_json_bytes(ts.device),
-        _RECORD.pack(
-            _TREND_CODE[ts.throughput], _TREND_CODE[ts.loss_rate], _TREND_CODE[ts.accuracy],
-            _TREND_CODE[ts.proc_speed], ts.window is not None, lo, hi, ts.extracted_at, ts.record_count,
-        ),
-    )
-    return wire
-
-
 def _bundle_rest(msg: Message) -> bytes:
     """The bundle body after its kind byte: the JSON header, then each candidate's record.
 
@@ -224,12 +181,9 @@ def _bundle_rest(msg: Message) -> bytes:
     of the other keys.
     """
     bundle = msg.payload
-    attrs = [*map(_LEAF_ATTRS, bundle.candidates)]
-    wires = [*map(dict.get, attrs, repeat("_wire"))]
-    if not all(wires):  # leaves in their first bundle
-        for i in compress(count(), map(not_, wires)):
-            wires[i] = _pack_wire(bundle.candidates[i].semantics)
-    task_types = [*map(_LEAF_TASK_TYPE, attrs)]
+    leaves = [*map(_LEAF, bundle.candidates)]
+    wires = codec.wires_of(leaves)
+    task_types = [*map(_TASK_TYPE, leaves)]
     task_type = task_types[0] if task_types else None
     if task_types.count(task_type) != len(task_types):
         raise ProtocolError(
@@ -307,71 +261,20 @@ def _split_bundle(body: bytes) -> tuple[dict, bytes]:
 
 
 def _bundle_of(header: dict, block: bytes) -> CandidateBundle:
-    """The bundle that ``header`` and its record ``block`` describe, checked a column at a time.
-
-    Each column is checked whole, as ``TrustSemantics`` checks one value, so
-    the values are built without its checks; only a failing column is
-    searched, to name its first bad candidate.
-    """
+    """The bundle that ``header`` and its record ``block`` describe, every device trusted."""
     devices = header["devices"]
     if type(devices) is not list:
         raise ValidationError("devices must be a list", field="devices")
-    if len(block) != len(devices) * _RECORD.size:
+    if len(block) != len(devices) * _RECORD_SIZE:
         raise ValidationError(
-            f"record block of {len(block)} bytes, not {len(devices)} records of {_RECORD.size}",
+            f"record block of {len(block)} bytes, not {len(devices)} records of {_RECORD_SIZE}",
             field="candidates",
         )
     semantics: Sequence[TrustSemantics] = ()
     if devices:
-        task_type = _require_device_id(header["task_type"], "task_type")
-        if {*map(type, devices)} != {str} or not all(devices):
-            for device in devices:
-                _require_device_id(device, "device")
-        (*codes, flags), (los, his, extracted_ats, counts) = _record_columns(block)
-        for metric, column in zip(TREND_METRICS, codes):
-            if max(column) >= len(_TREND_OF_CODE):
-                _refuse(metric, f"a Trend code below {len(_TREND_OF_CODE)}", column, devices,
-                        map(ge, column, repeat(len(_TREND_OF_CODE))))
-        if max(flags) > 1:
-            _refuse("window", "flagged 0 or 1", flags, devices, map(gt, flags, repeat(1)))
-        windows = [*zip(los, his)]
-        if not all(flags):
-            if any(map(any, compress(windows, map(not_, flags)))):
-                _refuse("window", "(0, 0) when flagged absent", windows, devices,
-                        (not flag and any(window) for flag, window in zip(flags, windows)))
-            windows = [window if flag else None for window, flag in zip(windows, flags)]
-        if any(map(gt, los, his)):  # an absent window's (0, 0) is in order
-            _refuse("window", "ordered, from <= to", windows, devices, map(gt, los, his))
-        if min(counts) < 0:
-            _refuse("record_count", ">= 0", counts, devices, map(gt, repeat(0), counts))
-        semantics = _semantics_of_checked_columns(
-            devices, repeat(task_type), repeat(_TRUSTED),
-            *(map(_TREND_OF_CODE.__getitem__, column) for column in codes),
-            windows, extracted_ats, counts,
-        )
+        states = _TRUSTED_CODE * len(devices)
+        semantics = codec.semantics_of_records(header["task_type"], devices, states, block)
     return CandidateBundle(header["task_id"], matched_candidates(semantics), header["generated_at"])
-
-
-def _record_columns(block: bytes) -> tuple[list[bytes], list[array]]:
-    """The five uint8 columns and the four int64 columns of a record block.
-
-    A uint8 column is one strided slice of the block. Each record's int64
-    fields, cut out and joined, read as one ``array('q')`` of four values per
-    record, and each int64 column is a strided slice of that. No object is
-    made per record but a bytes piece, which the cyclic GC does not track.
-    """
-    size = _RECORD.size
-    ints = array("q", b"".join(_INT64_FIELDS.findall(block)))
-    if _BIG_ENDIAN:
-        ints.byteswap()
-    return [block[offset::size] for offset in range(5)], [ints[field::4] for field in range(4)]
-
-
-def _refuse(field: str, requirement: str, column: Sequence, devices: list[str], bad: Iterable[bool]) -> NoReturn:
-    """Refuse the frame at the first candidate where ``bad`` is true, naming its value."""
-    i = next(compress(count(), bad))
-    raise ValidationError(f"{field} must be {requirement}, got {column[i]!r} for candidate {devices[i]!r}",
-                          field=field)
 
 
 def decode(data: bytes) -> Message:

@@ -91,12 +91,26 @@ def make_semantics(**over) -> TrustSemantics:
 
 
 def frame_snapshot(header: bytes, body: bytes = b"") -> bytes:
-    """A v7 snapshot file: the magic, the header's length as a little-endian uint64, the header, the columns."""
+    """A binary snapshot file: the magic, the header's length as a little-endian uint64, the header, the columns."""
     return SNAPSHOT_MAGIC + struct.pack("<Q", len(header)) + header + body
 
 
 def split_snapshot(data: bytes) -> tuple[dict, bytes]:
-    """A v7 snapshot file's parsed header and the column bytes after it."""
+    """A binary snapshot file's parsed header and the column bytes after it."""
     start = len(SNAPSHOT_MAGIC) + 8
     (length,) = struct.unpack_from("<Q", data, len(SNAPSHOT_MAGIC))
     return json.loads(data[start:start + length]), data[start + length:]
+
+
+def leaf_snapshot(task_types) -> bytes:
+    """A v8 snapshot file holding only a tree, written independently of the module's writer.
+
+    ``task_types`` holds one ``(task_type, devices, states, records)`` entry
+    per task type: its header entry, then its leaf block's state code bytes
+    and record bytes.
+    """
+    header = {"format": "twotsd-snapshot", "version": 8, "resources": {"profiles": []},
+              "history": {"pairs": []},
+              "tree": {"task_types": [[task_type, devices] for task_type, devices, _, _ in task_types]}}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return frame_snapshot(text, b"".join(states + records for _, _, states, records in task_types))

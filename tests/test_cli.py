@@ -242,7 +242,7 @@ def test_inspect_renders_snapshot(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--snapshot", str(out / "snapshot.bin")]) == 0
     text = capsys.readouterr().out
-    assert text.startswith("version=7 resources=6 history=")
+    assert text.startswith("version=8 resources=6 history=")
     assert "semantics_leaves=" in text.splitlines()[0]
     assert "state=trusted" in text or "state=untrusted" in text
     # One whole leaf line: the trends print in row order, whichever way they point.
@@ -260,18 +260,23 @@ def test_inspect_missing_snapshot_is_usage_error(tmp_path, capsys):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _malformed_v7(header, body):
-    """No history, a repeated profile or leaf, and the last column cut short, each as file bytes."""
+def _malformed_v8(header, body):
+    """No history, a repeated profile or leaf, a state code past TrustState's, and the last leaf block
+    cut short, each as file bytes."""
     no_history = {k: v for k, v in header.items() if k != "history"}
     profiles = header["resources"]["profiles"]
     repeated_profile = [profiles[0], {**profiles[1], "device": profiles[0]["device"]}]
     duplicate_profile = {**header, "resources": {"profiles": repeated_profile + profiles[2:]}}
-    leaves = header["tree"]["leaves"]
-    repeated_leaf = [leaves[0], leaves[0][:2] + leaves[1][2:], *leaves[2:]]
-    duplicate_leaf = {**header, "tree": {"leaves": repeated_leaf}}
+    (task_type, devices), *others = header["tree"]["task_types"]
+    repeated_leaf = [[task_type, [devices[0], devices[0], *devices[2:]]], *others]
+    duplicate_leaf = {**header, "tree": {"task_types": repeated_leaf}}
+    leaves = 38 * sum(len(devices) for _, devices in header["tree"]["task_types"])  # the blocks end the file
+    bad_state = bytearray(body)
+    bad_state[len(body) - leaves] = 3  # the first leaf's state code
     return [frame_snapshot(canonical_json_bytes(no_history), body),
             frame_snapshot(canonical_json_bytes(duplicate_profile), body),
             frame_snapshot(canonical_json_bytes(duplicate_leaf), body),
+            frame_snapshot(canonical_json_bytes(header), bytes(bad_state)),
             frame_snapshot(canonical_json_bytes(header), body[:-1])]
 
 
@@ -279,10 +284,10 @@ def test_inspect_malformed_snapshot_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *_FAST, "--snapshot"]) == 0
     header, body = split_snapshot((out / "snapshot.bin").read_bytes())
-    assert header["version"] == 7
+    assert header["version"] == 8
     broken = tmp_path / "broken.bin"
     capsys.readouterr()
-    for bad in _malformed_v7(header, body):
+    for bad in _malformed_v8(header, body):
         broken.write_bytes(bad)
         assert main(["inspect", "--snapshot", str(broken)]) == 2
         err = capsys.readouterr().err
@@ -312,10 +317,13 @@ def test_inspect_refuses_a_snapshot_holding_a_huge_number(tmp_path, capsys):
         assert err.startswith(f"error: {expected} snapshot"), err
 
 
-@pytest.mark.parametrize("version", [1, 2, 6])
+@pytest.mark.parametrize("version", [1, 2, 6, 7])
 def test_inspect_and_serve_refuse_an_older_snapshot(capsys, version):
-    """Both exit 2 with one error line that names the version and how to rebuild the file."""
-    path = FIXTURES / f"snapshot_v{version}.json"
+    """Both exit 2 with one error line that names the version and how to rebuild the file.
+
+    v1, v2 and v6 are JSON documents; v7 is the binary file whose leaves were JSON rows.
+    """
+    (path,) = FIXTURES.glob(f"snapshot_v{version}.*")
     for command in (["inspect"], ["serve", "--port", "0"]):
         assert main([*command, "--snapshot", str(path)]) == 2
         out, err = capsys.readouterr()
@@ -366,19 +374,19 @@ _PINNED_SIMULATE_SHA256 = {
     "default.yaml": ("default.yaml", ["--seed", "0"], {
         "tasks.csv": "55a6403891c411d693a7451145d6c92699d8ae3cf18c4364d8e553c044173f89",
         "summary.csv": "60b9dc63023e05f33fdd8b7a93a4dc2342887ffa4cadb45154c329d4f8d59da4",
-        "snapshot.bin": "1cd61bd60edb0fd6214d0e3230e16f5db3325cbb1b75d03394ac6d7e7ec1e44f",
+        "snapshot.bin": "84a735c338f2cb835cbe0d847c6bd1c3ed97e394d25d1714e73abe9143bf6aba",
     }),
     "large_fleet.yaml": ("large_fleet.yaml", [], {
         "tasks.csv": "d2de792a1b46046798bd53f6c1325a80349563e8c77500d46ce4ad9640e8a835",
         "summary.csv": "5c939b339180353db68ea6b49ff08c11b2e7f8e205e5eae4356541800b6bdae8",
-        "snapshot.bin": "d740b5b03c39f05a341657829fec66ffa5473c5c074c9ff5cd394ed11f9bfdbc",
+        "snapshot.bin": "2e597a322ec1fa94b54aa4fc28bc36691f69750fea75b8d71b44807b8c65e22f",
     }),
     "default.yaml-deep-warmup": ("default.yaml", [
         "--seed", "0", "--override", "warmup_records=300", "--override", "task_count=100",
     ], {
         "tasks.csv": "504cd6e244d1eac16e59c58a28e2b8fad39fcbcea02b02088f611617f85bcae9",
         "summary.csv": "2fe5ed34fac07ec9e703d3074bc9b238ac66be6ca2ba631cd9c3df64fb7c051c",
-        "snapshot.bin": "299252fa1d2037cbbc797d964f3d839a523ad5ed270b93ffb6478d9da27c95f2",
+        "snapshot.bin": "08a9a640f10f7d25319becdb77281de1b3648c5d677b9378fa4b0899b20f8f35",
     }),
 }
 

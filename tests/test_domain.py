@@ -13,7 +13,7 @@ from typing import Any
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotsd import codec, protocol
+from twotsd import codec
 from twotsd.domain import (
     COMM_METRICS,
     COMP_METRICS,
@@ -286,17 +286,20 @@ def test_semantics_window_ordering():
 
 
 def test_all_trends_lists_the_trend_fields_in_row_order():
+    """The order of TREND_METRICS is the order of the semantics record's four trend codes."""
     trends = _semantics().all_trends()
     assert list(trends) == list(TREND_METRICS) == list(COMM_METRICS + COMP_METRICS)
-    assert list(TREND_METRICS) == list(codec.SEMANTICS_COLUMNS[3:7])
+    for i, metric in enumerate(TREND_METRICS):  # decreasing is code 1, normal 2
+        record = codec._pack_wire(make_semantics(**{metric: Trend.DECREASING}))[1]
+        assert [*record[:4]] == [1 if j == i else 2 for j in range(4)]
     assert trends == {"throughput": Trend.NORMAL, "loss_rate": Trend.INCREASING,
                       "accuracy": Trend.NORMAL, "proc_speed": Trend.NORMAL}
 
 
 def test_semantics_is_hashable_and_equal_values_hash_equal():
     ts = _semantics()
-    again = codec.semantics_from_row(codec.semantics_to_row(ts))
-    protocol._pack_wire(ts)  # the cached wire bytes take no part in equality
+    (again,) = codec.semantics_of_records(ts.task_type, [ts.device], *codec.records_of([ts]))
+    # the cached wire bytes, filled on ts by records_of, take no part in equality
     assert again == ts and hash(again) == hash(ts)
     assert len({ts, again, _semantics(window=None)}) == 2
     assert _semantics(accuracy=Trend.DECREASING) != ts
@@ -304,7 +307,7 @@ def test_semantics_is_hashable_and_equal_values_hash_equal():
 
 def test_no_semantics_field_can_be_assigned():
     ts = _semantics()
-    wire = protocol._pack_wire(ts)
+    wire = codec._pack_wire(ts)
     for field in dataclasses.fields(TrustSemantics):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ts, field.name, Trend.DECREASING)
@@ -312,7 +315,7 @@ def test_no_semantics_field_can_be_assigned():
             delattr(ts, field.name)
     ts.all_trends()["throughput"] = Trend.DECREASING  # a copy, not a view
     assert ts == _semantics() and ts.throughput is Trend.NORMAL
-    assert protocol._pack_wire(ts) == wire == protocol._pack_wire(_semantics())
+    assert codec._pack_wire(ts) == wire == codec._pack_wire(_semantics())
 
 
 _HUGE = 10**400  # an int no float can hold

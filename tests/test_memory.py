@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import io
 import itertools
 import json
 import math
 import os
 import random
+import re
 import stat
 import struct
 import tempfile
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotsd import codec
-from twotsd.domain import RECORD_COLUMNS, RecordWindow, TrustSemantics, TrustState, Verdict
+from twotsd.domain import RECORD_COLUMNS, RecordWindow, Trend, TrustSemantics, TrustState, Verdict
 from twotsd.errors import StaleUpdateError, ValidationError
 from twotsd.memory import (
     PAIR_FIELDS,
@@ -32,7 +34,10 @@ from twotsd.memory import (
     MemoryModule,
     ResourceStore,
     SemanticsTree,
+    _ColumnReader,
 )
+from twotsd.protocol import Message, MessageKind, encode
+from twotsd.teacher import CandidateBundle, matched_candidates
 
 from _builders import frame_snapshot, make_profile, make_record, make_semantics, split_snapshot
 
@@ -202,11 +207,10 @@ def test_tree_shape_after_upserts():
     assert tree.task_types() == ["face_recognition", "video_transcoding"]
     assert tree.devices_for("video_transcoding") == ["a_j", "a_k"]
 
-    # The snapshot holds only the leaves, as wire rows sorted by (task type, device).
-    leaves = tree.to_dict()["leaves"]
-    assert [(row[1], row[0]) for row in leaves] == [
-        ("face_recognition", "a_j"), ("video_transcoding", "a_j"), ("video_transcoding", "a_k"),
-    ]
+    # The snapshot holds each task type's device ids, then one state code and record per leaf.
+    doc = tree.to_dict()
+    assert doc["task_types"] == [["face_recognition", ["a_j"]], ["video_transcoding", ["a_j", "a_k"]]]
+    assert [len(column) for column in doc["columns"]] == [1, 37, 2, 74]
 
 
 def test_tree_upsert_replaces_leaf_in_place():
@@ -234,9 +238,16 @@ def test_tree_round_trip_preserves_ids_and_payloads():
     rng = random.Random(4)
     for _ in range(50):
         tree.upsert(_semantics(f"d{rng.randrange(6)}", rng.choice(["tt_a", "tt_b"]), n=rng.randrange(5, 30)))
-    again = SemanticsTree.from_dict(tree.to_dict())
+    again = _reloaded(tree)
     assert again.to_dict() == tree.to_dict()
     assert again.node_count() == tree.node_count()
+
+
+def _reloaded(tree: SemanticsTree) -> SemanticsTree:
+    """``tree`` through its snapshot form: the header entries, then the leaf blocks as file bytes."""
+    doc = tree.to_dict()
+    blocks = io.BytesIO(b"".join(doc.pop("columns")))
+    return SemanticsTree.from_dict(doc, _ColumnReader(blocks))
 
 
 _TREE_TASK_TYPES = ["tt_a", "tt_b", "tt_c"]
@@ -261,7 +272,7 @@ def test_tree_matches_a_dict_model_after_every_upsert(steps):
         assert tree.task_types() == sorted({tt for tt, _ in model})
         assert tree.leaf_count() == len(model)
         assert tree.node_count() == 1 + len(tree.task_types()) + 2 * len(model)
-        again = SemanticsTree.from_dict(tree.to_dict())
+        again = _reloaded(tree)
         assert again.to_dict() == tree.to_dict()
         assert [again.get_by_task_type(tt) for tt in _TREE_TASK_TYPES] == [
             [model[k] for k in sorted(model) if k[0] == tt] for tt in _TREE_TASK_TYPES]
@@ -345,12 +356,12 @@ def test_snapshot_load_rejects_foreign_files(tmp_path):
         MemoryModule.load(path)
     assert err.value.field == "magic"
     header, body = _saved(MemoryModule(), path)
-    for version in (3, 4, 5, 6, 8, "7", 7.0, True, None):
+    for version in (3, 4, 5, 6, 7, 9, "8", 8.0, True, None):
         path.write_bytes(frame_snapshot(codec.canonical_json_bytes({**header, "version": version}), body))
         with pytest.raises(ValidationError, match=f"unsupported snapshot version {version!r};"):
             MemoryModule.load(path)
     # A JSON document is an older snapshot, whatever version it names.
-    for version in (6, 7):
+    for version in (7, 8):
         path.write_bytes(codec.canonical_json_bytes({**header, "version": version}))
         with pytest.raises(ValidationError, match=f"unsupported snapshot version {version};"):
             MemoryModule.load(path)
@@ -374,13 +385,13 @@ def _list_profile_twice(header):
 
 
 def _list_leaf_twice(header):
-    first, second = header["tree"]["leaves"]
-    second[:2] = first[:2]
+    first, second = header["tree"]["task_types"]
+    second[0] = first[0]  # one device under each: the second entry repeats the first's task type
 
 
 @pytest.mark.parametrize("fault", [_list_profile_twice, _list_leaf_twice], ids=["profile", "leaf"])
 def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
-    """A repeated device profile or (task type, device) leaf would silently shrink the store."""
+    """A repeated device profile or task type would silently shrink the store."""
     memory = MemoryModule()
     memory.resources.upsert(make_profile(device="a_j"))
     memory.resources.upsert(make_profile(device="a_k"))
@@ -394,32 +405,187 @@ def test_snapshot_load_rejects_an_entry_listed_twice(tmp_path, fault):
         MemoryModule.load(path)
 
 
-@pytest.mark.parametrize(
-    "column, value, message, field",
-    [("extracted_at", 2**63, "extracted_at must fit in 64 bits", "extracted_at"),
-     ("window_from", 5, "window.to must be an integer", "window.to"),  # beside a null window_to
-     ("record_count", True, "record_count must be an integer", "record_count"),
-     ("record_count", 2**63, "record_count must fit in 64 bits", "record_count"),
-     ("device", "", "device must be a nonempty string", "device"),
-     ("throughput", "increasing", "insufficient_data semantics must carry only normal trends", "state")],
-)
-def test_snapshot_load_refuses_the_first_bad_leaf_by_its_field(tmp_path, column, value, message, field):
-    """A bad leaf last among many is refused as the row decoder refuses it alone."""
+def _tree_memory(n: int = 300) -> MemoryModule:
+    """``n`` trusted leaves under video_transcoding, then an insufficient_data one under face_recognition."""
     memory = MemoryModule()
-    for i in range(300):
+    for i in range(n):
         memory.semantics.upsert(_semantics(f"d{i:03d}", "video_transcoding"))
-    memory.semantics.upsert(make_semantics(device="d999", state=TrustState.INSUFFICIENT_DATA, window=None,
-                                           record_count=0))
+    memory.semantics.upsert(make_semantics(device="d999", task_type="face_recognition",
+                                           state=TrustState.INSUFFICIENT_DATA, window=None, record_count=0))
+    return memory
+
+
+def _devices(i, value):
+    def fault(header, body):
+        header["tree"]["task_types"][1][1][i] = value
+        return header, body
+    return fault
+
+
+def _task_type(value):
+    def fault(header, body):
+        header["tree"]["task_types"][1][0] = value
+        return header, body
+    return fault
+
+
+def _entry_of(value):
+    def fault(header, body):
+        header["tree"]["task_types"][1] = value
+        return header, body
+    return fault
+
+
+def _task_type_twice(header, body):
+    """The first task type's entry and leaf block again, after the others."""
+    entry = header["tree"]["task_types"][0]
+    header["tree"]["task_types"].append(entry)
+    return header, body + body[:1 + 37]
+
+
+def _task_types_of(value):
+    def fault(header, body):
+        header["tree"]["task_types"] = value
+        return header, body
+    return fault
+
+
+def _more_devices(extra):
+    """The second task type lists ``extra`` more devices than its leaf block holds."""
+    def fault(header, body):
+        devices = header["tree"]["task_types"][1][1]
+        devices += [f"e{i:07d}" for i in range(extra)]
+        return header, body
+    return fault
+
+
+# Each fault of the tree's header entries or leaf blocks, with the refusal and
+# field that name it. The record faults the wire shares are in test_protocol.
+_MALFORMED_TREES = {
+    "device-twice": (_devices(-1, "d298"), "devices of video_transcoding must ascend, each listed once", "tree"),
+    "device-out-of-order": (_devices(0, "d500"), "devices of video_transcoding must ascend", "tree"),
+    "device-empty": (_devices(-1, ""), "device must be a nonempty string", "device"),
+    "device-not-a-string": (_devices(-1, 7), "device must be a nonempty string", "device"),
+    "device-null": (_devices(-1, None), "device must be a nonempty string", "device"),
+    "device-a-bool": (_devices(-1, True), "device must be a nonempty string", "device"),
+    "device-unhashable": (_devices(-1, ["d299"]), "device must be a nonempty string", "device"),
+    "task-type-empty": (_task_type(""), "task_type must be a nonempty string", "task_type"),
+    "task-type-not-a-string": (_task_type(["video_transcoding"]), "task_type must be a nonempty string",
+                               "task_type"),
+    "task-type-null": (_task_type(None), "task_type must be a nonempty string", "task_type"),
+    "task-type-unhashable": (_task_type({"video_transcoding": 1}), "task_type must be a nonempty string",
+                             "task_type"),
+    "task-type-twice": (_task_type_twice, "task type face_recognition listed twice", "tree"),
+    "entry-not-a-pair": (_entry_of(["video_transcoding"]), "tree entry is not a [task_type, devices] pair",
+                         "tree"),
+    "entry-of-three": (_entry_of(["video_transcoding", ["d000"], []]),
+                       "tree entry is not a [task_type, devices] pair", "tree"),
+    "entry-an-object": (_entry_of({"video_transcoding": ["d000"]}),
+                        "tree entry is not a [task_type, devices] pair", "tree"),
+    "task-types-not-a-list": (_task_types_of({}), "tree task types must be a list", "tree"),
+    "devices-empty": (_entry_of(["video_transcoding", []]), "devices of a tree entry must be a nonempty list",
+                      "tree"),
+    "devices-not-a-list": (_entry_of(["video_transcoding", "d000"]),
+                           "devices of a tree entry must be a nonempty list", "tree"),
+    "block-cut-short": (lambda header, body: (header, body[:-1]), "leaves is cut short", "leaves"),
+    "block-missing": (lambda header, body: (header, body[:-300 * 37]), "leaves is cut short", "leaves"),
+    "states-missing": (lambda header, body: (header, body[:-301 * 37]), "state is cut short", "state"),
+    "block-longer-than-the-file": (_more_devices(1), "leaves is cut short", "leaves"),
+    "bytes-after-the-last-block": (lambda header, body: (header, body + b"\0"),
+                                   "1 bytes follow the last leaf block", "tree"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED_TREES))
+def test_snapshot_load_refuses_a_malformed_tree_naming_the_field(tmp_path, fault):
+    """A bad header entry or leaf block is refused as the wire refuses its ids, or by field ``tree``."""
     path = tmp_path / "snapshot.bin"
-    header, body = _saved(memory, path)
-    header["tree"]["leaves"][-1][codec.SEMANTICS_COLUMNS.index(column)] = value
+    header, body = _saved(_tree_memory(), path)
+    assert [entry[0] for entry in header["tree"]["task_types"]] == ["face_recognition", "video_transcoding"]
+    corrupt, message, field = _MALFORMED_TREES[fault]
     path.write_bytes(frame_snapshot(codec.canonical_json_bytes(header), body))
-    with pytest.raises(ValidationError, match=f"malformed snapshot: ValidationError {message}") as err:
+    assert MemoryModule.load(path).semantics.leaf_count() == 301  # the unbroken file loads
+    header, body = corrupt(header, body)
+    path.write_bytes(frame_snapshot(codec.canonical_json_bytes(header), body))
+    with pytest.raises(ValidationError, match=re.escape(f"malformed snapshot: ValidationError {message}")) as err:
         MemoryModule.load(path)
-    assert err.value.field == field
+    assert (err.value.field, err.value.code) == (field, "validation")
 
 
-# The snapshot reader on hand-written v7 files. A pair is written here as
+_LEAF_RECORD = struct.Struct("<5B4q")
+_LEAF_FIELDS = ("throughput", "loss_rate", "accuracy", "proc_speed", "window_present",
+                "window_from", "window_to", "extracted_at", "record_count")
+
+
+def _patch_leaf(body: bytearray, n: int, i: int, state: int | None = None, **fields) -> None:
+    """Rewrite leaf ``i`` of the last leaf block, of ``n`` leaves, at the end of ``body``."""
+    states, records = len(body) - n * (1 + _LEAF_RECORD.size), len(body) - n * _LEAF_RECORD.size
+    if state is not None:
+        body[states + i] = state
+    at = records + i * _LEAF_RECORD.size
+    values = dict(zip(_LEAF_FIELDS, _LEAF_RECORD.unpack_from(body, at)))
+    values.update(fields)
+    _LEAF_RECORD.pack_into(body, at, *values.values())
+
+
+# A fault the JSON rows held as a value past int64 or a half-null window is,
+# in a record, the int64 that those bits read as or an absent window's bounds.
+@pytest.mark.parametrize("fields, field, error", [
+    pytest.param({"record_count": -(2**63)}, "record_count", f"record_count must be >= 0, got {-(2**63)}",
+                 id="count_past_int64"),
+    pytest.param({"window_present": 0}, "window", "window must be (0, 0) when flagged absent, got (1000, 7000)",
+                 id="half_absent_window"),
+    pytest.param({"window_present": 2}, "window", "window must be flagged 0 or 1, got 2", id="window_flag_2"),
+    pytest.param({"loss_rate": 3}, "loss_rate", "loss_rate must be a Trend code below 3, got 3",
+                 id="unknown_trend"),
+    pytest.param({"state": 3}, "state", "state must be a TrustState code below 3, got 3", id="unknown_state"),
+    pytest.param({"state": 2, "throughput": 0}, "state",
+                 "state must be trusted or untrusted where a trend is not normal, got 2",
+                 id="insufficient_data_with_a_trend"),
+])
+def test_snapshot_load_refuses_the_first_bad_leaf_by_its_field(tmp_path, fields, field, error):
+    """Two bad leaves in the saved file's later leaf block: the load names the first, by its field."""
+    path = tmp_path / "snapshot.bin"
+    header, body = _saved(_tree_memory(), path)
+    body = bytearray(body)
+    for i in (150, 299):
+        _patch_leaf(body, 300, i, **fields)
+    path.write_bytes(frame_snapshot(codec.canonical_json_bytes(header), bytes(body)))
+    expected = f"{error} for device 'd150'"
+    with pytest.raises(ValidationError, match=re.escape(f"malformed snapshot: ValidationError {expected}")) as err:
+        MemoryModule.load(path)
+    assert (err.value.field, err.value.code) == (field, "validation")
+
+
+def test_a_leaf_block_past_the_end_is_refused_before_it_is_allocated(tmp_path):
+    """A tree entry naming far more devices than the file holds leaves for allocates no block.
+
+    The load's peak is what parsing the header takes, plus the header's
+    bytes, well short of the 7.6 MB block its 200 000 ids would need.
+    """
+    n = 200_000
+    path = tmp_path / "snapshot.bin"
+    header, body = _saved(_tree_memory(2), path)
+    header["tree"]["task_types"][1][1] += [f"e{i:07d}" for i in range(n)]
+    text = codec.canonical_json_bytes(header)
+    path.write_bytes(frame_snapshot(text, body))
+    del header
+    gc.collect()
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        _, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(ValidationError, match="malformed snapshot: ValidationError state is cut short") as err:
+            MemoryModule.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.field == "state"
+    assert peak < parse_peak + len(text) + 38 * n / 2, (peak, parse_peak)
+
+
+# The snapshot reader on hand-written v8 files with an empty tree. A pair is written here as
 # plain lists, one value per record: the pair, then each of RECORD_COLUMNS.
 # _layout turns pairs into a header entry per pair and each pair's packed
 # column bytes, independently of the module's writer; a fault edits that
@@ -443,7 +609,7 @@ def _layout(pairs):
         columns.append({name: _packed(_CODES[name], values)
                         for name, values in zip(RECORD_COLUMNS, [index, *numbers])})
     header = {"format": "twotsd-snapshot", "version": SNAPSHOT_VERSION, "resources": {"profiles": []},
-              "history": {"pairs": entries}, "tree": {"leaves": []}}
+              "history": {"pairs": entries}, "tree": {"task_types": []}}
     return {"header": header, "columns": columns}
 
 
@@ -573,7 +739,7 @@ _MALFORMED_PAIRS = {
     "satisfied-not-a-bool": (_values("satisfied", [1, 2, 1]), "satisfied"),
     "satisfied-a-label": (_bytes("satisfied", b"sat"), "satisfied"),
     "pair-listed-twice": (_list_pair_twice, "pairs"),
-    "trailing-bytes": (_trailing_bytes, "pairs"),
+    "trailing-bytes": (_trailing_bytes, "tree"),  # bytes after the last column follow the last (empty) leaf block
     "owner-index-outside": (_values("owners", [0, 2, 0]), "owners"),
     "owners-empty": (_entry("owners", []), "owners"),
     "owners-not-a-list": (_entry("owners", "a_i"), "owners"),
@@ -772,24 +938,26 @@ def test_packed_columns_are_little_endian(tmp_path):
     assert body[40:56] == struct.pack("<dd", 0.5, 0.01)
 
 
-def test_a_tiny_v7_snapshot_has_the_golden_bytes(tmp_path):
-    """Pairs in sorted pair order, each pair's columns in (at, arrival) order; leaves as rows."""
+def test_a_tiny_v8_snapshot_has_the_golden_bytes(tmp_path):
+    """Pairs in sorted pair order, each pair's columns in (at, arrival) order; then each task type's leaf block."""
     memory = _tiny_memory()
     path = tmp_path / "snapshot.bin"
     memory.save(path)
-    assert path.read_bytes() == _GOLDEN_V7
+    assert path.read_bytes() == _GOLDEN_V8
     assert MemoryModule.load(path) == memory
 
 
-_GOLDEN_V7 = b"".join((
-    b"\x89twotsd\n",
-    b"v\x01\x00\x00\x00\x00\x00\x00",  # the header's length: 374 bytes
-    b'{"format":"twotsd-snapshot","history":{"pairs":[["a_j","video_transcoding",["a_i"],2],',
-    b'["a_k","video_transcoding",["a_i"],1]]},',
-    b'"resources":{"profiles":[{"bandwidth_mbps":100.0,"cpu_cps":10000000000.0,',
-    b'"device":"a_k","storage_mb":200.0,"updated_at":5}]},',
-    b'"tree":{"leaves":[["a_j","video_transcoding","trusted","normal","normal","normal",',
-    b'"normal",1000,2000,2000,2]]},"version":7}',
+def test_load_refuses_a_v7_snapshot_with_the_rebuild_hint(tmp_path):
+    """The tiny snapshot as v7 wrote it, its leaves JSON rows in the header, is refused by its version."""
+    assert (FIXTURES / "snapshot_v7.bin").read_bytes() == _GOLDEN_V7
+    path = tmp_path / "snapshot.bin"
+    path.write_bytes(_GOLDEN_V7)
+    with pytest.raises(ValidationError, match="unsupported snapshot version 7;") as err:
+        MemoryModule.load(path)
+    assert "rebuild the file with `twotsd simulate --snapshot`" in err.value.message
+
+
+_COLUMNS = (
     # a_j, 2 records: owners, at, throughput_mbps, loss_rate, proc_speed_mbps, accuracy, satisfied
     bytes.fromhex("00000000 00000000"),
     bytes.fromhex("e803000000000000 b80b000000000000"),
@@ -806,6 +974,32 @@ _GOLDEN_V7 = b"".join((
     bytes.fromhex("0000000000000040"),
     bytes.fromhex("5c8fc2f5285cef3f"),
     bytes.fromhex("01"),
+)
+_GOLDEN_V8 = b"".join((
+    b"\x89twotsd\n",
+    b"=\x01\x00\x00\x00\x00\x00\x00",  # the header's length: 317 bytes
+    b'{"format":"twotsd-snapshot","history":{"pairs":[["a_j","video_transcoding",["a_i"],2],',
+    b'["a_k","video_transcoding",["a_i"],1]]},',
+    b'"resources":{"profiles":[{"bandwidth_mbps":100.0,"cpu_cps":10000000000.0,',
+    b'"device":"a_k","storage_mb":200.0,"updated_at":5}]},',
+    b'"tree":{"task_types":[["video_transcoding",["a_j"]]]},"version":8}',
+    *_COLUMNS,
+    # video_transcoding, 1 leaf: its state code (trusted), then its record: four
+    # normal trends, a window flagged present, window 1000..2000, extracted_at
+    # 2000 and 2 records, as a bundle carries it
+    bytes.fromhex("00"),
+    bytes.fromhex("02020202 01 e803000000000000 d007000000000000 d007000000000000 0200000000000000"),
+))
+_GOLDEN_V7 = b"".join((
+    b"\x89twotsd\n",
+    b"v\x01\x00\x00\x00\x00\x00\x00",  # the header's length: 374 bytes
+    b'{"format":"twotsd-snapshot","history":{"pairs":[["a_j","video_transcoding",["a_i"],2],',
+    b'["a_k","video_transcoding",["a_i"],1]]},',
+    b'"resources":{"profiles":[{"bandwidth_mbps":100.0,"cpu_cps":10000000000.0,',
+    b'"device":"a_k","storage_mb":200.0,"updated_at":5}]},',
+    b'"tree":{"leaves":[["a_j","video_transcoding","trusted","normal","normal","normal",',
+    b'"normal",1000,2000,2000,2]]},"version":7}',
+    *_COLUMNS,
 ))
 
 
@@ -916,3 +1110,54 @@ def test_a_window_reads_as_the_brute_force_records(appends, queries):
         assert loaded.history.query(q) == window
     with pytest.raises(ValueError, match="step must be positive"):
         window[::-1]
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1])
+_TREND_LISTS = st.lists(st.sampled_from(Trend), min_size=4, max_size=4)
+
+
+@st.composite
+def _leaves(draw):
+    """Any valid leaf: every state, absent and int64-edge windows, counts from 0 to 2**63 - 1."""
+    state = draw(st.sampled_from(TrustState))
+    trends = [Trend.NORMAL] * 4 if state is TrustState.INSUFFICIENT_DATA else draw(_TREND_LISTS)
+    window = draw(st.none() | st.tuples(_INT64, _INT64).map(lambda w: tuple(sorted(w))))
+    return TrustSemantics(draw(st.text(min_size=1, max_size=4)), draw(st.sampled_from(["tt_a", "vidéo", "设备"])),
+                          state, *trends, window, draw(_INT64),
+                          draw(st.integers(0, 2**63 - 1) | st.sampled_from([0, 1, 2**63 - 1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaves=st.lists(_leaves(), max_size=30), records=st.lists(_records, max_size=4))
+def test_load_of_save_is_the_memory_saved(leaves, records):
+    """``load(save(m)) == m``; each trusted leaf's bytes in the file are those a bundle carries for it."""
+    memory = MemoryModule()
+    memory.resources.upsert(make_profile(device="a_k"))
+    for record in records:
+        memory.history.append(record)
+    for leaf in leaves:
+        memory.semantics.upsert(leaf)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.bin"
+        memory.save(path)
+        loaded = MemoryModule.load(path)
+        data = path.read_bytes()
+    tree = memory.semantics
+    assert loaded.semantics.task_types() == tree.task_types()
+    blocks = data[len(data) - 38 * tree.leaf_count():]  # the leaf blocks end the file
+    header, _ = split_snapshot(data)
+    for task_type, devices in header["tree"]["task_types"]:
+        n = len(devices)
+        states, block, blocks = blocks[:n], blocks[n:38 * n], blocks[38 * n:]
+        saved = tree.get_by_task_type(task_type)
+        again = loaded.semantics.get_by_task_type(task_type)
+        assert again == saved and devices == [leaf.device for leaf in saved]
+        assert states == bytes(list(TrustState).index(leaf.state) for leaf in saved)
+        # The loaded leaves carry no cached bytes: the bundle packs its own.
+        trusted = [i for i, leaf in enumerate(again) if leaf.state is TrustState.TRUSTED]
+        assert not any("_wire" in leaf.__dict__ for leaf in again)
+        bundle = CandidateBundle("t1", matched_candidates([again[i] for i in trusted]), 0)
+        frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
+        assert frame[len(frame) - 37 * len(trusted):] == b"".join(block[37 * i:37 * (i + 1)] for i in trusted)
+    assert blocks == b""
+    assert loaded == memory  # last: comparing packs the loaded leaves' records

@@ -34,6 +34,7 @@ from twotsd.errors import (
     VersionMismatchError,
 )
 from twotsd.matching import MatchConfig
+from twotsd.memory import MemoryModule
 from twotsd.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -50,7 +51,7 @@ from twotsd.protocol import (
 from twotsd.semantics import DeterministicEngine
 from twotsd.teacher import CandidateBundle, TeacherAgent, assemble_bundle, matched_candidates
 
-from _builders import make_profile, make_record, make_records, make_task, window_of
+from _builders import leaf_snapshot, make_profile, make_record, make_records, make_task, window_of
 
 
 def _sample_bundle():
@@ -290,12 +291,19 @@ def _wide_bundle(n: int = 1_000):
     return assemble_bundle(make_task(), leaves, profiles.get, 50_000, MatchConfig())
 
 
+def _v3_row(ts: TrustSemantics) -> list:
+    """``ts`` as a v3 bundle carried it: its fields in order, enums as labels, the window as two columns."""
+    lo, hi = ts.window or (None, None)
+    return [ts.device, ts.task_type, ts.state.value, ts.throughput.value, ts.loss_rate.value,
+            ts.accuracy.value, ts.proc_speed.value, lo, hi, ts.extracted_at, ts.record_count]
+
+
 def test_a_wide_bundle_frame_is_at_most_half_its_v3_rows():
     """10 000 candidates: the v4 frame against only the rows a v3 frame carried for them."""
     bundle = _wide_bundle(10_000)
     assert len(bundle.candidates) == 10_000
     frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
-    v3_rows = sum(len(codec.canonical_json_bytes(codec.semantics_to_row(c.semantics))) for c in bundle.candidates)
+    v3_rows = sum(len(codec.canonical_json_bytes(_v3_row(c.semantics))) for c in bundle.candidates)
     assert len(frame) <= v3_rows / 2
     assert decode(frame).payload == bundle
 
@@ -406,29 +414,46 @@ def test_a_bundle_of_candidates_of_two_task_types_cannot_be_framed():
         encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
 
 
-# Each bad record or header value with the refusal that names it: the binary
-# analogue of every row refusal of the row decoder that the record layout can
-# still express. A count, timestamp or window bound is an int64 whatever its
-# bytes, a trend a code and the state implied, so a label of the wrong type or
-# value, a float, a bool or a number past 64 bits has no bytes that say it.
+# Each bad record with the field and the refusal that name it. A bundle frame
+# and a snapshot's leaf block carry the same record, so both refuse it alike.
+# This is the binary analogue of every refusal of the old JSON row decoder
+# that the record layout can still express. A count, timestamp or window bound
+# is an int64 whatever its bytes, a trend or state a code, so a label of the
+# wrong type or value, a float, a bool, a half-null window or a number past
+# 64 bits has no bytes that say it.
 _MALFORMED_RECORDS = [
-    pytest.param({"loss_rate": 3}, "loss_rate must be a Trend code below 3, got 3", id="unknown_trend"),
-    pytest.param({"throughput": 255}, "throughput must be a Trend code below 3, got 255", id="unknown_trend_high"),
-    pytest.param({"proc_speed": 7}, "proc_speed must be a Trend code below 3, got 7", id="unknown_trend_last"),
-    pytest.param({"window_present": 2}, "window must be flagged 0 or 1, got 2", id="window_flag_2"),
-    pytest.param({"window_present": 0}, "window must be (0, 0) when flagged absent, got (1000, 8000)",
+    pytest.param({"loss_rate": 3}, "loss_rate", "loss_rate must be a Trend code below 3, got 3", id="unknown_trend"),
+    pytest.param({"throughput": 255}, "throughput", "throughput must be a Trend code below 3, got 255",
+                 id="unknown_trend_high"),
+    pytest.param({"proc_speed": 7}, "proc_speed", "proc_speed must be a Trend code below 3, got 7",
+                 id="unknown_trend_last"),
+    pytest.param({"window_present": 2}, "window", "window must be flagged 0 or 1, got 2", id="window_flag_2"),
+    pytest.param({"window_present": 0}, "window", "window must be (0, 0) when flagged absent, got (1000, 8000)",
                  id="absent_window_with_bounds"),
-    pytest.param({"window_present": 0, "window_from": 0}, "window must be (0, 0) when flagged absent, got (0, 8000)",
-                 id="absent_window_with_window_to"),
-    pytest.param({"window_present": 0, "window_to": 0}, "window must be (0, 0) when flagged absent, got (1000, 0)",
-                 id="absent_window_with_window_from"),
-    pytest.param({"record_count": -1}, "record_count must be >= 0, got -1", id="negative_count"),
-    pytest.param({"record_count": -(2**63)}, f"record_count must be >= 0, got {-(2**63)}", id="int64_min_count"),
-    pytest.param({"window_from": 9000, "window_to": 1000}, "window must be ordered, from <= to, got (9000, 1000)",
-                 id="reversed_window"),
-    pytest.param({"window_from": 2**63 - 1, "window_to": -(2**63)},
+    pytest.param({"window_present": 0, "window_from": 0}, "window",
+                 "window must be (0, 0) when flagged absent, got (0, 8000)", id="absent_window_with_window_to"),
+    pytest.param({"window_present": 0, "window_to": 0}, "window",
+                 "window must be (0, 0) when flagged absent, got (1000, 0)", id="absent_window_with_window_from"),
+    pytest.param({"record_count": -1}, "record_count", "record_count must be >= 0, got -1", id="negative_count"),
+    pytest.param({"record_count": -(2**63)}, "record_count", f"record_count must be >= 0, got {-(2**63)}",
+                 id="int64_min_count"),
+    pytest.param({"window_from": 9000, "window_to": 1000}, "window",
+                 "window must be ordered, from <= to, got (9000, 1000)", id="reversed_window"),
+    pytest.param({"window_from": 2**63 - 1, "window_to": -(2**63)}, "window",
                  f"window must be ordered, from <= to, got ({2**63 - 1}, {-(2**63)})",
                  id="reversed_window_int64_edges"),
+]
+# A snapshot also carries each leaf's state code: codes of TrustState
+# (trusted 0, untrusted 1, insufficient_data 2), beside the record.
+_MALFORMED_STATES = [
+    pytest.param({"state": 3}, "state", "state must be a TrustState code below 3, got 3", id="unknown_state"),
+    pytest.param({"state": 255}, "state", "state must be a TrustState code below 3, got 255", id="unknown_state_high"),
+    pytest.param({"state": 2, "throughput": 0}, "state",
+                 "state must be trusted or untrusted where a trend is not normal, got 2",
+                 id="insufficient_data_with_a_trend"),
+    pytest.param({"state": 2, "proc_speed": 1}, "state",
+                 "state must be trusted or untrusted where a trend is not normal, got 2",
+                 id="insufficient_data_with_the_last_trend"),
 ]
 _MALFORMED_HEADERS = [
     pytest.param({"devices": ""}, "device must be a nonempty string", id="empty_device"),
@@ -446,12 +471,32 @@ def _wide_frame(last: bytes, n: int, **header) -> bytes:
 
 
 @pytest.mark.parametrize("n", [2, 400])
-@pytest.mark.parametrize("fields, error", _MALFORMED_RECORDS)
-def test_a_malformed_record_fails_the_whole_frame(fields, error, n):
-    """One bad record after good ones is refused as it is alone, naming its candidate."""
-    expected = f"bad candidate_bundle payload: {error} for candidate 'a_a{n - 1:03d}'"
-    with pytest.raises(MalformedFrameError, match=re.escape(expected)):
+@pytest.mark.parametrize("fields, field, error", _MALFORMED_RECORDS)
+def test_a_malformed_record_fails_the_whole_frame(fields, field, error, n):
+    """One bad record after good ones is refused as it is alone, naming its device."""
+    expected = f"{error} for device 'a_a{n - 1:03d}'"
+    with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: {expected}")) as err:
         decode(_wide_frame(_record(**fields), n))
+    refusal = err.value.__context__  # the record's own refusal, under the frame's
+    assert (refusal.message, refusal.field, refusal.code) == (expected, field, "validation")
+
+
+@pytest.mark.parametrize("n", [2, 400])
+@pytest.mark.parametrize("fields, field, error", _MALFORMED_RECORDS + _MALFORMED_STATES)
+def test_a_malformed_record_fails_the_whole_snapshot(tmp_path, fields, field, error, n):
+    """The same bad record last in a snapshot's leaf block: the frame's refusal, field and code."""
+    fields = dict(fields)
+    state = fields.pop("state", 0)
+    devices = [f"a_a{i:03d}" for i in range(n)]
+    path = tmp_path / "snapshot.bin"
+    path.write_bytes(leaf_snapshot([("video_transcoding", devices, bytes(n), _record() * n)]))
+    assert len(MemoryModule.load(path).semantics.get_by_task_type("video_transcoding")) == n
+    path.write_bytes(leaf_snapshot([("video_transcoding", devices, bytes(n - 1) + bytes([state]),
+                                     _record() * (n - 1) + _record(**fields))]))
+    expected = f"{error} for device 'a_a{n - 1:03d}'"
+    with pytest.raises(ValidationError, match=re.escape(f"malformed snapshot: ValidationError {expected}")) as err:
+        MemoryModule.load(path)
+    assert (err.value.field, err.value.code) == (field, "validation")
 
 
 @pytest.mark.parametrize("n", [2, 400])
@@ -502,122 +547,6 @@ def test_a_bundle_header_missing_a_field_is_malformed():
         del header[field]
         with pytest.raises(MalformedFrameError, match=re.escape(f"bad candidate_bundle payload: '{field}'")):
             decode(_framed(_bundle_body(header, _record())))
-
-
-_STATE_LABELS = [s.value for s in TrustState]
-_TREND_LABELS = [t.value for t in Trend]
-_ROW = ["a_k", "video_transcoding", "trusted", "normal", "normal", "normal", "normal", 1000, 8000, 8000, 8]
-
-
-def _row(**columns) -> list:
-    """``_ROW`` for device ``a_l``, with the named columns replaced."""
-    row = dict(zip(codec.SEMANTICS_COLUMNS, _ROW), device="a_l")
-    row.update(columns)
-    return list(row.values())
-
-
-_ARITY = "a semantics row must be a list of 11 values"
-
-
-# Each bad semantics row, as a snapshot leaf may hold it, with the refusal
-# that names it. A whole-column check could let through a value that is in
-# range for one column's type but not the field's: a timestamp or count past
-# 64 bits, a bool where an int belongs, an id or label of the wrong type.
-_MALFORMED_ROWS = [
-    pytest.param(_ROW[:-1], _ARITY, id="short"),
-    pytest.param(_ROW + [0], _ARITY, id="long"),
-    pytest.param([], _ARITY, id="empty"),
-    pytest.param(dict(zip(codec.SEMANTICS_COLUMNS, _row())), _ARITY, id="object"),
-    pytest.param("a_l", _ARITY, id="string"),
-    pytest.param(None, _ARITY, id="null"),
-    pytest.param(_row(state="trustee"), "bad semantics enum value: 'trustee'", id="unknown_state"),
-    pytest.param(_row(loss_rate="upward"), "bad semantics enum value: 'upward'", id="unknown_trend"),
-    pytest.param(_row(accuracy=["normal"]), "bad semantics enum value", id="unhashable_label"),
-    pytest.param(_row(window_from=None), "window.from must be an integer", id="half_null_window_from"),
-    pytest.param(_row(window_to=None), "window.to must be an integer", id="half_null_window_to"),
-    pytest.param(_row(record_count=True), "record_count must be an integer", id="bool_count"),
-    pytest.param(_row(record_count=8.0), "record_count must be an integer", id="float_count"),
-    pytest.param(_row(record_count=-1), "record_count must be >= 0", id="negative_count"),
-    pytest.param(_row(record_count=2**63), "record_count must fit in 64 bits", id="count_past_int64"),
-    pytest.param(_row(window_from=9000, window_to=1000), "window.from must be <= window.to",
-                 id="reversed_window"),
-    pytest.param(_row(extracted_at=8000.5), "extracted_at must be an integer", id="float_extracted_at"),
-    pytest.param(_row(device=""), "device must be a nonempty string", id="empty_device"),
-    pytest.param(_row(task_type=5), "task_type must be a nonempty string", id="int_task_type"),
-    pytest.param(_row(state="insufficient_data", throughput="increasing"),
-                 "insufficient_data semantics must carry only normal trends",
-                 id="insufficient_data_with_a_trend"),
-    pytest.param(_row(extracted_at=2**63), "extracted_at must fit in 64 bits", id="extracted_at_past_int64"),
-    pytest.param(_row(window_to=-(2**63) - 1), "window.to must fit in 64 bits", id="window_to_below_int64"),
-    pytest.param(_row(window_to=2**63), "window.to must fit in 64 bits", id="window_to_past_int64"),
-    pytest.param(_row(window_from=-(2**63) - 1), "window.from must fit in 64 bits", id="window_from_below_int64"),
-    pytest.param(_row(window_from=True), "window.from must be an integer", id="bool_window_from"),
-    pytest.param(_row(device=7), "device must be a nonempty string", id="int_device"),
-    pytest.param(_row(state=None), "bad semantics enum value: None", id="null_state"),
-]
-
-
-@pytest.mark.parametrize("n", [2, 400])
-@pytest.mark.parametrize("row, error", _MALFORMED_ROWS)
-def test_the_row_decoder_refuses_a_malformed_row_among_good_ones(row, error, n):
-    """One bad row after good ones is refused as it is alone, not lost among the columns."""
-    rows = [_row(device=f"a_a{i:03d}") for i in range(n - 2)] + [_ROW, row]
-    with pytest.raises(ValidationError, match=re.escape(error)):
-        codec.semantics_from_rows(rows)
-
-
-_INT64 = st.integers(-(2**63), 2**63 - 1)
-# Any JSON value a snapshot could put in a cell, near the edges of each column's range.
-_CELLS = (st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.floats(allow_nan=False)
-          | st.sampled_from([*_STATE_LABELS, *_TREND_LABELS, "", 2**63, -(2**63) - 1, -1, 0])
-          | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
-
-
-@st.composite
-def _valid_row(draw):
-    state = draw(st.sampled_from(TrustState))
-    trends = (["normal"] * 4 if state is TrustState.INSUFFICIENT_DATA
-              else draw(st.lists(st.sampled_from(_TREND_LABELS), min_size=4, max_size=4)))
-    lo, hi = draw(st.just((None, None)) | st.tuples(_INT64, _INT64).map(sorted))
-    return [draw(_IDS), draw(_IDS), state.value, *trends, lo, hi, draw(_INT64), draw(st.integers(0, 2**70))]
-
-
-@st.composite
-def _rows(draw):
-    """0, 1 or many valid rows, one cell of which is sometimes replaced by any JSON value."""
-    rows = draw(st.just([]) | st.lists(_valid_row(), min_size=1, max_size=1)
-                | st.lists(_valid_row(), min_size=2, max_size=60))
-    if rows and draw(st.booleans()):
-        row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
-    return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(_rows())
-def test_decoding_rows_a_column_at_a_time_equals_decoding_each_row(rows):
-    """Same values, or the same refusal, as ``semantics_from_row`` on each row in turn."""
-    try:
-        expected = [codec.semantics_from_row(row) for row in rows]
-    except ValidationError as exc:
-        with pytest.raises(ValidationError) as refused:
-            codec.semantics_from_rows(rows)
-        assert (refused.value.message, refused.value.field, refused.value.code) == (
-            exc.message, exc.field, exc.code)
-        return
-    assert not rows or codec._checked_columns(rows) is not None  # valid rows take the column path
-    decoded = codec.semantics_from_rows(rows)
-    assert len(decoded) == len(expected)
-    names = [f.name for f in dataclasses.fields(TrustSemantics)]
-    for got, want, row in zip(decoded, expected, rows):
-        assert type(got) is TrustSemantics
-        assert list(got.__dict__) == list(want.__dict__) == names
-        assert sys.getsizeof(got.__dict__) == sys.getsizeof(want.__dict__)  # keys shared alike
-        for name in names:
-            assert type(getattr(got, name)) is type(getattr(want, name))
-            assert getattr(got, name) == getattr(want, name)
-        assert got == want and hash(got) == hash(want)
-        assert codec.semantics_to_row(got) == row
 
 
 @pytest.mark.parametrize("devices", [["a_k", "a_k"], ["a_l", "a_k"]], ids=["twice", "descending"])
@@ -730,7 +659,7 @@ def _v3_frame(msg: Message) -> bytes:
     """
     payload = codec.to_jsonable(msg.payload)
     if msg.kind is MessageKind.CANDIDATE_BUNDLE:
-        payload = {"candidates": [codec.semantics_to_row(c.semantics) for c in msg.payload.candidates],
+        payload = {"candidates": [_v3_row(c.semantics) for c in msg.payload.candidates],
                    "generated_at": msg.payload.generated_at, "task_id": msg.payload.task_id}
     doc = {"kind": msg.kind.value, "msg_id": msg.msg_id, "payload": payload, "sender": msg.sender,
            "sent_at": msg.sent_at}
@@ -751,13 +680,6 @@ def test_a_v3_peer_gets_version_mismatch_over_tcp(server):
         assert reply.payload.code == "version_mismatch"
         assert reply.payload.detail == "schema version 3, supported 4"
         assert read_frame(sock) is None  # a framing error ends the connection
-
-
-def test_unhashable_semantics_label_is_a_validation_error():
-    row = codec.semantics_to_row(_sample_bundle().candidates[0].semantics)
-    row[codec.SEMANTICS_COLUMNS.index("loss_rate")] = ["normal"]
-    with pytest.raises(ValidationError, match="bad semantics enum value"):
-        codec.semantics_from_row(row)
 
 
 def test_encode_refuses_a_body_over_the_cap(monkeypatch):
