@@ -478,8 +478,8 @@ def _semantics_of_valid_columns(devices, task_types, states, throughputs, loss_r
     """One ``TrustSemantics`` per position of columns that already hold valid field values.
 
     The caller has checked every column as the constructor checks one value
-    (``codec.semantics_of_records``, for bundle records and snapshot
-    leaves), so the constructor is not run again: each instance gets its
+    (``codec.checked_columns``, for bundle records and snapshot leaves),
+    so the constructor is not run again: each instance gets its
     fields stored as ``__init__`` stores them, in declaration order, so the
     instance dicts keep sharing their keys. Each window is a tuple or None.
     """

@@ -36,7 +36,7 @@ writes the store's arrays' bytes and each leaf's cached record; loading
 reads each column into a pre-sized array, so no parsed document or text
 copy of the columns is ever built, and checks each whole column as the
 ``PerformanceRecord`` constructor checks one value. Leaves go through
-``codec.semantics_of_records``, the decoder bundles use too. A file is
+``codec.checked_columns``, the checker bundles use too. A file is
 recognised by its magic, never by its name. An older snapshot (a JSON one
 starts with ``{``) is read only to name its version in the refusal: a
 snapshot is rebuilt from its scenario config and seed, not migrated.
@@ -235,7 +235,7 @@ class HistoryStore:
         return {"pairs": pairs, "columns": columns}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], reader: "_ColumnReader") -> "HistoryStore":
+    def from_dict(cls, doc: dict[str, Any], reader: "_ColumnReader", ids: dict[str, str]) -> "HistoryStore":
         """Read each pair's columns from ``reader`` straight into the store, checking whole columns.
 
         ``doc`` is the header's history and ``reader`` stands at the first
@@ -246,13 +246,12 @@ class HistoryStore:
         the same helpers, so it names the same field and code. Nothing goes
         through ``append``: the store is not shared yet, and a traced load
         (``bench/tracing.py`` wraps ``append``) would otherwise count each
-        loaded record as a served append. Ids are interned through one dict,
+        loaded record as a served append. Ids are interned through ``ids``,
         so each distinct owner, collaborator and task type is one string
         object however many records name it.
         """
         store = cls()
         by_key = store._by_key
-        ids: dict[str, str] = {}
         pairs = doc["pairs"]
         if type(pairs) is not list:
             raise ValidationError("history pairs must be a list", field="pairs")
@@ -430,17 +429,21 @@ class SemanticsTree:
         return {"task_types": task_types, "columns": columns}
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any], reader: _ColumnReader) -> "SemanticsTree":
+    def from_dict(cls, doc: dict[str, Any], reader: _ColumnReader, ids: dict[str, str]) -> "SemanticsTree":
         """The tree of a snapshot's task-type entries, each leaf block read from ``reader``.
 
-        Each block is read whole into a pre-sized array and decoded by
-        ``codec.semantics_of_records``. A task type's lists are installed
+        Each block is read whole into a pre-sized array, checked by
+        ``codec.checked_columns`` and built by ``codec.semantics_of_columns``.
+        Task types and device ids are interned through ``ids``, the dict the
+        history's load interned its ids through, so a device is one string
+        object in both stores. A task type's lists are installed
         directly, not through ``upsert``: the tree is not shared yet, and a
         traced load (``bench/tracing.py`` wraps ``upsert``) would otherwise
         count each loaded leaf as a served update.
         """
         tree = cls()
         by_task_type = tree._by_task_type
+        intern = ids.setdefault
         entries = doc["task_types"]
         if type(entries) is not list:
             raise ValidationError("tree task types must be a list", field="tree")
@@ -454,12 +457,14 @@ class SemanticsTree:
                                       field="tree")
             states = reader.read("state", "B", len(devices))
             block = reader.read("leaves", "B", len(devices) * codec._RECORD.size)
-            leaves = codec.semantics_of_records(task_type, devices, states, block)
+            columns = codec.checked_columns(task_type, devices, states, block)
             if any(map(operator.ge, devices, devices[1:])):
                 raise ValidationError(f"devices of {task_type} must ascend, each listed once", field="tree")
             if task_type in by_task_type:
                 raise ValidationError(f"task type {task_type} listed twice", field="tree")
-            by_task_type[task_type] = (devices, leaves)
+            columns = columns._replace(task_type=intern(task_type, task_type),
+                                       devices=[*map(intern, devices, devices)])
+            by_task_type[columns.task_type] = (columns.devices, codec.semantics_of_columns(columns))
         return tree
 
 
@@ -544,8 +549,9 @@ class MemoryModule:
                 try:
                     module.resources = ResourceStore.from_dict(doc["resources"])
                     reader = _ColumnReader(fh)
-                    module.history = HistoryStore.from_dict(doc["history"], reader)
-                    module.semantics = SemanticsTree.from_dict(doc["tree"], reader)
+                    ids: dict[str, str] = {}  # one string object per distinct id, in both stores
+                    module.history = HistoryStore.from_dict(doc["history"], reader, ids)
+                    module.semantics = SemanticsTree.from_dict(doc["tree"], reader, ids)
                     if reader.left:
                         raise ValidationError(f"{reader.left} bytes follow the last leaf block", field="tree")
                 except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as exc:

@@ -28,13 +28,18 @@ Each id is any string ``_require_device_id`` accepts, escaped as JSON. Then
 one semantics record per device, in the same order: the record that
 ``codec`` defines and a snapshot's leaf blocks hold too. A bundle holds only
 matched, trusted devices, in strictly ascending device order, so the wire
-has no state column; the per-stage chain results stay on the server. Each
-leaf's id and record are made once per extraction and kept on the immutable
-``TrustSemantics`` (re-extraction replaces the instance), so a request joins
-cached bytes. The decoder checks the block's length, then decodes it through
-``codec.semantics_of_records`` with every device trusted; the bundle then
-checks their order. A bad value fails the whole frame as malformed, naming
-its field and the first device that carries it.
+has no state column; the per-stage chain results stay on the server. A
+``CandidateBundle`` holds the header's values and the record block as they
+travel: each leaf's record is made once per extraction and kept on the
+immutable ``TrustSemantics`` (re-extraction replaces the instance), so the
+teacher's bundle joins cached bytes and ``encode`` writes that block as it
+is. The decoder checks the block's length, then checks its columns whole
+through ``codec.checked_columns`` with every device trusted, and the
+bundle checks their order. A bad value fails the whole frame as malformed,
+naming its field and the first device that carries it. The decoded bundle
+keeps the frame's block and the checked columns and builds no value: the
+student decides from the code columns, and ``candidates`` is built on
+first read.
 
 Corrupt input raises malformed, never yields a partial message. A body longer
 than ``MAX_FRAME_BYTES`` is refused on both sides: ``encode`` raises rather
@@ -58,8 +63,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from . import codec
 from .domain import (
@@ -67,7 +71,6 @@ from .domain import (
     ResourceProfile,
     Task,
     TimestampMs,
-    TrustSemantics,
     _require_device_id,
     _require_timestamp,
     from_fields,
@@ -81,7 +84,7 @@ from .errors import (
     ValidationError,
     VersionMismatchError,
 )
-from .teacher import _TRUSTED, CandidateBundle, TeacherAgent, matched_candidates
+from .teacher import _TRUSTED, CandidateBundle, TeacherAgent
 
 PROTOCOL_VERSION = 4
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -91,8 +94,6 @@ _LEN = struct.Struct(">I")
 _HEADER_LEN = struct.Struct("<I")
 _RECORD_SIZE = codec._RECORD.size
 _TRUSTED_CODE = bytes([codec._STATE_CODE[_TRUSTED]])
-_LEAF, _TASK_TYPE = itemgetter(0), attrgetter("task_type")  # a candidate's semantics, and a leaf's task type
-_ID_JSON, _PACKED_RECORD = itemgetter(0), itemgetter(1)  # the two halves of a cached wire
 
 
 class MessageKind(Enum):
@@ -174,30 +175,23 @@ _FROM_DOCUMENT: dict[MessageKind, Callable[[Any], Any]] = {
 
 
 def _bundle_rest(msg: Message) -> bytes:
-    """The bundle body after its kind byte: the JSON header, then each candidate's record.
+    """The bundle body after its kind byte: the JSON header, then the bundle's record block as it is.
 
     ``devices`` sorts first among the header's keys, so the header is the
-    leaves' cached id strings joined as a JSON list, then the canonical JSON
-    of the other keys.
+    bundle's device ids as a JSON list, then the canonical JSON of the other
+    keys.
     """
     bundle = msg.payload
-    leaves = [*map(_LEAF, bundle.candidates)]
-    wires = codec.wires_of(leaves)
-    task_types = [*map(_TASK_TYPE, leaves)]
-    task_type = task_types[0] if task_types else None
-    if task_types.count(task_type) != len(task_types):
-        raise ProtocolError(
-            f"bundle candidates of {len({*task_types})} task types; a bundle frame carries one")
     rest = codec.canonical_json_bytes({
         "generated_at": bundle.generated_at,
         "msg_id": msg.msg_id,
         "sender": msg.sender,
         "sent_at": msg.sent_at,
         "task_id": bundle.task_id,
-        "task_type": task_type,
+        "task_type": bundle.task_type,
     })
-    header = b"".join([b'{"devices":[', b",".join(map(_ID_JSON, wires)), b"],", rest[1:]])
-    return b"".join([_HEADER_LEN.pack(len(header)), header, *map(_PACKED_RECORD, wires)])
+    header = b"".join([b'{"devices":', codec.canonical_json_bytes(bundle.device_ids), b",", rest[1:]])
+    return b"".join([_HEADER_LEN.pack(len(header)), header, bundle.block])
 
 
 def encode(msg: Message) -> bytes:
@@ -261,7 +255,11 @@ def _split_bundle(body: bytes) -> tuple[dict, bytes]:
 
 
 def _bundle_of(header: dict, block: bytes) -> CandidateBundle:
-    """The bundle that ``header`` and its record ``block`` describe, every device trusted."""
+    """The bundle that ``header`` and its record ``block`` describe, every device trusted.
+
+    The block's columns are checked whole here; the bundle keeps them and
+    builds no value until its ``candidates`` are read.
+    """
     devices = header["devices"]
     if type(devices) is not list:
         raise ValidationError("devices must be a list", field="devices")
@@ -270,11 +268,10 @@ def _bundle_of(header: dict, block: bytes) -> CandidateBundle:
             f"record block of {len(block)} bytes, not {len(devices)} records of {_RECORD_SIZE}",
             field="candidates",
         )
-    semantics: Sequence[TrustSemantics] = ()
+    columns = None
     if devices:
-        states = _TRUSTED_CODE * len(devices)
-        semantics = codec.semantics_of_records(header["task_type"], devices, states, block)
-    return CandidateBundle(header["task_id"], matched_candidates(semantics), header["generated_at"])
+        columns = codec.checked_columns(header["task_type"], devices, _TRUSTED_CODE * len(devices), block)
+    return CandidateBundle.of_columns(header["task_id"], header["generated_at"], columns, block)
 
 
 def decode(data: bytes) -> Message:

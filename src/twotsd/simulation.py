@@ -477,7 +477,7 @@ class ServedWorld:
         retrieved = len(self.teacher.memory.semantics.devices_for(task.task_type))
         lat = self.cfg.latency
         eval_time = 2 * lat.l_msg_s + lat.c_eng_s + lat.c_ret_s * retrieved
-        return decide(bundle, self.cfg.policy), eval_time, 0, len(bundle.candidates)
+        return decide(bundle, self.cfg.policy), eval_time, 0, len(bundle.device_ids)
 
 
 class DirectPollingBaseline:

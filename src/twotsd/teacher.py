@@ -22,11 +22,12 @@ whole point of the architecture, and the simulation asserts it with counters.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import repeat
-from operator import attrgetter, itemgetter, lt
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import attrgetter, lt
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+from . import codec
 from .domain import (
     DeviceId,
     PerformanceRecord,
@@ -46,8 +47,7 @@ from .semantics import DeterministicEngine, SemanticsEngine
 
 
 _TRUSTED = TrustState.TRUSTED  # read once per candidate; a global is faster than the Enum class
-_SEMANTICS, _MATCHED = itemgetter(0), itemgetter(1)  # a Candidate's fields
-_DEVICE, _STATE = attrgetter("device"), attrgetter("state")
+_DEVICE, _STATE, _TASK_TYPE = attrgetter("device"), attrgetter("state"), attrgetter("task_type")
 
 _INGEST_LOCKS = 64  # per teacher; each (device, task type) pair takes one by its hash
 
@@ -66,52 +66,108 @@ class Candidate(NamedTuple):
         return self.semantics.device
 
 
-def matched_candidates(semantics: Iterable[TrustSemantics]) -> tuple[Candidate, ...]:
-    """Each of ``semantics`` as a matched ``Candidate``.
-
-    The tuples are built by ``tuple.__new__``, as the named tuple's own
-    ``__new__`` would build them, without a Python-level call per candidate.
-    """
-    return tuple(map(tuple.__new__, repeat(Candidate), zip(semantics, repeat(True))))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CandidateBundle:
-    """What the teacher transfers to a student: qualified candidates only.
+    """What the teacher transfers to a student: qualified candidates only, held as columns.
 
-    Every candidate is matched and trusted, in strictly ascending device id
-    order, so no device is listed twice.
+    Every candidate is matched and trusted, of one task type, in strictly
+    ascending device id order, so no device is listed twice. The bundle
+    holds the task id, ``generated_at``, the candidates' ``task_type`` (None
+    when there are none), their ``device_ids`` and ``block``: one ``codec``
+    semantics record per device, in the same order, the bytes a bundle frame
+    carries. ``candidates`` gives each as a matched ``Candidate``: the
+    values the bundle was made from, or, for a decoded bundle, values built
+    on first read from the columns that decoding checked, never checked
+    twice. Two threads reading a decoded bundle's ``candidates`` at once
+    build equal values; each read after that returns the same tuple.
     """
 
     task_id: str
-    candidates: tuple[Candidate, ...]
     generated_at: TimestampMs
+    task_type: TaskType | None
+    device_ids: tuple[DeviceId, ...]
+    block: bytes = field(repr=False)
+    _source: Any = field(repr=False, compare=False)  # the leaves, or the checked columns, values come from
+    _candidates: tuple[Candidate, ...] | None = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        _require_device_id(self.task_id, "task_id")
-        _require_timestamp(self.generated_at, "generated_at")
-        # Checked a column at a time; the loop below runs only to name the first offender.
-        leaves = [*map(_SEMANTICS, self.candidates)]
-        devices = [*map(_DEVICE, leaves)]
-        if (all(map(lt, devices, devices[1:])) and all(map(_MATCHED, self.candidates))
-                and [*map(_STATE, leaves)].count(_TRUSTED) == len(leaves)):
-            return
-        previous = None
-        for semantics, matched in self.candidates:
-            device = semantics.device
-            if previous is not None and device <= previous:
-                raise ValidationError(
-                    f"bundle candidates must be ordered by device id, each once: {device} after {previous}",
-                    field="candidates",
-                )
+    def __init__(self, task_id: str, candidates: Iterable[Candidate], generated_at: TimestampMs):
+        candidates = tuple(candidates)
+        for semantics, matched in candidates:
             if not matched:
-                raise ValidationError(f"unmatched candidate {device} in bundle", field="candidates")
-            if semantics.state is not _TRUSTED:
-                raise ValidationError(f"non-trusted candidate {device} in bundle", field="candidates")
-            previous = device
+                raise ValidationError(f"unmatched candidate {semantics.device} in bundle", field="candidates")
+        self._of_leaves(task_id, generated_at, [candidate.semantics for candidate in candidates], candidates)
+
+    @classmethod
+    def of_leaves(cls, task_id: str, generated_at: TimestampMs, leaves: list[TrustSemantics]
+                  ) -> "CandidateBundle":
+        """The bundle of matched ``leaves``, packed into its columns without a ``Candidate`` each."""
+        bundle = object.__new__(cls)
+        bundle._of_leaves(task_id, generated_at, leaves, None)
+        return bundle
+
+    @classmethod
+    def of_columns(cls, task_id: str, generated_at: TimestampMs, columns: "codec.RecordColumns | None",
+                   block: bytes) -> "CandidateBundle":
+        """The bundle of ``block``, whose columns ``codec.checked_columns`` checked; None for no records."""
+        devices = () if columns is None else tuple(columns.devices)
+        _require_ascending(devices)
+        bundle = object.__new__(cls)
+        bundle._set(task_id, generated_at, None if columns is None else columns.task_type, devices, block,
+                    [] if columns is None else columns, None)
+        return bundle
+
+    def _of_leaves(self, task_id: str, generated_at: TimestampMs, leaves: list[TrustSemantics],
+                   candidates: tuple[Candidate, ...] | None) -> None:
+        """Check ``leaves`` a column at a time as a bundle's candidates, then join their cached records."""
+        devices = tuple(map(_DEVICE, leaves))
+        _require_ascending(devices)
+        if [*map(_STATE, leaves)].count(_TRUSTED) != len(leaves):
+            device = next(leaf.device for leaf in leaves if leaf.state is not _TRUSTED)
+            raise ValidationError(f"non-trusted candidate {device} in bundle", field="candidates")
+        task_types = [*map(_TASK_TYPE, leaves)]
+        task_type = task_types[0] if leaves else None
+        if task_types.count(task_type) != len(leaves):
+            raise ValidationError(
+                f"bundle candidates of {len({*task_types})} task types; a bundle carries one", field="candidates")
+        self._set(task_id, generated_at, task_type, devices, codec.block_of(leaves), leaves, candidates)
+
+    def _set(self, *values) -> None:
+        """Check the header values, then store every field, in declaration order."""
+        _require_device_id(values[0], "task_id")
+        _require_timestamp(values[1], "generated_at")
+        for name, value in zip(_BUNDLE_FIELDS, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        """Each candidate as a matched ``Candidate``, in device order.
+
+        The tuples are built by ``tuple.__new__``, as the named tuple's own
+        ``__new__`` would build them, without a Python-level call per candidate.
+        """
+        candidates = self._candidates
+        if candidates is None:
+            source = self._source
+            leaves = source if type(source) is list else codec.semantics_of_columns(source)
+            candidates = tuple(map(tuple.__new__, repeat(Candidate), zip(leaves, repeat(True))))
+            object.__setattr__(self, "_candidates", candidates)
+        return candidates
 
     def devices(self) -> list[DeviceId]:
-        return [c.device for c in self.candidates]
+        return list(self.device_ids)
+
+
+_BUNDLE_FIELDS = tuple(f.name for f in fields(CandidateBundle))
+
+
+def _require_ascending(devices: Sequence[DeviceId]) -> None:
+    """Refuse device ids that are not in strictly ascending order, naming the first pair out of it."""
+    if not all(map(lt, devices, devices[1:])):
+        previous, device = next((a, b) for a, b in zip(devices, devices[1:]) if not a < b)
+        raise ValidationError(
+            f"bundle candidates must be ordered by device id, each once: {device} after {previous}",
+            field="candidates",
+        )
 
 
 class TeacherAgent:
@@ -217,4 +273,4 @@ def assemble_bundle(
         profile = profile_of(sem.device)
         if profile is not None and evaluate_chain(task, profile, now, match_cfg).matched:
             matched.append(sem)
-    return CandidateBundle(task.task_id, matched_candidates(matched), now)
+    return CandidateBundle.of_leaves(task.task_id, now, matched)

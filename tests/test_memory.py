@@ -37,7 +37,7 @@ from twotsd.memory import (
     _ColumnReader,
 )
 from twotsd.protocol import Message, MessageKind, encode
-from twotsd.teacher import CandidateBundle, matched_candidates
+from twotsd.teacher import Candidate, CandidateBundle
 
 from _builders import frame_snapshot, make_profile, make_record, make_semantics, split_snapshot
 
@@ -247,7 +247,7 @@ def _reloaded(tree: SemanticsTree) -> SemanticsTree:
     """``tree`` through its snapshot form: the header entries, then the leaf blocks as file bytes."""
     doc = tree.to_dict()
     blocks = io.BytesIO(b"".join(doc.pop("columns")))
-    return SemanticsTree.from_dict(doc, _ColumnReader(blocks))
+    return SemanticsTree.from_dict(doc, _ColumnReader(blocks), {})
 
 
 _TREE_TASK_TYPES = ["tt_a", "tt_b", "tt_c"]
@@ -892,6 +892,30 @@ def test_load_interns_ids(tmp_path):
     assert first.owner is third.owner and first.collaborator is second.collaborator
 
 
+def test_load_shares_one_id_string_per_device_between_history_and_tree(tmp_path):
+    """The tree's device ids and task types are the very strings the history's load interned."""
+    memory = MemoryModule()
+    for i in range(12):
+        device, task_type = f"c{i % 4}", ("t_a", "t_b")[i % 2]
+        memory.history.append(make_record(collaborator=device, task_type=task_type, at=1_000 * i))
+        memory.semantics.upsert(_semantics(device, task_type, n=2))
+    path = tmp_path / "snapshot.bin"
+    memory.save(path)
+    loaded = MemoryModule.load(path)
+    pairs = {(c, t): (c, t) for c, t, _, _ in loaded.history.to_dict()["pairs"]}  # the history's own strings
+    tree = loaded.semantics
+    assert tree.task_types() == ["t_a", "t_b"]
+    for task_type in tree.task_types():
+        devices = tree.devices_for(task_type)
+        assert devices == (["c0", "c2"] if task_type == "t_a" else ["c1", "c3"])
+        for device, leaf in zip(devices, tree.get_by_task_type(task_type), strict=True):
+            collaborator, history_task_type = pairs[device, task_type]
+            assert device is collaborator and leaf.device is device
+            assert task_type is history_task_type and leaf.task_type is task_type
+    loaded.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
 def test_load_peak_stays_near_the_memory_it_keeps(tmp_path):
     """History is held as columns, read from the file into pre-sized arrays with no parsed copy.
 
@@ -1155,8 +1179,8 @@ def test_load_of_save_is_the_memory_saved(leaves, records):
         assert states == bytes(list(TrustState).index(leaf.state) for leaf in saved)
         # The loaded leaves carry no cached bytes: the bundle packs its own.
         trusted = [i for i, leaf in enumerate(again) if leaf.state is TrustState.TRUSTED]
-        assert not any("_wire" in leaf.__dict__ for leaf in again)
-        bundle = CandidateBundle("t1", matched_candidates([again[i] for i in trusted]), 0)
+        assert not any("_record" in leaf.__dict__ for leaf in again)
+        bundle = CandidateBundle("t1", [Candidate(again[i], True) for i in trusted], 0)
         frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
         assert frame[len(frame) - 37 * len(trusted):] == b"".join(block[37 * i:37 * (i + 1)] for i in trusted)
     assert blocks == b""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
 import socket
@@ -49,7 +50,8 @@ from twotsd.protocol import (
     read_frame,
 )
 from twotsd.semantics import DeterministicEngine
-from twotsd.teacher import CandidateBundle, TeacherAgent, assemble_bundle, matched_candidates
+from twotsd.student import decide
+from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, assemble_bundle
 
 from _builders import leaf_snapshot, make_profile, make_record, make_records, make_task, window_of
 
@@ -212,7 +214,7 @@ def _bundles(draw):
     else:
         devices = sorted(draw(st.lists(_WIRE_IDS, min_size=n, max_size=n, unique=True)))
         leaves = [draw(_leaves(device, task_type)) for device in devices]
-    return CandidateBundle(draw(_WIRE_IDS), matched_candidates(leaves), draw(_STAMPS))
+    return CandidateBundle(draw(_WIRE_IDS), [Candidate(leaf, True) for leaf in leaves], draw(_STAMPS))
 
 
 @st.composite
@@ -282,13 +284,22 @@ def test_version_byte_is_checked():
         decode(bytes(frame))
 
 
-def _wide_bundle(n: int = 1_000):
-    """A fixed ``n``-candidate bundle: one trusted leaf copied across devices."""
+def _wide_leaves(n: int) -> list[TrustSemantics]:
+    """``n`` fresh leaves: one trusted leaf copied across devices, none with a cached record."""
     records = window_of(make_records(8, collaborator="d0000"), "d0000")
     leaf = DeterministicEngine().extract("d0000", "video_transcoding", records)
-    leaves = [dataclasses.replace(leaf, device=f"d{i:04d}") for i in range(n)]
+    return [dataclasses.replace(leaf, device=f"d{i:04d}") for i in range(n)]
+
+
+def _bundle_of_leaves(leaves: list[TrustSemantics]) -> CandidateBundle:
+    """The bundle the teacher assembles from ``leaves``, every device matched."""
     profiles = {ts.device: make_profile(device=ts.device, updated_at=50_000) for ts in leaves}
     return assemble_bundle(make_task(), leaves, profiles.get, 50_000, MatchConfig())
+
+
+def _wide_bundle(n: int = 1_000):
+    """A fixed ``n``-candidate bundle: one trusted leaf copied across devices."""
+    return _bundle_of_leaves(_wide_leaves(n))
 
 
 def _v3_row(ts: TrustSemantics) -> list:
@@ -306,6 +317,34 @@ def test_a_wide_bundle_frame_is_at_most_half_its_v3_rows():
     v3_rows = sum(len(codec.canonical_json_bytes(_v3_row(c.semantics))) for c in bundle.candidates)
     assert len(frame) <= v3_rows / 2
     assert decode(frame).payload == bundle
+
+
+def test_decoding_and_deciding_on_a_wide_bundle_starts_no_gc_collection():
+    """10 000 candidates: decode keeps the checked columns and the student reads its pick from them.
+
+    Neither builds an object per candidate, so the cyclic GC, left on, has
+    nothing to count towards a collection.
+    """
+    bundle = _wide_bundle(10_000)
+    frame = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
+    started = []
+
+    def count_starts(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()  # start from empty generation counts
+    gc.callbacks.append(count_starts)
+    try:
+        pick = decide(decode(frame).payload)
+    finally:
+        gc.callbacks.remove(count_starts)
+        if not was:
+            gc.disable()
+    assert started == []
+    assert pick == decide(bundle) == "d0000"
 
 
 # Each ``_messages()`` frame, byte for byte: any change to one is a wire change,
@@ -406,12 +445,17 @@ def test_an_empty_bundle_carries_no_task_type_and_no_records():
     assert decode(_bundle_frame([], task_type="ignored")) == msg  # nothing carries it
 
 
-def test_a_bundle_of_candidates_of_two_task_types_cannot_be_framed():
+def test_a_bundle_of_candidates_of_two_task_types_cannot_be_made():
+    """A bundle carries one task type, so candidates of two are refused when it is made, not when framed."""
     first, second = _sample_bundle().candidates[0].semantics, _wide_bundle(1).candidates[0].semantics
     mixed = dataclasses.replace(second, device="a_l", task_type="face_recognition")
-    bundle = CandidateBundle("c2", matched_candidates([first, mixed]), 50_000)
-    with pytest.raises(ProtocolError, match="2 task types"):
-        encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
+    with pytest.raises(ValidationError, match="2 task types") as err:
+        CandidateBundle("c2", [Candidate(first, True), Candidate(mixed, True)], 50_000)
+    assert err.value.field == "candidates"
+    with pytest.raises(ValidationError, match="2 task types"):
+        assemble_bundle(make_task(), [first, mixed], {"a_k": make_profile(device="a_k", updated_at=50_000),
+                                                      "a_l": make_profile(device="a_l", updated_at=50_000)}.get,
+                        50_000, MatchConfig())
 
 
 # Each bad record with the field and the refusal that name it. A bundle frame
@@ -694,42 +738,47 @@ def test_semantics_made_by_replace_encode_their_own_fields():
     """A replace that changes one trend packs its own record, not the cached one."""
 
     def frame_of(ts: TrustSemantics) -> bytes:
-        bundle = CandidateBundle("c2", matched_candidates([ts]), 0)
+        bundle = CandidateBundle("c2", [Candidate(ts, True)], 0)
         return encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))
 
     leaf = _sample_bundle().candidates[0].semantics
     frame = frame_of(leaf)
-    original = leaf.__dict__["_wire"]
-    assert original == (_canonical(leaf.device), _record_bytes(leaf)) and frame.endswith(original[1])
+    original = leaf.__dict__["_record"]
+    assert original == _record_bytes(leaf) and frame.endswith(original)
     assert frame_of(leaf) == frame
-    assert leaf.__dict__["_wire"] is original  # filled once, then served from the instance
+    assert leaf.__dict__["_record"] is original  # filled once, then served from the instance
     for i, metric in enumerate(COMM_METRICS + COMP_METRICS):
         assert getattr(leaf, metric) is not Trend.DECREASING
         changed = dataclasses.replace(leaf, **{metric: Trend.DECREASING})
-        assert "_wire" not in changed.__dict__
+        assert "_record" not in changed.__dict__
         assert frame_of(changed).endswith(_record_bytes(changed))
-        assert changed.__dict__["_wire"][1] == _record_bytes(changed) != original[1]
-        assert changed.__dict__["_wire"][1][i] == _TREND_CODES["decreasing"]
-    assert leaf.__dict__["_wire"] is original
+        assert changed.__dict__["_record"] == _record_bytes(changed) != original
+        assert changed.__dict__["_record"][i] == _TREND_CODES["decreasing"]
+    assert leaf.__dict__["_record"] is original
 
 
-def test_caching_a_leaf_wire_bytes_keeps_its_dict_keys_shared():
+def test_caching_a_leaf_record_keeps_its_dict_keys_shared():
     """One cached entry per leaf: a second one would unshare the instance dict and grow every leaf."""
-    bundle = _wide_bundle(20)
-    fresh = [sys.getsizeof(c.semantics.__dict__) for c in bundle.candidates]
-    encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 50_000))
-    assert [sys.getsizeof(c.semantics.__dict__) for c in bundle.candidates] == fresh
+    leaves = _wide_leaves(20)
+    fresh = [sys.getsizeof(leaf.__dict__) for leaf in leaves]
+    bundle = _bundle_of_leaves(leaves)
+    assert all("_record" in leaf.__dict__ for leaf in leaves)
+    assert [sys.getsizeof(leaf.__dict__) for leaf in leaves] == fresh
+    assert bundle.block == b"".join(leaf.__dict__["_record"] for leaf in leaves)
 
 
-def test_two_threads_encoding_one_cold_bundle_get_identical_frames():
-    msg = Message(MessageKind.CANDIDATE_BUNDLE, "server", _wide_bundle(), "m1", 50_000)
-    reference = _reference_frame(msg)
+def test_two_threads_bundling_the_same_cold_leaves_get_identical_frames():
+    """Both threads may pack a leaf's record at once; each stores equal bytes."""
+    leaves = _wide_leaves(1_000)
+    reference = _reference_frame(Message(MessageKind.CANDIDATE_BUNDLE, "server", _bundle_of_leaves(
+        [dataclasses.replace(leaf) for leaf in leaves]), "m1", 50_000))
     barrier = threading.Barrier(2)
     frames = [None, None]
 
     def work(slot):
         barrier.wait(timeout=10)
-        frames[slot] = encode(msg)
+        frames[slot] = encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", _bundle_of_leaves(leaves), "m1",
+                                      50_000))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

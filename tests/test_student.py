@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twotsd.domain import TREND_METRICS, Trend
-from twotsd.student import ADVERSE, DecisionPolicy, adverse_trend_count, decide
+from twotsd.protocol import Message, MessageKind, decode, encode
+from twotsd.student import ADVERSE, DecisionPolicy, decide
 from twotsd.teacher import Candidate, CandidateBundle
 
 from _builders import make_semantics
@@ -60,11 +61,12 @@ def test_empty_bundle_yields_none():
     assert decide(CandidateBundle("c2", (), 0)) is None
 
 
-def test_adverse_trend_count_matches_map():
+def test_every_adverse_trend_of_a_candidate_counts():
     assert set(ADVERSE) == set(TREND_METRICS)
-    c = _candidate("a_j", loss_rate=Trend.INCREASING, proc_speed=Trend.DECREASING)
-    assert adverse_trend_count(c) == 2
-    assert adverse_trend_count(_candidate("a_k")) == 0
+    two = _candidate("a_j", loss_rate=Trend.INCREASING, proc_speed=Trend.DECREASING)
+    one = _candidate("a_k", accuracy=Trend.DECREASING)
+    assert decide(_bundle(two, one)) == "a_k"
+    assert decide(_bundle(two, _candidate("a_l"))) == "a_l"
 
 
 def _reference_trend_averse(bundle: CandidateBundle, policy: DecisionPolicy):
@@ -81,27 +83,30 @@ def _reference_trend_averse(bundle: CandidateBundle, policy: DecisionPolicy):
     return min(counts)[1]
 
 
-_TRENDS = st.sampled_from(list(Trend))
-
-
 @st.composite
-def _trend_bundles(draw):
-    devices = sorted(draw(st.lists(st.text(min_size=1, max_size=4), max_size=12, unique=True)))
+def _coded_bundles(draw):
+    """0 to 1 000 candidates with random trend codes, a base-3 digit per metric; some all adverse."""
+    n = draw(st.integers(0, 1_000) | st.sampled_from([0, 1, 1_000]))
+    digits = draw(st.lists(st.integers(0, 3 ** len(TREND_METRICS) - 1), min_size=n, max_size=n))
     all_adverse = draw(st.booleans())
-    policy = DecisionPolicy(strict_trends=draw(st.booleans()))
     candidates = []
-    for device in devices:
-        trends = {m: draw(_TRENDS) for m in TREND_METRICS}
-        if all_adverse:  # at least one adverse trend on every candidate
-            metric = draw(st.sampled_from(sorted(trends)))
+    for i, number in enumerate(digits):
+        trends = {metric: list(Trend)[number // 3 ** k % 3] for k, metric in enumerate(TREND_METRICS)}
+        if all_adverse:
+            metric = TREND_METRICS[number % len(TREND_METRICS)]
             trends[metric] = ADVERSE[metric]
-        candidates.append(_candidate(device, **trends))
-    return CandidateBundle("c2", tuple(candidates), 0), policy
+        candidates.append(_candidate(f"d{i:04d}", **trends))
+    return CandidateBundle("c2", tuple(candidates), 0), DecisionPolicy(strict_trends=draw(st.booleans()))
 
 
-@given(_trend_bundles())
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_coded_bundles())
 def test_trend_averse_picks_what_counting_every_candidate_picks(case):
+    """The pick from the code columns is the reference's over the values, made or decoded from a frame."""
     bundle, policy = case
-    assert decide(bundle, policy) == _reference_trend_averse(bundle, policy)
+    decoded = decode(encode(Message(MessageKind.CANDIDATE_BUNDLE, "server", bundle, "m1", 0))).payload
+    assert decoded == bundle
+    want = _reference_trend_averse(bundle, policy)
+    assert decide(bundle, policy) == want
+    assert decide(decoded, policy) == want == _reference_trend_averse(decoded, policy)
     assert decide(bundle) == decide(bundle, DecisionPolicy())  # the one-argument call
-
