@@ -107,11 +107,13 @@ def record_from_dict(doc: Mapping[str, Any]) -> PerformanceRecord:
 
 _RECORD = struct.Struct("<5B4q")  # the record layout above
 _TREND_OF_CODE = dict(enumerate(Trend))
-_TREND_CODE = {trend: code for code, trend in _TREND_OF_CODE.items()}
+# Keyed by each member's ``_value_``, a plain instance attribute: a str key
+# hashes in C, where a ``Trend`` key runs the Python-level ``Enum.__hash__``.
+_TREND_CODE = {trend._value_: code for code, trend in _TREND_OF_CODE.items()}
 _STATE_OF_CODE = dict(enumerate(TrustState))
 _STATE_CODE = {state: code for code, state in _STATE_OF_CODE.items()}
 _INSUFFICIENT_CODE = _STATE_CODE[_INSUFFICIENT_DATA]
-_NORMAL_CODES = (_TREND_CODE[_NORMAL],) * len(TREND_METRICS)
+_NORMAL_CODES = (_TREND_CODE[_NORMAL._value_],) * len(TREND_METRICS)
 _BIG_ENDIAN = sys.byteorder == "big"
 _ATTRS, _STATE = attrgetter("__dict__"), attrgetter("state")
 
@@ -128,9 +130,10 @@ def _pack_record(ts: TrustSemantics) -> bytes:
     instance at once store equal bytes.
     """
     lo, hi = ts.window or (0, 0)
+    code = _TREND_CODE
     record = ts.__dict__["_record"] = _RECORD.pack(
-        _TREND_CODE[ts.throughput], _TREND_CODE[ts.loss_rate], _TREND_CODE[ts.accuracy],
-        _TREND_CODE[ts.proc_speed], ts.window is not None, lo, hi, ts.extracted_at, ts.record_count,
+        code[ts.throughput._value_], code[ts.loss_rate._value_], code[ts.accuracy._value_],
+        code[ts.proc_speed._value_], ts.window is not None, lo, hi, ts.extracted_at, ts.record_count,
     )
     return record
 

@@ -13,6 +13,12 @@ Communication and computation always pass; they are the two terms of
 ``carry``. A failed stage short-circuits the chain; failure is a verdict, not
 an error. The transfer model is one-way (owner -> collaborator upload
 dominates).
+
+``evaluate_chain`` runs the chain for one candidate and reports the stage
+that stopped it and the carry: the staged reference that ground truth and
+the tests call. ``feasible`` answers only whether each of many candidates
+matched one task, as one batch predicate with the same float operations in
+the same order; a served request filters its candidates through it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .domain import BITS_PER_MB, ResourceProfile, Task, TimestampMs
 from .errors import ValidationError
@@ -85,3 +91,28 @@ def evaluate_chain(
     carry += size_bits * task.density_cpb / profile.cpu_cps
     # tuple.__new__ builds what MatchVerdict(...) would, without its Python-level __new__.
     return tuple.__new__(MatchVerdict, (None if carry <= task.deadline_s else Stage.DEADLINE, carry))
+
+
+def feasible(
+    task: Task,
+    profiles: Iterable[ResourceProfile | None],
+    now: TimestampMs,
+    cfg: MatchConfig,
+) -> list[bool]:
+    """Whether each profile matches ``task``: ``evaluate_chain(...).matched`` each, False for None.
+
+    The task and config fields are read once, and the chain's comparisons
+    run inline over the profiles, with the same operations in the same order
+    as ``evaluate_chain``, so each answer is its verdict's, bit for bit. No
+    verdict is built and no function is called per profile.
+    """
+    staleness_s, size_mb, deadline_s = cfg.staleness_s, task.size_mb, task.deadline_s
+    size_bits = size_mb * BITS_PER_MB
+    work = size_bits * task.density_cpb  # the left product of size_bits * density_cpb / cpu_cps
+    return [
+        p is not None
+        and (now - p.updated_at) / 1000.0 <= staleness_s
+        and p.storage_mb >= size_mb
+        and size_bits / (p.bandwidth_mbps * 1e6) + work / p.cpu_cps <= deadline_s
+        for p in profiles
+    ]

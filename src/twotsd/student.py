@@ -31,7 +31,7 @@ ADVERSE: dict[str, Trend] = {
 
 # Per trend-code column of a semantics record, in ``TREND_METRICS`` order: a
 # ``bytes.translate`` table taking each code to 1 where it is adverse, else 0.
-_ADVERSE_CODES = [bytes(code == _TREND_CODE[ADVERSE[metric]] for code in range(256))
+_ADVERSE_CODES = [bytes(code == _TREND_CODE[ADVERSE[metric]._value_] for code in range(256))
                   for metric in TREND_METRICS]
 _RECORD_SIZE = _RECORD.size
 

@@ -9,9 +9,11 @@ chain:
   history and the refreshed semantics upserted into the tree. A batch of
   records extracts each pair it touches once, from the window with all of
   that pair's records placed, before storing them.
-* task request -- semantics retrieval for the task type, owner dropped,
-  resource retrieval, chain matching per candidate, then only devices that are
-  both trusted and matched go into the candidate bundle. That assembly is
+* task request -- semantics retrieval for the task type, owner and
+  non-trusted devices dropped, resource retrieval, then the matching chain
+  over every remaining candidate in one batch predicate
+  (:func:`~twotsd.matching.feasible`); only devices that are both trusted and
+  matched go into the candidate bundle. That assembly is
   :func:`assemble_bundle`, which the simulation's polling baseline shares;
   only where the semantics and profiles come from differs.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import compress, repeat
 from operator import attrgetter, lt
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -41,7 +43,7 @@ from .domain import (
     _require_timestamp,
 )
 from .errors import ValidationError
-from .matching import MatchConfig, evaluate_chain
+from .matching import MatchConfig, feasible
 from .memory import HistoryQuery, MemoryModule
 from .semantics import DeterministicEngine, SemanticsEngine
 
@@ -262,15 +264,11 @@ def assemble_bundle(
     ``semantics`` must come in strictly ascending device order, as
     ``SemanticsTree.get_by_task_type`` returns them; ``CandidateBundle``
     rejects any other order. The owner and every device that is not trusted
-    drop out. The rest run the matching chain against ``profile_of(device)``;
-    a device without a profile drops out too. Matched devices are kept, in
-    the order given.
+    drop out. The rest are matched against ``profile_of(device)`` in one
+    pass of :func:`~twotsd.matching.feasible`; a device without a profile
+    drops out too. Matched devices are kept, in the order given.
     """
-    matched: list[TrustSemantics] = []
-    for sem in semantics:
-        if sem.device == task.owner or sem.state is not _TRUSTED:
-            continue
-        profile = profile_of(sem.device)
-        if profile is not None and evaluate_chain(task, profile, now, match_cfg).matched:
-            matched.append(sem)
-    return CandidateBundle.of_leaves(task.task_id, now, matched)
+    owner = task.owner
+    trusted = [sem for sem in semantics if sem.state is _TRUSTED and sem.device != owner]
+    matched = feasible(task, map(profile_of, map(_DEVICE, trusted)), now, match_cfg)
+    return CandidateBundle.of_leaves(task.task_id, now, [*compress(trusted, matched)])

@@ -2,7 +2,8 @@
 
 Oracle: t_tx = size_mb*8e6 / (bandwidth_mbps*1e6), t_cp = size_mb*8e6 *
 density_cpb / cpu_cps, matched iff storage fits, report fresh, and
-t_tx + t_cp <= deadline.
+t_tx + t_cp <= deadline. The batch predicate ``feasible`` is checked
+against ``evaluate_chain`` as its reference, on every bound exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from twotsd.errors import ValidationError
-from twotsd.matching import MatchConfig, MatchVerdict, Stage, evaluate_chain
+from twotsd.matching import MatchConfig, MatchVerdict, Stage, evaluate_chain, feasible
 
 from _builders import make_profile, make_task
 
@@ -81,8 +82,11 @@ def test_match_config_accepts_any_positive_bound(value):
 
 def test_thousand_case_formula_oracle():
     """Random (task, profile) pairs: the chain agrees with direct formulas and
-    the deadline carry equals t_tx + t_cp to within 1e-9 s."""
+    the deadline carry equals t_tx + t_cp to within 1e-9 s. The batch
+    predicate, one call per task over every pair's profile (and None),
+    answers each as the chain's verdict does."""
     rng = random.Random(20_260_815)
+    pairs = []
     for _ in range(1_000):
         task = make_task(
             size_mb=rng.uniform(0.1, 500.0),
@@ -107,3 +111,47 @@ def test_thousand_case_formula_oracle():
         assert verdict.matched == expected
         if fresh and fits:
             assert verdict.carry == pytest.approx(t_tx + t_cp, abs=1e-9)
+        pairs.append((task, profile, now))
+
+    profiles = [profile for _, profile, _ in pairs] + [None]
+    for task, _, now in pairs[::100]:
+        expected = [profile is not None and evaluate_chain(task, profile, now, CFG).matched for profile in profiles]
+        assert feasible(task, profiles, now, CFG) == expected
+    # The pairs themselves, the batch one profile at a time: each with its own task and now.
+    assert [feasible(task, [profile], now, CFG)[0] for task, profile, now in pairs] == [
+        evaluate_chain(task, profile, now, CFG).matched for task, profile, now in pairs]
+
+
+def test_batch_predicate_agrees_with_the_chain_on_every_bound():
+    """Each stage's bound exactly, and the float just below the carry, answered as ``evaluate_chain`` does.
+
+    The deadline edge runs on 200 random profiles with the deadline set to
+    each one's carry and to the float below it, so a compute term rounded
+    another way than the chain's (``size_bits * (density / cpu)``) answers
+    one of the two differently.
+    """
+    rng = random.Random(20_261_022)
+    task = make_task(size_mb=50.0)
+    fresh_edge = make_profile(updated_at=1_000)
+    at_storage = make_profile(storage_mb=50.0, updated_at=301_000)
+    below_storage = make_profile(storage_mb=math.nextafter(50.0, 0.0), updated_at=301_000)
+    edges = [fresh_edge, at_storage, below_storage, None]
+    got = feasible(task, edges, 301_000, CFG)
+    assert got == [True, True, False, False]
+    assert got[:3] == [evaluate_chain(task, profile, 301_000, CFG).matched for profile in edges[:3]]
+    assert feasible(task, [fresh_edge], 301_001, CFG) == [False]
+    assert feasible(task, [], 0, CFG) == []
+
+    profiles = [
+        make_profile(cpu_cps=rng.uniform(1e9, 1e11), bandwidth_mbps=rng.uniform(1.0, 500.0), storage_mb=600.0)
+        for _ in range(200)
+    ]
+    for i, profile in enumerate(profiles):
+        size_mb, density = rng.uniform(0.1, 500.0), rng.uniform(1.0, 5_000.0)
+        carry = evaluate_chain(make_task(size_mb=size_mb, density_cpb=density, deadline_s=1e9),
+                               profile, 1_000, CFG).carry
+        for deadline in (carry, math.nextafter(carry, 0.0)):
+            edge_task = make_task(size_mb=size_mb, density_cpb=density, deadline_s=deadline)
+            expected = [evaluate_chain(edge_task, p, 1_000, CFG).matched for p in profiles]
+            assert expected[i] is (deadline == carry)
+            assert feasible(edge_task, profiles, 1_000, CFG) == expected

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from twotsd.domain import RecordWindow, TrustState, Verdict
 from twotsd.errors import RemoteTimeoutError, StaleUpdateError, ValidationError
+from twotsd.matching import MatchConfig, evaluate_chain
 from twotsd.memory import HistoryQuery, HistoryStore
 from twotsd.semantics import DeterministicEngine
-from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent
+from twotsd.teacher import Candidate, CandidateBundle, TeacherAgent, assemble_bundle
 
-from _builders import make_profile, make_record, make_records, make_task, window_of
+from _builders import make_profile, make_record, make_records, make_semantics, make_task, window_of
 
 
 def test_ingest_updates_tree_incrementally():
@@ -278,6 +279,64 @@ def test_request_serves_from_memory_only():
     teacher.handle_task_request(make_task(), now=100_000)
     assert len(teacher.memory.history) == history_len
     assert teacher.memory.semantics.to_dict() == tree
+
+
+_NOW = 1_000_000
+
+# One drawn device: its state, then its profile's age in ms (None: no profile;
+# 300 000 is the staleness bound), storage (50 MB is the task's size), cpu and
+# bandwidth, so every stage of the chain passes for some devices and fails for others.
+_DEVICE_SPECS = st.tuples(
+    st.sampled_from(TrustState),
+    st.one_of(st.none(), st.sampled_from([299_999, 300_000, 300_001]), st.integers(0, 600_000)),
+    st.sampled_from([10.0, 50.0, 500.0]),
+    st.sampled_from([1e9, 1e10, 5e10]),
+    st.sampled_from([1.0, 100.0]),
+)
+
+
+def _reference_bundle(task, leaves, profiles, cfg):
+    """The devices a bundle must list: one ``evaluate_chain`` verdict per trusted, profiled non-owner."""
+    return [
+        leaf for leaf in leaves
+        if leaf.device != task.owner and leaf.state is TrustState.TRUSTED
+        and leaf.device in profiles and evaluate_chain(task, profiles[leaf.device], _NOW, cfg).matched
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=st.lists(_DEVICE_SPECS, max_size=300),
+    deadline_s=st.sampled_from([10.0, 44.0, 50.0, 500.0]),  # 44 s: 4 s + 40 s on 100 Mbps and 1e10 c/s
+    data=st.data(),
+)
+def test_assembly_equals_a_chain_per_candidate(specs, deadline_s, data):
+    """Served and polling-baseline assembly list exactly the devices a per-candidate chain matches."""
+    cfg = MatchConfig(staleness_s=300.0)
+    devices = [f"d{i:03d}" for i in range(len(specs))]
+    owner = data.draw(st.one_of(st.just("a_i"), st.sampled_from(devices)) if devices else st.just("a_i"))
+    leaves = [make_semantics(device=device, state=state) for device, (state, *_) in zip(devices, specs)]
+    profiles = {
+        device: make_profile(device=device, updated_at=_NOW - age, storage_mb=storage, cpu_cps=cpu,
+                             bandwidth_mbps=bandwidth)
+        for device, (_, age, storage, cpu, bandwidth) in zip(devices, specs) if age is not None
+    }
+    task = make_task(owner=owner, deadline_s=deadline_s)
+    expected = _reference_bundle(task, leaves, profiles, cfg)
+
+    teacher = TeacherAgent(match_cfg=cfg)
+    for leaf in leaves:
+        teacher.memory.semantics.upsert(leaf)
+    for profile in profiles.values():
+        teacher.handle_resource_report(profile)
+    served = teacher.handle_task_request(task, _NOW)
+    polled = assemble_bundle(task, leaves, lambda device: profiles.get(device), _NOW, cfg)
+    for bundle in (served, polled):
+        assert list(bundle.device_ids) == [leaf.device for leaf in expected]
+        assert [candidate.semantics for candidate in bundle.candidates] == expected
+        assert bundle.task_type == ("video_transcoding" if expected else None)
+        assert (bundle.task_id, bundle.generated_at) == (task.task_id, _NOW)
+    assert served == polled
 
 
 def _candidate(device: str, state=TrustState.TRUSTED, matched=True) -> Candidate:
